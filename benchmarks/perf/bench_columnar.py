@@ -17,9 +17,6 @@ axes only:
   path must stay under **1/3** of the in-memory peak at >= 10^6 rows —
   the grid arms allocate (B, n) candidate-weight matrices on both
   sides, so they gate on λ-equality and wall-clock only.
-* **zero-copy sharding** — a process-pool fit batch over the mapped
-  training matrix must hand workers ``(path, dtype, shape, offset)``
-  (handoff ``"mmap"``), never a pickled or shared-memory copy.
 
 Run from the repository root::
 
@@ -137,52 +134,6 @@ def _arm_solve(spec):
     )
 
 
-def _arm_pool(spec):
-    """Zero-copy sharding arm: pooled clone fits over the mapped X."""
-    from repro.core.fairness_metrics import METRIC_FACTORIES
-    from repro.core.fitter import WeightedFitter
-    from repro.core.spec import Constraint
-    from repro.datasets import open_columnar
-
-    from repro.ml.naive_bayes import GaussianNaiveBayes
-
-    dataset = open_columnar(spec["store"])
-    train, _ = _slice_splits(dataset)
-    groups = np.asarray(train.sensitive)
-    constraint = Constraint(
-        metric=METRIC_FACTORIES["SP"](), epsilon=0.05,
-        group_names=("a", "b"),
-        g1_idx=np.nonzero(groups == 0)[0],
-        g2_idx=np.nonzero(groups == 1)[0],
-    )
-    L = np.linspace(-0.4, 0.4, 6)[:, None]
-    fitter = WeightedFitter(
-        GaussianNaiveBayes(), train.X, train.y, [constraint], n_jobs=2
-    )
-    t0 = time.perf_counter()
-    try:
-        # exact_only pushes GNB past its batch protocol onto the pool
-        models = fitter.fit_batch(L, pool="process", exact_only=True)
-        handoff = fitter._pool_handoff
-    finally:
-        fitter.close()
-    serial = WeightedFitter(
-        GaussianNaiveBayes(), train.X, train.y, [constraint]
-    )
-    ref = serial.fit_batch(L)
-    Xp = np.asarray(train.X)
-    identical = all(
-        np.array_equal(m.predict(Xp), r.predict(Xp))
-        for m, r in zip(models, ref)
-    )
-    return dict(
-        seconds=round(time.perf_counter() - t0, 4),
-        rows=len(train),
-        handoff=handoff,
-        predictions_identical=bool(identical),
-    )
-
-
 def _run_child(spec):
     """Execute one arm in a fresh interpreter; return its JSON result."""
     proc = subprocess.run(
@@ -227,7 +178,7 @@ def _encode_store(workload, root):
     )
 
 
-def run_workload(name, workload, pool_arm):
+def run_workload(name, workload):
     entry = {
         "scenario": workload["scenario"],
         "rows": workload["n"],
@@ -270,10 +221,6 @@ def run_workload(name, workload, pool_arm):
                 ),
             )
             entry["strategies"][strategy] = pair
-        if pool_arm:
-            print(f"[bench_columnar] {name}: process-pool zero-copy ...",
-                  flush=True)
-            entry["pool"] = _run_child(dict(kind="pool", store=root))
     return entry
 
 
@@ -292,11 +239,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.arm is not None:   # child mode: one measured arm
-        spec = json.loads(args.arm)
-        result = (
-            _arm_pool(spec) if spec["kind"] == "pool" else _arm_solve(spec)
-        )
-        print(json.dumps(result))
+        print(json.dumps(_arm_solve(json.loads(args.arm))))
         return 0
 
     registry = workloads(quick=args.quick)
@@ -316,8 +259,8 @@ def main(argv=None):
         "workloads": {},
     }
     failures = []
-    for i, name in enumerate(selected):
-        entry = run_workload(name, registry[name], pool_arm=(i == 0))
+    for name in selected:
+        entry = run_workload(name, registry[name])
         report["workloads"][name] = entry
         for strategy, pair in entry["strategies"].items():
             print(
@@ -351,20 +294,6 @@ def main(argv=None):
                     f"{pair['inmem']['seconds']:.2f}s exceeds "
                     f"{args.max_slowdown:.1f}x"
                 )
-        if "pool" in entry:
-            pool = entry["pool"]
-            print(
-                f"  {name}/pool: handoff={pool['handoff']} "
-                f"{pool['seconds']:.2f}s identical="
-                f"{pool['predictions_identical']}"
-            )
-            if pool["handoff"] != "mmap":
-                failures.append(
-                    f"{name}/pool: handoff {pool['handoff']!r}, "
-                    f"expected zero-copy 'mmap'"
-                )
-            if not pool["predictions_identical"]:
-                failures.append(f"{name}/pool: pooled fits diverged")
 
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(report, indent=2) + "\n")

@@ -1,22 +1,17 @@
-"""Resilience harness: chaos serving, worker death, breaker cycle, drain.
+"""Resilience harness: chaos serving, breaker cycle, drain.
 
-ISSUE 8 added a resilience layer — deterministic fault injection
+The resilience layer provides deterministic fault injection
 (:mod:`repro.resilience.faults`), deadlines/retries/circuit breakers
 (:mod:`repro.resilience.policy`), admission control with load shedding,
-and crash-safe degradation in the fitter pool and blob store.  This
-harness drives each claim end to end and gates the invariants the layer
-rests on:
+and crash-safe degradation in the blob store.  This harness drives each
+claim end to end and gates the invariants the layer rests on:
 
 * **chaos serving** — the real ``repro serve`` subprocess runs under the
   committed ``tests/fault_plans/smoke.json`` (injected store I/O
-  failures, worker-start failures, and latency at every site) while the
-  closed-loop load generator compares every answer against a locally
-  solved twin.  Gate: **zero** wrong predictions (bitwise), zero request
-  errors — chaos may add latency, never wrongness.
-* **worker kill** — pool workers die mid-``fit_batch`` (a real
-  ``os._exit`` in the child); the fitter must degrade to in-process
-  fits with one warning and produce **bit-identical** models to a
-  serial twin.
+  failures and latency at every site) while the closed-loop load
+  generator compares every answer against a locally solved twin.
+  Gate: **zero** wrong predictions (bitwise), zero request errors —
+  chaos may add latency, never wrongness.
 * **breaker cycle** — consecutive failing retunes trip the per-model
   circuit breaker (503 while open), and after the cooldown a half-open
   probe retune closes it again.  Gate: at least one full
@@ -35,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import pathlib
 import platform
@@ -44,7 +38,6 @@ import subprocess
 import sys
 import tempfile
 import time
-import warnings
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 if str(REPO_ROOT / "src") not in sys.path:
@@ -53,9 +46,6 @@ if str(REPO_ROOT / "src") not in sys.path:
 import numpy as np  # noqa: E402
 
 from repro.api import Engine, Problem  # noqa: E402
-from repro.core.fairness_metrics import METRIC_FACTORIES  # noqa: E402
-from repro.core.fitter import WeightedFitter  # noqa: E402
-from repro.core.spec import Constraint  # noqa: E402
 from repro.datasets import load_scenario  # noqa: E402
 from repro.ml import GaussianNaiveBayes  # noqa: E402
 from repro.serving import (  # noqa: E402
@@ -125,7 +115,7 @@ class ServerProcess:
 def solve_local_twin(rows, seed):
     """The model the chaos server should exactly reproduce."""
     data = load_scenario("group_sweep", n=rows, seed=seed)
-    fair = Engine("auto", backend="serial").solve(
+    fair = Engine("auto").solve(
         Problem(SPEC), GaussianNaiveBayes(), data, seed=seed,
     )
     return data, fair
@@ -156,54 +146,6 @@ def arm_chaos_serving(*, rows, seed, n_clients, requests, pool_X, expected):
         "load": report.to_dict(),
         "faults_fired": faults["fired"],
         "site_calls": faults["calls"],
-    }
-
-
-class _PoolKillerNB(GaussianNaiveBayes):
-    """Dies (hard) whenever fitted inside a pool worker process."""
-
-    supports_batch_fit = False  # force pool dispatch, not the batch kernel
-
-    def fit(self, X, y, sample_weight=None):
-        if multiprocessing.parent_process() is not None:
-            os._exit(1)
-        return super().fit(X, y, sample_weight=sample_weight)
-
-
-def arm_worker_kill(*, rows, seed):
-    """Kill pool workers mid-batch; fits must degrade bit-identically."""
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=(rows, 4))
-    y = (X[:, 0] + 0.5 * rng.normal(size=rows) > 0).astype(np.int64)
-    groups = rng.integers(0, 2, size=rows)
-    constraints = [
-        Constraint(
-            metric=METRIC_FACTORIES["SP"](), epsilon=0.05,
-            group_names=("a", "b"),
-            g1_idx=np.nonzero(groups == 0)[0],
-            g2_idx=np.nonzero(groups == 1)[0],
-        ),
-    ]
-    lambdas = np.linspace(-1.5, 1.5, 8).reshape(-1, 1)
-
-    pooled = WeightedFitter(_PoolKillerNB(), X, y, constraints, n_jobs=2)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        degraded_models = pooled.fit_batch(lambdas)
-    death_warnings = [
-        w for w in caught if "workers died" in str(w.message)
-    ]
-    serial = WeightedFitter(_PoolKillerNB(), X, y, constraints)
-    mismatches = sum(
-        not np.array_equal(m_ref.predict(X), m_got.predict(X))
-        for m_ref, m_got in zip(serial.fit_batch(lambdas), degraded_models)
-    )
-    return {
-        "lambdas": len(lambdas),
-        "degraded": bool(pooled._pool_degraded),
-        "death_warnings": len(death_warnings),
-        "prediction_mismatches_vs_serial": int(mismatches),
-        "fit_paths": dict(pooled.fit_paths),
     }
 
 
@@ -312,11 +254,6 @@ def main(argv=None):
           f"shed={load['shed']} p99={load['p99_ms']:.2f}ms "
           f"faults_fired={sum(chaos['faults_fired'].values())}")
 
-    print("killing pool workers mid-batch")
-    kill = arm_worker_kill(rows=min(rows, 600), seed=args.seed)
-    print(f"  degraded={kill['degraded']} "
-          f"mismatches={kill['prediction_mismatches_vs_serial']}")
-
     print("cycling the retune circuit breaker")
     breaker = arm_breaker_cycle(
         dataset=data, model=fair, probe_rows=probe_rows, seed=args.seed,
@@ -341,18 +278,6 @@ def main(argv=None):
     if args.max_p99_ms is not None and load["p99_ms"] > args.max_p99_ms:
         failures.append(
             f"chaos load: p99 {load['p99_ms']}ms > {args.max_p99_ms}ms"
-        )
-    if kill["prediction_mismatches_vs_serial"]:
-        failures.append(
-            f"worker kill: {kill['prediction_mismatches_vs_serial']} "
-            "degraded fits diverged from serial"
-        )
-    if not kill["degraded"]:
-        failures.append("worker kill: fitter never degraded")
-    if kill["death_warnings"] != 1:
-        failures.append(
-            f"worker kill: {kill['death_warnings']} warnings, wanted "
-            "exactly one"
         )
     if breaker["breaker"]["cycles"] < 1:
         failures.append("breaker: no full open->half-open->closed cycle")
@@ -383,7 +308,6 @@ def main(argv=None):
         },
         "arms": {
             "chaos_serving": chaos,
-            "worker_kill": kill,
             "breaker_cycle": breaker,
             "drain": drain,
         },

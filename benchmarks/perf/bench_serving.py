@@ -116,7 +116,7 @@ class ServerProcess:
 def solve_local_twin(rows, seed):
     """The same solve ``/retune`` runs server-side, done locally."""
     data = load(DATASET, n=rows, seed=seed)
-    fair = Engine("auto", backend="serial").solve(
+    fair = Engine("auto").solve(
         Problem(SPEC), resolve_model(ESTIMATOR), data, seed=seed,
     )
     return data, fair.predict(data.X)

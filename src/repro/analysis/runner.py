@@ -180,7 +180,6 @@ def run_omnifair(
         warm_start=opts.pop("warm_start", False),
         subsample=opts.pop("subsample", None),
         chunk_size=opts.pop("chunk_size", None),
-        backend=opts.pop("backend", "serial"),
         strict=False,  # legacy kwargs are a union across strategies
         **opts,
     )

@@ -1,8 +1,8 @@
 """Small timing utilities used by the runtime benchmarks (Figures 5/6).
 
 :func:`round_times` attributes search wall time per ask/tell evaluation
-round from the ``wall_time_s`` / ``batch_id`` fields the execution
-backends stamp onto every :class:`~repro.core.history.HistoryPoint`.
+round from the ``wall_time_s`` / ``batch_id`` fields the executor
+stamps onto every :class:`~repro.core.history.HistoryPoint`.
 """
 
 from __future__ import annotations

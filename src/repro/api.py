@@ -38,11 +38,10 @@ from .core.exceptions import SpecificationError
 from .core.report import FitReport
 from .core.single import SingleTuneResult
 from .core.spec import bind_specs
-from .core.executor import resolve_backend
 from .core.strategies import (
     available_strategies,
+    check_option_names,
     get_strategy,
-    known_option_names,
     resolve_strategy_name,
 )
 from .core.fitter import WeightedFitter
@@ -291,17 +290,6 @@ class Engine:
     negative_weights, warm_start, subsample
         Weighted-training knobs, passed to
         :class:`~repro.core.fitter.WeightedFitter`.
-    engine : {"compiled", "naive"}
-        Weight-computation engine.  ``"compiled"`` (default) builds the
-        constraint set once into stacked numpy kernels
-        (:mod:`repro.core.kernels`) and lets grid/CMA-ES score whole λ
-        batches per pass; ``"naive"`` keeps the pure-Python reference
-        loop — bit-for-bit identical results, kept selectable for
-        benchmarking and verification.
-    n_jobs : int or None
-        Opt-in process-pool width for batched per-candidate model fits
-        (grid and CMA-ES under the compiled engine); ``None`` fits
-        serially in-process.
     fit_cache : bool
         Memoize model fits on the hash of their resolved weight/label
         vectors (default True; automatically off under ``warm_start``).
@@ -313,13 +301,6 @@ class Engine:
         of one stacked mask product, with bit-identical results — the
         knob that lets λ-search run on million-row scenarios.  ``None``
         (default) keeps in-memory evaluation.
-    backend : str or ExecutionBackend
-        Execution backend for the solver's candidate batches
-        (:mod:`repro.core.executor`): ``"serial"`` (default, the
-        reference semantics), ``"thread"``, or ``"process"`` — the
-        latter two speculatively pre-fit upcoming candidates through
-        the shared fit cache while selecting the identical λ.  Worker
-        counts spell as ``"process:4"``.
     store_dir : path-like or None
         Root of a persistent cross-run cache
         (:class:`repro.store.CacheStore`).  When set, every solve (a)
@@ -355,11 +336,8 @@ class Engine:
         negative_weights="flip",
         warm_start=False,
         subsample=None,
-        engine="compiled",
-        n_jobs=None,
         fit_cache=True,
         chunk_size=None,
-        backend="serial",
         store_dir=None,
         store=None,
         store_max_bytes=None,
@@ -371,24 +349,15 @@ class Engine:
                 f"unknown search strategy {strategy!r}; registered: "
                 f"{available_strategies()} (plus 'auto')"
             )
-        if engine not in ("compiled", "naive"):
-            raise SpecificationError(
-                f"unknown weight engine {engine!r}; use 'compiled' or "
-                f"'naive'"
-            )
         if chunk_size is not None and int(chunk_size) < 1:
             raise SpecificationError(
                 f"chunk_size must be >= 1 or None, got {chunk_size}"
             )
-        resolve_backend(backend)  # fail fast on unknown backend specs
-        self.backend = backend
         self.strategy = strategy
         self.model = None if model is None else resolve_model(model)
         self.negative_weights = negative_weights
         self.warm_start = warm_start
         self.subsample = subsample
-        self.engine = engine
-        self.n_jobs = n_jobs
         self.fit_cache = fit_cache
         self.chunk_size = None if chunk_size is None else int(chunk_size)
         if store is not None:
@@ -403,12 +372,7 @@ class Engine:
         self.options = dict(options)
         # even in non-strict mode, an option no registered strategy
         # understands is a typo, not a cross-strategy legacy knob
-        unknown = sorted(set(self.options) - known_option_names())
-        if unknown:
-            raise SpecificationError(
-                f"unknown option(s) {unknown}; no registered strategy "
-                f"accepts them"
-            )
+        check_option_names(self.options)
         if strict and strategy != "auto":
             # fail fast on options the chosen strategy does not accept
             get_strategy(strategy).make_config(self.options, strict=True)
@@ -504,17 +468,12 @@ class Engine:
             negative_weights=self.negative_weights,
             warm_start=self.warm_start,
             subsample=self.subsample,
-            engine=self.engine,
-            n_jobs=self.n_jobs,
             fit_cache=self.fit_cache,
             eval_chunk_size=self.chunk_size,
             store=self.store,
         )
 
-        raw = strategy.run(
-            fitter, val_constraints, val.X, val.y, config,
-            backend=self.backend,
-        )
+        raw = strategy.run(fitter, val_constraints, val.X, val.y, config)
 
         if isinstance(raw, SingleTuneResult):
             lambdas = np.array([raw.lam], dtype=np.float64)
@@ -561,7 +520,6 @@ class Engine:
             metadata={
                 "estimator": type(estimator).__name__,
                 "strategy": name,
-                "engine": self.engine,
             },
         )
         if desc is not None:
@@ -580,9 +538,9 @@ class Engine:
         canonical spec, both split fingerprints, the estimator class
         and hyperparameters, the strategy and its config (minus the
         warm-start seed fields, which alter only the trajectory), and
-        the weighted-training knobs.  Performance-only knobs (backend,
-        n_jobs, chunk_size) are deliberately excluded — every backend
-        selects the identical λ, so they would only fragment the cache.
+        the weighted-training knobs.  The performance-only ``chunk_size``
+        is deliberately excluded — chunked evaluation is bit-identical,
+        so it would only fragment the cache.
         Returns ``None`` for non-canonicalizable (non-DSL) specs.
         """
         from dataclasses import asdict
@@ -609,7 +567,6 @@ class Engine:
             "negative_weights": self.negative_weights,
             "warm_start": bool(self.warm_start),
             "subsample": repr(self.subsample),
-            "engine": self.engine,
         }
 
     @staticmethod
@@ -664,8 +621,7 @@ class Engine:
 
     def __repr__(self):
         return (
-            f"Engine(strategy={self.strategy!r}, engine={self.engine!r}, "
-            f"options={self.options!r})"
+            f"Engine(strategy={self.strategy!r}, options={self.options!r})"
         )
 
 

@@ -43,10 +43,9 @@ import sys
 from .analysis.runner import ESTIMATOR_FACTORIES
 from .api import Engine, Problem
 from .core.exceptions import InfeasibleConstraintError, SpecificationError
-from .core.executor import available_backends
 from .core.fairness_metrics import METRIC_FACTORIES
 from .core.spec import FairnessSpec
-from .core.strategies import available_strategies
+from .core.strategies import available_strategies, check_option_names
 from .datasets import LOADERS, available_scenarios, load, two_group_view
 from .ml.adapters import external_model_names, resolve_model
 from .ml.model_selection import train_val_test_split
@@ -70,7 +69,6 @@ def inventory():
             + ["ext:<module:Class>"]
         ),
         "strategies": ["auto"] + available_strategies(),
-        "backends": available_backends(),
         "storage": [
             "in-memory (default)",
             "columnar (repro encode --out DIR; train with "
@@ -103,8 +101,8 @@ def build_parser():
 
     sub.add_parser(
         "list",
-        help="list datasets, scenarios, metrics, models, strategies, "
-             "backends and storage backends",
+        help="list datasets, scenarios, metrics, models, strategies "
+             "and storage backends",
     )
 
     encode = sub.add_parser(
@@ -181,21 +179,6 @@ def build_parser():
                             "pair (COMPAS: African-American vs Caucasian)")
     train.add_argument("--subsample", type=float, default=None,
                        help="bounding-stage subsample fraction (§8 pruning)")
-    train.add_argument("--engine", default="compiled",
-                       choices=["compiled", "naive"],
-                       help="weight engine: compiled constraint kernels "
-                            "(default) or the pure-python reference path")
-    train.add_argument("--n-jobs", type=int, default=None,
-                       help="process-pool width for batched candidate "
-                            "fits (grid/cmaes under the compiled engine)")
-    train.add_argument("--backend", default="serial", metavar="NAME",
-                       help="execution backend for the solver's "
-                            "candidate batches "
-                            f"({', '.join(available_backends())}; "
-                            "append :N for workers, e.g. process:4). "
-                            "serial is the reference path; thread/"
-                            "process speculatively pre-fit upcoming "
-                            "candidates and select the identical λ")
     train.add_argument("--no-fit-cache", action="store_true",
                        help="disable memoization of model fits on their "
                             "resolved weight vectors")
@@ -249,9 +232,6 @@ def build_parser():
                             "stragglers, in microseconds (default 2000)")
     serve.add_argument("--n-workers", type=int, default=1,
                        help="per-model batch workers (default 1)")
-    serve.add_argument("--backend", default="serial", metavar="NAME",
-                       help="default execution backend for retune jobs "
-                            f"({', '.join(known['backends'])})")
     serve.add_argument("--max-inflight", type=int, default=256,
                        help="concurrent /predict admission bound; "
                             "beyond it requests shed with 429 + "
@@ -394,22 +374,14 @@ def _cmd_train(args, out):
         else:
             problem = Problem(FairnessSpec(args.metric, args.epsilon))
         options = dict(args.strategy_opt or ())
-        reserved = {
-            "negative_weights", "warm_start", "subsample", "strict",
-            "engine", "n_jobs", "fit_cache", "chunk_size", "model",
-            "backend",
-        } & set(options)
-        if reserved:
-            raise SpecificationError(
-                f"--strategy-opt cannot set engine parameter(s) "
-                f"{sorted(reserved)}; use the dedicated CLI flags"
-            )
+        # strategy knobs only: an engine parameter (store_dir, strict,
+        # ...) has its own flag or is not for the command line
+        check_option_names(options)
         estimator = resolve_model(args.model)
         engine = Engine(
             args.search, subsample=args.subsample,
-            engine=args.engine, n_jobs=args.n_jobs,
             fit_cache=not args.no_fit_cache,
-            chunk_size=args.chunk_size, backend=args.backend,
+            chunk_size=args.chunk_size,
             store_dir=(None if args.no_store else args.store_dir),
             **options,
         )
@@ -487,7 +459,6 @@ def _cmd_serve(args, out):
             max_batch_size=args.max_batch_size,
             max_wait_us=args.max_wait_us,
             n_workers=args.n_workers,
-            backend=args.backend,
             store_dir=args.store_dir,
             max_inflight=args.max_inflight,
             max_jobs=args.max_jobs,

@@ -29,12 +29,7 @@ from .grouping import (
     by_sensitive_attribute,
     intersectional,
 )
-from .executor import (
-    ExecutionBackend,
-    available_backends,
-    register_backend,
-    resolve_backend,
-)
+from .executor import ExecutionBackend
 from .history import HistoryPoint
 from .kernels import (
     CompiledConstraints,
@@ -64,11 +59,7 @@ from .strategies import (
     unregister_strategy,
 )
 from .trainer import OmniFair
-from .weights import (
-    compute_weights,
-    compute_weights_batch,
-    resolve_negative_weights,
-)
+from .weights import resolve_negative_weights
 
 __all__ = [
     "OmniFair",
@@ -103,8 +94,6 @@ __all__ = [
     "by_groups",
     "by_predicate",
     "intersectional",
-    "compute_weights",
-    "compute_weights_batch",
     "resolve_negative_weights",
     "CompiledConstraints",
     "CompiledEvaluator",
@@ -114,9 +103,6 @@ __all__ = [
     "PlanContext",
     "run_plan",
     "ExecutionBackend",
-    "register_backend",
-    "resolve_backend",
-    "available_backends",
     "evaluate_model",
     "max_violation",
     "disparity_vector",

@@ -1,58 +1,33 @@
-"""Execution backends: how ask/tell candidate batches get fitted.
+"""The executor: how ask/tell candidate batches get fitted.
 
 The planner (:mod:`repro.core.planner`) separates candidate *generation*
-from candidate *execution*; this module owns the execution half.  An
+from candidate *execution*; this module owns the execution half.  The
 :class:`ExecutionBackend` consumes :class:`~repro.core.planner.
-CandidateBatch` objects and drives the existing engine machinery —
+CandidateBatch` objects and drives the engine machinery —
 :meth:`WeightedFitter.fit` / :meth:`WeightedFitter.fit_batch`,
 :func:`~repro.core.kernels.evaluate_lambda_batch`, the fit/eval
 memoization caches, and chunked evaluation — uniformly for every
-strategy.
-
-Registered backends:
-
-``serial``
-    The reference semantics: one fit per candidate, in order, no
-    speculation.  Bit-identical to the pre-planner loops (including
-    ``n_fits`` accounting).
-``thread``
-    Speculative: pre-fits upcoming candidates (the batch's next rungs
-    plus its ``lookahead`` hint) into the shared fit cache, using the
-    estimator's bit-exact batch protocol when it declares one and an
-    in-process thread pool of ``clone().fit`` calls otherwise (numpy
-    releases the GIL inside the heavy kernels).
-``process``
-    Same speculation, with the pre-fits on a process pool whose workers
-    receive the training matrix once through a shared-memory block
-    (:meth:`WeightedFitter` pool plumbing).  Falls back to in-process
-    fits — with a single consolidated :class:`RuntimeWarning`, not one
-    per candidate — when the estimator cannot be pickled.
-
-**Equivalence invariant**: every backend reports the same result
-sequence for the same batch stream.  Speculative pre-fits go through
-``fit_batch(..., exact_only=True)``, which uses only fit paths proven
-bit-identical to a direct ``fit()`` (the estimator's
-``batch_fit_exact`` protocol or plain per-candidate clone fits), so a
-later cache hit serves exactly the model the serial backend would have
-trained.  The backend-matrix CI job gates on identical selected λ
-across all three backends.
+strategy.  It runs in-process and in order: one fit per candidate of a
+``"fit"`` batch, one vectorized pass per ``"population"`` batch.  The
+search, not the executor, keeps the fit count small (Algorithms 1 and
+2 use the monotonicity of FP in λ).
 
 :func:`run_race` is the ``race`` meta-strategy's driver: it interleaves
 several strategies' plan generators against one shared fit cache
 (sibling fitters from :meth:`WeightedFitter.spawn`) and returns the
 first feasible result.
+
+:func:`submit_job` runs a callable (a serving retune) on a daemon thread
+behind a :class:`JobHandle` state machine.
 """
 
 from __future__ import annotations
 
 import itertools
-import pickle
 import threading
 import time
 import traceback
 import warnings
-
-import numpy as np
 
 from .exceptions import InfeasibleConstraintError, SpecificationError
 from .kernels import evaluate_lambda_batch
@@ -60,12 +35,6 @@ from .planner import EvalResult, PlanContext
 
 __all__ = [
     "ExecutionBackend",
-    "SerialBackend",
-    "ThreadBackend",
-    "ProcessBackend",
-    "register_backend",
-    "available_backends",
-    "resolve_backend",
     "run_race",
     "JobHandle",
     "JOB_TERMINAL",
@@ -74,72 +43,20 @@ __all__ = [
 
 
 class ExecutionBackend:
-    """Consumes candidate batches; produces ordered ``EvalResult`` lists.
-
-    Subclasses set :attr:`name` (registry key, also the CLI
-    ``--backend`` value), :attr:`speculative`, and :attr:`pool_kind`
-    (``None``, ``"thread"``, or ``"process"`` — forwarded to
-    :meth:`WeightedFitter.fit_batch`).
-    """
-
-    name = None
-    speculative = False
-    pool_kind = None
-
-    def __init__(self, n_workers=None, prefetch=4, exact=True):
-        if n_workers is not None and int(n_workers) < 1:
-            raise SpecificationError(
-                f"n_workers must be >= 1 or None, got {n_workers}"
-            )
-        if int(prefetch) < 1:
-            raise SpecificationError(f"prefetch must be >= 1, got {prefetch}")
-        self.n_workers = None if n_workers is None else int(n_workers)
-        self.prefetch = int(prefetch)
-        # exact=True (default) restricts speculative pre-fits to paths
-        # bit-identical to fit() — what the cross-backend equivalence
-        # suite gates on.  exact=False additionally admits batch
-        # protocols that agree only to round-off (e.g. batched IRLS):
-        # the selected λ is unchanged in practice (the benchmark gates
-        # on it at runtime), but history values may differ in the last
-        # ulp, so it is an explicit opt-in, not a default.
-        self.exact = bool(exact)
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def bind(self, ctx):
-        """Per-solve setup hook (pools, picklability probes)."""
-
-    def release(self, ctx):
-        """Per-solve teardown hook."""
-
-    # -- execution -----------------------------------------------------------
+    """Consumes candidate batches; produces ordered ``EvalResult`` lists."""
 
     def run(self, batch, ctx):
+        """Fit and score ``batch``; one result per reported candidate."""
         ctx.next_batch_id += 1
         if batch.kind == "population":
             return self._run_population(batch, ctx)
         return self._run_fit(batch, ctx)
 
-    def _pool_args(self, ctx):
-        """``(n_jobs, pool)``: the fitter's configured ``n_jobs`` wins
-        over the backend's default width (the backend picks the pool
-        *flavor*, the engine knob the *width*), and a degraded pool
-        (the process backend's unpicklable-estimator fallback) forces
-        in-process fits."""
-        if self.pool_kind is None and self.speculative:
-            return None, None
-        n_jobs = ctx.fitter.n_jobs
-        if n_jobs is None:
-            n_jobs = self.n_workers
-        return n_jobs, self.pool_kind
-
     def _run_population(self, batch, ctx):
-        n_jobs, pool = self._pool_args(ctx)
         t0 = time.perf_counter()
         scored = evaluate_lambda_batch(
             ctx.fitter, ctx.val_constraints, ctx.X_val, ctx.y_val,
-            batch.lambdas, n_jobs=n_jobs,
-            evaluator=ctx.compiled_scorer(), pool=pool,
+            batch.lambdas, evaluator=ctx.compiled_scorer(),
         )
         share = (time.perf_counter() - t0) / max(len(scored), 1)
         results = []
@@ -155,38 +72,14 @@ class ExecutionBackend:
         return results
 
     def _run_fit(self, batch, ctx):
-        fitter = ctx.fitter
         prev = batch.prev_model
-        speculate = self._can_speculate(batch, ctx)
         results = []
-        # ramp-up speculation: early candidates are where stop
-        # predicates usually fire (wrong bracket direction, immediate
-        # crossing), so the first window is small and widths double up
-        # to ``prefetch`` as the walk survives deeper into the batch
-        window, next_prefit = min(2, self.prefetch), 0
         for i in range(len(batch)):
-            if speculate and i == next_prefit:
-                ahead = batch.lambdas[i:i + window]
-                if i == 0 and batch.lookahead is not None:
-                    ahead = np.concatenate([ahead, batch.lookahead])
-                self._prefit(ctx, ahead, batch.use_subsample)
-                next_prefit = i + window
-                window = min(window * 2, self.prefetch)
             t0 = time.perf_counter()
-            model = ctx.prefit_models.get(
-                (batch.lambdas[i].tobytes(), batch.use_subsample)
+            model = ctx.fitter.fit(
+                batch.lambdas[i], prev_model=prev,
+                use_subsample=batch.use_subsample,
             )
-            if model is not None:
-                # the pre-fitted model IS what fit() would return (the
-                # same cache entry); skip the redundant weight build +
-                # cache hashing but keep the logical-fit accounting
-                fitter.n_fits += 1
-                fitter._record_path("speculative")
-            else:
-                model = fitter.fit(
-                    batch.lambdas[i], prev_model=prev,
-                    use_subsample=batch.use_subsample,
-                )
             disparities, accuracy = ctx.score(model)
             res = EvalResult(
                 batch.lambdas[i], model, disparities, accuracy,
@@ -201,194 +94,6 @@ class ExecutionBackend:
             if batch.stop is not None and batch.stop(res):
                 break
         return results
-
-    # -- speculation ---------------------------------------------------------
-
-    def _can_speculate(self, batch, ctx):
-        """Speculation is safe only when fits are order-independent and
-        the shared cache can replay them bit-identically."""
-        fitter = ctx.fitter
-        return (
-            self.speculative
-            and (len(batch) > 1 or batch.lookahead is not None)
-            and fitter.engine == "compiled"
-            and fitter.fit_cache
-            and not fitter.parameterized
-            and not fitter.warm_start
-        )
-
-    def _prefit(self, ctx, lambdas, use_subsample):
-        """Pre-fit candidate rows into the shared fit cache.
-
-        ``exact_only=True`` restricts the batch dispatch to bit-exact
-        paths; ``count_fits=False`` keeps ``n_fits`` comparable across
-        backends (speculative work shows up in ``fit_paths`` instead).
-        """
-        lambdas = np.atleast_2d(lambdas)
-        fits = ctx.prefit_models
-        todo = [
-            b for b in range(len(lambdas))
-            if (lambdas[b].tobytes(), use_subsample) not in fits
-        ]
-        if len(todo) < 2:
-            return  # B=1 has no batch gain: let the walk fit it
-        lambdas = lambdas[todo]
-        n_jobs, pool = self._pool_args(ctx)
-        models = ctx.fitter.fit_batch(
-            lambdas, use_subsample=use_subsample, n_jobs=n_jobs,
-            pool=pool, exact_only=self.exact, count_fits=False,
-            use_cache=self.exact,
-        )
-        if not self.exact and ctx.compiled and not use_subsample:
-            # inexact speculation also pre-scores the batch: stacked
-            # batch predict + one-matmul scoring, stashed per model so
-            # the walk's ctx.score() is a lookup.  Bit-exact backends
-            # skip this (predict_batch labels agree with per-model
-            # predict only up to decision-boundary ties).
-            scorer = ctx.compiled_scorer()
-            disparities, accuracies = scorer.score_models_batch(
-                models, ctx.X_val,
-            )
-            store = ctx.speculative_scores
-            for b, model in enumerate(models):
-                if len(store) >= 4 * max(self.prefetch, 8):
-                    store.pop(next(iter(store)))
-                store[id(model)] = (
-                    model, disparities[b], float(accuracies[b]),
-                )
-        for b, model in enumerate(models):
-            if len(fits) >= 4 * max(self.prefetch, 8):
-                fits.pop(next(iter(fits)))
-            fits[(lambdas[b].tobytes(), use_subsample)] = model
-
-
-class SerialBackend(ExecutionBackend):
-    """Reference backend: strictly sequential, zero speculation."""
-
-    name = "serial"
-    speculative = False
-    pool_kind = None
-
-    def __init__(self, n_workers=None, prefetch=4):
-        if n_workers is not None:
-            raise SpecificationError(
-                "the serial backend runs in-process; a worker count "
-                "('serial:N') is not accepted — use 'thread:N' or "
-                "'process:N'"
-            )
-        # population batches keep the fitter's own n_jobs default
-        super().__init__(n_workers=None, prefetch=prefetch)
-
-
-class ThreadBackend(ExecutionBackend):
-    """Speculative backend with in-process (thread-pool) pre-fits."""
-
-    name = "thread"
-    speculative = True
-    pool_kind = "thread"
-
-    def __init__(self, n_workers=None, prefetch=4, exact=True):
-        super().__init__(n_workers=n_workers or 4, prefetch=prefetch,
-                         exact=exact)
-
-
-class ProcessBackend(ExecutionBackend):
-    """Speculative backend with process-pool pre-fits over shared memory.
-
-    Workers attach the training matrix from a shared-memory block
-    created once per pool (see :meth:`WeightedFitter._get_pool`), so
-    per-candidate tasks ship only the resolved weight/label vectors.
-    An estimator that cannot be pickled cannot cross a process
-    boundary; the backend then falls back to in-process fits for the
-    whole solve and says so **once** (a single consolidated
-    ``RuntimeWarning``, not one warning per candidate).
-    """
-
-    name = "process"
-    speculative = True
-
-    def __init__(self, n_workers=None, prefetch=4, exact=True):
-        super().__init__(n_workers=n_workers or 4, prefetch=prefetch,
-                         exact=exact)
-        self._fallback_serial = False
-
-    def bind(self, ctx):
-        self._fallback_serial = False
-        try:
-            pickle.dumps(ctx.fitter.estimator)
-        except Exception as exc:  # unpicklable estimator: degrade once
-            self._fallback_serial = True
-            warnings.warn(
-                f"backend 'process' fell back to in-process fits for "
-                f"this solve: estimator "
-                f"{type(ctx.fitter.estimator).__name__} is not "
-                f"picklable ({exc})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-    @property
-    def pool_kind(self):  # noqa: D401 - property shadowing class attr
-        return None if self._fallback_serial else "process"
-
-
-# -- registry -----------------------------------------------------------------
-
-
-_BACKENDS = {}
-
-
-def register_backend(cls):
-    """Class decorator: add an :class:`ExecutionBackend` to the registry."""
-    if not (isinstance(cls, type) and issubclass(cls, ExecutionBackend)):
-        raise SpecificationError(
-            "register_backend expects an ExecutionBackend subclass"
-        )
-    if not cls.name or not isinstance(cls.name, str):
-        raise SpecificationError(
-            f"{cls.__name__} must define a non-empty string 'name'"
-        )
-    _BACKENDS[cls.name] = cls
-    return cls
-
-
-register_backend(SerialBackend)
-register_backend(ThreadBackend)
-register_backend(ProcessBackend)
-
-
-def available_backends():
-    """Sorted names of every registered execution backend."""
-    return sorted(_BACKENDS)
-
-
-def resolve_backend(spec):
-    """Instantiate a backend from a name, ``"name:workers"``, or instance."""
-    if isinstance(spec, ExecutionBackend):
-        return spec
-    if isinstance(spec, type) and issubclass(spec, ExecutionBackend):
-        return spec()
-    if not isinstance(spec, str):
-        raise SpecificationError(
-            f"backend must be a name or ExecutionBackend, got "
-            f"{type(spec).__name__}"
-        )
-    name, sep, workers = spec.partition(":")
-    if name not in _BACKENDS:
-        raise SpecificationError(
-            f"unknown execution backend {name!r}; registered: "
-            f"{available_backends()}"
-        )
-    kwargs = {}
-    if sep:
-        try:
-            kwargs["n_workers"] = int(workers)
-        except ValueError:
-            raise SpecificationError(
-                f"bad backend worker count {workers!r} in {spec!r}; "
-                f"use e.g. 'process:4'"
-            ) from None
-    return _BACKENDS[name](**kwargs)
 
 
 # -- background job submission -------------------------------------------------
@@ -405,8 +110,7 @@ class JobHandle:
     """A background solve (or any callable) running off the request path.
 
     The serving layer's ``POST /retune`` endpoint answers with a job id
-    immediately and runs the actual :meth:`Engine.solve` — itself
-    dispatched through the execution-backend registry — on a worker
+    immediately and runs the actual :meth:`Engine.solve` on a worker
     thread; clients poll ``GET /jobs/<id>`` until the handle reports a
     terminal status.  The handle is the synchronization point:
     ``status``/``result``/``error`` are published under a lock and
@@ -597,7 +301,7 @@ def submit_job(fn, *args, name=None, timeout_s=None, on_done=None, **kwargs):
 
 
 def run_race(strategies, fitter, val_constraints, X_val, y_val,
-             backend="serial", interleave=1):
+             interleave=1):
     """Interleave several strategies against one shared fit cache.
 
     Each component strategy runs its own plan generator on a sibling
@@ -622,7 +326,7 @@ def run_race(strategies, fitter, val_constraints, X_val, y_val,
             f"race interleave must be >= 1, got {interleave}"
         )
     interleave = int(interleave)
-    backend = resolve_backend(backend)
+    backend = ExecutionBackend()
     runners = []
     try:
         for name in strategies:
@@ -635,7 +339,6 @@ def run_race(strategies, fitter, val_constraints, X_val, y_val,
             sub = fitter.spawn()
             ctx = PlanContext(sub, list(val_constraints), X_val, y_val)
             gen = strategy.plan(ctx, strategy.make_config({}))
-            backend.bind(ctx)
             runners.append({
                 "name": name, "gen": gen, "ctx": ctx, "fitter": sub,
                 "pending": None, "started": False,
@@ -643,8 +346,6 @@ def run_race(strategies, fitter, val_constraints, X_val, y_val,
     except Exception:
         for runner in runners:
             runner["gen"].close()
-            backend.release(runner["ctx"])
-            runner["fitter"].close()
         raise
 
     def fold_stats():
@@ -683,8 +384,6 @@ def run_race(strategies, fitter, val_constraints, X_val, y_val,
     finally:
         for runner in runners:
             runner["gen"].close()
-            backend.release(runner["ctx"])
-            runner["fitter"].close()  # sibling pools / shm blocks
         fold_stats()
 
     if winner is None:

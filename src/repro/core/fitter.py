@@ -6,24 +6,19 @@ weights, and calls ``fit(X, y, sample_weight=w)`` on a fresh clone (or the
 same instance when warm-starting).  Everything above this layer treats the
 model as a black box.
 
-Two weight engines are available:
+Weights come from the compiled constraint kernels
+(:class:`repro.core.kernels.CompiledConstraints`): the constraints are
+compiled once into stacked numpy kernels, per-λ weights are one fused
+product, batches of candidates one broadcasted pass, and FOR/FDR
+prediction state is updated incrementally.  Every fit runs in-process,
+one candidate after another (or through the estimator's own batch
+protocol, :meth:`WeightedFitter.fit_batch`).
 
-``"compiled"`` (default)
-    Constraints are compiled once into stacked numpy kernels
-    (:class:`repro.core.kernels.CompiledConstraints`); per-λ weights are
-    one fused product, batches of candidates one broadcasted pass, and
-    FOR/FDR prediction state is updated incrementally.
-``"naive"``
-    The original pure-Python reference loop
-    (:func:`repro.core.weights.compute_weights`), kept selectable for
-    benchmarking and equivalence testing — both engines produce
-    bit-for-bit identical weights.
-
-Independent of the weight engine, a **fit memoization cache** sits in
-front of every model fit: the resolved ``(weights, labels)`` pair — plus
-the estimator's hyperparameters and which training split is in play —
-is hashed, and a candidate whose resolved vectors collide with an
-earlier fit reuses the fitted model instead of retraining.  Collisions
+A **fit memoization cache** sits in front of every model fit: the
+resolved ``(weights, labels)`` pair — plus the estimator's
+hyperparameters and which training split is in play — is hashed, and a
+candidate whose resolved vectors collide with an earlier fit reuses the
+fitted model instead of retraining.  Collisions
 are common in practice: ``resolve_negative_weights`` can map distinct λ
 to the same resolved vectors, λ-searches revisit Λ = 0, and hill
 climbing re-lands on coordinates it has already tried.  Hit counts are
@@ -53,75 +48,18 @@ from __future__ import annotations
 import copy
 import hashlib
 import warnings
-from concurrent.futures import (
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
 
 import numpy as np
 
-from ..resilience.faults import InjectedFault, inject
+from ..resilience.faults import inject
 from .kernels import CompiledConstraints
-from .weights import compute_weights, resolve_negative_weights
+from .weights import resolve_negative_weights
 
 __all__ = ["WeightedFitter"]
-
-WEIGHT_ENGINES = ("compiled", "naive")
-POOL_KINDS = (None, "process", "thread")
 
 # fit-cache size bound: peak memory must scale with the cache cap, not
 # with the total number of distinct candidates a long search visits
 FIT_CACHE_MAX = 256
-
-# -- process-pool workers (module level so they pickle under spawn) ----------
-
-_POOL_X = None
-_POOL_SHM = None
-
-
-def _pool_init(X):
-    global _POOL_X
-    _POOL_X = X
-
-
-def _pool_init_shm(name, shape, dtype_str):
-    """Attach the training matrix from a shared-memory block.
-
-    One block serves every worker (created once per pool by the
-    parent), so per-task payloads carry only the resolved weight/label
-    vectors — the "shared-memory dataset shard" handoff the process
-    execution backend relies on.
-    """
-    global _POOL_X, _POOL_SHM
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(name=name)
-    _POOL_SHM = shm  # keep the mapping alive for the worker's lifetime
-    _POOL_X = np.ndarray(shape, dtype=np.dtype(dtype_str), buffer=shm.buf)
-
-
-def _pool_init_mmap(path, dtype_str, shape, offset):
-    """Re-open a memory-mapped training matrix, read-only, in a worker.
-
-    When the parent's ``X`` is a window of an on-disk columnar store
-    (:func:`repro.datasets.columnar.mmap_source`), workers map the same
-    file instead of receiving a copy — zero bytes shipped per worker
-    and no ``shared_memory`` size ceiling, because the kernel shares
-    the page cache across every process mapping the file.
-    """
-    global _POOL_X
-    _POOL_X = np.memmap(
-        path, dtype=np.dtype(dtype_str), mode="r",
-        shape=tuple(shape), offset=int(offset),
-    )
-
-
-def _pool_fit(task):
-    estimator, y_fit, w = task
-    model = estimator.clone()
-    model.fit(_POOL_X, y_fit, sample_weight=w)
-    return model
 
 
 class WeightedFitter:
@@ -148,11 +86,6 @@ class WeightedFitter:
         cheap fits before refining on the full training set (§8).
     subsample_seed : int
         Seed for the subsample draw.
-    engine : {"compiled", "naive"}
-        Weight computation engine (see module docstring).
-    n_jobs : int or None
-        Default process-pool width for :meth:`fit_batch`; ``None`` (or 1)
-        fits candidates serially in-process.
     fit_cache : bool
         Memoize fitted models on the hash of their resolved
         ``(weights, labels)`` vectors (default True; forced off under
@@ -192,7 +125,7 @@ class WeightedFitter:
     fit_paths : dict
         How batch candidates were fitted, by path:
         ``"batch_protocol"`` (estimator's ``fit_weighted_batch``),
-        ``"pool"`` (process pool), ``"serial"`` (in-process loop),
+        ``"serial"`` (in-process loop),
         ``"cached"`` (fit cache hit), plus ``"single"`` for plain
         :meth:`fit` calls.
     """
@@ -207,19 +140,10 @@ class WeightedFitter:
         warm_start=False,
         subsample=None,
         subsample_seed=0,
-        engine="compiled",
-        n_jobs=None,
         fit_cache=True,
         eval_chunk_size=None,
         store=None,
     ):
-        if engine not in WEIGHT_ENGINES:
-            raise ValueError(
-                f"unknown weight engine {engine!r}; use one of "
-                f"{WEIGHT_ENGINES}"
-            )
-        if n_jobs is not None and int(n_jobs) < 1:
-            raise ValueError(f"n_jobs must be >= 1 or None, got {n_jobs}")
         if eval_chunk_size is not None and int(eval_chunk_size) < 1:
             raise ValueError(
                 f"eval_chunk_size must be >= 1 or None, got {eval_chunk_size}"
@@ -231,8 +155,6 @@ class WeightedFitter:
         self.negative_weights = negative_weights
         self.warm_start = warm_start
         self.subsample_seed = subsample_seed
-        self.engine = engine
-        self.n_jobs = None if n_jobs is None else int(n_jobs)
         self.eval_chunk_size = (
             None if eval_chunk_size is None else int(eval_chunk_size)
         )
@@ -256,16 +178,6 @@ class WeightedFitter:
         self._kernel = None
         self._sub_kernel = None
         self._kernel_constraints = None
-        self._pool = None
-        self._pool_key = None
-        self._shm = None
-        # how the current pool received X: "mmap" (workers re-open the
-        # backing file), "shm" (one shared-memory copy), or "pickle"
-        self._pool_handoff = None
-        # worker-death degradation: once the process pool breaks (dead
-        # workers, failed startup, injected chaos) every later batch
-        # falls back to bit-identical in-process fits, warned once
-        self._pool_degraded = False
         if warm_start:
             self._shared = estimator.clone()
             if "warm_start" in self._shared.get_params():
@@ -297,8 +209,8 @@ class WeightedFitter:
             idx.append(rng.choice(rows, size=min(take, len(rows)),
                                   replace=False))
         self._sub_idx = np.sort(np.concatenate(idx))[:max(k, 2)]
-        # materialize the subsample arrays once: stable objects make the
-        # process-pool identity key sound and avoid re-slicing per fit
+        # materialize the subsample arrays once instead of re-slicing
+        # per fit
         self._sub_X = self.X_train[self._sub_idx]
         self._sub_y = self.y_train[self._sub_idx]
         positions = np.full(n, -1, dtype=np.int64)
@@ -350,15 +262,7 @@ class WeightedFitter:
     # -- weight computation --------------------------------------------------
 
     def _weights_for(self, lambdas, predictions, use_subsample):
-        """Raw weights for one Λ via the configured engine."""
-        if use_subsample:
-            y, constraints = self._sub_y, self._sub_constraints
-        else:
-            y, constraints = self.y_train, self.constraints
-        if self.engine == "naive":
-            return compute_weights(
-                len(y), constraints, lambdas, y, predictions=predictions
-            )
+        """Raw weights for one Λ from the compiled kernel."""
         kernel = self._subsample_kernel() if use_subsample else self.kernel
         if predictions is not None:
             kernel.update_predictions(predictions)
@@ -515,82 +419,41 @@ class WeightedFitter:
                 self._store_put(w, y_fit, use_subsample, model)
         return model
 
-    def _resolve_batch(self, W, y):
-        """Vectorized ``resolve_negative_weights`` over a weight batch."""
-        negative = W < 0
-        if self.negative_weights == "flip":
-            return np.abs(W), np.where(negative, 1 - y, y)
-        if self.negative_weights == "clip":
-            return (
-                np.where(negative, 0.0, W),
-                np.broadcast_to(y, W.shape),
-            )
-        raise ValueError(
-            f"unknown strategy {self.negative_weights!r}; "
-            f"use 'flip' or 'clip'"
-        )
+    def fit_batch(self, lambdas_matrix):
+        """Fit one model per row of a ``(B, k)`` Λ matrix (full training set).
 
-    def fit_batch(self, lambdas_matrix, use_subsample=False, n_jobs=None,
-                  pool=None, exact_only=False, count_fits=True,
-                  use_cache=True):
-        """Fit one model per row of a ``(B, k)`` Λ matrix.
-
-        Requires the compiled engine and constant-coefficient metrics
-        (FOR/FDR candidates each need their own chained predictions, an
-        inherently sequential recurrence): the weights of all candidates
-        come from a single vectorized pass, negative-weight resolution is
-        broadcast over the batch, and the per-candidate model fits run
-        through the estimator's batch protocol, serially, or on an
-        ``n_jobs``-wide pool.  The fit cache dedupes candidates whose
-        resolved weight vectors collide — within the batch and against
-        every earlier fit.
-
-        ``pool`` selects the pool flavor when ``n_jobs > 1``:
-        ``"process"`` (default; workers share the training matrix
-        through one shared-memory block) or ``"thread"`` (in-process
-        clone fits — numpy releases the GIL inside the heavy kernels).
-        ``exact_only=True`` restricts dispatch to paths bit-identical
-        to a direct :meth:`fit` — the estimator's batch protocol only
-        when it declares ``batch_fit_exact``, plain clone fits
-        otherwise; the execution backends use this for speculative
-        pre-fits whose results later cache-hit the reference walk.
-        ``count_fits=False`` leaves :attr:`n_fits` untouched
-        (speculative work is visible in :attr:`fit_paths`, not in the
-        logical-fit budget).  ``use_cache=False`` bypasses the fit
-        memoization cache entirely — no SHA1 keying of the resolved
-        vectors, no lookup, no store; inexact speculative pre-fits use
-        it both to shed the hashing cost and to keep round-off-level
-        batch models out of the cache that bit-exact paths later hit.
+        Requires constant-coefficient metrics (FOR/FDR candidates each
+        need their own chained predictions, an inherently sequential
+        recurrence): the weights of all candidates come from a single
+        vectorized pass, negative-weight resolution is broadcast over the
+        batch, and the per-candidate model fits run through the
+        estimator's batch protocol or one after another in-process.  The
+        fit cache dedupes candidates whose resolved weight vectors
+        collide — within the batch and against every earlier fit.
 
         Returns the fitted models in candidate order.
         """
         inject("fitter.fit_batch")
         L = np.atleast_2d(np.asarray(lambdas_matrix, dtype=np.float64))
-        if self.engine != "compiled":
-            raise ValueError(
-                "fit_batch requires engine='compiled'; the naive engine "
-                "fits candidates one at a time via fit()"
-            )
         if self.parameterized and np.any(L != 0.0):
             raise ValueError(
                 "fit_batch does not support model-parameterized "
                 "constraints (FOR/FDR); their weights chain through each "
                 "candidate's own predictions"
             )
-        X, y = self._train_arrays(use_subsample)
-        kernel = self._subsample_kernel() if use_subsample else self.kernel
-        W = kernel.weights_batch(L)
-        W_res, Y_res = self._resolve_batch(W, y)
+        X, y = self.X_train, self.y_train
+        W_res, Y_res = resolve_negative_weights(
+            self.kernel.weights_batch(L), y, strategy=self.negative_weights
+        )
         B = len(L)
 
         # fit-cache pass: collect the candidates that still need a fit,
         # deduping identical resolved vectors inside the batch as well
         models = [None] * B
         keys = None
-        if self.fit_cache and use_cache:
+        if self.fit_cache:
             keys = [
-                self._cache_key(W_res[b], Y_res[b], use_subsample)
-                for b in range(B)
+                self._cache_key(W_res[b], Y_res[b], False) for b in range(B)
             ]
             self.fit_cache_lookups += B
             todo = []
@@ -605,9 +468,7 @@ class WeightedFitter:
                 elif key in fresh:
                     hits += 1      # in-batch duplicate, filled below
                 elif self.store is not None and (
-                    stored := self._store_get(
-                        key, W_res[b], Y_res[b], use_subsample
-                    )
+                    stored := self._store_get(key, W_res[b], Y_res[b], False)
                 ) is not None:
                     # _store_get seeded the memory cache, so an
                     # in-batch duplicate of this key hits "cached"
@@ -630,33 +491,23 @@ class WeightedFitter:
                 Y_todo, W_todo = Y_res, W_res
             else:
                 Y_todo, W_todo = Y_res[todo], W_res[todo]
-            fitted = self._fit_batch_resolved(
-                X, Y_todo, W_todo, n_jobs, pool=pool, exact_only=exact_only,
-            )
+            fitted = self._fit_batch_resolved(X, Y_todo, W_todo)
             for b, model in zip(todo, fitted):
                 models[b] = model
-            if self.fit_cache and use_cache:
+            if self.fit_cache:
                 by_key = {keys[b]: models[b] for b in todo}
                 for b in todo:
                     self._cache_store(keys[b], models[b])
                     if self.store is not None:
-                        self._store_put(
-                            W_res[b], Y_res[b], use_subsample, models[b]
-                        )
+                        self._store_put(W_res[b], Y_res[b], False, models[b])
                 for b in range(B):
                     if models[b] is None:  # in-batch duplicate key
                         models[b] = by_key[keys[b]]
-        if count_fits:
-            self.n_fits += B
+        self.n_fits += B
         return models
 
-    def _fit_batch_resolved(self, X, Y_res, W_res, n_jobs, pool=None,
-                            exact_only=False):
-        """Dispatch resolved candidates to the fastest available path."""
-        if pool not in POOL_KINDS:
-            raise ValueError(
-                f"unknown pool kind {pool!r}; use one of {POOL_KINDS}"
-            )
+    def _fit_batch_resolved(self, X, Y_res, W_res):
+        """Fit resolved candidates: batch protocol, else one by one."""
         B = len(Y_res)
         # closed-form / vectorized batch fit when the estimator opts in
         # (see the optional batch protocol note in repro.ml.base)
@@ -665,21 +516,6 @@ class WeightedFitter:
             self.estimator, "supports_batch_fit", True
         ):
             batch_fit = None
-        if batch_fit is not None and exact_only:
-            n_jobs_eff = self.n_jobs if n_jobs is None else n_jobs
-            pooled = (
-                n_jobs_eff is not None and n_jobs_eff > 1
-                and not self.warm_start and B > 1
-            )
-            if not getattr(self.estimator, "batch_fit_exact", False):
-                # speculative pre-fits must be bit-identical to fit();
-                # an estimator whose batch fits only agree to round-off
-                # (e.g. batched IRLS) falls through to plain clone fits
-                batch_fit = None
-            elif pooled:
-                # speculation optimizes wall-clock, not CPU: concurrent
-                # clone fits on the pool beat a single-core batch pass
-                batch_fit = None
         if batch_fit is not None:
             if not self.warm_start:
                 self._record_path("batch_protocol", B)
@@ -697,46 +533,6 @@ class WeightedFitter:
                     RuntimeWarning,
                     stacklevel=3,
                 )
-        n_jobs = self.n_jobs if n_jobs is None else n_jobs
-        use_pool = (
-            n_jobs is not None and n_jobs > 1
-            and not self.warm_start and B > 1
-        )
-        if use_pool and pool == "thread":
-            def _thread_fit(b):
-                model = self.estimator.clone()
-                model.fit(X, Y_res[b], sample_weight=W_res[b])
-                return model
-
-            self._record_path("thread_pool", B)
-            with ThreadPoolExecutor(max_workers=n_jobs) as tp:
-                return list(tp.map(_thread_fit, range(B)))
-        if use_pool and not self._pool_degraded:
-            tasks = [(self.estimator, Y_res[b], W_res[b]) for b in range(B)]
-            try:
-                executor = self._get_pool(n_jobs, X)
-                chunk = max(1, B // (4 * n_jobs))
-                models = list(
-                    executor.map(_pool_fit, tasks, chunksize=chunk)
-                )
-            except (BrokenExecutor, OSError, InjectedFault) as exc:
-                # worker death (or failure to start workers at all):
-                # degrade the whole fitter to in-process fits — the
-                # results are bit-identical clone fits, only slower —
-                # and say so ONCE, like the unpicklable-estimator
-                # fallback in the process execution backend
-                self._degrade_pool(exc)
-            except BaseException:
-                # any other error raised through the pool (an estimator
-                # failing inside a worker, a keyboard interrupt) is not
-                # a pool fault — re-raise it, but tear the executor and
-                # its shared-memory segment down first so a failing
-                # batch can never leak /dev/shm residue
-                self.close()
-                raise
-            else:
-                self._record_path("pool", B)
-                return models
         self._record_path("serial", B)
         models = []
         for b in range(B):
@@ -748,116 +544,6 @@ class WeightedFitter:
                 model.fit(X, Y_res[b], sample_weight=W_res[b])
                 models.append(model)
         return models
-
-    def _degrade_pool(self, exc):
-        """Permanently fall back to in-process fits after worker death.
-
-        One consolidated :class:`RuntimeWarning` per fitter; λ
-        trajectories are unchanged because the fallback path is the
-        same clone-``fit()`` loop the serial reference uses.
-        """
-        self._pool_degraded = True
-        self.close()
-        warnings.warn(
-            f"process-pool workers died ({type(exc).__name__}: {exc}); "
-            f"degrading to in-process fits for this fitter "
-            f"(bit-identical results, warned once)",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-
-    def _get_pool(self, n_jobs, X):
-        """Reuse one executor across fit_batch calls.
-
-        CMA-ES calls fit_batch once per generation; forking workers and
-        re-shipping ``X`` every time would dominate the fits being
-        parallelized.  The pool is keyed on the worker count and the
-        *identity* of the training matrix the workers were initialized
-        with — workers pin ``X`` globally at spawn, so any change of
-        training array (e.g. toggling ``use_subsample`` between solves)
-        must re-initialize the pool rather than train on stale data.
-        The pool lives until :meth:`close`.
-        """
-        key = (n_jobs, id(X))
-        if self._pool is not None and self._pool_key == key:
-            return self._pool
-        inject("executor.worker_start")
-        self.close()
-        initializer, initargs = _pool_init, (X,)
-        self._pool_handoff = "pickle"
-        try:
-            from ..datasets.columnar import mmap_source
-
-            source = mmap_source(X)
-        except Exception:
-            source = None
-        if source is not None:
-            # X is a window of an on-disk map (columnar store): workers
-            # re-open the file read-only — zero copies, no size ceiling
-            path, dtype_str, shape, offset = source
-            initializer = _pool_init_mmap
-            initargs = (path, dtype_str, shape, offset)
-            self._pool_handoff = "mmap"
-        else:
-            try:
-                # ship X once through one shared-memory block: every
-                # worker maps the same pages instead of holding a
-                # pickled copy
-                from multiprocessing import shared_memory
-
-                X = np.ascontiguousarray(X)
-                shm = shared_memory.SharedMemory(create=True, size=X.nbytes)
-                try:
-                    np.ndarray(X.shape, dtype=X.dtype, buffer=shm.buf)[:] = X
-                except BaseException:
-                    # the segment exists in /dev/shm the moment create
-                    # succeeds — reclaim it before falling back, or it
-                    # leaks until interpreter exit
-                    shm.close()
-                    shm.unlink()
-                    raise
-                self._shm = shm
-                initializer, initargs = (
-                    _pool_init_shm, (shm.name, X.shape, X.dtype.str),
-                )
-                self._pool_handoff = "shm"
-            except Exception:
-                self._shm = None  # fall back to pickling X into each worker
-                self._pool_handoff = "pickle"
-        try:
-            self._pool = ProcessPoolExecutor(
-                max_workers=n_jobs, initializer=initializer,
-                initargs=initargs,
-            )
-        except BaseException:
-            self._release_shm()
-            raise
-        self._pool_key = key
-        return self._pool
-
-    def _release_shm(self):
-        if self._shm is not None:
-            try:
-                self._shm.close()
-                self._shm.unlink()
-            except Exception:
-                pass
-            self._shm = None
-
-    def close(self):
-        """Shut down the cached process pool (no-op when none is open)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-            self._pool_key = None
-        self._release_shm()
-        self._pool_handoff = None
-
-    def __del__(self):  # best-effort cleanup
-        try:
-            self.close()
-        except Exception:
-            pass
 
     def fit_unweighted(self):
         """Fit with Λ = 0 — the unconstrained accuracy-maximizing model."""
@@ -882,8 +568,6 @@ class WeightedFitter:
             warm_start=self.warm_start,
             subsample=self.subsample,
             subsample_seed=self.subsample_seed,
-            engine=self.engine,
-            n_jobs=self.n_jobs,
             fit_cache=self.fit_cache,
             eval_chunk_size=self.eval_chunk_size,
             store=self.store,

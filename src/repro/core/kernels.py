@@ -1,10 +1,10 @@
 """Compiled constraint kernels: canonicalize once, reuse for every λ.
 
-The naive hot path (:func:`repro.core.weights.compute_weights`) rebuilds
-every constraint's coefficient vector from scratch on each λ step — a
-Python loop over constraints and group sides, with fresh allocations and
-scatter updates per call.  For a search that fits hundreds of candidate
-models this dominates everything but the model fits themselves.
+Written out directly, Eq. 12 rebuilds every constraint's coefficient
+vector from scratch on each λ step — a Python loop over constraints and
+group sides, with fresh allocations and scatter updates per call.  For a
+search that fits hundreds of candidate models this would dominate
+everything but the model fits themselves.
 
 :class:`CompiledConstraints` is built **once** per (dataset, constraint
 set) binding.  It stacks each constraint's contribution into dense
@@ -16,8 +16,9 @@ fused product
 
 applied as one accumulation per constraint (k is small; applying the
 stacked rows sequentially keeps the floating-point operation order of
-the reference implementation, so compiled and naive weights agree
-**bit for bit** — property-tested in ``tests/test_kernels.py``).
+that loop, so the kernel agrees with it **bit for bit** — the loop is
+kept as the oracle in ``tests/weight_oracle.py`` and property-tested in
+``tests/test_kernels.py``).
 ``weights_batch`` broadcasts the same product over a whole matrix of λ
 candidates in one vectorized pass.
 
@@ -38,8 +39,8 @@ rates are computed as exact integer counts divided once, mirroring
 
 :func:`evaluate_lambda_batch` glues the two together: weights for a grid
 or population of λ candidates in one pass, one model fit per candidate
-(optionally farmed out to a process pool), and a single vectorized
-scoring pass over the stacked predictions.
+(or one estimator batch-protocol call), and a single vectorized scoring
+pass over the stacked predictions.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ class _CountScaledTerm:
         self.count += gained - lost
 
     def scale(self):
-        # same operation order as the naive path: c = -1.0/m, then N*c
+        # same operation order as the oracle loop: c = -1.0/m, then N*c
         if not self.count:
             return 0.0
         return self.n * (-1.0 / self.count)
@@ -178,10 +179,10 @@ class CompiledConstraints:
 
     Notes
     -----
-    ``weights(λ)`` reproduces :func:`repro.core.weights.compute_weights`
-    bit for bit, including overlapping groups (a constraint whose two
-    group sides intersect keeps its sides as separate accumulation terms
-    so the addition order matches the reference loop).
+    ``weights(λ)`` reproduces the Eq. 12 loop over constraints and group
+    sides bit for bit, including overlapping groups (a constraint whose
+    two group sides intersect keeps its sides as separate accumulation
+    terms so the addition order matches the loop).
     """
 
     def __init__(self, constraints, y):
@@ -315,7 +316,7 @@ class CompiledConstraints:
         return lambdas
 
     def weights(self, lambdas, predictions=None):
-        """``w(λ) = 1 + Cᵀλ`` — bitwise identical to the naive loop."""
+        """``w(λ) = 1 + Cᵀλ`` — bitwise identical to the Eq. 12 loop."""
         if predictions is not None:
             self.update_predictions(predictions)
         lambdas = self._check_lambdas(np.atleast_1d(lambdas))
@@ -851,27 +852,20 @@ class BatchEvalResult:
 
 def evaluate_lambda_batch(
     fitter, val_constraints, X_val, y_val, lambdas,
-    n_jobs=None, evaluator=None, chunk_size=None, pool=None,
+    evaluator=None, chunk_size=None,
 ):
     """Fit and score a whole grid/population of λ candidates in one pass.
 
     Parameters
     ----------
     fitter : WeightedFitter
-        Must use the compiled engine; candidate weights come from one
-        ``weights_batch`` call and the per-candidate fits optionally run
-        on a process pool (``n_jobs``).
+        Candidate weights come from one ``weights_batch`` call and the
+        fits from one :meth:`~repro.core.fitter.WeightedFitter.fit_batch`.
     val_constraints, X_val, y_val
         Validation binding for scoring (same order as the fitter's
         training constraints).
     lambdas : array-like (B, k)
         Candidate multiplier vectors.
-    n_jobs : int, optional
-        Pool width for the model fits; defaults to the fitter's own
-        ``n_jobs`` (``None`` = in-process serial fits).
-    pool : {None, "process", "thread"}, optional
-        Pool flavor for the fits (see :meth:`WeightedFitter.fit_batch`);
-        ``None`` keeps the process-pool default.
     evaluator : CompiledEvaluator, optional
         Reuse a prebuilt validation evaluator across calls (CMA-ES calls
         once per generation).
@@ -890,7 +884,7 @@ def evaluate_lambda_batch(
         raise ValueError("evaluate_lambda_batch needs at least one candidate")
     if chunk_size is None:
         chunk_size = getattr(fitter, "eval_chunk_size", None)
-    models = fitter.fit_batch(lambdas, n_jobs=n_jobs, pool=pool)
+    models = fitter.fit_batch(lambdas)
     X_val = np.asarray(X_val, dtype=np.float64)
     if evaluator is None:
         evaluator = CompiledEvaluator(

@@ -8,7 +8,7 @@ algorithm repeatedly picks the most violated constraint (line 4) and tunes
 only that dimension until either all constraints hold or the iteration
 budget (``5k`` for ``k`` constraints) is exhausted.
 
-Since ISSUE 5 the loop itself lives in the ask/tell planner
+The loop itself lives in the ask/tell planner
 (:func:`repro.core.strategies._plan_hill_climb` driven through
 :mod:`repro.core.planner` / :mod:`repro.core.executor`); this module
 keeps the paper-faithful :func:`hill_climb` entry point — a thin shim
@@ -51,7 +51,6 @@ def hill_climb(
     initial_step=0.1,
     tau=1e-3,
     dimension_order="most_violated",
-    backend="serial",
 ):
     """Run Algorithm 2 (marginal hill climbing) over the Λ vector.
 
@@ -67,10 +66,6 @@ def hill_climb(
         Which violated dimension to tune each round.  The paper picks the
         most violated (line 4) "for faster convergence"; round-robin is
         the naive alternative kept for the ablation benchmark.
-    backend : str or ExecutionBackend
-        Execution backend for the candidate fits (default ``"serial"``,
-        the reference semantics; ``"thread"``/``"process"`` additionally
-        pre-fit upcoming bracket rungs and bisection midpoints).
 
     Raises
     ------
@@ -93,13 +88,11 @@ def hill_climb(
     )
     return run_plan(
         strategy, fitter, list(val_constraints), X_val, y_val, None,
-        backend=backend,
     )
 
 
 def grid_search_lambdas(
     fitter, val_constraints, X_val, y_val, grid_max=1.0, grid_steps=5,
-    n_jobs=None,
 ):
     """Baseline: exhaustive grid over Λ ∈ ``[-grid_max, grid_max]^k``.
 
@@ -112,9 +105,8 @@ def grid_search_lambdas(
 
     Costs ``grid_steps ** k`` fits; Table 8 contrasts this with hill
     climbing, which typically needs an order of magnitude fewer fits and
-    finds feasible points the coarse grid misses.  With the compiled
-    engine and constant-coefficient metrics the whole grid is
-    batch-native; ``n_jobs`` widens the fit pool for that pass.
+    finds feasible points the coarse grid misses.  With
+    constant-coefficient metrics the whole grid is batch-native.
     """
     warnings.warn(
         "grid_search_lambdas is deprecated; use Engine('grid') or "
@@ -131,12 +123,6 @@ def grid_search_lambdas(
             ctx, grid_max=grid_max, grid_steps=grid_steps,
         )
     )
-    saved_jobs = fitter.n_jobs
-    if n_jobs is not None:
-        fitter.n_jobs = n_jobs  # historical knob: widen the batch pool
-    try:
-        return run_plan(
-            strategy, fitter, list(val_constraints), X_val, y_val, None,
-        )
-    finally:
-        fitter.n_jobs = saved_jobs
+    return run_plan(
+        strategy, fitter, list(val_constraints), X_val, y_val, None,
+    )

@@ -1,27 +1,20 @@
 """Ask/tell strategy kernel: candidate *generation* behind a narrow IR.
 
-Before ISSUE 5 every solver owned its own fit/evaluate/history loop
+Each solver used to own its own fit/evaluate/history loop
 (``core/single.py``, ``core/multi.py``, ``optim/cmaes.py``), so each
 engine capability — compiled batching, fit/eval caches, chunked
-evaluation, process pools — had to be threaded through three loops by
-hand.  This module factors the loops into two layers:
+evaluation — had to be threaded through three loops by hand.  This
+module factors the loops into two layers:
 
 * a **Strategy** *asks* for candidates by yielding
   :class:`CandidateBatch` objects from its :meth:`~repro.core.strategies.
   SearchStrategy.plan` generator, and is *told* the outcomes as a list
   of :class:`EvalResult` (the value sent back into the generator);
-* an :class:`~repro.core.executor.ExecutionBackend` consumes the batches
-  and drives the existing fit/score machinery — serially, on a thread
-  pool, or on a process pool with shared-memory dataset handoff.
+* the :class:`~repro.core.executor.ExecutionBackend` consumes the
+  batches and drives the fit/score machinery in-process, in order.
 
-The contract that makes backends interchangeable: a strategy's reported
-result sequence (and therefore its history and selected λ) depends only
-on the batches it yields, never on how a backend schedules the fits.
-Backends may *speculate* — pre-fit candidates the strategy is likely to
-ask for next, through the shared fit-memoization cache — but the fits a
-strategy observes are bit-identical to the serial backend's (speculative
-pre-fits use only fit paths proven bit-exact; see
-``ExecutionBackend._prefit``).
+A strategy's reported result sequence (and therefore its history and
+selected λ) depends only on the batches it yields.
 
 A batch is one of two kinds:
 
@@ -33,16 +26,13 @@ A batch is one of two kinds:
     approximation for θ-parameterized weights); ``stop`` is a predicate
     over the last :class:`EvalResult` that ends the batch early (a
     doubling ladder stops at the first candidate past the constraint
-    band).  ``lookahead`` is a speculation *hint*: λ rows a non-serial
-    backend may pre-fit into the shared cache because the strategy will
-    plausibly ask for them next (e.g. both possible next bisection
-    midpoints).
+    band).
 
 ``kind="population"``
     The whole batch is fitted and scored in one vectorized pass through
     :func:`~repro.core.kernels.evaluate_lambda_batch` (grid and CMA-ES
-    generations under the compiled engine).  All candidates are always
-    evaluated and reported in order.
+    generations with constant-coefficient metrics).  All candidates are
+    always evaluated and reported in order.
 
 Strategies record their search history through
 :meth:`PlanContext.record` / the executor (``record=True`` batches);
@@ -55,7 +45,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..ml.metrics import accuracy_score
 from .history import HistoryPoint
 from .kernels import CompiledEvaluator
 
@@ -87,8 +76,7 @@ class CandidateBatch:
         θ-parameterized weights.
     chain : bool
         Update ``prev_model`` to each candidate's fitted model before
-        fitting the next (a sequential recurrence; disables speculation
-        for θ-parameterized constraints).
+        fitting the next (a sequential recurrence).
     record : bool
         Append one history point per reported candidate.
     use_subsample : bool
@@ -96,18 +84,13 @@ class CandidateBatch:
     stop : callable(EvalResult) -> bool, optional
         Evaluated after each candidate of a ``"fit"`` batch; truthy ends
         the batch (the triggering candidate is still reported).
-    lookahead : array-like (M, k), optional
-        Speculation hint: candidates likely asked next.  Serial backends
-        ignore it; speculative backends may pre-fit these rows into the
-        fit cache alongside the batch's own candidates.
     """
 
     __slots__ = ("lambdas", "kind", "purpose", "prev_model", "chain",
-                 "record", "use_subsample", "stop", "lookahead")
+                 "record", "use_subsample", "stop")
 
     def __init__(self, lambdas, kind="fit", purpose="", prev_model=None,
-                 chain=False, record=True, use_subsample=False, stop=None,
-                 lookahead=None):
+                 chain=False, record=True, use_subsample=False, stop=None):
         self.lambdas = np.atleast_2d(np.asarray(lambdas, dtype=np.float64))
         if self.lambdas.ndim != 2 or self.lambdas.shape[0] == 0:
             raise ValueError(
@@ -125,10 +108,6 @@ class CandidateBatch:
         self.record = bool(record)
         self.use_subsample = bool(use_subsample)
         self.stop = stop
-        self.lookahead = (
-            None if lookahead is None
-            else np.atleast_2d(np.asarray(lookahead, dtype=np.float64))
-        )
 
     def __len__(self):
         return self.lambdas.shape[0]
@@ -207,10 +186,8 @@ class PlanContext:
 
     Owns the validation-side scoring (one memoized
     :class:`~repro.core.kernels.CompiledEvaluator` per constraint
-    binding under the compiled engine, the reference Python path under
-    the naive engine — value-identical by the kernel equivalence
-    guarantees), the shared history list, and the constraint
-    reorientation hook Algorithm 1's swap step needs.
+    binding), the shared history list, and the constraint reorientation
+    hook Algorithm 1's swap step needs.
     """
 
     def __init__(self, fitter, val_constraints, X_val, y_val,
@@ -224,15 +201,6 @@ class PlanContext:
         self.next_batch_id = 0
         self._kernel = None
         self._kernel_key = None
-        # speculative pre-scores: id(model) -> (model, disparities, acc)
-        # filled by inexact-speculation backends (holding the model ref
-        # keeps the id stable); bounded FIFO so memory tracks the
-        # speculation window, not the whole search
-        self.speculative_scores = {}
-        # speculative pre-fits: (λ bytes, use_subsample) -> model, so a
-        # lookahead hint pre-fitted during one batch serves the next
-        # batch's demanded candidate without re-deriving weights/keys
-        self.prefit_models = {}
 
     # -- problem shape --------------------------------------------------------
 
@@ -251,11 +219,6 @@ class PlanContext:
         """True when any constraint's weights need model predictions."""
         return self.fitter.parameterized
 
-    @property
-    def compiled(self):
-        """True when the fitter runs the compiled weight engine."""
-        return self.fitter.engine == "compiled"
-
     # -- constraint reorientation (Algorithm 1 lines 4-5) ---------------------
 
     def swap_constraint(self, j=0):
@@ -264,10 +227,6 @@ class PlanContext:
         self.val_constraints[j] = self.val_constraints[j].swapped()
         self._kernel = None
         self._kernel_key = None
-        # λ now means the opposite orientation: speculative state from
-        # the old binding must not serve the new one
-        self.speculative_scores.clear()
-        self.prefit_models.clear()
 
     # -- scoring --------------------------------------------------------------
 
@@ -286,26 +245,16 @@ class PlanContext:
 
     def score(self, model):
         """``(disparities (k,), accuracy)`` of ``model`` on validation."""
-        cached = self.speculative_scores.get(id(model))
-        if cached is not None and cached[0] is model:
-            return cached[1], cached[2]
-        if self.compiled:
-            scorer = self.compiled_scorer()
-            if scorer.chunk_size:
-                # stream the prediction pass: a full-width predict
-                # materializes (n, d) intermediates several times over,
-                # which would dominate peak memory on mapped datasets;
-                # the streaming path is bit-identical and shares the
-                # score cache with the stacked path
-                d, a = scorer.score_models_batch([model], self.X_val)
-                return d[0], float(a[0])
-            disparities, acc = scorer.score(model.predict(self.X_val))
-            return disparities, acc
-        pred = model.predict(self.X_val)
-        disparities = np.array(
-            [c.disparity(self.y_val, pred) for c in self.val_constraints]
-        )
-        return disparities, accuracy_score(self.y_val, pred)
+        scorer = self.compiled_scorer()
+        if scorer.chunk_size:
+            # stream the prediction pass: a full-width predict
+            # materializes (n, d) intermediates several times over,
+            # which would dominate peak memory on mapped datasets;
+            # the streaming path is bit-identical and shares the
+            # score cache with the stacked path
+            d, a = scorer.score_models_batch([model], self.X_val)
+            return d[0], float(a[0])
+        return scorer.score(model.predict(self.X_val))
 
     def violations(self, disparities):
         """``|FP| − ε`` per constraint (positive = violated)."""
@@ -320,36 +269,28 @@ class PlanContext:
         self.history.append(point)
 
 
-def run_plan(strategy, fitter, val_constraints, X_val, y_val, config,
-             backend="serial"):
-    """Drive a strategy's ask/tell generator through an execution backend.
+def run_plan(strategy, fitter, val_constraints, X_val, y_val, config):
+    """Drive a strategy's ask/tell generator through the executor.
 
     The generator protocol: ``plan(ctx, config)`` yields
     :class:`CandidateBatch` objects and receives ``list[EvalResult]``
     for each; its return value (a ``SingleTuneResult`` or
     ``MultiTuneResult``) becomes this function's return value.
-    ``backend`` is anything :func:`~repro.core.executor.resolve_backend`
-    accepts — a registered name, ``"name:workers"``, or an
-    :class:`~repro.core.executor.ExecutionBackend` instance.
     """
-    from .executor import resolve_backend  # runtime dep, not import-time
+    from .executor import ExecutionBackend  # runtime dep, not import-time
 
-    backend = resolve_backend(backend)
+    backend = ExecutionBackend()
     ctx = PlanContext(fitter, val_constraints, X_val, y_val)
     gen = strategy.plan(ctx, config)
-    backend.bind(ctx)
-    try:
-        results = None
-        while True:
-            try:
-                batch = gen.send(results)
-            except StopIteration as stop:
-                return stop.value
-            if not isinstance(batch, CandidateBatch):
-                raise TypeError(
-                    f"strategy {strategy.name!r} yielded "
-                    f"{type(batch).__name__}, expected CandidateBatch"
-                )
-            results = backend.run(batch, ctx)
-    finally:
-        backend.release(ctx)
+    results = None
+    while True:
+        try:
+            batch = gen.send(results)
+        except StopIteration as stop:
+            return stop.value
+        if not isinstance(batch, CandidateBatch):
+            raise TypeError(
+                f"strategy {strategy.name!r} yielded "
+                f"{type(batch).__name__}, expected CandidateBatch"
+            )
+        results = backend.run(batch, ctx)

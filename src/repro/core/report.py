@@ -49,9 +49,7 @@ class FitReport:
         :class:`~repro.core.fitter.WeightedFitter`).
     eval_cache_hits, eval_cache_lookups : int
         Validation-side prediction-score cache traffic
-        (:meth:`~repro.core.kernels.CompiledEvaluator.score_batch`);
-        always 0 under the naive engine, which scores through the
-        uncached Python path.
+        (:meth:`~repro.core.kernels.CompiledEvaluator.score_batch`).
     store_hits, store_lookups : int
         Persistent-store traffic (fit blobs + eval blobs combined) when
         the solve ran with ``Engine(store_dir=...)``; a store hit means
@@ -59,7 +57,7 @@ class FitReport:
         Both 0 when no store is configured.
     fit_paths : dict
         How fits were dispatched, by path name (``"batch_protocol"``,
-        ``"pool"``, ``"serial"``, ``"single"``, ``"warm"``,
+        ``"serial"``, ``"single"``, ``"warm"``,
         ``"cached"``) — records, e.g., that ``warm_start`` bypassed an
         estimator's batch hook.
     train_constraints, val_constraints : list of Constraint

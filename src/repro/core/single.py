@@ -14,7 +14,7 @@ Three stages, driven by the monotonicity of ``FP(θ*(λ))`` in λ (Lemma 2):
 ``FP`` and ``AP`` are evaluated on the *validation* split, following the
 paper's generalizability protocol (§5.3 "Use of Validation Set").
 
-Since ISSUE 5 the loop itself lives in the ask/tell planner
+The loop itself lives in the ask/tell planner
 (:func:`repro.core.strategies._plan_single_lambda` driven through
 :mod:`repro.core.planner` / :mod:`repro.core.executor`); this module
 keeps the paper-faithful entry point — a thin shim with the historical
@@ -52,7 +52,6 @@ def tune_single_lambda(
     tau=1e-3,
     lambda_max=1e5,
     max_linear_steps=2000,
-    backend="serial",
 ):
     """Run Algorithm 1 for the (single) constraint held by ``fitter``.
 
@@ -74,9 +73,6 @@ def tune_single_lambda(
         constraint infeasible.
     max_linear_steps : int
         Cap on linear-search iterations.
-    backend : str or ExecutionBackend
-        Execution backend for the candidate fits (default ``"serial"``,
-        the reference semantics; see :mod:`repro.core.executor`).
 
     Raises
     ------
@@ -95,14 +91,10 @@ def tune_single_lambda(
             max_linear_steps=max_linear_steps,
         )
     )
-    return run_plan(
-        strategy, fitter, [val_constraint], X_val, y_val, None,
-        backend=backend,
-    )
+    return run_plan(strategy, fitter, [val_constraint], X_val, y_val, None)
 
 
-def lambda_grid_search(fitter, val_constraint, X_val, y_val, grid,
-                       n_jobs=None):
+def lambda_grid_search(fitter, val_constraint, X_val, y_val, grid):
     """Ablation baseline: plain grid search over λ (DESIGN.md §5.2).
 
     .. deprecated::
@@ -115,9 +107,8 @@ def lambda_grid_search(fitter, val_constraint, X_val, y_val, grid,
     Fits every λ in ``grid`` and returns the feasible model with the best
     validation accuracy.  Unlike Algorithm 1 this needs no monotonicity,
     but costs ``len(grid)`` fits regardless of where the boundary lies.
-    With the compiled engine and constant-coefficient metrics the whole
-    grid is scored batch-natively; ``n_jobs`` widens the fit pool for
-    that pass.
+    With constant-coefficient metrics the whole grid is scored
+    batch-natively.
     """
     warnings.warn(
         "lambda_grid_search is deprecated; use Engine('grid') or "
@@ -132,12 +123,4 @@ def lambda_grid_search(fitter, val_constraint, X_val, y_val, grid,
     from .strategies import _GeneratorStrategy, _plan_grid_single
 
     strategy = _GeneratorStrategy(lambda ctx: _plan_grid_single(ctx, grid))
-    saved_jobs = fitter.n_jobs
-    if n_jobs is not None:
-        fitter.n_jobs = n_jobs  # historical knob: widen the batch pool
-    try:
-        return run_plan(
-            strategy, fitter, [val_constraint], X_val, y_val, None,
-        )
-    finally:
-        fitter.n_jobs = saved_jobs
+    return run_plan(strategy, fitter, [val_constraint], X_val, y_val, None)

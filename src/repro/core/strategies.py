@@ -1,14 +1,14 @@
 """Pluggable λ/Λ search strategies behind a registry (the solver layer).
 
-Since ISSUE 5 every built-in strategy is an **ask/tell plan generator**
+Every built-in strategy is an **ask/tell plan generator**
 (:mod:`repro.core.planner`): instead of owning a fit/evaluate/history
 loop, a strategy *asks* for candidate λ batches by yielding
 :class:`~repro.core.planner.CandidateBatch` objects and is *told* the
-outcomes as :class:`~repro.core.planner.EvalResult` lists.  An
-:class:`~repro.core.executor.ExecutionBackend` (serial / thread /
-process) consumes the batches and drives the compiled kernels, batched
-fits, fit/eval caches, and chunked evaluation uniformly — so those
-capabilities compose once, in one place, for every strategy.
+outcomes as :class:`~repro.core.planner.EvalResult` lists.  The
+:class:`~repro.core.executor.ExecutionBackend` consumes the batches and
+drives the compiled kernels, batched fits, fit/eval caches, and chunked
+evaluation uniformly — so those capabilities compose once, in one
+place, for every strategy.
 
 Third parties can still ship solvers without touching the engine::
 
@@ -24,8 +24,8 @@ Third parties can still ship solvers without touching the engine::
             ...
 
 Legacy strategies that override ``solve()`` instead of ``plan()`` keep
-working unchanged, but only on the serial backend (see the README
-migration note).
+working unchanged (see the README migration note); only the ``race``
+meta-strategy needs ``plan()`` from its components.
 
 Built-ins:
 
@@ -33,12 +33,11 @@ Built-ins:
     Algorithm 1 (§5.3): exponential/linear bounding + binary search.
     Single-constraint only — the paper's monotonicity argument (Lemma 2)
     is one-dimensional.  The doubling ladder is asked as one batch with
-    a stop predicate, so speculative backends pre-fit upcoming rungs.
+    a stop predicate.
 ``hill_climb``
     Algorithm 2 (§6) marginal hill climbing for k constraints; for k = 1
     it reduces to Algorithm 1 and delegates to it.  Per-axis bracket
-    expansions are ladder asks; bisection steps carry lookahead hints
-    (both possible next midpoints).
+    expansions are ladder asks, bisection steps single-candidate asks.
 ``grid``
     The Table 8 exhaustive-grid baseline, single- or multi-constraint —
     one planner-backed implementation behind both legacy entry points.
@@ -214,12 +213,10 @@ class SearchStrategy:
     receiving ``list[EvalResult]``, whose return value is a
     :class:`~repro.core.single.SingleTuneResult` or
     :class:`~repro.core.multi.MultiTuneResult` (or it raises
-    :class:`InfeasibleConstraintError`).  Such strategies run on every
-    registered execution backend.
+    :class:`InfeasibleConstraintError`).
 
     A legacy strategy may instead override :meth:`solve` with the old
-    single-call signature; it keeps working, but only on the serial
-    backend.
+    single-call signature.
     """
 
     name = None
@@ -229,24 +226,12 @@ class SearchStrategy:
         """Ask/tell generator (see :mod:`repro.core.planner`)."""
         raise NotImplementedError
 
-    def run(self, fitter, val_constraints, X_val, y_val, config,
-            backend="serial"):
-        """Engine entry point: dispatch to the planner or legacy solve."""
-        if type(self).plan is not SearchStrategy.plan:
-            return run_plan(
-                self, fitter, val_constraints, X_val, y_val, config,
-                backend=backend,
-            )
-        name = getattr(backend, "name", backend)
-        if name is not None and str(name).partition(":")[0] != "serial":
-            raise SpecificationError(
-                f"strategy {self.name!r} predates the ask/tell planner "
-                f"(no plan()); only the serial backend can run it"
-            )
+    def run(self, fitter, val_constraints, X_val, y_val, config):
+        """Engine entry point: the planner or a legacy ``solve``."""
         return self.solve(fitter, val_constraints, X_val, y_val, config)
 
     def solve(self, fitter, val_constraints, X_val, y_val, config):
-        """Single-call entry point (serial backend semantics)."""
+        """Drive :meth:`plan` through the planner."""
         if type(self).plan is not SearchStrategy.plan:
             return run_plan(
                 self, fitter, val_constraints, X_val, y_val, config,
@@ -315,6 +300,22 @@ def known_option_names():
     for cls in _REGISTRY.values():
         names.update(f.name for f in fields(cls.config_cls))
     return names
+
+
+def check_option_names(options):
+    """Refuse option keys that no registered strategy accepts.
+
+    Callers that unpack untrusted ``options`` into ``Engine(**options)``
+    (the CLI ``--strategy-opt`` flag, the serving ``/retune`` body) run
+    this first, so a key can only ever reach a strategy config and never
+    an engine constructor parameter such as ``store_dir``.
+    """
+    unknown = sorted(set(options) - known_option_names())
+    if unknown:
+        raise SpecificationError(
+            f"unknown option(s) {unknown}; no registered strategy "
+            f"accepts them"
+        )
 
 
 def resolve_strategy_name(name, n_constraints):
@@ -581,16 +582,8 @@ def _plan_single_lambda(ctx, delta=0.01, tau=1e-3, lambda_max=1e5,
     while t_u - t_l >= tau:
         t_m = 0.5 * (t_l + t_u)
         prev = model_l if parameterized else model0
-        lookahead = None
-        if not parameterized:
-            # both possible next midpoints — speculation hint only
-            lookahead = [
-                [direction * (0.5 * (t_m + t_u))],
-                [direction * (0.5 * (t_l + t_m))],
-            ]
         (rm,) = yield CandidateBatch(
             [[direction * t_m]], purpose="refine", prev_model=prev,
-            lookahead=lookahead,
         )
         model_m, fp_m, acc_m = rm.model, rm.fp, rm.accuracy
         if abs(fp_m) <= epsilon and acc_m > best[2]:
@@ -618,10 +611,9 @@ def _plan_tune_dimension(ctx, lambdas, j, model, disparities,
 
     Moves ``Λ[j]`` until constraint ``j`` holds (marginal monotonicity,
     Lemma 4): a doubling bracket expansion asked as ladder batches with
-    a stop predicate, then a 1-D bisection with lookahead hints.  Every
-    decision replays the pre-planner ``_tune_dimension`` loop body, so
-    the fitted λ sequence is identical; the ladder/lookahead structure
-    only tells speculative backends what to pre-fit.
+    a stop predicate, then a 1-D bisection.  Every decision replays the
+    pre-planner ``_tune_dimension`` loop body, so the fitted λ sequence
+    is identical.
 
     Returns ``(lambdas, model, disparities, acc, result)`` for the new
     setting, where ``result`` is the chosen :class:`EvalResult`.
@@ -726,14 +718,9 @@ def _plan_tune_dimension(ctx, lambdas, j, model, disparities,
     best_viol = float(ctx.violations(crossed.disparities).max())
     while abs(t_far - t_near) >= tau:
         mid = 0.5 * (t_near + t_far)
-        lookahead = None
-        if not ctx.parameterized:
-            lookahead = np.stack([
-                row(0.5 * (mid + t_far)), row(0.5 * (t_near + mid)),
-            ])
         (res,) = yield CandidateBatch(
             [row(mid)], purpose="refine", prev_model=prev_model,
-            record=False, lookahead=lookahead,
+            record=False,
         )
         prev_model = res.model
         fp_mid = float(res.disparities[j])
@@ -835,7 +822,7 @@ def _plan_grid_single(ctx, grid):
     model0 = r0.model
     best = (None, np.nan, -np.inf)
 
-    if ctx.compiled and not fitter.parameterized:
+    if not fitter.parameterized:
         reported = yield CandidateBatch(
             np.asarray(grid)[:, None], kind="population",
             purpose="population",
@@ -873,7 +860,7 @@ def _plan_grid_multi(ctx, grid_max=1.0, grid_steps=5):
     (r0,) = yield CandidateBatch([np.zeros(k)], purpose="init", record=False)
     model0 = r0.model
     combos = np.array(list(itertools.product(axis, repeat=k)))
-    if ctx.compiled and not fitter.parameterized:
+    if not fitter.parameterized:
         reported = yield CandidateBatch(
             combos, kind="population", purpose="population",
         )
@@ -928,11 +915,7 @@ def _plan_linear(ctx, step=0.05, max_steps=400):
                 [[-t]], purpose="sweep", prev_model=prev_neg,
             )
         else:
-            nxt = (i + 1) * step
-            rp, rn = yield CandidateBatch(
-                [[t], [-t]], purpose="sweep",
-                lookahead=[[nxt], [-nxt]] if i < max_steps else None,
-            )
+            rp, rn = yield CandidateBatch([[t], [-t]], purpose="sweep")
         prev_pos, prev_neg = rp.model, rn.model
         feasible = [
             (res.accuracy, float(res.lam[0]), res.model)
@@ -968,7 +951,7 @@ def _plan_cmaes(ctx, config):
 
     prev = r0.model
     best = [None]
-    batch_native = ctx.compiled and not fitter.parameterized
+    batch_native = not fitter.parameterized
 
     def fitness(res):
         viol = float((np.abs(res.disparities) - eps).max())
@@ -1116,9 +1099,9 @@ class CMAESStrategy(SearchStrategy):
     Minimizes ``penalty · max(0, max_violation) + (1 − accuracy)`` on the
     validation split.  Derivative-free and assumption-free: it does not
     rely on Lemma 2/4 monotonicity, at the cost of ``max_evals`` model
-    fits.  Each CMA-ES generation is one ask — a population batch under
-    the compiled engine with constant-coefficient metrics (fitted and
-    scored in one vectorized pass), a chained sequential batch otherwise
+    fits.  Each CMA-ES generation is one ask — a population batch with
+    constant-coefficient metrics (fitted and scored in one vectorized
+    pass), a chained sequential batch otherwise
     (each fit's weights use the previous candidate's predictions, the
     same continuation approximation Algorithm 1's linear search uses).
     """
@@ -1144,8 +1127,7 @@ class RaceStrategy(SearchStrategy):
     name = "race"
     config_cls = RaceConfig
 
-    def run(self, fitter, val_constraints, X_val, y_val, config,
-            backend="serial"):
+    def solve(self, fitter, val_constraints, X_val, y_val, config):
         from .executor import run_race
 
         names = tuple(config.strategies)
@@ -1157,11 +1139,8 @@ class RaceStrategy(SearchStrategy):
             )
         return run_race(
             names, fitter, val_constraints, X_val, y_val,
-            backend=backend, interleave=config.interleave,
+            interleave=config.interleave,
         )
-
-    def solve(self, fitter, val_constraints, X_val, y_val, config):
-        return self.run(fitter, val_constraints, X_val, y_val, config)
 
 
 class _GeneratorStrategy(SearchStrategy):

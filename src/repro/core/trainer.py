@@ -44,8 +44,6 @@ class OmniFair:
         negative_...  ``Engine(negative_weights=...)``
         warm_start    ``Engine(warm_start=...)``
         subsample     ``Engine(subsample=...)``
-        engine        ``Engine(engine=...)``
-        n_jobs        ``Engine(n_jobs=...)``
         ============  =====================================
 
     Parameters
@@ -78,8 +76,6 @@ class OmniFair:
         grid_steps=5,
         lambda_max=1e5,
         subsample=None,
-        engine="compiled",
-        n_jobs=None,
     ):
         if isinstance(specs, str):
             from .dsl import parse_spec
@@ -111,8 +107,6 @@ class OmniFair:
         self.grid_steps = grid_steps
         self.lambda_max = lambda_max
         self.subsample = subsample
-        self.engine = engine
-        self.n_jobs = n_jobs
         self._fitted = False
 
     # -- fitting --------------------------------------------------------------
@@ -153,8 +147,6 @@ class OmniFair:
             negative_weights=self.negative_weights,
             warm_start=self.warm_start,
             subsample=self.subsample,
-            engine=self.engine,
-            n_jobs=self.n_jobs,
             strict=False,  # each strategy picks its knobs from the union
             **legacy_options,
         )

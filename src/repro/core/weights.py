@@ -7,6 +7,11 @@ correctness indicator gives per-example weights
 
 (points in both groups of a constraint receive both contributions, points
 in neither receive none — the overlapping-groups case §5.2 spells out).
+The weights themselves come from the compiled kernels
+(:class:`repro.core.kernels.CompiledConstraints`); the plain Python loop
+over constraints that spells out the formula above lives in the test
+suite as the oracle they are checked against bit for bit
+(``tests/weight_oracle.py``).
 
 Large λ can push weights negative.  Maximizing ``w·1(h(x)=y)`` with
 ``w < 0`` is identical (up to an additive constant) to maximizing
@@ -14,100 +19,13 @@ Large λ can push weights negative.  Maximizing ``w·1(h(x)=y)`` with
 and weights by ``|w|`` — the exact identity, and the same device Agarwal
 et al.'s reduction uses.  A clipping strategy is kept for the ablation
 benchmark (DESIGN.md §5).
-
-This module is the **reference implementation** (the ``engine="naive"``
-path): a Python loop over constraints that recomputes every coefficient
-vector per call.  The production hot path compiles the same arithmetic
-once into stacked numpy kernels — see
-:class:`repro.core.kernels.CompiledConstraints`, whose weights are
-bit-for-bit identical to :func:`compute_weights` (the contribution of
-each group side is accumulated in the same order with the same operation
-nesting, ``(sign·λ) · (N·c)``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "compute_weights",
-    "compute_weights_batch",
-    "resolve_negative_weights",
-]
-
-
-def compute_weights(n, constraints, lambdas, y, predictions=None):
-    """Compute OmniFair example weights for a Λ setting.
-
-    Parameters
-    ----------
-    n : int
-        Number of training examples (``N`` in the paper; weights default
-        to 1 for rows in no group).
-    constraints : list of Constraint
-        Bound constraints whose ``g1_idx``/``g2_idx`` index into the
-        training set.
-    lambdas : array-like of shape (k,)
-        One multiplier per constraint.
-    y : ndarray (n,)
-        Training labels (coefficients depend on them — Table 2).
-    predictions : ndarray (n,) or None
-        Current-model predictions on the training set; required iff any
-        constraint's metric is parameterized by the model (FOR/FDR).
-
-    Returns
-    -------
-    w : ndarray (n,)
-        Raw weights; may contain negative entries (see
-        :func:`resolve_negative_weights`).
-    """
-    lambdas = np.asarray(lambdas, dtype=np.float64)
-    if lambdas.shape != (len(constraints),):
-        raise ValueError(
-            f"lambdas has shape {lambdas.shape}, expected ({len(constraints)},)"
-        )
-    y = np.asarray(y)
-    if len(y) != n:
-        raise ValueError(f"y has length {len(y)}, expected {n}")
-    w = np.ones(n, dtype=np.float64)
-    for lam, constraint in zip(lambdas, constraints):
-        if lam == 0.0:
-            continue
-        metric = constraint.metric
-        for sign, idx in ((+1.0, constraint.g1_idx), (-1.0, constraint.g2_idx)):
-            pred_group = None
-            if metric.parameterized_by_model:
-                if predictions is None:
-                    raise ValueError(
-                        f"constraint {constraint.label} needs model "
-                        "predictions to derive weights (FOR/FDR path)"
-                    )
-                pred_group = np.asarray(predictions)[idx]
-            c, _c0 = metric.coefficients(y[idx], pred_group)
-            # operation nesting (sign·λ)·(N·c) matches the compiled
-            # kernels, keeping both engines bit-for-bit identical
-            w[idx] += (sign * lam) * (n * c)
-    return w
-
-
-def compute_weights_batch(n, constraints, lambdas_matrix, y, predictions=None):
-    """Weights for a whole ``(B, k)`` matrix of Λ candidates at once.
-
-    Convenience wrapper that compiles the constraints once
-    (:class:`repro.core.kernels.CompiledConstraints`) and evaluates every
-    candidate in one vectorized pass; row ``b`` equals
-    ``compute_weights(n, constraints, lambdas_matrix[b], y, predictions)``
-    exactly.  Callers fitting many models should build the kernel
-    themselves (via :class:`~repro.core.fitter.WeightedFitter`) so it is
-    reused across searches.
-    """
-    from .kernels import CompiledConstraints
-
-    y = np.asarray(y)
-    if len(y) != n:
-        raise ValueError(f"y has length {len(y)}, expected {n}")
-    kernel = CompiledConstraints(constraints, y)
-    return kernel.weights_batch(lambdas_matrix, predictions=predictions)
+__all__ = ["resolve_negative_weights"]
 
 
 def resolve_negative_weights(w, y, strategy="flip"):
@@ -115,10 +33,10 @@ def resolve_negative_weights(w, y, strategy="flip"):
 
     Parameters
     ----------
-    w : ndarray
-        Raw weights from :func:`compute_weights`.
-    y : ndarray
-        Labels aligned with ``w``.
+    w : ndarray (n,) or (B, n)
+        Raw weights for one candidate, or one row per candidate.
+    y : ndarray (n,)
+        Labels aligned with the last axis of ``w``.
     strategy : {"flip", "clip"}
         ``"flip"`` (default, exact): negative-weight rows get ``|w|`` and a
         flipped label.  ``"clip"`` (lossy, for ablation): negative weights
@@ -126,15 +44,19 @@ def resolve_negative_weights(w, y, strategy="flip"):
 
     Returns
     -------
-    (w_out, y_out) : non-negative weights and (possibly adjusted) labels.
+    (w_out, y_out) : non-negative weights and (possibly adjusted) labels,
+    both shaped like ``w`` (a batch of labels may be a read-only
+    broadcast view of ``y``).
     """
+    if strategy not in ("flip", "clip"):
+        raise ValueError(
+            f"unknown strategy {strategy!r}; use 'flip' or 'clip'"
+        )
     w = np.asarray(w, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     negative = w < 0
-    if not np.any(negative):
-        return w, y
-    if strategy == "flip":
-        return np.abs(w), np.where(negative, 1 - y, y)
-    if strategy == "clip":
-        return np.where(negative, 0.0, w), y
-    raise ValueError(f"unknown strategy {strategy!r}; use 'flip' or 'clip'")
+    if np.any(negative):
+        if strategy == "flip":
+            return np.abs(w), np.where(negative, 1 - y, y)
+        w = np.where(negative, 0.0, w)
+    return w, (y if y.shape == w.shape else np.broadcast_to(y, w.shape))

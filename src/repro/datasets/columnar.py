@@ -648,9 +648,9 @@ def mmap_source(arr):
     Walks the ``.base`` chain to the root :class:`np.memmap` (plain
     views over a map — ``np.asarray``, row slices — resolve to their
     backing file).  Returns ``None`` unless ``arr`` is a C-contiguous
-    window of a file-backed map, so callers can branch: the process
-    fitter ships this 4-tuple to workers, which re-open the map
-    read-only instead of copying ``X`` through shared memory.
+    window of a file-backed map, so callers can branch:
+    :func:`sidecar_order` uses it to recognise the store's full
+    ``X.npy`` and serve its encode-time presort.
 
     Only the root map's ``.offset`` is trusted — numpy propagates the
     attribute unadjusted through slicing, so the byte offset of ``arr``

@@ -266,10 +266,6 @@ class ExternalEstimatorAdapter(BaseClassifier):
         """The refit loop is always a valid batched counterpart."""
         return True
 
-    # the refit loop runs literally the serial fits, so the protocol is
-    # bit-exact by construction (safe for speculative pre-fitting)
-    batch_fit_exact = True
-
     def fit_weighted_batch(self, X, y_batch, w_batch):
         """Per-candidate refits of fresh clones — the serial semantics,
         exposed through the batch protocol so batch-native strategies

@@ -217,16 +217,6 @@ class BaseClassifier:
         """
         return True
 
-    # Whether fit_weighted_batch produces models *bit-identical* to a
-    # per-candidate fit() — not just equal to round-off.  Speculative
-    # execution backends consult this (fit_batch(exact_only=True))
-    # before pre-fitting through the batch protocol: a cached
-    # speculative model must be indistinguishable from the model the
-    # serial reference walk would have trained.  Default False; only
-    # implementers with a proven bit-for-bit equivalence (DecisionTree's
-    # presorted builder) opt in.
-    batch_fit_exact = False
-
 
 def clone(estimator):
     """Module-level clone helper mirroring ``sklearn.base.clone``."""

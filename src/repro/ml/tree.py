@@ -430,11 +430,6 @@ class DecisionTree(BaseClassifier):
         """Batch fitting piggybacks on the shared presort."""
         return bool(self.presort)
 
-    # presorted batch builds grow bit-for-bit identical trees to scalar
-    # fits (same splits, same tie-breaks — see the module docstring), so
-    # speculative backends may pre-fit through this protocol
-    batch_fit_exact = True
-
     def _shared_presort(self, X):
         """One cached :class:`PresortedDataset` per training matrix.
 

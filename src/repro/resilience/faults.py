@@ -11,7 +11,6 @@ site                     where it fires
 ``store.get``            :meth:`repro.store.CacheStore.get`, before disk I/O
 ``store.put``            :meth:`repro.store.CacheStore.put`, before publish
 ``fitter.fit_batch``     :meth:`repro.core.fitter.WeightedFitter.fit_batch`
-``executor.worker_start``  process-pool creation in ``WeightedFitter._get_pool``
 ``batcher.predict``      :class:`repro.serving.MicroBatcher`'s worker, inside
                          the per-batch failure domain
 ``service.dispatch``     :meth:`repro.serving.FairnessService._dispatch`
@@ -77,7 +76,6 @@ FAULT_SITES = (
     "store.get",
     "store.put",
     "fitter.fit_batch",
-    "executor.worker_start",
     "batcher.predict",
     "service.dispatch",
 )

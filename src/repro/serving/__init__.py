@@ -1,7 +1,7 @@
 """Fairness-as-a-service: a long-lived serving layer over the Engine.
 
-The library's solving stack (compiled kernels, batched fits, ask/tell
-planner over execution backends) is process-oriented: every prediction
+The library's solving stack (compiled kernels, batched fits, the
+ask/tell planner) is process-oriented: every prediction
 or audit pays a cold :class:`~repro.api.Engine`.  This package turns it
 into a service:
 

@@ -183,7 +183,7 @@ class ServingClient:
         return self._request("POST", "/audit", payload)
 
     def retune(self, spec, dataset, *, name=None, estimator="NB", n=None,
-               seed=0, strategy="auto", backend=None, options=None,
+               seed=0, strategy="auto", options=None,
                timeout_ms=None):
         """Submit a retune job; returns ``{"job_id": ..., ...}``.
 
@@ -199,8 +199,6 @@ class ServingClient:
             payload["name"] = name
         if n is not None:
             payload["n"] = int(n)
-        if backend is not None:
-            payload["backend"] = backend
         if options:
             payload["options"] = options
         if timeout_ms is not None:

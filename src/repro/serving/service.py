@@ -22,9 +22,10 @@ Endpoints
     ``{"spec": .., "dataset": .., "estimator": "NB", "name": ..,
     "strategy": .., "options": {..}}`` → ``{"job_id": ..}``.  The solve
     runs **off the request path** on a worker thread
-    (:func:`~repro.core.executor.submit_job`) through the execution-
-    backend registry; canonically-equivalent requests on the same data
-    hit the registry instead of re-solving.
+    (:func:`~repro.core.executor.submit_job`); canonically-equivalent
+    requests on the same data hit the registry instead of re-solving.
+    ``options`` carries strategy knobs only (``tau``, ``grid_steps``,
+    ...); any other key answers 400 before an engine is built.
 ``POST /update``
     The incremental engine's front door.  The first call for a model
     seeds an :class:`~repro.incremental.IncrementalAuditor` from a
@@ -77,7 +78,8 @@ from ..core.exceptions import (
     OmniFairError,
     SpecificationError,
 )
-from ..core.executor import JOB_TERMINAL, resolve_backend, submit_job
+from ..core.executor import JOB_TERMINAL, submit_job
+from ..core.strategies import check_option_names
 from ..datasets import load
 from ..datasets.schema import Dataset
 from ..incremental import DriftPolicy, IncrementalAuditor, warm_retune
@@ -161,9 +163,6 @@ class FairnessService:
         pipeline without coalescing (the benchmark's off arm).
     max_batch_size, max_wait_us, n_workers
         Micro-batcher knobs, applied per model.
-    backend : str
-        Default execution backend for retune solves (requests may
-        override per job).
     store_dir : path-like or None
         Root of the persistent cross-run cache
         (:class:`~repro.store.CacheStore`).  Every retune Engine shares
@@ -184,10 +183,9 @@ class FairnessService:
     """
 
     def __init__(self, registry=None, *, batching=True, max_batch_size=32,
-                 max_wait_us=2000, n_workers=1, backend="serial",
+                 max_wait_us=2000, n_workers=1,
                  store_dir=None, max_inflight=256, max_jobs=32,
                  breaker_threshold=5, breaker_cooldown_s=30.0):
-        resolve_backend(backend)  # fail fast on unknown backends
         if int(max_inflight) < 1:
             raise SpecificationError(
                 f"max_inflight must be >= 1, got {max_inflight}"
@@ -206,7 +204,6 @@ class FairnessService:
         self.max_batch_size = int(max_batch_size)
         self.max_wait_us = int(max_wait_us)
         self.n_workers = int(n_workers)
-        self.backend = backend
         self.max_inflight = int(max_inflight)
         self.max_jobs = int(max_jobs)
         self.breakers = BreakerBoard(
@@ -603,10 +600,12 @@ class FairnessService:
             "seed": int(body.get("seed", 0)),
         }
         strategy = body.get("strategy", "auto")
-        backend = body.get("backend", self.backend)
         options = body.get("options") or {}
         if not isinstance(options, dict):
             raise _BadRequest("options must be a JSON object")
+        # the client's options reach Engine(**options): only strategy
+        # knobs may pass, never constructor parameters like store_dir
+        check_option_names(options)
         timeout_ms = body.get("timeout_ms")
         if timeout_ms is not None and (
             not isinstance(timeout_ms, (int, float)) or timeout_ms <= 0
@@ -614,10 +613,9 @@ class FairnessService:
             raise _BadRequest(
                 f"timeout_ms must be a positive number, got {timeout_ms!r}"
             )
-        # construct the Engine eagerly so bad strategies / backends /
-        # options come back as a 400 now, not a failed job later
-        engine = Engine(strategy, backend=backend, store=self.store,
-                        **options)
+        # construct the Engine eagerly so bad strategies / options come
+        # back as a 400 now, not a failed job later
+        engine = Engine(strategy, store=self.store, **options)
         name = body.get("name") or f"retune-{next(self._job_ids)}"
         active = sum(
             1 for handle, _meta in self._jobs.values()

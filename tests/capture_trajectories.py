@@ -8,9 +8,9 @@ the exact same trajectories::
     PYTHONPATH=src python tests/capture_trajectories.py --check    # verify
 
 The stored record per workload is the selected λ vector plus the full
-ordered λ-sequence of the search history — the two things the ISSUE 5
-acceptance criteria pin across the planner refactor and across execution
-backends.  ``tests/test_planner_equivalence.py`` consumes the same file.
+ordered λ-sequence of the search history — the two things pinned across
+the planner refactor and every later change to the execution path.
+``tests/test_planner_equivalence.py`` consumes the same file.
 """
 
 from __future__ import annotations
@@ -87,12 +87,12 @@ def lam_seq(history):
             for h in history]
 
 
-def run_workload(name, splits_cache, **engine_kwargs):
+def run_workload(name, splits_cache):
     strategy, spec, scenario, options = WORKLOADS[name]
     if scenario not in splits_cache:
         splits_cache[scenario] = splits_for(scenario)
     train, val = splits_cache[scenario]
-    fair = Engine(strategy, **options, **engine_kwargs).solve(
+    fair = Engine(strategy, **options).solve(
         Problem(spec), GaussianNaiveBayes(), train, val
     )
     report = fair.report

@@ -98,6 +98,17 @@ class TestEngineSolve:
         assert fm.report.lambdas.shape == (3,)
 
 
+class TestRemovedExecutionKnobs:
+    """One execution path: the old selector knobs are unknown options."""
+
+    @pytest.mark.parametrize("knob", [
+        {"engine": "compiled"}, {"backend": "serial"}, {"n_jobs": 2},
+    ])
+    def test_engine_refuses_removed_knobs(self, knob):
+        with pytest.raises(SpecificationError, match="unknown option"):
+            Engine("auto", **knob)
+
+
 class TestFairModel:
     def test_audit_matches_evaluate_model(self, two_group_splits):
         train, val, test = two_group_splits

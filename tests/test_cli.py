@@ -162,6 +162,32 @@ class TestCommands:
         assert "SPEC ERROR" in out.getvalue()
         assert "--subsample" not in out.getvalue().split("SPEC ERROR")[0]
 
+    def test_train_store_dir_strategy_opt_is_refused(self, tmp_path):
+        # --strategy-opt reaches Engine(**options): an engine parameter
+        # must be refused before any engine (or store) is built
+        target = tmp_path / "store"
+        out = io.StringIO()
+        code = main(
+            [
+                "train", "--dataset", "compas", "--two-group",
+                "--rows", "1200", "--strategy-opt", f"store_dir={target}",
+            ],
+            out=out,
+        )
+        assert code == 2
+        assert "store_dir" in out.getvalue()
+        assert not target.exists()
+
+    @pytest.mark.parametrize("flag", [
+        ["--backend", "serial"], ["--engine", "compiled"],
+        ["--n-jobs", "2"],
+    ])
+    def test_train_removed_execution_flags_exit_2(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["train", "--dataset", "compas", *flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_train_bad_spec_fails_cleanly(self):
         out = io.StringIO()
         code = main(

@@ -199,54 +199,6 @@ class TestWarmStartBypassWarning:
         assert fitter.fit_paths.get("batch_protocol", 0) == 2
 
 
-class TestPoolInvalidation:
-    def test_pool_reinitialized_when_training_matrix_changes(self):
-        # regression test: _pool_init pins X globally in the workers, so
-        # toggling use_subsample between fit_batch calls must rebuild
-        # the pool — a stale pool would train on the wrong matrix.
-        X, y, constraints = _setup(n=160)
-        est = LogisticRegression(max_iter=20)    # lbfgs: no batch hook
-        pooled = WeightedFitter(
-            est.clone(), X, y, constraints, subsample=0.5, n_jobs=2,
-            fit_cache=False,
-        )
-        serial = WeightedFitter(
-            est.clone(), X, y, constraints, subsample=0.5,
-            fit_cache=False,
-        )
-        L = np.array([[0.3, 0.0], [-0.4, 0.2]])
-        try:
-            for use_subsample in (False, True, False):
-                got = pooled.fit_batch(L, use_subsample=use_subsample)
-                want = [
-                    serial.fit(L[b], use_subsample=use_subsample)
-                    for b in range(len(L))
-                ]
-                X_eval = X if not use_subsample else X[pooled._sub_idx]
-                for g, w_model in zip(got, want):
-                    assert np.array_equal(
-                        g.predict(X_eval), w_model.predict(X_eval)
-                    )
-        finally:
-            pooled.close()
-
-    def test_pool_key_tracks_matrix_identity(self):
-        X, y, constraints = _setup(n=120)
-        fitter = WeightedFitter(
-            LogisticRegression(max_iter=15), X, y, constraints,
-            subsample=0.5, n_jobs=2, fit_cache=False,
-        )
-        try:
-            pool_full = fitter._get_pool(2, fitter.X_train)
-            key_full = fitter._pool_key
-            X_sub = fitter.X_train[fitter._sub_idx]
-            pool_sub = fitter._get_pool(2, X_sub)
-            assert fitter._pool_key != key_full
-            assert pool_sub is not pool_full
-        finally:
-            fitter.close()
-
-
 class TestReportAndCli:
     def _dataset(self):
         return make_biased_dataset(
@@ -278,7 +230,6 @@ class TestReportAndCli:
             [
                 "train", "--dataset", "compas", "--two-group",
                 "--spec", "SP <= 0.1", "--rows", "1200",
-                "--engine", "compiled",
             ],
             out=out,
         )

@@ -1,15 +1,16 @@
-"""Compiled constraint kernels: equivalence with the naive reference path.
+"""Compiled constraint kernels: equivalence with the weight oracle.
 
-The contract under test (ISSUE 2 acceptance):
+The contract under test:
 
-* :class:`CompiledConstraints` weights match the legacy
-  :func:`compute_weights` **bit for bit** across random specs, λ vectors
-  (including negative-weight regimes), and overlapping groups;
+* :class:`CompiledConstraints` weights match the oracle loop
+  (``tests/weight_oracle.py``) **bit for bit** across random specs, λ
+  vectors (including negative-weight regimes), overlapping groups, and
+  FOR/FDR predictions;
 * the batched APIs (``weights_batch`` / ``fit_batch`` /
   ``evaluate_lambda_batch``) agree with their sequential counterparts;
 * the incremental FOR/FDR prediction update equals a fresh recount;
-* ``engine="compiled"`` and ``engine="naive"`` select identical λ on
-  fixed seeds, strategy by strategy.
+* :class:`CompiledEvaluator` matches ``Constraint.disparity`` and
+  ``accuracy_score`` exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Engine, Problem
 from repro.core.fairness_metrics import (
     METRIC_FACTORIES,
     average_error_cost_parity,
@@ -33,17 +33,11 @@ from repro.core.kernels import (
     rate_from_counts,
 )
 from repro.core.spec import Constraint
-from repro.core.weights import (
-    compute_weights,
-    compute_weights_batch,
-    resolve_negative_weights,
-)
-from repro.datasets.synthetic import make_biased_dataset
+from repro.core.weights import resolve_negative_weights
 from repro.ml.logistic import LogisticRegression
 from repro.ml.metrics import accuracy_score
-from repro.ml.model_selection import train_val_test_split
 from repro.ml.naive_bayes import GaussianNaiveBayes
-from repro.ml.tree import DecisionTree
+from weight_oracle import compute_weights
 
 ALL_METRICS = sorted(METRIC_FACTORIES)
 
@@ -140,6 +134,10 @@ class TestWeightEquivalenceProperty:
         kernel = CompiledConstraints(constraints, y)
         compiled = kernel.weights(lambdas, predictions=predictions)
         assert np.array_equal(naive, compiled)
+        batch = CompiledConstraints(constraints, y).weights_batch(
+            lambdas[None, :], predictions=predictions
+        )
+        assert np.array_equal(naive, batch[0])
 
     @settings(max_examples=30, deadline=None)
     @given(weight_problems())
@@ -371,14 +369,6 @@ class TestFitBatch:
         for m_w, m_g in zip(wanted, got):
             assert np.array_equal(m_w.predict(X), m_g.predict(X))
 
-    def test_naive_engine_rejects_fit_batch(self):
-        X, y, constraints = _toy_training_setup()
-        fitter = WeightedFitter(
-            GaussianNaiveBayes(), X, y, constraints, engine="naive"
-        )
-        with pytest.raises(ValueError, match="naive"):
-            fitter.fit_batch(np.zeros((2, 2)))
-
     def test_parameterized_rejects_fit_batch(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(60, 3))
@@ -395,24 +385,6 @@ class TestFitBatch:
             fitter.fit_batch(np.array([[0.5]]))
         # all-zero λ batches are constant-weight and therefore fine
         assert len(fitter.fit_batch(np.zeros((2, 1)))) == 2
-
-    def test_process_pool_matches_serial(self):
-        X, y, constraints = _toy_training_setup()
-        L = np.array([[0.3, 0.0], [-0.7, 0.2], [1.1, -1.0], [0.0, 0.4]])
-        est = LogisticRegression(max_iter=25)
-        serial = WeightedFitter(est.clone(), X, y, constraints)
-        pooled = WeightedFitter(est.clone(), X, y, constraints, n_jobs=2)
-        for m_s, m_p in zip(serial.fit_batch(L), pooled.fit_batch(L)):
-            assert np.array_equal(m_s.predict(X), m_p.predict(X))
-
-    def test_invalid_engine_and_n_jobs(self):
-        X, y, constraints = _toy_training_setup()
-        with pytest.raises(ValueError, match="engine"):
-            WeightedFitter(GaussianNaiveBayes(), X, y, constraints,
-                           engine="vectorized")
-        with pytest.raises(ValueError, match="n_jobs"):
-            WeightedFitter(GaussianNaiveBayes(), X, y, constraints,
-                           n_jobs=0)
 
 
 class TestEstimatorBatchHooks:
@@ -475,108 +447,3 @@ class TestEvaluateLambdaBatch:
             )
             assert np.array_equal(result.disparities[b], want)
             assert result.accuracies[b] == accuracy_score(y_val, pred)
-
-    def test_compute_weights_batch_wrapper(self):
-        _X, y, constraints = _toy_training_setup(seed=8)
-        L = np.array([[0.25, -0.75], [0.0, 0.0]])
-        W = compute_weights_batch(len(y), constraints, L, y)
-        for b in range(len(L)):
-            assert np.array_equal(
-                W[b], compute_weights(len(y), constraints, L[b], y)
-            )
-
-
-# -- end-to-end engine equivalence --------------------------------------------
-
-
-def _split_synthetic(seed=1, n=2400):
-    data = make_biased_dataset(
-        "synth-equiv", n, ("a", "b"), (0.6, 0.4), (0.5, 0.32), seed=seed,
-        n_informative=2, n_group_correlated=1, n_noise=1, n_categorical=0,
-    )
-    strat = data.sensitive * 2 + data.y
-    tr, va, _te = train_val_test_split(len(data), seed=0, stratify=strat)
-    return data.subset(tr), data.subset(va)
-
-
-class TestEngineEquivalence:
-    """Compiled and naive engines select identical λ on fixed seeds."""
-
-    @pytest.mark.parametrize("strategy,options,spec", [
-        ("grid", {"grid_steps": 8}, "SP <= 0.16 and MR <= 0.3"),
-        ("cmaes", {"max_evals": 18}, "SP <= 0.1 and MR <= 0.2"),
-        ("hill_climb", {}, "SP <= 0.1 and MR <= 0.2"),
-        ("binary_search", {}, "SP <= 0.03"),
-        ("binary_search", {}, "FDR <= 0.08"),
-        ("grid", {"grid_steps": 8}, "SP <= 0.1"),
-    ])
-    def test_identical_lambdas_and_history(self, strategy, options, spec):
-        train, val = _split_synthetic()
-        reports = {}
-        for engine in ("naive", "compiled"):
-            fair = Engine(strategy, engine=engine, **options).solve(
-                Problem(spec), GaussianNaiveBayes(), train, val,
-            )
-            reports[engine] = fair.report
-        naive, compiled = reports["naive"], reports["compiled"]
-        assert np.array_equal(naive.lambdas, compiled.lambdas)
-        assert naive.n_fits == compiled.n_fits
-        assert len(naive.history) == len(compiled.history)
-        assert naive.validation["accuracy"] == compiled.validation["accuracy"]
-
-    @pytest.mark.parametrize("estimator_factory,exact_accuracy", [
-        (lambda: LogisticRegression(solver="irls", max_iter=60), False),
-        (lambda: DecisionTree(max_depth=6), True),
-    ], ids=["logistic_irls", "tree_presorted"])
-    def test_identical_selection_across_batch_paths(
-        self, estimator_factory, exact_accuracy
-    ):
-        """ISSUE 3: the new estimator batch paths (batched IRLS,
-        shared-presort trees) must select the same λ as serial fits
-        through the naive engine — exactly for bit-for-bit trees,
-        within reduction-order round-off for IRLS accuracies."""
-        train, val = _split_synthetic()
-        reports = {}
-        for engine in ("naive", "compiled"):
-            fair = Engine("grid", engine=engine, grid_steps=5).solve(
-                Problem("SP <= 0.16 and MR <= 0.3"),
-                estimator_factory(), train, val,
-            )
-            reports[engine] = fair.report
-        naive, compiled = reports["naive"], reports["compiled"]
-        assert np.array_equal(naive.lambdas, compiled.lambdas)
-        assert naive.n_fits == compiled.n_fits
-        assert len(naive.history) == len(compiled.history)
-        if exact_accuracy:
-            assert (
-                naive.validation["accuracy"]
-                == compiled.validation["accuracy"]
-            )
-        else:
-            assert naive.validation["accuracy"] == pytest.approx(
-                compiled.validation["accuracy"], abs=1e-9
-            )
-        # the compiled side actually exercised the batch protocol
-        assert compiled.fit_paths.get("batch_protocol", 0) > 0
-        assert naive.fit_paths.get("batch_protocol", 0) == 0
-
-    def test_identical_weights_through_fitters(self):
-        train, _val = _split_synthetic()
-        problem = Problem("SP <= 0.05 and FPR <= 0.1")
-        constraints = problem.bind(train)
-        lambdas = np.array([1.7, -0.9])
-        naive = WeightedFitter(
-            GaussianNaiveBayes(), train.X, train.y, constraints,
-            engine="naive",
-        )._weights_for(lambdas, None, False)
-        compiled = WeightedFitter(
-            GaussianNaiveBayes(), train.X, train.y, constraints,
-            engine="compiled",
-        )._weights_for(lambdas, None, False)
-        assert np.array_equal(naive, compiled)
-
-    def test_engine_knob_validation(self):
-        from repro.core.exceptions import SpecificationError
-
-        with pytest.raises(SpecificationError, match="engine"):
-            Engine("grid", engine="turbo")

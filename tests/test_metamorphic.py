@@ -28,8 +28,8 @@ from hypothesis import strategies as st
 from repro.core.fairness_metrics import METRIC_FACTORIES
 from repro.core.kernels import CompiledConstraints, CompiledEvaluator
 from repro.core.spec import Constraint
-from repro.core.weights import compute_weights
 from repro.ml import GaussianNaiveBayes
+from weight_oracle import compute_weights
 
 BUILTIN = sorted(METRIC_FACTORIES)
 

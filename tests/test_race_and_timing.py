@@ -62,13 +62,6 @@ class TestRace:
                 "SP <= 0.000001", GaussianNaiveBayes(), train, val,
             )
 
-    def test_race_on_thread_backend(self, two_group_splits):
-        train, val, _ = two_group_splits
-        fm = Engine("race", backend="thread:2").solve(
-            "SP <= 0.1", GaussianNaiveBayes(), train, val,
-        )
-        assert fm.report.feasible
-
     def test_race_rejects_nonpositive_interleave(self, two_group_splits):
         from repro.core.exceptions import SpecificationError
 
@@ -103,34 +96,6 @@ class TestRace:
                 )
         finally:
             unregister_strategy("legacy_only_tmp")
-
-
-class TestBackendKnobs:
-    def test_serial_rejects_worker_count(self):
-        from repro.core.exceptions import SpecificationError
-        from repro.core.executor import resolve_backend
-
-        with pytest.raises(SpecificationError, match="serial"):
-            resolve_backend("serial:8")
-
-    def test_fitter_n_jobs_wins_over_backend_width(self,
-                                                   two_group_splits):
-        from repro.core.dsl import parse_spec
-        from repro.core.executor import ThreadBackend
-        from repro.core.fitter import WeightedFitter
-        from repro.core.planner import PlanContext
-        from repro.core.spec import bind_specs
-
-        train, _, _ = two_group_splits
-        tc = bind_specs(parse_spec("SP <= 0.1"), train)
-        fitter = WeightedFitter(
-            GaussianNaiveBayes(), train.X, train.y, tc, n_jobs=6,
-        )
-        ctx = PlanContext(fitter, tc, train.X, train.y)
-        backend = ThreadBackend(n_workers=2)
-        assert backend._pool_args(ctx) == (6, "thread")
-        fitter.n_jobs = None
-        assert backend._pool_args(ctx) == (2, "thread")
 
 
 class TestHistoryTiming:

@@ -1,20 +1,17 @@
-"""Resilience end to end: chaos against the store, fitter, and service.
+"""Resilience end to end: chaos against the store and the service.
 
-The ISSUE 8 acceptance story, exercised for real: injected faults land
+The resilience layer's claims, exercised for real: injected faults land
 on the same degradation paths as organic ones — a flaky disk reads as a
-cache miss, dead pool workers degrade to bit-identical in-process fits,
-a poisoned batch fails only its own waiters, expired requests answer
-504 instead of occupying batch slots, overload sheds 429, failing
-retunes trip a per-model breaker to 503 and recover through a
-half-open probe, and ``stop()`` drains instead of hanging.
+cache miss, a poisoned batch fails only its own waiters, expired
+requests answer 504 instead of occupying batch slots, overload sheds
+429, failing retunes trip a per-model breaker to 503 and recover
+through a half-open probe, and ``stop()`` drains instead of hanging.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import multiprocessing
-import os
 import pathlib
 import threading
 import time
@@ -25,9 +22,6 @@ import pytest
 
 from repro.api import Engine, Problem
 from repro.core.executor import submit_job
-from repro.core.fairness_metrics import METRIC_FACTORIES
-from repro.core.fitter import WeightedFitter
-from repro.core.spec import Constraint
 from repro.datasets import load_scenario
 from repro.ml import GaussianNaiveBayes
 from repro.resilience import (
@@ -131,81 +125,6 @@ class TestStoreDegradation:
         store = self._store(tmp_path, breaker=False)
         assert store.breaker is None
         assert store.stats()["breaker"] is None
-
-
-# -- fitter pool degradation ---------------------------------------------------
-
-
-class _NoBatchNB(GaussianNaiveBayes):
-    """NB with the batch protocol off, forcing pool/serial dispatch."""
-
-    supports_batch_fit = False
-
-
-class _SuicidalNB(_NoBatchNB):
-    """Dies (hard) whenever fitted inside a pool worker process."""
-
-    def fit(self, X, y, sample_weight=None):
-        if multiprocessing.parent_process() is not None:
-            os._exit(1)
-        return super().fit(X, y, sample_weight=sample_weight)
-
-
-def _toy_training_setup(seed=0, n=240):
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=(n, 4))
-    y = (X[:, 0] + 0.5 * rng.normal(size=n) > 0).astype(np.int64)
-    groups = rng.integers(0, 2, size=n)
-    constraints = [
-        Constraint(
-            metric=METRIC_FACTORIES["SP"](), epsilon=0.05,
-            group_names=("a", "b"),
-            g1_idx=np.nonzero(groups == 0)[0],
-            g2_idx=np.nonzero(groups == 1)[0],
-        ),
-    ]
-    return X, y, constraints
-
-
-LAMBDAS = np.array([[0.0], [0.6], [-0.8], [1.2]])
-
-
-class TestFitterPoolDegradation:
-    def _assert_matches_serial(self, estimator, got, X, y, constraints):
-        serial = WeightedFitter(estimator, X, y, constraints)
-        for m_serial, m_got in zip(serial.fit_batch(LAMBDAS), got):
-            assert np.array_equal(m_serial.predict(X), m_got.predict(X))
-
-    def test_injected_worker_start_failure_degrades_once(self):
-        X, y, constraints = _toy_training_setup()
-        fitter = WeightedFitter(_NoBatchNB(), X, y, constraints, n_jobs=2)
-        plan = FaultPlan(
-            [FaultRule("executor.worker_start", "raise", error="OSError")],
-            seed=0,
-        )
-        with active_plan(plan):
-            with pytest.warns(RuntimeWarning, match="in-process fits"):
-                got = fitter.fit_batch(LAMBDAS)
-            assert len(got) == len(LAMBDAS)
-            assert fitter._pool_degraded
-            # the degradation is sticky and silent from here on: no
-            # second pool attempt, no second warning
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                fitter.fit_batch(LAMBDAS + 0.1)
-        self._assert_matches_serial(_NoBatchNB(), got, X, y, constraints)
-        assert fitter.fit_paths.get("pool") is None
-        assert fitter.fit_paths["serial"] >= len(LAMBDAS)
-
-    def test_real_worker_death_degrades_to_identical_fits(self):
-        X, y, constraints = _toy_training_setup(seed=3)
-        fitter = WeightedFitter(_SuicidalNB(), X, y, constraints, n_jobs=2)
-        with pytest.warns(RuntimeWarning, match="workers died"):
-            got = fitter.fit_batch(LAMBDAS)
-        assert fitter._pool_degraded
-        # in-process fits never cross a process boundary, so the same
-        # estimator fits fine — and bit-identically to the reference
-        self._assert_matches_serial(_SuicidalNB(), got, X, y, constraints)
 
 
 # -- micro-batcher resilience --------------------------------------------------

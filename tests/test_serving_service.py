@@ -173,6 +173,28 @@ class TestErrorPaths:
                           estimator="NOPE")
         assert excinfo.value.status == 400
 
+    def test_retune_engine_parameter_option_is_400(self, client, tmp_path):
+        # options reach Engine(**options); a constructor parameter such
+        # as store_dir must be refused before any engine (or store) is
+        # built, so nothing is created, read or evicted under the path
+        target = tmp_path / "planted"
+        target.mkdir()
+        with pytest.raises(ServingError) as excinfo:
+            client.retune(
+                "SP <= 0.1", "scenario:group_sweep",
+                options={"store_dir": str(target), "store_max_bytes": 1},
+            )
+        assert excinfo.value.status == 400
+        assert "store_dir" in str(excinfo.value)
+        assert list(target.iterdir()) == []
+
+    def test_retune_strategy_option_is_accepted(self, client):
+        job = client.retune(
+            "SP <= 0.1", "scenario:group_sweep", name="tau", n=600, seed=3,
+            options={"tau": 1e-4},
+        )
+        assert client.wait_job(job["job_id"])["status"] == "done"
+
     def test_unknown_job_is_404(self, client):
         with pytest.raises(ServingError) as excinfo:
             client.job("999999")

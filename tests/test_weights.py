@@ -11,7 +11,8 @@ from repro.core.fairness_metrics import (
     statistical_parity,
 )
 from repro.core.spec import Constraint
-from repro.core.weights import compute_weights, resolve_negative_weights
+from repro.core.weights import resolve_negative_weights
+from weight_oracle import compute_weights
 
 
 def _constraint(metric, g1_idx, g2_idx, eps=0.03):
@@ -186,3 +187,63 @@ def test_weight_objective_identity_property(seed, lam):
     _, c0_2 = metric.coefficients(y[g2_idx])
     constant = lam * (c0_1 - c0_2)
     assert lhs == pytest.approx(ap + lam * fp - constant, abs=1e-9)
+
+
+# -- one resolver for single vectors and (B, n) batches ----------------------
+
+
+def _single_reference(w, y, strategy):
+    """The single-vector resolver as it stood before batches were merged."""
+    w = np.asarray(w, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    negative = w < 0
+    if not np.any(negative):
+        return w, y
+    if strategy == "flip":
+        return np.abs(w), np.where(negative, 1 - y, y)
+    return np.where(negative, 0.0, w), y
+
+
+def _batch_reference(W, y, strategy):
+    """The fitter's former private (B, n) resolver."""
+    negative = W < 0
+    if strategy == "flip":
+        return np.abs(W), np.where(negative, 1 - y, y)
+    return np.where(negative, 0.0, W), np.broadcast_to(y, W.shape)
+
+
+def _bytes(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    batch=st.integers(1, 6),
+    strategy=st.sampled_from(["flip", "clip"]),
+    negatives=st.sampled_from(["none", "some", "all"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_merged_resolver_matches_both_former_paths(seed, n, batch, strategy,
+                                                   negatives):
+    """The resolved bytes key the fit cache and the store, so the merged
+    resolver must reproduce both former paths byte for byte."""
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 2, size=n).astype(np.int64)
+    W = rng.normal(scale=3.0, size=(batch, n))
+    if negatives == "none":
+        W = np.abs(W)
+    elif negatives == "all":
+        W = -np.abs(W) - 0.5
+    W += 0.0  # the kernels never emit -0.0; keep the draw honest
+
+    w_res, y_res = resolve_negative_weights(W, y, strategy=strategy)
+    w_ref, y_ref = _batch_reference(W, y, strategy)
+    assert w_res.shape == y_res.shape == W.shape
+    assert _bytes(w_res) == _bytes(w_ref)
+    assert _bytes(y_res) == _bytes(y_ref)
+    for b in range(batch):
+        w_one, y_one = resolve_negative_weights(W[b], y, strategy=strategy)
+        w_old, y_old = _single_reference(W[b], y, strategy)
+        assert _bytes(w_one) == _bytes(w_old) == _bytes(w_res[b])
+        assert _bytes(y_one) == _bytes(y_old) == _bytes(y_res[b])
