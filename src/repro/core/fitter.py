@@ -289,9 +289,11 @@ class WeightedFitter:
         return repr(sorted(self.estimator.get_params().items()))
 
     def _cache_key(self, w, y_fit, split):
+        # hashlib reads the arrays through the buffer protocol: the
+        # digest sees the same bytes as ``tobytes()`` without the copies
         digest = hashlib.sha1()
-        digest.update(np.ascontiguousarray(w).tobytes())
-        digest.update(np.ascontiguousarray(y_fit).tobytes())
+        digest.update(np.ascontiguousarray(w))
+        digest.update(np.ascontiguousarray(y_fit))
         return (split, self._params_fingerprint(), digest.digest())
 
     def _split_digest(self, use_subsample):
@@ -306,9 +308,7 @@ class WeightedFitter:
         cached = self._split_digests.get(use_subsample)
         if cached is None:
             X, _ = self._train_arrays(use_subsample)
-            cached = hashlib.sha1(
-                np.ascontiguousarray(X).tobytes()
-            ).hexdigest()
+            cached = hashlib.sha1(np.ascontiguousarray(X)).hexdigest()
             self._split_digests[use_subsample] = cached
         return cached
 
@@ -318,28 +318,30 @@ class WeightedFitter:
         digest.update(type(self.estimator).__name__.encode())
         digest.update(self._params_fingerprint().encode())
         digest.update(self._split_digest(use_subsample).encode())
-        digest.update(np.ascontiguousarray(w).tobytes())
-        digest.update(np.ascontiguousarray(y_fit).tobytes())
+        digest.update(np.ascontiguousarray(w))
+        digest.update(np.ascontiguousarray(y_fit))
         return digest.hexdigest()
 
-    def _store_get(self, key, w, y_fit, use_subsample):
+    def _store_get(self, key, store_key):
         """Consult the persistent store after a memory miss.
 
-        On a hit the model enters the in-memory cache under ``key`` so
-        in-batch duplicates and later revisits resolve locally.
+        ``store_key`` is the candidate's :meth:`_store_key`, computed
+        once and reused by :meth:`_store_put` after a miss.  On a hit
+        the model enters the in-memory cache under ``key`` so in-batch
+        duplicates and later revisits resolve locally.
         """
         self.store_stats["lookups"] += 1
-        model = self.store.get("fit", self._store_key(w, y_fit, use_subsample))
+        model = self.store.get("fit", store_key)
         if model is None:
             return None
         self.store_stats["hits"] += 1
         self._cache_store(key, model)
         return model
 
-    def _store_put(self, w, y_fit, use_subsample, model):
+    def _store_put(self, store_key, model):
         """Publish a freshly trained model to the persistent store."""
         self.store.put(
-            "fit", self._store_key(w, y_fit, use_subsample), model,
+            "fit", store_key, model,
             extra={"estimator": type(self.estimator).__name__},
         )
 
@@ -398,7 +400,8 @@ class WeightedFitter:
                 self._record_path("cached")
                 return cached
             if self.store is not None:
-                stored = self._store_get(key, w, y_fit, use_subsample)
+                store_key = self._store_key(w, y_fit, use_subsample)
+                stored = self._store_get(key, store_key)
                 if stored is not None:
                     self.n_fits += 1   # logical fit; trained by a past run
                     self._record_path("store")
@@ -416,7 +419,7 @@ class WeightedFitter:
         if self.fit_cache:
             self._cache_store(key, model)
             if self.store is not None:
-                self._store_put(w, y_fit, use_subsample, model)
+                self._store_put(store_key, model)
         return model
 
     def fit_batch(self, lambdas_matrix):
@@ -458,6 +461,7 @@ class WeightedFitter:
             self.fit_cache_lookups += B
             todo = []
             fresh = set()
+            store_keys = {}
             hits = 0
             store_hits = 0
             for b, key in enumerate(keys):
@@ -465,19 +469,22 @@ class WeightedFitter:
                 if cached is not None:
                     models[b] = cached
                     hits += 1
-                elif key in fresh:
+                    continue
+                if key in fresh:
                     hits += 1      # in-batch duplicate, filled below
-                elif self.store is not None and (
-                    stored := self._store_get(key, W_res[b], Y_res[b], False)
-                ) is not None:
-                    # _store_get seeded the memory cache, so an
-                    # in-batch duplicate of this key hits "cached"
-                    # on its own iteration
-                    models[b] = stored
-                    store_hits += 1
-                else:
-                    fresh.add(key)
-                    todo.append(b)
+                    continue
+                if self.store is not None:
+                    store_keys[b] = self._store_key(W_res[b], Y_res[b], False)
+                    stored = self._store_get(key, store_keys[b])
+                    if stored is not None:
+                        # _store_get seeded the memory cache, so an
+                        # in-batch duplicate of this key hits "cached"
+                        # on its own iteration
+                        models[b] = stored
+                        store_hits += 1
+                        continue
+                fresh.add(key)
+                todo.append(b)
             self.fit_cache_hits += hits
             if hits:
                 self._record_path("cached", hits)
@@ -499,7 +506,7 @@ class WeightedFitter:
                 for b in todo:
                     self._cache_store(keys[b], models[b])
                     if self.store is not None:
-                        self._store_put(W_res[b], Y_res[b], False, models[b])
+                        self._store_put(store_keys[b], models[b])
                 for b in range(B):
                     if models[b] is None:  # in-batch duplicate key
                         models[b] = by_key[keys[b]]

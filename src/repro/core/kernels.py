@@ -167,6 +167,17 @@ class _GenericParamTerm:
         return np.multiply(lam, self._row, out=out)
 
 
+def _sides_overlap(g1_idx, g2_idx, n):
+    """Whether two group sides share a row, in O(n) with no sort.
+
+    A boolean scatter of one side probed at the other's indices; rows
+    address the same length-``n`` training split as the kernel rows.
+    """
+    member = np.zeros(n, dtype=bool)
+    member[g1_idx] = True
+    return bool(member[g2_idx].any())
+
+
 class CompiledConstraints:
     """Stacked reusable weight kernels for one (dataset, constraints) pair.
 
@@ -210,8 +221,7 @@ class CompiledConstraints:
                     row[idx] = sign * (n * c)
                     rows.append((idx, row))
                 (g1_idx, row1), (g2_idx, row2) = rows
-                overlap = np.intersect1d(g1_idx, g2_idx).size > 0
-                if overlap:
+                if _sides_overlap(g1_idx, g2_idx, n):
                     # keep sides separate: the reference loop performs two
                     # adds at overlapping rows, and float addition is not
                     # associative

@@ -23,10 +23,35 @@ import numpy as np
 
 __all__ = [
     "BaseClassifier",
+    "check_binary_labels",
     "check_Xy",
     "check_sample_weight",
     "clone",
 ]
+
+
+def check_binary_labels(y):
+    """Labels of any shape as int64, refusing values other than 0 and 1.
+
+    Like ``np.asarray(y, dtype=np.int64)``, an int64 input is returned
+    as is.  The check is one O(n) comparison pass rather than a sort:
+    each fit of the λ-search pays it on every candidate.  Floating
+    labels must be exactly ``0.0`` or ``1.0`` — casting first would
+    truncate ``0.9`` to ``0`` and turn NaN into an integer with a cast
+    warning — so they are checked before the cast; bool and integer
+    labels are cast first.  The error names the offending values.
+    """
+    y = np.asarray(y)
+    if y.dtype.kind == "f":
+        bad = (y != 0) & (y != 1)
+    else:
+        y = y.astype(np.int64, copy=False)
+        bad = y.view(np.uint64) > 1   # negative labels wrap to huge values
+    if bad.any():
+        raise ValueError(
+            f"y must be binary in {{0,1}}, got labels {np.unique(y[bad])}"
+        )
+    return y.astype(np.int64, copy=False)
 
 
 def check_Xy(X, y=None):
@@ -57,11 +82,7 @@ def check_Xy(X, y=None):
         raise ValueError(f"y must be 1-dimensional, got shape {y.shape}")
     if len(y) != len(X):
         raise ValueError(f"X has {len(X)} rows but y has {len(y)}")
-    y = y.astype(np.int64)
-    labels = np.unique(y)
-    if not np.all(np.isin(labels, [0, 1])):
-        raise ValueError(f"y must be binary in {{0,1}}, got labels {labels}")
-    return X, y
+    return X, check_binary_labels(y)
 
 
 def check_sample_weight(sample_weight, n_samples):
@@ -183,7 +204,9 @@ class BaseClassifier:
     # clone().fit() / model.predict() loops when absent — or when
     # ``supports_batch_fit`` (default True whenever the method exists)
     # is False, the configuration-dependent opt-out.  Implementing them
-    # is purely a performance opt-in.
+    # is purely a performance opt-in.  ``fit_weighted_batch`` refuses the
+    # labels serial ``fit`` refuses: it runs ``y_batch`` through
+    # check_binary_labels, the check check_Xy applies to ``y``.
     #
     # Current implementers:
     #

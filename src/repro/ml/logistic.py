@@ -20,15 +20,36 @@ trajectory commits, per candidate, the same updates as the serial
 tolerance, asserted in ``tests/test_batch_protocol.py``), not bit for
 bit, because ``(B, d)`` matmuls and ``(d,)`` matvecs reduce in
 different orders.
+
+The Gauss–Newton Hessian has two branches, chosen by ``n·(d+1)²``
+against :data:`GRAM_BLOCKS_MAX`: per-row Gram blocks materialized once
+with one dgemm for all candidates, or one weighted-Gram dgemm per
+candidate (see :meth:`LogisticRegression._irls_core`).  The loss,
+gradient and curvature run as in-place ufuncs in the per-element
+operation order of the plain expressions in ``tests/fit_oracle.py``, so
+they match those bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import BaseClassifier, check_Xy, check_sample_weight
+from .base import (
+    BaseClassifier,
+    check_binary_labels,
+    check_sample_weight,
+    check_Xy,
+)
 
-__all__ = ["LogisticRegression", "sigmoid"]
+__all__ = ["GRAM_BLOCKS_MAX", "LogisticRegression", "sigmoid"]
+
+# Largest n·(d+1)² for which IRLS materializes the per-row Gram blocks
+# (~32 MB of float64); wider or longer designs take the per-candidate
+# weighted-Gram dgemm, whose scratch is O(n·(d+1))
+GRAM_BLOCKS_MAX = 4_000_000
+
+# cross-entropy log guard: log(p + eps) stays finite at p = 0
+_EPS = 1e-12
 
 
 def sigmoid(z):
@@ -37,12 +58,50 @@ def sigmoid(z):
     Branch-free: ``exp(-|z|)`` never overflows, and each element gets
     the exact expression of the classic two-branch form
     (``1/(1+e^-z)`` for ``z >= 0``, ``e^z/(1+e^z)`` otherwise), so
-    results are bitwise unchanged while the evaluation is two full-array
-    ufunc passes instead of masked gather/scatter — the hot path of the
-    batched IRLS solver.
+    results are bitwise those of that form while the evaluation is a
+    handful of full-array ufunc passes instead of masked gather/scatter
+    — the hot path of the IRLS solver.
     """
-    ez = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    z = np.asarray(z)
+    out = np.empty(z.shape, np.result_type(z, 1.0))
+    return _sigmoid_into(z, out, np.empty_like(out))
+
+
+def _sigmoid_into(z, out, tmp):
+    """Write ``sigmoid(z)`` into ``out`` (which may be ``z``).
+
+    ``tmp`` is scratch of ``out``'s shape.  With ``e = exp(-|z|)`` in
+    ``[0, 1]``, ``max(e, [z >= 0])`` is exactly the classic numerator
+    (1 where ``z >= 0``, ``e`` elsewhere, NaN kept), so no masked select
+    is needed.
+    """
+    np.greater_equal(z, 0.0, out=tmp)
+    np.copysign(z, -1.0, out=out)
+    np.exp(out, out=out)
+    np.maximum(out, tmp, out=tmp)
+    out += 1.0
+    return np.divide(tmp, out, out=out)
+
+
+def _neg_log_likelihood(prob, yf, nf, w, out, tmp):
+    """``-Σ w·log(p̂ + eps)`` along the last axis, ``p̂`` the probability
+    of the observed label.
+
+    ``yf``/``nf`` are the float labels and ``1 - yf``.  For 0/1 labels
+    ``y·p + (1-y)·(1-p)`` is exactly ``p`` or ``1 - p`` (the other
+    product is ``+0``), and the dropped term of the two-log
+    cross-entropy ``y·log(p+eps) + (1-y)·log(1-p+eps)`` is ``±0`` times
+    a finite log, so this equals that form bit for bit with one log per
+    element.  ``out`` and ``tmp`` are scratch of ``prob``'s shape.
+    """
+    np.subtract(1.0, prob, out=out)
+    out *= nf
+    np.multiply(yf, prob, out=tmp)
+    out += tmp
+    out += _EPS
+    np.log(out, out=out)
+    out *= w
+    return -np.sum(out, axis=-1)
 
 
 class LogisticRegression(BaseClassifier):
@@ -97,18 +156,31 @@ class LogisticRegression(BaseClassifier):
         self.n_iter_ = 0
         self._fitted = False
 
-    def _loss_grad(self, X, y, w, coef, intercept):
-        z = X @ coef + intercept
-        p = sigmoid(z)
-        eps = 1e-12
-        loss = -np.sum(
-            w * (y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps))
-        ) / w.sum()
-        loss += 0.5 * self.l2 * np.dot(coef, coef)
-        resid = w * (p - y) / w.sum()
-        grad_coef = X.T @ resid + self.l2 * coef
-        grad_intercept = resid.sum()
-        return loss, grad_coef, grad_intercept
+    def _objective(self, X, y, w):
+        """``loss_grad(coef, intercept) -> (loss, grad_coef, grad_int)``.
+
+        Weighted mean cross-entropy plus the l2 penalty, for the
+        ``"lbfgs"`` and ``"gd"`` solvers.  The weight total, the float
+        labels and two ``(n,)`` scratch buffers are set up once per fit;
+        each evaluation allocates only its linear scores.
+        """
+        w_sum = w.sum()
+        yf = y.astype(np.float64)
+        nf = 1.0 - yf
+        buf, tmp = np.empty((2, len(y)))
+
+        def loss_grad(coef, intercept):
+            z = X @ coef
+            z += intercept
+            p = _sigmoid_into(z, z, tmp)
+            loss = _neg_log_likelihood(p, yf, nf, w, buf, tmp) / w_sum
+            loss += 0.5 * self.l2 * np.dot(coef, coef)
+            resid = np.subtract(p, yf, out=buf)
+            resid *= w
+            resid /= w_sum
+            return loss, X.T @ resid + self.l2 * coef, resid.sum()
+
+        return loss_grad
 
     def fit(self, X, y, sample_weight=None):
         """Minimize weighted cross-entropy via gradient descent."""
@@ -148,10 +220,10 @@ class LogisticRegression(BaseClassifier):
         """Quasi-Newton minimization of our loss via scipy's L-BFGS-B."""
         from scipy.optimize import minimize
 
+        loss_grad = self._objective(X, y, w)
+
         def fun(params):
-            loss, g_coef, g_int = self._loss_grad(
-                X, y, w, params[:-1], params[-1]
-            )
+            loss, g_coef, g_int = loss_grad(params[:-1], params[-1])
             return loss, np.concatenate([g_coef, [g_int]])
 
         x0 = np.concatenate([coef, [intercept]])
@@ -164,7 +236,8 @@ class LogisticRegression(BaseClassifier):
     def _fit_gd(self, X, y, w, coef, intercept):
         """Dependency-free full-batch gradient descent with backtracking."""
         lr = float(self.learning_rate)
-        loss, g_coef, g_int = self._loss_grad(X, y, w, coef, intercept)
+        loss_grad = self._objective(X, y, w)
+        loss, g_coef, g_int = loss_grad(coef, intercept)
         iteration = -1
         for iteration in range(self.max_iter):
             grad_inf = max(np.max(np.abs(g_coef)), abs(g_int))
@@ -172,9 +245,7 @@ class LogisticRegression(BaseClassifier):
                 break
             new_coef = coef - lr * g_coef
             new_int = intercept - lr * g_int
-            new_loss, new_g_coef, new_g_int = self._loss_grad(
-                X, y, w, new_coef, new_int
-            )
+            new_loss, new_g_coef, new_g_int = loss_grad(new_coef, new_int)
             if new_loss <= loss + 1e-12:
                 coef, intercept = new_coef, new_int
                 loss, g_coef, g_int = new_loss, new_g_coef, new_g_int
@@ -218,10 +289,17 @@ class LogisticRegression(BaseClassifier):
         step per candidate (halving on loss increase, like the ``"gd"``
         solver).  Converged or stuck candidates leave the active set, so
         total work tracks each candidate's own iteration count rather
-        than the batch maximum.  The Gauss–Newton term reuses a
-        per-dataset precomputation: the per-row Gram blocks
-        ``x_i x_iᵀ`` are materialized once, making every candidate's
-        Hessian one row of a single ``(a, n) @ (n, (d+1)²)`` dgemm.
+        than the batch maximum; while every candidate improves, the
+        per-candidate arrays carry forward without copies.
+
+        The Gauss–Newton term ``Xaᵀ diag(s_b) Xa`` takes one of two
+        branches by size.  Up to :data:`GRAM_BLOCKS_MAX` entries
+        (``n·(d+1)²``), the per-row Gram blocks ``x_i x_iᵀ`` are
+        materialized once, making every candidate's Hessian one row of a
+        single ``(a, n) @ (n, (d+1)²)`` dgemm.  Above it, each active
+        candidate's Hessian is one weighted-Gram dgemm
+        ``(s_b ⊙ Xa)ᵀ Xa`` through an ``(n, d+1)`` scratch matrix, so
+        memory stays O(n·(d+1)) however wide the design or the batch.
         The Hessian is PD by construction (PSD Gauss–Newton term + the
         l2 diagonal + a 1e-10 damping floor), so the solve cannot fail
         on separable data.
@@ -230,40 +308,37 @@ class LogisticRegression(BaseClassifier):
         d = Xa.shape[1] - 1
         l2_vec = np.zeros(d + 1)
         l2_vec[:d] = self.l2
-        eps = 1e-12
-        w_sum_all = W.sum(axis=1)
-        # per-dataset Gram blocks, shared by every candidate & iteration
-        # — but only while the (n, (d+1)^2) buffer stays modest (~32 MB);
-        # wide one-hot designs fall back to a direct contraction whose
-        # memory is O(a·(d+1)^2) regardless of n
-        blocks = (d + 1) * (d + 1)
-        gram = None
-        if n * blocks <= 4_000_000:
-            gram = (Xa[:, :, None] * Xa[:, None, :]).reshape(n, blocks)
+        ridge = l2_vec + 1e-10
+        gram = xs = None
+        if n * (d + 1) ** 2 <= GRAM_BLOCKS_MAX:
+            gram = (Xa[:, :, None] * Xa[:, None, :]).reshape(n, -1)
+        else:
+            xs = np.empty_like(Xa)
+        # (B, n) scratch pair: every (a, n) temporary of an iteration is
+        # a leading-row view, which stays contiguous
+        work, spare = np.empty((2, B, n))
 
-        def loss_prob(P, Ws, Yb, ws):
-            prob = sigmoid(P @ Xa.T)
-            # labels are exactly 0/1, so the two-term cross-entropy
-            # y·log(p+eps) + (1−y)·log(1−p+eps) reduces to one log of
-            # the selected probability — identical values, half the
-            # transcendentals
-            pe = np.where(Yb, prob, 1.0 - prob)
-            ll = -np.sum(Ws * np.log(pe + eps), axis=1)
+        def loss_prob(P, Ws, Ys, Ns, ws):
+            a = len(P)
+            prob = P @ Xa.T
+            _sigmoid_into(prob, prob, work[:a])
+            ll = _neg_log_likelihood(prob, Ys, Ns, Ws, work[:a], spare[:a])
             loss = ll / ws + 0.5 * self.l2 * np.sum(
                 P[:, :d] * P[:, :d], axis=1
             )
             return loss, prob
 
         def grad_of(P, prob, Ws, Ys, ws):
-            resid = Ws * (prob - Ys) / ws[:, None]
+            resid = np.subtract(prob, Ys, out=work[: len(P)])
+            resid *= Ws
+            resid /= ws[:, None]
             return resid @ Xa + l2_vec[None, :] * P
 
         n_iter = np.zeros(B, dtype=np.int64)
         active = np.arange(B)
-        Ws, Ys, ws = W, Yf, w_sum_all
-        Yb = Yf == 1.0
+        Ws, Ys, Ns, ws = W, Yf, 1.0 - Yf, W.sum(axis=1)
         P = params[active]
-        loss, prob = loss_prob(P, Ws, Yb, ws)
+        loss, prob = loss_prob(P, Ws, Ys, Ns, ws)
         grad = grad_of(P, prob, Ws, Ys, ws)
         diag = np.arange(d + 1)
         for _ in range(self.max_iter):
@@ -275,19 +350,24 @@ class LogisticRegression(BaseClassifier):
                 P, loss, prob, grad = (
                     P[live], loss[live], prob[live], grad[live]
                 )
-                Ws, Ys, Yb, ws = Ws[live], Ys[live], Yb[live], ws[live]
+                Ws, Ys, Ns, ws = Ws[live], Ys[live], Ns[live], ws[live]
             a = active.size
-            S = (Ws * prob * (1.0 - prob)) / ws[:, None]
+            S = np.multiply(Ws, prob, out=work[:a])
+            S *= np.subtract(1.0, prob, out=spare[:a])
+            S /= ws[:, None]
             if gram is not None:
                 H = (S @ gram).reshape(a, d + 1, d + 1)
             else:
-                H = np.einsum("bn,ni,nj->bij", S, Xa, Xa, optimize=True)
-            H[:, diag, diag] += l2_vec + 1e-10
+                H = np.empty((a, d + 1, d + 1))
+                for b in range(a):
+                    np.multiply(S[b][:, None], Xa, out=xs)
+                    H[b] = xs.T @ Xa
+            H[:, diag, diag] += ridge
             delta = np.linalg.solve(H, grad[..., None])[..., 0]
 
             t = np.ones((a, 1))
             cand = P - delta
-            new_loss, new_prob = loss_prob(cand, Ws, Yb, ws)
+            new_loss, new_prob = loss_prob(cand, Ws, Ys, Ns, ws)
             for _halving in range(30):
                 bad = (new_loss > loss + 1e-12) & (t[:, 0] > 1e-8)
                 if not bad.any():
@@ -297,26 +377,28 @@ class LogisticRegression(BaseClassifier):
                 # that already pass keep their evaluated loss/prob
                 cand[bad] = P[bad] - t[bad] * delta[bad]
                 sub_loss, sub_prob = loss_prob(
-                    cand[bad], Ws[bad], Yb[bad], ws[bad]
+                    cand[bad], Ws[bad], Ys[bad], Ns[bad], ws[bad]
                 )
                 new_loss[bad] = sub_loss
                 new_prob[bad] = sub_prob
             improved = new_loss <= loss + 1e-12
-            moved = active[improved]
-            if moved.size == 0:
+            if not improved.any():
                 # every remaining candidate is stuck: fully-backtracked
                 # Newton steps no longer improve — working precision
                 break
-            params[moved] = cand[improved]
-            n_iter[moved] += 1
-            # candidates whose step could not improve leave the active
-            # set; the rest carry the already-evaluated loss/prob forward
-            active = moved
-            P = cand[improved]
-            loss, prob = new_loss[improved], new_prob[improved]
-            Ws, Ys, Yb, ws = (
-                Ws[improved], Ys[improved], Yb[improved], ws[improved]
-            )
+            if not improved.all():
+                # candidates whose step could not improve leave the
+                # active set
+                active, cand = active[improved], cand[improved]
+                new_loss, new_prob = new_loss[improved], new_prob[improved]
+                Ws, Ys, Ns, ws = (
+                    Ws[improved], Ys[improved], Ns[improved], ws[improved]
+                )
+            params[active] = cand
+            n_iter[active] += 1
+            # the improved candidates carry their evaluated loss/prob
+            # forward
+            P, loss, prob = cand, new_loss, new_prob
             grad = grad_of(P, prob, Ws, Ys, ws)
         return params, n_iter
 
@@ -363,7 +445,7 @@ class LogisticRegression(BaseClassifier):
                 f"{self.solver!r} trajectory has no batched counterpart"
             )
         X, _ = check_Xy(X)
-        Y = np.asarray(y_batch, dtype=np.int64)
+        Y = check_binary_labels(y_batch)
         W = np.asarray(w_batch, dtype=np.float64)
         if Y.shape != W.shape or Y.ndim != 2 or Y.shape[1] != len(X):
             raise ValueError(

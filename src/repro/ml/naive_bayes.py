@@ -18,7 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BaseClassifier, check_Xy, check_sample_weight
+from .base import (
+    BaseClassifier,
+    check_binary_labels,
+    check_sample_weight,
+    check_Xy,
+)
 
 __all__ = ["GaussianNaiveBayes"]
 
@@ -111,7 +116,7 @@ class GaussianNaiveBayes(BaseClassifier):
         calls instead of ``B`` Python-level fits.
         """
         X, _ = check_Xy(X)
-        Y = np.asarray(y_batch, dtype=np.int64)
+        Y = check_binary_labels(y_batch)
         W = np.asarray(w_batch, dtype=np.float64)
         if Y.shape != W.shape or Y.ndim != 2 or Y.shape[1] != len(X):
             raise ValueError(

@@ -139,6 +139,19 @@ class TestConformance:
             )
             assert model.n_iter_ == ref.n_iter_
 
+    @pytest.mark.parametrize(
+        "factory",
+        [GaussianNaiveBayes, lambda: LogisticRegression(solver="irls")],
+        ids=["nb", "logistic_irls"],
+    )
+    def test_batch_fit_rejects_non_binary_labels(self, factory):
+        # serial fit() refuses these; fitted, label 2 would give NB
+        # priors of 1/3 and 1/3 and put 2.0 into the IRLS gradient
+        X = np.random.default_rng(3).normal(size=(6, 2))
+        Y = np.array([[0, 1, 2, 0, 1, 2], [0, 1, 1, 0, -1, 0]])
+        with pytest.raises(ValueError, match=r"binary.*labels \[-1\s+2\]"):
+            factory().fit_weighted_batch(X, Y, np.ones(Y.shape))
+
     def test_tree_batch_is_bit_for_bit(self):
         rng = np.random.default_rng(5)
         n = 300

@@ -5,7 +5,8 @@ The contract under test:
 * :class:`CompiledConstraints` weights match the oracle loop
   (``tests/weight_oracle.py``) **bit for bit** across random specs, λ
   vectors (including negative-weight regimes), overlapping groups, and
-  FOR/FDR predictions;
+  FOR/FDR predictions, and their group-side overlap test matches the
+  oracle's set intersection;
 * the batched APIs (``weights_batch`` / ``fit_batch`` /
   ``evaluate_lambda_batch``) agree with their sequential counterparts;
 * the incremental FOR/FDR prediction update equals a fresh recount;
@@ -29,6 +30,7 @@ from repro.core.fitter import WeightedFitter
 from repro.core.kernels import (
     CompiledConstraints,
     CompiledEvaluator,
+    _sides_overlap,
     evaluate_lambda_batch,
     rate_from_counts,
 )
@@ -37,7 +39,7 @@ from repro.core.weights import resolve_negative_weights
 from repro.ml.logistic import LogisticRegression
 from repro.ml.metrics import accuracy_score
 from repro.ml.naive_bayes import GaussianNaiveBayes
-from weight_oracle import compute_weights
+from weight_oracle import compute_weights, sides_overlap
 
 ALL_METRICS = sorted(METRIC_FACTORIES)
 
@@ -164,6 +166,23 @@ class TestWeightEquivalenceProperty:
             w_c, y_c = resolve_negative_weights(compiled, y, strategy=strategy)
             assert np.array_equal(w_n, w_c)
             assert np.array_equal(y_n, y_c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 200),
+        disjoint=st.booleans(),
+    )
+    def test_side_overlap_matches_set_intersection(self, seed, n, disjoint):
+        rng = np.random.default_rng(seed)
+        g1 = np.flatnonzero(rng.random(n) < rng.random())
+        pool = np.setdiff1d(np.arange(n), g1) if disjoint else np.arange(n)
+        g2 = np.sort(rng.choice(pool, size=rng.integers(0, len(pool) + 1),
+                                replace=False))
+        got = _sides_overlap(g1, g2, n)
+        assert got == sides_overlap(g1, g2)
+        if disjoint:
+            assert not got
 
 
 class TestIncrementalPredictionUpdates:

@@ -1,5 +1,7 @@
 """Tests for repro.ml.base: validation helpers and estimator protocol."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,28 @@ class TestCheckXy:
     def test_rejects_nonbinary_labels(self):
         with pytest.raises(ValueError, match="binary"):
             check_Xy([[1.0], [2.0]], [0, 2])
+
+    def test_rejects_fractional_float_labels(self):
+        # a cast would truncate these to [0, 0, 1, 1, 0, 1] and accept
+        y = [0.9, 0.2, 1.0, 1.7, 0.0, 1.0]
+        with pytest.raises(ValueError, match=r"labels \[0\.2 0\.9 1\.7\]"):
+            check_Xy(np.zeros((6, 1)), y)
+
+    def test_rejects_nan_labels_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="binary") as err:
+                check_Xy(np.zeros((3, 1)), [0.0, np.nan, 1.0])
+        assert "nan" in str(err.value)
+        assert "-9223372036854775808" not in str(err.value)
+
+    def test_accepts_int_labels(self):
+        _, y = check_Xy(np.zeros((3, 1)), np.array([0, 1, 1], dtype=np.int32))
+        assert y.dtype == np.int64 and y.tolist() == [0, 1, 1]
+
+    def test_accepts_bool_labels(self):
+        _, y = check_Xy(np.zeros((3, 1)), np.array([True, False, True]))
+        assert y.dtype == np.int64 and y.tolist() == [1, 0, 1]
 
     def test_rejects_2d_y(self):
         with pytest.raises(ValueError, match="1-dimensional"):

@@ -13,7 +13,17 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["compute_weights"]
+__all__ = ["compute_weights", "sides_overlap"]
+
+
+def sides_overlap(g1_idx, g2_idx):
+    """Whether two group sides share a row, as a sorted set intersection.
+
+    The kernels keep overlapping sides as separate accumulation terms
+    (see :class:`repro.core.kernels.CompiledConstraints`); this is the
+    reference for their overlap test.
+    """
+    return np.intersect1d(g1_idx, g2_idx).size > 0
 
 
 def compute_weights(n, constraints, lambdas, y, predictions=None):
