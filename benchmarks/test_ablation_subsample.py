@@ -13,7 +13,7 @@ import time
 
 from _common import bench_splits, emit, load_bench_dataset, run_once, show
 
-from repro import FairnessSpec, OmniFair
+from repro import FairnessSpec, fit_fair
 from repro.analysis import format_table
 from repro.datasets import two_group_view
 from repro.ml import LogisticRegression, RandomForest
@@ -30,22 +30,20 @@ def _run():
         ("RF", RandomForest(n_estimators=12, max_depth=5)),
     ]:
         for fraction in (None, 0.25):
-            of = OmniFair(
-                est.clone(), FairnessSpec("SP", EPSILON),
+            t0 = time.perf_counter()
+            fm = fit_fair(
+                est.clone(), FairnessSpec("SP", EPSILON), train, val,
                 subsample=fraction,
             )
-            t0 = time.perf_counter()
-            of.fit(train, val)
             seconds = time.perf_counter() - t0
-            report = of.evaluate(test)
             rows.append(
                 (
                     est_name,
                     "full" if fraction is None else f"{fraction:.2f}",
                     seconds,
-                    report["accuracy"],
-                    of.feasible_,
-                    of.n_fits_,
+                    fm.audit(test)["accuracy"],
+                    fm.report.feasible,
+                    fm.report.n_fits,
                 )
             )
     return rows

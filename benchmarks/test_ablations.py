@@ -9,16 +9,36 @@ from __future__ import annotations
 
 from _common import bench_splits, emit, load_bench_dataset, run_once
 
-from repro import FairnessSpec, OmniFair
+from repro import Engine, FairnessSpec, SearchStrategy, fit_fair
 from repro.analysis import format_table
+from repro.core import run_plan
 from repro.core.exceptions import InfeasibleConstraintError
 from repro.core.fitter import WeightedFitter
-from repro.core.multi import hill_climb
 from repro.core.spec import bind_specs
+from repro.core.strategies import HillClimbConfig, _plan_hill_climb
 from repro.datasets import two_group_view
 from repro.ml import LogisticRegression
 
 EPSILON = 0.05
+
+
+class RoundRobinHillClimb(SearchStrategy):
+    """Algorithm 2 tuning the violated dimensions in turn.
+
+    The naive alternative to the paper's most-violated-first order
+    (line 4), kept only for this ablation: unregistered, so no engine
+    or config exposes it.
+    """
+
+    name = "round_robin_hill_climb"
+    config_cls = HillClimbConfig
+
+    def plan(self, ctx, config):
+        return _plan_hill_climb(
+            ctx, max_rounds=config.max_rounds,
+            initial_step=config.initial_step, tau=config.tau,
+            dimension_order="round_robin",
+        )
 
 
 def _run_negative_weights():
@@ -26,15 +46,15 @@ def _run_negative_weights():
     train, val, test = bench_splits(data)
     out = {}
     for strategy in ("flip", "clip"):
-        of = OmniFair(
+        fm = fit_fair(
             LogisticRegression(max_iter=150), FairnessSpec("SP", EPSILON),
-            negative_weights=strategy,
-        ).fit(train, val)
-        rep = of.evaluate(test)
+            train, val, negative_weights=strategy,
+        )
+        rep = fm.audit(test)
         out[strategy] = (
             rep["accuracy"],
             max(abs(v) for v in rep["disparities"].values()),
-            of.n_fits_,
+            fm.report.n_fits,
         )
     return out
 
@@ -61,15 +81,14 @@ def _run_lambda_search():
     data = two_group_view(load_bench_dataset("compas"))
     train, val, test = bench_splits(data)
     out = {}
-    of_bin = OmniFair(
-        LogisticRegression(max_iter=150), FairnessSpec("SP", EPSILON)
-    ).fit(train, val)
-    out["binary_search"] = (of_bin.evaluate(test)["accuracy"], of_bin.n_fits_)
-    of_grid = OmniFair(
-        LogisticRegression(max_iter=150), FairnessSpec("SP", EPSILON),
-        search="grid", grid_max=1.0, grid_steps=30,
-    ).fit(train, val)
-    out["grid"] = (of_grid.evaluate(test)["accuracy"], of_grid.n_fits_)
+    for strategy, options in (
+        ("binary_search", {}), ("grid", {"grid_max": 1.0, "grid_steps": 30}),
+    ):
+        fm = fit_fair(
+            LogisticRegression(max_iter=150), FairnessSpec("SP", EPSILON),
+            train, val, strategy=strategy, **options,
+        )
+        out[strategy] = (fm.audit(test)["accuracy"], fm.report.n_fits)
     return out
 
 
@@ -92,20 +111,31 @@ def _run_dimension_order():
     data = load_bench_dataset("compas")
     train, val, _ = bench_splits(data)
     specs = [FairnessSpec("SP", 0.08)]
-    vc = bind_specs(specs, val)
-    out = {}
-    for order in ("most_violated", "round_robin"):
+
+    def most_violated():
+        return Engine("hill_climb").solve(
+            specs, LogisticRegression(max_iter=150), train, val,
+        ).report
+
+    def round_robin():
         fitter = WeightedFitter(
             LogisticRegression(max_iter=150), train.X, train.y,
             bind_specs(specs, train),
         )
+        return run_plan(
+            RoundRobinHillClimb(), fitter, bind_specs(specs, val),
+            val.X, val.y, HillClimbConfig(),
+        )
+
+    out = {}
+    for order, solve in (
+        ("most_violated", most_violated), ("round_robin", round_robin),
+    ):
         try:
-            result = hill_climb(
-                fitter, vc, val.X, val.y, dimension_order=order
-            )
+            result = solve()
             out[order] = (True, result.n_fits, result.n_rounds)
         except InfeasibleConstraintError:
-            out[order] = (False, fitter.n_fits, None)
+            out[order] = (False, None, None)
     return out
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 from _common import emit, load_bench_dataset, run_once
 
-from repro import FairnessSpec, OmniFair
+from repro import FairnessSpec, fit_fair
 from repro.analysis import format_table
 from repro.core.spec import bind_specs
 from repro.datasets import two_group_view
@@ -33,8 +33,8 @@ def _run_validation_sweep():
     for frac in FRACTIONS:
         k = max(40, int(len(val_full) * frac))
         val = val_full.subset(np.arange(min(k, len(val_full))))
-        of = OmniFair(LogisticRegression(max_iter=150), spec).fit(train, val)
-        pred = of.predict(test.X)
+        fm = fit_fair(LogisticRegression(max_iter=150), spec, train, val)
+        pred = fm.predict(test.X)
         rows.append(
             (
                 frac,

@@ -11,7 +11,7 @@ import time
 
 from _common import bench_splits, emit, load_bench_dataset, run_once, show
 
-from repro import FairnessSpec, OmniFair
+from repro import FairnessSpec, fit_fair
 from repro.analysis import format_table
 from repro.baselines import CelisMetaAlgorithm
 from repro.datasets import two_group_view
@@ -36,11 +36,11 @@ def _run_timings():
         outcomes[("Original", name)] = "ran"
 
         t0 = time.perf_counter()
-        omni = OmniFair(
-            lr.clone(), FairnessSpec("FDR", EPSILON), delta=0.02
-        ).fit(train, val)
+        omni = fit_fair(
+            lr.clone(), FairnessSpec("FDR", EPSILON), train, val, delta=0.02,
+        )
         timings[("OmniFair", name)] = time.perf_counter() - t0
-        outcomes[("OmniFair", name)] = f"{omni.n_fits_} fits"
+        outcomes[("OmniFair", name)] = f"{omni.report.n_fits} fits"
 
         t0 = time.perf_counter()
         try:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 from _common import bench_splits, emit, load_bench_dataset, run_once
 
-from repro import FairnessSpec, OmniFair
+from repro import FairnessSpec, fit_fair
 from repro.analysis import format_table
 from repro.baselines import CelisMetaAlgorithm, ExponentiatedGradient
 from repro.datasets import two_group_view
@@ -41,10 +41,11 @@ def _run():
     pred = base.predict(test.X)
     results["Original"] = (accuracy_score(test.y, pred), _sp_max(pred, test))
 
-    of = OmniFair(
-        LogisticRegression(max_iter=150), FairnessSpec("SP", EPSILON)
-    ).fit(train, val)
-    pred = of.predict(test.X)
+    fm = fit_fair(
+        LogisticRegression(max_iter=150), FairnessSpec("SP", EPSILON),
+        train, val,
+    )
+    pred = fm.predict(test.X)
     results["OmniFair"] = (accuracy_score(test.y, pred), _sp_max(pred, test))
 
     # two-group adaptations (Black vs White only)

@@ -10,7 +10,7 @@ import time
 
 from _common import bench_splits, emit, load_bench_dataset, run_once, show
 
-from repro import FairnessSpec, OmniFair
+from repro import FairnessSpec, fit_fair
 from repro.analysis import format_table
 from repro.datasets import two_group_view
 from repro.ml import LogisticRegression
@@ -28,15 +28,15 @@ def _run():
         train, val, _ = bench_splits(data)
 
         def fit(warm):
-            of = OmniFair(
+            t0 = time.perf_counter()
+            fm = fit_fair(
                 LogisticRegression(max_iter=500, tol=1e-7),
-                FairnessSpec("SP", EPSILON),
+                FairnessSpec("SP", EPSILON), train, val,
                 warm_start=warm,
             )
-            t0 = time.perf_counter()
-            of.fit(train, val)
             seconds = time.perf_counter() - t0
-            return seconds, of.n_fits_, of.validation_report_["accuracy"]
+            report = fm.report
+            return seconds, report.n_fits, report.validation["accuracy"]
 
         cold, cold_fits, cold_acc = fit(False)
         warm, warm_fits, warm_acc = fit(True)

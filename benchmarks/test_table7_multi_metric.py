@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from _common import bench_splits, emit, load_bench_dataset, run_once
 
-from repro import FairnessSpec, InfeasibleConstraintError, OmniFair
+from repro import FairnessSpec, InfeasibleConstraintError, fit_fair
 from repro.analysis import format_table
 from repro.core.spec import bind_specs
 from repro.datasets import two_group_view
@@ -37,13 +37,12 @@ def _run():
     rows = []
     for eps in EPSILONS:
         specs = [FairnessSpec("SP", eps), FairnessSpec("FNR", eps)]
-        of = OmniFair(LogisticRegression(max_iter=150), specs)
         try:
-            of.fit(train, val)
+            fm = fit_fair(LogisticRegression(max_iter=150), specs, train, val)
         except InfeasibleConstraintError:
             rows.append((eps, None, None, None))
             continue
-        pred = of.predict(test.X)
+        pred = fm.predict(test.X)
         rows.append(
             (
                 eps,

@@ -12,10 +12,9 @@ import time
 from _common import bench_splits, emit, load_bench_dataset, run_once, show
 
 from repro.analysis import format_table
+from repro.api import Engine
 from repro.core.exceptions import InfeasibleConstraintError
-from repro.core.fitter import WeightedFitter
-from repro.core.multi import grid_search_lambdas, hill_climb
-from repro.core.spec import FairnessSpec, bind_specs
+from repro.core.spec import FairnessSpec
 from repro.datasets import two_group_view
 from repro.ml import LogisticRegression
 
@@ -28,29 +27,24 @@ def _run():
     rows = []
     for eps in EPSILONS:
         specs = [FairnessSpec("SP", eps), FairnessSpec("FNR", eps)]
-        vc = bind_specs(specs, val)
 
-        def fresh_fitter():
-            return WeightedFitter(
-                LogisticRegression(max_iter=150), train.X, train.y,
-                bind_specs(specs, train),
-            )
+        def solve(engine):
+            return engine.solve(
+                specs, LogisticRegression(max_iter=150), train, val,
+            ).report.n_fits
 
         t0 = time.perf_counter()
         try:
-            hc = hill_climb(fresh_fitter(), vc, val.X, val.y)
-            hc_found, hc_fits = True, hc.n_fits
+            hc_found, hc_fits = True, solve(Engine("hill_climb"))
         except InfeasibleConstraintError:
             hc_found, hc_fits = False, None
         hc_time = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         try:
-            grid = grid_search_lambdas(
-                fresh_fitter(), vc, val.X, val.y,
-                grid_max=0.3, grid_steps=5,
+            grid_found, grid_fits = True, solve(
+                Engine("grid", grid_max=0.3, grid_steps=5)
             )
-            grid_found, grid_fits = True, grid.n_fits
         except InfeasibleConstraintError:
             grid_found, grid_fits = False, 5**2
         grid_time = time.perf_counter() - t0

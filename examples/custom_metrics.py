@@ -12,8 +12,7 @@ Shows the customization axes of §4.3:
 Run:  python examples/custom_metrics.py
 """
 
-
-from repro import FairnessSpec, OmniFair
+from repro import FairnessSpec, fit_fair
 from repro.core.fairness_metrics import average_error_cost_parity
 from repro.core.grouping import by_predicate
 from repro.datasets import load_adult, load_compas, two_group_view
@@ -32,10 +31,10 @@ def main():
     compas = two_group_view(load_compas(n=3000, seed=1))
     train, val, test = _split(compas)
     fdr_spec = FairnessSpec("FDR", 0.02)
-    of = OmniFair(LogisticRegression(), fdr_spec, delta=0.01).fit(train, val)
-    report = of.evaluate(test)
+    fm = fit_fair(LogisticRegression(), fdr_spec, train, val, delta=0.01)
+    report = fm.audit(test)
     print("FDR parity on COMPAS (eps=0.02):")
-    print(f"  lambda={of.lambdas_[0]:+.4f}  fits={of.n_fits_}")
+    print(f"  lambda={fm.lambdas[0]:+.4f}  fits={fm.report.n_fits}")
     print(f"  test accuracy {report['accuracy']:.3f}, "
           f"disparities {report['disparities']}")
 
@@ -45,10 +44,8 @@ def main():
     # --- 2. custom average-error-cost metric (Example 4) -----------------
     # a false negative (missing a >50k earner) costs 2x a false positive
     aec = average_error_cost_parity(cost_fp=1.0, cost_fn=2.0)
-    of = OmniFair(LogisticRegression(), FairnessSpec(aec, 0.05)).fit(
-        train, val
-    )
-    report = of.evaluate(test)
+    fm = fit_fair(LogisticRegression(), FairnessSpec(aec, 0.05), train, val)
+    report = fm.audit(test)
     print("\nCustom AEC parity (C_fp=1, C_fn=2, eps=0.05):")
     print(f"  test accuracy {report['accuracy']:.3f}, "
           f"disparities {report['disparities']}")
@@ -59,12 +56,13 @@ def main():
         low_feature0=lambda d: d.X[:, 0] < 0,
         high_feature0=lambda d: d.X[:, 0] >= 0,
     )
-    of = OmniFair(
-        LogisticRegression(), FairnessSpec("SP", 0.05, grouping=grouping)
-    ).fit(train, val)
+    fm = fit_fair(
+        LogisticRegression(), FairnessSpec("SP", 0.05, grouping=grouping),
+        train, val,
+    )
     print("\nPredicate-defined groups (SP eps=0.05):")
     print(f"  validation disparities "
-          f"{of.validation_report_['disparities']}")
+          f"{fm.report.validation['disparities']}")
 
 
 if __name__ == "__main__":

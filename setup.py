@@ -6,13 +6,22 @@ installs work in offline environments that lack the `wheel` package
 build-system pin and tool configuration only.
 
 The "dev" extra mirrors requirements-dev.txt, which CI installs and
-caches against.
+caches against.  The version lives only in src/repro/__init__.py; it is
+read from there as text, so building never imports the package.
 """
+import pathlib
+import re
+
 from setuptools import find_packages, setup
+
+_INIT = pathlib.Path(__file__).parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"$', _INIT.read_text(encoding="utf-8"), re.M
+).group(1)
 
 setup(
     name="repro-omnifair",
-    version="0.2.0",
+    version=VERSION,
     description=(
         "Declarative model-agnostic group fairness (OmniFair, SIGMOD'21) "
         "with compiled constraint kernels and a batched lambda-search engine"

@@ -15,13 +15,6 @@ Quickstart (declarative DSL + layered facade)::
     model = fit_fair(LogisticRegression(), "SP <= 0.03", data)
     print(model.report.summary())
     model.save("fair.pkl")
-
-The legacy imperative entry point still works unchanged::
-
-    from repro import OmniFair, FairnessSpec
-    of = OmniFair(LogisticRegression(), FairnessSpec("SP", 0.03))
-    of.fit(data)
-    print(of.validation_report_)
 """
 
 from .core import (
@@ -32,7 +25,6 @@ from .core import (
     FitReport,
     HistoryPoint,
     InfeasibleConstraintError,
-    OmniFair,
     OmniFairError,
     SearchStrategy,
     SpecificationError,
@@ -44,10 +36,9 @@ from .core import (
 from .datasets import Dataset
 from .api import Engine, FairModel, Problem, fit_fair
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
-    "OmniFair",
     "Problem",
     "Engine",
     "FairModel",

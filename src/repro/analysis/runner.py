@@ -160,29 +160,19 @@ def run_unconstrained(dataset, estimator, metric="SP", n_splits=3, seed=0):
 
 def run_omnifair(
     dataset, estimator, metric="SP", epsilon=0.03, n_splits=3, seed=0,
-    specs=None, **omnifair_kwargs,
+    specs=None, strategy="auto", **engine_options,
 ):
     """OmniFair under the multi-split protocol, via the layered facade.
 
     ``specs`` overrides the default single ``FairnessSpec(metric, ε)``
     (e.g. for multi-constraint experiments) and may be a DSL string;
     test metrics are always reported for the first spec's constraint.
-    ``omnifair_kwargs`` accepts the legacy trainer knobs (``search``,
-    ``delta``, ``grid_steps``, ...), which are routed to the strategy
-    registry exactly as the :class:`~repro.core.trainer.OmniFair` shim
-    routes them.
+    ``strategy`` and ``engine_options`` (``negative_weights``,
+    ``subsample``, strategy knobs such as ``delta``, ...) build the
+    :class:`~repro.api.Engine` every split is solved with.
     """
     report_spec = FairnessSpec(metric, epsilon)
-    opts = dict(omnifair_kwargs)
-    engine = Engine(
-        opts.pop("search", "auto"),
-        negative_weights=opts.pop("negative_weights", "flip"),
-        warm_start=opts.pop("warm_start", False),
-        subsample=opts.pop("subsample", None),
-        chunk_size=opts.pop("chunk_size", None),
-        strict=False,  # legacy kwargs are a union across strategies
-        **opts,
-    )
+    engine = Engine(strategy, **engine_options)
     problem = Problem(specs if specs is not None else [report_spec])
     results = []
     for train, val, test in _splits(dataset, n_splits, seed):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..api import Engine
 from ..baselines import (
     CelisMetaAlgorithm,
     ExponentiatedGradient,
@@ -22,7 +23,6 @@ from ..baselines import (
 from ..baselines.base import NotSupportedError
 from ..core.exceptions import InfeasibleConstraintError
 from ..core.spec import FairnessSpec, bind_specs
-from ..core.trainer import OmniFair
 from ..ml.metrics import accuracy_score, roc_auc_score
 
 __all__ = ["FrontierPoint", "omnifair_frontier", "baseline_frontier"]
@@ -55,30 +55,29 @@ def _point(model, test, spec, knob):
 
 def omnifair_frontier(
     train, val, test, estimator, metric="SP", epsilons=None,
-    metric_obj=None, **omnifair_kwargs,
+    metric_obj=None, strategy="auto", **engine_options,
 ):
     """OmniFair trade-off: one point per ε.
 
     OmniFair covers the whole disparity axis because λ *monotonically*
     controls the trade-off (§7.2.1's key claim about Figure 4); tighter ε
-    simply selects a larger λ on the same monotone path.
+    simply selects a larger λ on the same monotone path.  ``strategy``
+    and ``engine_options`` build the :class:`~repro.api.Engine` that
+    solves every ε.
     """
     if epsilons is None:
         epsilons = [0.01, 0.03, 0.05, 0.1, 0.15, 0.2]
+    engine = Engine(strategy, **engine_options)
     points = []
     for eps in epsilons:
-        spec = (
-            FairnessSpec(metric_obj, eps)
-            if metric_obj is not None
-            else FairnessSpec(metric, eps)
+        spec = FairnessSpec(
+            metric_obj if metric_obj is not None else metric, eps
         )
-        report_spec = spec
-        of = OmniFair(estimator.clone(), [spec], **omnifair_kwargs)
         try:
-            of.fit(train, val)
+            fair = engine.solve([spec], estimator.clone(), train, val)
         except InfeasibleConstraintError:
             continue
-        points.append(_point(of, test, report_spec, eps))
+        points.append(_point(fair, test, spec, eps))
     return points
 
 

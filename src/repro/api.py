@@ -1,7 +1,7 @@
 """Layered public facade: :class:`Problem` → :class:`Engine` → :class:`FairModel`.
 
-The three layers separate what the legacy ``OmniFair`` class mixed into
-one constructor:
+This is the one way to run a solve.  The three layers separate what to
+enforce, how to search, and what gets deployed:
 
 * **Problem** — the declarative statement: which fairness constraints,
   on which groups, at which allowance.  Built from a DSL string
@@ -22,8 +22,6 @@ Quickstart::
     model = fit_fair(LogisticRegression(), "SP <= 0.03", train, val)
     model.audit(test)["accuracy"]
     model.save("fair.pkl")
-
-The legacy ``OmniFair`` class remains as a thin shim over this facade.
 """
 
 from __future__ import annotations
@@ -35,8 +33,8 @@ import numpy as np
 from .core.dsl import SpecSet, parse_spec
 from .core.evaluation import evaluate_model
 from .core.exceptions import SpecificationError
+from .core.planner import SingleTuneResult
 from .core.report import FitReport
-from .core.single import SingleTuneResult
 from .core.spec import bind_specs
 from .core.strategies import (
     available_strategies,
@@ -107,7 +105,7 @@ class Problem:
 class FairModel:
     """A deployable fair classifier: model + specs + fit report.
 
-    Decoupled from the trainer — it can be pickled, shipped, and audited
+    Decoupled from the solver — it can be pickled, shipped, and audited
     on fresh data without any reference to the engine that produced it.
     """
 
@@ -320,12 +318,12 @@ class Engine:
     store_max_bytes : int or None
         Byte budget for a store opened via ``store_dir`` (LRU eviction
         above it); ignored when ``store`` is passed.
-    strict : bool
-        Whether unknown ``**options`` keys raise (the legacy shim sets
-        ``False`` because it forwards the union of all old kwargs).
     **options
         Strategy knobs, validated against the chosen strategy's config
-        dataclass (e.g. ``tau=1e-4`` or ``grid_steps=9``).
+        dataclass (e.g. ``tau=1e-4`` or ``grid_steps=9``).  A named
+        strategy validates them here; ``"auto"`` refuses keys that no
+        strategy accepts here and the rest once :meth:`solve` has
+        resolved the strategy.
     """
 
     def __init__(
@@ -341,7 +339,6 @@ class Engine:
         store_dir=None,
         store=None,
         store_max_bytes=None,
-        strict=True,
         **options,
     ):
         if strategy != "auto" and strategy not in available_strategies():
@@ -368,14 +365,11 @@ class Engine:
             self.store = CacheStore(store_dir, max_bytes=store_max_bytes)
         else:
             self.store = None
-        self.strict = strict
         self.options = dict(options)
-        # even in non-strict mode, an option no registered strategy
-        # understands is a typo, not a cross-strategy legacy knob
         check_option_names(self.options)
-        if strict and strategy != "auto":
+        if strategy != "auto":
             # fail fast on options the chosen strategy does not accept
-            get_strategy(strategy).make_config(self.options, strict=True)
+            get_strategy(strategy).make_config(self.options)
 
     @staticmethod
     def _split_validation(train, val_fraction, seed):
@@ -442,7 +436,7 @@ class Engine:
 
         name = resolve_strategy_name(self.strategy, len(train_constraints))
         strategy = get_strategy(name)
-        config = strategy.make_config(self.options, strict=self.strict)
+        config = strategy.make_config(self.options)
 
         solution_cache = desc = None
         if self.store is not None:

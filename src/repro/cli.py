@@ -374,7 +374,7 @@ def _cmd_train(args, out):
         else:
             problem = Problem(FairnessSpec(args.metric, args.epsilon))
         options = dict(args.strategy_opt or ())
-        # strategy knobs only: an engine parameter (store_dir, strict,
+        # strategy knobs only: an engine parameter (store_dir, store,
         # ...) has its own flag or is not for the command line
         check_option_names(options)
         estimator = resolve_model(args.model)

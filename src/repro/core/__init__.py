@@ -58,11 +58,9 @@ from .strategies import (
     register_strategy,
     unregister_strategy,
 )
-from .trainer import OmniFair
 from .weights import resolve_negative_weights
 
 __all__ = [
-    "OmniFair",
     "parse_spec",
     "SpecSet",
     "DSLParseError",

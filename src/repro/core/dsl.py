@@ -63,7 +63,7 @@ class SpecSet(list):
     """A parsed list of :class:`FairnessSpec` with string round-tripping.
 
     Behaves exactly like a list of specs (so it can be handed straight to
-    ``OmniFair`` or ``Engine``), plus:
+    ``Problem``, ``Engine.solve`` or ``fit_fair``), plus:
 
     * :meth:`to_string` — re-render in the DSL; ``parse_spec`` on the
       result yields an equivalent SpecSet;

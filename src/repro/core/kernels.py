@@ -603,23 +603,28 @@ class CompiledEvaluator:
             side.kind, counts, side.size, side.n_y0, side.n_y1, side.costs
         )
 
-    def _pos_counts(self, preds):
-        """Stacked positive-prediction counts, optionally row-chunked.
+    def _blocks(self, chunk_size=None):
+        """Row slices covering the split, at most ``chunk_size`` rows each.
 
-        Partial block products accumulate exact integer counts, so the
-        chunked sum is bit-identical to the single full matmul.
+        The one row-block loop of the evaluator.  With chunking off the
+        whole split is a single block; an empty split yields no block.
+        Every caller accumulates exact integer counts over the blocks,
+        so any block size gives the same bits as one full pass.
         """
-        chunk = self.chunk_size
-        if not chunk or self.n <= chunk:
-            return (preds == 1).astype(np.float64) @ self._mask_matrix
+        chunk = self.chunk_size if chunk_size is None else chunk_size
+        step = chunk or max(self.n, 1)
+        for start in range(0, self.n, step):
+            yield slice(start, min(start + step, self.n))
+
+    def _pos_counts(self, preds):
+        """Stacked positive-prediction counts per mask column."""
         out = np.zeros(
             (preds.shape[0], self._mask_matrix.shape[1]), dtype=np.float64
         )
-        for start in range(0, self.n, chunk):
-            stop = min(start + chunk, self.n)
+        for rows in self._blocks():
             out += (
-                (preds[:, start:stop] == 1).astype(np.float64)
-                @ self._mask_matrix[start:stop]
+                (preds[:, rows] == 1).astype(np.float64)
+                @ self._mask_matrix[rows]
             )
         return out
 
@@ -658,15 +663,10 @@ class CompiledEvaluator:
     def accuracies_batch(self, predictions):
         """Plain accuracy per stacked prediction vector."""
         preds = np.atleast_2d(np.asarray(predictions, dtype=np.int64))
-        chunk = self.chunk_size
-        if not chunk or self.n <= chunk:
-            return (preds == self.y).astype(np.float64).sum(axis=1) / self.n
         correct = np.zeros(preds.shape[0], dtype=np.float64)
-        for start in range(0, self.n, chunk):
-            stop = min(start + chunk, self.n)
+        for rows in self._blocks():
             correct += (
-                (preds[:, start:stop] == self.y[start:stop])
-                .astype(np.float64).sum(axis=1)
+                (preds[:, rows] == self.y[rows]).astype(np.float64).sum(axis=1)
             )
         return correct / self.n
 
@@ -793,19 +793,15 @@ class CompiledEvaluator:
         pos_counts = np.zeros((B, S), dtype=np.float64)
         correct = np.zeros(B, dtype=np.float64)
         hashers = [hashlib.sha1() for _ in range(B)]
-        for start in range(0, self.n, chunk):
-            stop = min(start + chunk, self.n)
-            pb = stacked(X[start:stop])
+        for rows in self._blocks(chunk):
+            pb = stacked(X[rows])
             for b in range(B):
                 hashers[b].update(np.ascontiguousarray(pb[b]).tobytes())
             if S:
                 pos_counts += (
-                    (pb == 1).astype(np.float64)
-                    @ self._mask_matrix[start:stop]
+                    (pb == 1).astype(np.float64) @ self._mask_matrix[rows]
                 )
-            correct += (
-                (pb == self.y[start:stop]).astype(np.float64).sum(axis=1)
-            )
+            correct += (pb == self.y[rows]).astype(np.float64).sum(axis=1)
 
         disparities = np.empty((B, self.k), dtype=np.float64)
         self._builtin_disparities(pos_counts, disparities)

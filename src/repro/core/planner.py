@@ -1,10 +1,8 @@
 """Ask/tell strategy kernel: candidate *generation* behind a narrow IR.
 
-Each solver used to own its own fit/evaluate/history loop
-(``core/single.py``, ``core/multi.py``, ``optim/cmaes.py``), so each
+Every solver drives the same fit/evaluate/history loop, so each
 engine capability — compiled batching, fit/eval caches, chunked
-evaluation — had to be threaded through three loops by hand.  This
-module factors the loops into two layers:
+evaluation — composes once, here.  The loop has two layers:
 
 * a **Strategy** *asks* for candidates by yielding
   :class:`CandidateBatch` objects from its :meth:`~repro.core.strategies.
@@ -19,8 +17,8 @@ selected λ) depends only on the batches it yields.
 A batch is one of two kinds:
 
 ``kind="fit"``
-    Candidates are evaluated one at a time, in order, exactly like the
-    legacy loops: one :meth:`WeightedFitter.fit` per candidate, scored
+    Candidates are evaluated one at a time, in order: one
+    :meth:`WeightedFitter.fit` per candidate, scored
     against the validation split.  ``chain=True`` feeds each fitted
     model to the next candidate as ``prev_model`` (the §5.2 continuation
     approximation for θ-parameterized weights); ``stop`` is a predicate
@@ -39,9 +37,14 @@ Strategies record their search history through
 every :class:`~repro.core.history.HistoryPoint` carries the executing
 batch's ``batch_id`` and its share of the round's wall-clock time, which
 ``analysis/timing.py`` aggregates per evaluation round.
+
+A plan returns :class:`SingleTuneResult` (one λ, Algorithm 1 style) or
+:class:`MultiTuneResult` (a Λ vector, Algorithm 2 style).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,11 +54,37 @@ from .kernels import CompiledEvaluator
 __all__ = [
     "CandidateBatch",
     "EvalResult",
+    "MultiTuneResult",
     "PlanContext",
+    "SingleTuneResult",
     "run_plan",
 ]
 
 BATCH_KINDS = ("fit", "population")
+
+
+@dataclass
+class SingleTuneResult:
+    """Outcome of a single-λ search (Algorithm 1, §5.3)."""
+
+    model: object
+    lam: float
+    feasible: bool
+    swapped: bool
+    n_fits: int
+    history: list = field(default_factory=list)  # list of HistoryPoint
+
+
+@dataclass
+class MultiTuneResult:
+    """Outcome of a Λ-vector search (Algorithm 2, §6, or a Λ grid)."""
+
+    model: object
+    lambdas: np.ndarray
+    feasible: bool
+    n_fits: int
+    n_rounds: int = 0
+    history: list = field(default_factory=list)  # list of HistoryPoint
 
 
 class CandidateBatch:
@@ -274,8 +303,8 @@ def run_plan(strategy, fitter, val_constraints, X_val, y_val, config):
 
     The generator protocol: ``plan(ctx, config)`` yields
     :class:`CandidateBatch` objects and receives ``list[EvalResult]``
-    for each; its return value (a ``SingleTuneResult`` or
-    ``MultiTuneResult``) becomes this function's return value.
+    for each; its return value (a :class:`SingleTuneResult` or
+    :class:`MultiTuneResult`) becomes this function's return value.
     """
     from .executor import ExecutionBackend  # runtime dep, not import-time
 

@@ -1,8 +1,7 @@
-"""Structured fit result shared by the engine, the shim, and the CLI.
+"""Structured fit result shared by the engine, the CLI and the service.
 
-The old trainer leaked its outcome as loose trailing-underscore
-attributes (``lambdas_``, ``history_``, ``validation_report_``);
-:class:`FitReport` gathers the same information into one picklable
+:class:`FitReport` gathers the outcome of a solve — selected λs,
+history, validation audit, cache counters — into one picklable
 dataclass with a uniform shape regardless of which search strategy ran.
 """
 

@@ -183,7 +183,8 @@ def equalized_odds_specs(epsilon, grouping=None):
 
     The paper composes equalized odds from its two conditional-rate
     constraints ("if both FPR and FNR are satisfied, then Equalized Odds
-    is satisfied"); pass the returned list straight to :class:`OmniFair`.
+    is satisfied"); pass the returned list straight to
+    :func:`repro.api.fit_fair` or :class:`repro.api.Problem`.
     """
     return [
         FairnessSpec("FPR", epsilon, grouping=grouping),

@@ -23,9 +23,8 @@ Third parties can still ship solvers without touching the engine::
             result = yield CandidateBatch([[0.0]])
             ...
 
-Legacy strategies that override ``solve()`` instead of ``plan()`` keep
-working unchanged (see the README migration note); only the ``race``
-meta-strategy needs ``plan()`` from its components.
+A strategy may override ``solve()`` instead of ``plan()``, as ``race``
+does; such a strategy cannot be a ``race`` component.
 
 Built-ins:
 
@@ -39,8 +38,7 @@ Built-ins:
     it reduces to Algorithm 1 and delegates to it.  Per-axis bracket
     expansions are ladder asks, bisection steps single-candidate asks.
 ``grid``
-    The Table 8 exhaustive-grid baseline, single- or multi-constraint —
-    one planner-backed implementation behind both legacy entry points.
+    The Table 8 exhaustive-grid baseline, single- or multi-constraint.
 ``linear``
     Symmetric δ-sweep outward from λ = 0 until the first feasible λ —
     the naive ablation that needs no monotonicity assumption at all.
@@ -53,15 +51,15 @@ Built-ins:
     fit cache and returns the first feasible result
     (:func:`repro.core.executor.run_race`).
 
-Each strategy declares a config dataclass; solver knobs live there
-instead of on the trainer.  ``Config.build(options)`` constructs one
-from a flat dict, rejecting unknown keys unless ``strict=False`` (the
-legacy ``OmniFair`` shim passes the union of its old kwargs that way).
+Each strategy declares a config dataclass that holds its solver knobs.
+``Config.build(options)`` constructs one from a flat dict and rejects
+unknown keys.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -69,9 +67,7 @@ import numpy as np
 from ..optim.cmaes import cmaes_generations
 from .exceptions import InfeasibleConstraintError, SpecificationError
 from .history import HistoryPoint
-from .multi import MultiTuneResult
-from .planner import CandidateBatch, run_plan
-from .single import SingleTuneResult
+from .planner import CandidateBatch, MultiTuneResult, SingleTuneResult, run_plan
 
 __all__ = [
     "SearchStrategy",
@@ -95,21 +91,39 @@ class StrategyConfig:
     """Base class for per-strategy solver knobs."""
 
     @classmethod
-    def build(cls, options, strict=True):
+    def build(cls, options):
         """Construct a config from a flat ``{name: value}`` dict.
 
-        With ``strict=True`` unknown keys raise; with ``strict=False``
-        they are ignored (used by the legacy shim, which passes every
-        old trainer kwarg regardless of which strategy runs).
+        Unknown keys raise :class:`SpecificationError`.
         """
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(options) - known)
-        if strict and unknown:
+        if unknown:
             raise SpecificationError(
                 f"unknown option(s) {unknown} for {cls.__name__}; "
                 f"known: {sorted(known)}"
             )
-        return cls(**{k: v for k, v in options.items() if k in known})
+        return cls(**options)
+
+
+def _check_positive(config, *names):
+    """Refuse a search width that is not a finite number > 0.
+
+    A zero width never ends a bisection (its bracket stalls on adjacent
+    floats), and a NaN one compares false everywhere, so the search
+    would either hang or skip its refinement.
+    """
+    for name in names:
+        value = getattr(config, name)
+        try:
+            ok = math.isfinite(value) and value > 0
+        except TypeError:
+            ok = False
+        if not ok:
+            raise SpecificationError(
+                f"{type(config).__name__}.{name} must be a finite number "
+                f"> 0, got {value!r}"
+            )
 
 
 @dataclass
@@ -131,6 +145,9 @@ class BinarySearchConfig(StrategyConfig):
     max_linear_steps: int = 2000
     warm_lambda: float = None
     warm_swapped: bool = False
+
+    def __post_init__(self):
+        _check_positive(self, "delta", "tau")
 
 
 @dataclass
@@ -155,6 +172,9 @@ class HillClimbConfig(StrategyConfig):
     warm_lambda: float = None
     warm_swapped: bool = False
     warm_lambdas: tuple = None
+
+    def __post_init__(self):
+        _check_positive(self, "delta", "tau")
 
 
 @dataclass
@@ -208,15 +228,15 @@ class SearchStrategy:
     config_cls : type[StrategyConfig]
         The dataclass holding this solver's knobs.
 
-    A modern strategy implements :meth:`plan` — an ask/tell generator
+    A strategy implements :meth:`plan` — an ask/tell generator
     yielding :class:`~repro.core.planner.CandidateBatch` objects and
     receiving ``list[EvalResult]``, whose return value is a
-    :class:`~repro.core.single.SingleTuneResult` or
-    :class:`~repro.core.multi.MultiTuneResult` (or it raises
+    :class:`~repro.core.planner.SingleTuneResult` or
+    :class:`~repro.core.planner.MultiTuneResult` (or it raises
     :class:`InfeasibleConstraintError`).
 
-    A legacy strategy may instead override :meth:`solve` with the old
-    single-call signature.
+    It may instead override :meth:`solve` with the single-call
+    signature.
     """
 
     name = None
@@ -227,7 +247,7 @@ class SearchStrategy:
         raise NotImplementedError
 
     def run(self, fitter, val_constraints, X_val, y_val, config):
-        """Engine entry point: the planner or a legacy ``solve``."""
+        """Engine entry point: the planner or an overridden ``solve``."""
         return self.solve(fitter, val_constraints, X_val, y_val, config)
 
     def solve(self, fitter, val_constraints, X_val, y_val, config):
@@ -240,8 +260,8 @@ class SearchStrategy:
             "implement plan() (preferred) or override solve()"
         )
 
-    def make_config(self, options, strict=True):
-        return self.config_cls.build(options, strict=strict)
+    def make_config(self, options):
+        return self.config_cls.build(options)
 
 
 _REGISTRY = {}
@@ -291,10 +311,9 @@ def available_strategies():
 def known_option_names():
     """Union of config field names across all registered strategies.
 
-    Used by the engine to catch typo'd options even in non-strict mode:
-    a key unknown to *every* strategy is always an error, while keys
-    meant for a different strategy than the one that ends up running
-    are tolerated (the legacy kwargs are such a union).
+    A key unknown to *every* strategy is a typo; the engine refuses it
+    at construction, even under ``"auto"``, whose config is built only
+    once the constraint count is known.
     """
     names = set()
     for cls in _REGISTRY.values():
@@ -332,14 +351,14 @@ def _plan_single_lambda(ctx, delta=0.01, tau=1e-3, lambda_max=1e5,
                         max_linear_steps=2000, warm_lambda=None,
                         warm_swapped=False):
     """Algorithm 1 as an ask/tell generator — λ-trajectory identical to
-    the pre-planner ``tune_single_lambda`` loop (goldens in
+    the pre-planner single-λ loop (goldens in
     ``tests/goldens/trajectories.json``) unless ``warm_lambda`` seeds
     the bracket from a previous solve (see
     :class:`BinarySearchConfig`)."""
     ctx.record_style = "scalar"
     fitter = ctx.fitter
     if len(fitter.constraints) != 1:
-        raise ValueError("tune_single_lambda expects exactly one constraint")
+        raise ValueError("Algorithm 1 expects exactly one constraint")
     label = ctx.val_constraints[0].label
     epsilon = fitter.constraints[0].epsilon
 
@@ -741,7 +760,7 @@ def _plan_tune_dimension(ctx, lambdas, j, model, disparities,
 def _plan_hill_climb(ctx, max_rounds=None, initial_step=0.1, tau=1e-3,
                      dimension_order="most_violated", warm_lambdas=None):
     """Algorithm 2 as an ask/tell generator (trajectory-identical to the
-    pre-planner ``hill_climb`` loop unless ``warm_lambdas`` seeds the
+    pre-planner Algorithm 2 loop unless ``warm_lambdas`` seeds the
     starting Λ from a previous solve — the drift-retune warm entry)."""
     ctx.record_style = "vector"
     fitter = ctx.fitter
@@ -810,11 +829,11 @@ def _plan_hill_climb(ctx, max_rounds=None, initial_step=0.1, tau=1e-3,
 
 
 def _plan_grid_single(ctx, grid):
-    """Single-λ grid sweep (the pre-planner ``lambda_grid_search``)."""
+    """Single-λ grid sweep over the sorted ``grid`` values."""
     ctx.record_style = "scalar"
     fitter = ctx.fitter
     if len(fitter.constraints) != 1:
-        raise ValueError("lambda_grid_search expects exactly one constraint")
+        raise ValueError("a single-λ grid expects exactly one constraint")
     epsilon = ctx.val_constraints[0].epsilon
     label = ctx.val_constraints[0].label
     grid = sorted(np.asarray(grid, dtype=np.float64))
@@ -848,7 +867,7 @@ def _plan_grid_single(ctx, grid):
 
 
 def _plan_grid_multi(ctx, grid_max=1.0, grid_steps=5):
-    """Λ-grid sweep (the pre-planner ``grid_search_lambdas``)."""
+    """Λ-grid sweep over ``[-grid_max, grid_max]^k``."""
     ctx.record_style = "vector"
     fitter = ctx.fitter
     k = len(fitter.constraints)
@@ -1049,9 +1068,8 @@ class HillClimbStrategy(SearchStrategy):
 class GridStrategy(SearchStrategy):
     """Exhaustive grid over λ (or Λ) — the Table 8 ablation baseline.
 
-    One planner-backed implementation behind both legacy entry points
-    (``lambda_grid_search`` / ``grid_search_lambdas``), dispatched on
-    the constraint count.
+    Dispatched on the constraint count: a single λ sweeps
+    ``2·grid_steps + 1`` points, a Λ vector ``grid_steps ** k``.
     """
 
     name = "grid"
@@ -1142,20 +1160,3 @@ class RaceStrategy(SearchStrategy):
             interleave=config.interleave,
         )
 
-
-class _GeneratorStrategy(SearchStrategy):
-    """Ad-hoc unregistered wrapper: run one plan-generator factory.
-
-    The deprecated ``lambda_grid_search`` / ``grid_search_lambdas``
-    shims (and the paper-faithful ``tune_single_lambda`` /
-    ``hill_climb`` entry points) use this to run their historical
-    signatures through the planner.
-    """
-
-    name = "_adhoc"
-
-    def __init__(self, factory):
-        self._factory = factory
-
-    def plan(self, ctx, config):
-        return self._factory(ctx)

@@ -14,10 +14,13 @@ search — the planner's own stop predicates are reused unchanged.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from ..api import Engine
 from ..core.exceptions import SpecificationError
+from ..core.strategies import get_strategy, resolve_strategy_name
 
 __all__ = ["DriftPolicy", "warm_options", "warm_retune"]
 
@@ -93,7 +96,9 @@ def warm_retune(auditor, estimator=None, *, strategy="auto", store=None,
 
     Materializes the live dataset, builds an :class:`~repro.api.Engine`
     whose options include :func:`warm_options` of the currently audited
-    model, and solves the auditor's own spec set.  On success the
+    model, and solves the auditor's own spec set.  Only the warm fields
+    that the resolved strategy's config declares are added (``grid``,
+    for one, has none and runs cold).  On success the
     auditor is rebased onto the new model (predictions re-scored,
     accumulators recounted — inherently O(live rows), since every
     prediction may change).
@@ -109,11 +114,16 @@ def warm_retune(auditor, estimator=None, *, strategy="auto", store=None,
                 "warm_retune needs an estimator: the audited model does "
                 "not expose one (pass estimator=...)"
             )
+    # "auto" resolves on the constraint count, which the auditor's
+    # fixed group universe already knows
+    name = resolve_strategy_name(strategy, auditor.k)
+    declared = {f.name for f in fields(get_strategy(name).config_cls)}
     options = dict(engine_options or {})
-    options.update(warm_options(auditor.model))
-    # non-strict: warm_lambda / warm_lambdas are per-strategy entries and
-    # "auto" resolves the strategy only once the constraint count is known
-    engine = Engine(strategy, store=store, strict=False, **options)
+    options.update(
+        (key, value) for key, value in warm_options(auditor.model).items()
+        if key in declared
+    )
+    engine = Engine(strategy, store=store, **options)
     live = auditor.live_dataset()
     fair = engine.solve(
         auditor.specs, estimator, live, seed=seed,

@@ -36,7 +36,7 @@ class ModelFormatError(Exception):
 
 
 def save_model(model, path, extra=None):
-    """Serialize a fitted estimator (or an OmniFair trainer) to ``path``.
+    """Serialize a fitted estimator (or a ``FairModel``) to ``path``.
 
     ``extra`` is an optional JSON-ish dict of caller metadata embedded in
     the envelope (e.g. :meth:`FairModel.save`'s format version and spec

@@ -9,7 +9,6 @@ from repro import (
     FairnessSpec,
     FitReport,
     HistoryPoint,
-    OmniFair,
     Problem,
     SpecificationError,
     fit_fair,
@@ -72,6 +71,12 @@ class TestEngineSolve:
         assert isinstance(report.history[0], HistoryPoint)
         assert report.history[0].lam == 0.0
 
+    def test_history_points_are_named(self, solved):
+        fm, _ = solved
+        point = fm.report.history[0]
+        assert point.lam == point[0] == 0.0
+        assert point.accuracy == point[2]
+
     def test_report_summary_renders(self, solved):
         fm, _ = solved
         text = fm.report.summary()
@@ -109,6 +114,32 @@ class TestRemovedExecutionKnobs:
             Engine("auto", **knob)
 
 
+class TestRemovedSolverSurface:
+    """One solver entry point: the trainer shim and its knobs are gone."""
+
+    def test_strict_is_an_unknown_option(self, two_group_splits):
+        train, val, _ = two_group_splits
+        with pytest.raises(SpecificationError, match="unknown option"):
+            Engine("auto", strict=False)
+        with pytest.raises(SpecificationError, match="unknown option"):
+            fit_fair(
+                LogisticRegression(), "SP <= 0.05", train, val, strict=True,
+            )
+
+    def test_race_refuses_component_knobs(self):
+        # race runs each component on its default config, so a
+        # component knob is an unknown option, not a silent no-op
+        with pytest.raises(SpecificationError, match="unknown option"):
+            Engine("race", strategies=("grid", "linear"), grid_steps=4)
+
+    def test_trainer_is_not_exported(self):
+        import repro
+        import repro.core
+
+        assert not hasattr(repro, "OmniFair")
+        assert not hasattr(repro.core, "OmniFair")
+
+
 class TestFairModel:
     def test_audit_matches_evaluate_model(self, two_group_splits):
         train, val, test = two_group_splits
@@ -136,36 +167,6 @@ class TestFairModel:
             strategy="grid", grid_steps=8,
         )
         assert fm.report.strategy == "grid"
-
-
-class TestShimCompat:
-    def test_shim_exposes_report_and_fair_model(self, two_group_splits):
-        train, val, test = two_group_splits
-        of = OmniFair(
-            LogisticRegression(max_iter=200), FairnessSpec("SP", 0.05)
-        ).fit(train, val)
-        assert of.report_ is of.fair_model_.report
-        assert of.lambdas_ is of.report_.lambdas
-        fm = of.to_fair_model()
-        assert np.array_equal(fm.predict(test.X), of.predict(test.X))
-        assert of.evaluate(test) == fm.audit(test)
-
-    def test_shim_accepts_dsl_string(self, two_group_splits):
-        train, val, _ = two_group_splits
-        of = OmniFair(
-            LogisticRegression(max_iter=200), "SP <= 0.05"
-        ).fit(train, val)
-        assert of.feasible_
-
-    def test_history_points_are_named(self, two_group_splits):
-        train, val, _ = two_group_splits
-        of = OmniFair(
-            LogisticRegression(max_iter=200), FairnessSpec("SP", 0.05)
-        ).fit(train, val)
-        point = of.history_[0]
-        assert isinstance(point, HistoryPoint)
-        assert point.lam == point[0] == 0.0
-        assert point.accuracy == point[2]
 
 
 class TestEvaluationHelpers:

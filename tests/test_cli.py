@@ -149,6 +149,23 @@ class TestCommands:
         assert code == 2
         assert "SPEC ERROR" in out.getvalue()
 
+    @pytest.mark.parametrize("search", ["binary_search", "auto"])
+    @pytest.mark.parametrize("opt", ["tau=0", "tau=nan", "delta=0"])
+    def test_train_bad_search_width_exits_2(self, search, opt):
+        # a zero width never ends the bisection and a NaN one skips it
+        out = io.StringIO()
+        code = main(
+            [
+                "train", "--dataset", "compas", "--two-group",
+                "--rows", "600", "--spec", "SP <= 0.05", "--model", "NB",
+                "--search", search, "--strategy-opt", opt,
+            ],
+            out=out,
+        )
+        assert code == 2
+        assert "SPEC ERROR" in out.getvalue()
+        assert opt.split("=")[0] in out.getvalue()
+
     def test_train_reserved_strategy_opt_fails_cleanly(self):
         out = io.StringIO()
         code = main(

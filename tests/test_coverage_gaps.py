@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import FairnessSpec, OmniFair
+from repro import Engine, FairnessSpec, fit_fair
 from repro.analysis import baseline_frontier, omnifair_frontier
 from repro.core.evaluation import (
     all_satisfied,
@@ -73,23 +73,23 @@ class TestFrontierVariants:
 class TestSVMInOmniFair:
     def test_svm_is_tunable(self, two_group_splits):
         train, val, _ = two_group_splits
-        of = OmniFair(
-            LinearSVM(max_iter=200), FairnessSpec("SP", 0.08)
-        ).fit(train, val)
-        assert of.validation_report_["feasible"]
+        fm = fit_fair(
+            LinearSVM(max_iter=200), FairnessSpec("SP", 0.08), train, val,
+        )
+        assert fm.report.validation["feasible"]
 
 
 class TestTrainerValSplit:
     def test_auto_split_is_stratified(self, two_group_data):
         """The internal split must keep every (group,label) cell present in
         both halves, or constraint binding would fail."""
-        train, val = OmniFair._split_validation(two_group_data, 0.25, seed=0)
+        train, val = Engine._split_validation(two_group_data, 0.25, seed=0)
         for d in (train, val):
             cells = set(zip(d.sensitive.tolist(), d.y.tolist()))
             assert cells == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_val_fraction_respected(self, two_group_data):
-        train, val = OmniFair._split_validation(two_group_data, 0.25, seed=0)
+        train, val = Engine._split_validation(two_group_data, 0.25, seed=0)
         assert len(val) == pytest.approx(0.25 * len(two_group_data), abs=2)
 
 

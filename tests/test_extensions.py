@@ -9,7 +9,7 @@
 import numpy as np
 import pytest
 
-from repro import FairnessSpec, OmniFair
+from repro import FairnessSpec, fit_fair
 from repro.analysis import stopwatch, time_call
 from repro.core.fitter import WeightedFitter
 from repro.core.spec import (
@@ -32,10 +32,11 @@ class TestCompositeSpecs:
 
     def test_equalized_odds_end_to_end(self, two_group_splits):
         train, val, _ = two_group_splits
-        of = OmniFair(
-            LogisticRegression(max_iter=200), equalized_odds_specs(0.1)
-        ).fit(train, val)
-        report = of.validation_report_
+        fm = fit_fair(
+            LogisticRegression(max_iter=200), equalized_odds_specs(0.1),
+            train, val,
+        )
+        report = fm.report.validation
         assert len(report["disparities"]) == 2
         assert report["feasible"]
 
@@ -96,19 +97,20 @@ class TestSubsamplePruning:
 
     def test_pruned_fit_matches_unpruned_quality(self, two_group_splits):
         train, val, _ = two_group_splits
-        plain = OmniFair(
-            LogisticRegression(max_iter=150), FairnessSpec("SP", 0.05)
-        ).fit(train, val)
-        pruned = OmniFair(
+        plain = fit_fair(
             LogisticRegression(max_iter=150), FairnessSpec("SP", 0.05),
-            subsample=0.3,
-        ).fit(train, val)
-        assert pruned.feasible_
-        assert pruned.validation_report_["feasible"]
+            train, val,
+        )
+        pruned = fit_fair(
+            LogisticRegression(max_iter=150), FairnessSpec("SP", 0.05),
+            train, val, subsample=0.3,
+        )
+        assert pruned.report.feasible
+        assert pruned.report.validation["feasible"]
         # final quality must be comparable (both satisfy the constraint)
         assert (
-            pruned.validation_report_["accuracy"]
-            >= plain.validation_report_["accuracy"] - 0.05
+            pruned.report.validation["accuracy"]
+            >= plain.report.validation["accuracy"] - 0.05
         )
 
 

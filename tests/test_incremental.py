@@ -323,6 +323,27 @@ class TestDrift:
         assert auditor.model is warm
         assert_snapshot_matches(auditor.audit(), auditor.recompute())
 
+    def test_warm_retune_leaves_out_undeclared_warm_fields(self):
+        # grid declares no warm field, so the seed is dropped and the
+        # retune runs the cold grid instead of refusing the option
+        dataset = load("adult", n=1500, seed=0)
+        model = Engine("binary_search").solve(
+            "SP <= 0.1", "LR", dataset, seed=0,
+        )
+        assert warm_options(model)
+        auditor = IncrementalAuditor(
+            "SP <= 0.1", model, dataset.subset(np.arange(1000)),
+        )
+        auditor.append_rows(dataset.subset(np.arange(1000, 1400)))
+        cold = Engine("grid").solve(
+            "SP <= 0.1", "LR", auditor.live_dataset(), seed=0,
+        )
+        fair = warm_retune(auditor, seed=0, strategy="grid")
+        assert fair.report.strategy == "grid"
+        assert fair.report.lambdas.tolist() == cold.report.lambdas.tolist()
+        assert fair.report.n_fits == cold.report.n_fits
+        assert auditor.model is fair
+
 
 # ---------------------------------------------------------------------------
 # storage mechanics

@@ -9,7 +9,7 @@ custom metrics, and for the replication fallback.
 import numpy as np
 import pytest
 
-from repro import FairnessSpec, OmniFair
+from repro import FairnessSpec, fit_fair
 from repro.core.fairness_metrics import average_error_cost_parity
 from repro.core.grouping import by_predicate
 from repro.datasets import load_compas, two_group_view
@@ -45,19 +45,19 @@ class TestModelAgnosticSP:
 
     def test_sp_constraint_satisfied_on_validation(self, name, compas_splits):
         train, val, _ = compas_splits
-        of = OmniFair(
-            MODEL_FACTORIES[name](), FairnessSpec("SP", 0.05)
-        ).fit(train, val)
-        assert of.validation_report_["feasible"]
+        fm = fit_fair(
+            MODEL_FACTORIES[name](), FairnessSpec("SP", 0.05), train, val,
+        )
+        assert fm.report.validation["feasible"]
 
     def test_accuracy_not_destroyed(self, name, compas_splits):
         train, val, test = compas_splits
-        of = OmniFair(
-            MODEL_FACTORIES[name](), FairnessSpec("SP", 0.05)
-        ).fit(train, val)
+        fm = fit_fair(
+            MODEL_FACTORIES[name](), FairnessSpec("SP", 0.05), train, val,
+        )
         base = MODEL_FACTORIES[name]().fit(train.X, train.y)
         base_acc = float(np.mean(base.predict(test.X) == test.y))
-        fair_acc = float(np.mean(of.predict(test.X) == test.y))
+        fair_acc = float(np.mean(fm.predict(test.X) == test.y))
         assert fair_acc > base_acc - 0.1
 
 
@@ -65,28 +65,30 @@ class TestMetricsEndToEnd:
     @pytest.mark.parametrize("metric", ["SP", "MR", "FPR", "FNR"])
     def test_constant_weight_metrics(self, metric, compas_splits):
         train, val, _ = compas_splits
-        of = OmniFair(
-            LogisticRegression(max_iter=150), FairnessSpec(metric, 0.05)
-        ).fit(train, val)
-        assert of.validation_report_["feasible"]
+        fm = fit_fair(
+            LogisticRegression(max_iter=150), FairnessSpec(metric, 0.05),
+            train, val,
+        )
+        assert fm.report.validation["feasible"]
 
     @pytest.mark.parametrize("metric", ["FOR", "FDR"])
     def test_parameterized_metrics(self, metric, compas_splits):
         train, val, _ = compas_splits
-        of = OmniFair(
+        fm = fit_fair(
             LogisticRegression(max_iter=150), FairnessSpec(metric, 0.05),
-            delta=0.02,
-        ).fit(train, val)
-        assert of.validation_report_["feasible"]
+            train, val, delta=0.02,
+        )
+        assert fm.report.validation["feasible"]
 
     def test_custom_aec_metric(self, compas_splits):
         """Example 4: average-error-cost parity with asymmetric costs."""
         train, val, _ = compas_splits
         metric = average_error_cost_parity(cost_fp=1.0, cost_fn=2.0)
-        of = OmniFair(
-            LogisticRegression(max_iter=150), FairnessSpec(metric, 0.05)
-        ).fit(train, val)
-        assert of.validation_report_["feasible"]
+        fm = fit_fair(
+            LogisticRegression(max_iter=150), FairnessSpec(metric, 0.05),
+            train, val,
+        )
+        assert fm.report.validation["feasible"]
 
 
 class TestCustomGroupingEndToEnd:
@@ -97,11 +99,11 @@ class TestCustomGroupingEndToEnd:
             young=lambda d: d.X[:, 0] < 0.0,
             old=lambda d: d.X[:, 0] >= 0.0,
         )
-        of = OmniFair(
+        fm = fit_fair(
             LogisticRegression(max_iter=150),
-            FairnessSpec("SP", 0.08, grouping=grouping),
-        ).fit(train, val)
-        assert of.feasible_
+            FairnessSpec("SP", 0.08, grouping=grouping), train, val,
+        )
+        assert fm.report.feasible
 
 
 class TestReplicationFallback:
@@ -119,8 +121,8 @@ class TestReplicationFallback:
         wrapped = ReplicationWrapper(
             NoWeightLR(max_iter=150), resolution=20, max_rows=100_000
         )
-        of = OmniFair(wrapped, FairnessSpec("SP", 0.06)).fit(train, val)
-        assert of.validation_report_["feasible"]
+        fm = fit_fair(wrapped, FairnessSpec("SP", 0.06), train, val)
+        assert fm.report.validation["feasible"]
 
 
 class TestGeneralizationCaveat:
@@ -129,9 +131,10 @@ class TestGeneralizationCaveat:
         unseen test set the disparity should be *near* ε but there is no
         guarantee — assert a loose band, not exact satisfaction."""
         train, val, test = compas_splits
-        of = OmniFair(
-            LogisticRegression(max_iter=150), FairnessSpec("SP", 0.03)
-        ).fit(train, val)
-        report = of.evaluate(test)
+        fm = fit_fair(
+            LogisticRegression(max_iter=150), FairnessSpec("SP", 0.03),
+            train, val,
+        )
+        report = fm.audit(test)
         disparity = abs(list(report["disparities"].values())[0])
         assert disparity <= 0.15  # near ε=0.03, far below the raw 0.22 bias

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import FairnessSpec, OmniFair
+from repro import FairnessSpec, fit_fair
 from repro.ml import (
     GaussianNaiveBayes,
     KNearestNeighbors,
@@ -50,8 +50,8 @@ class TestExtraModels:
         """The whole point of adding these: more training paradigms that
         OmniFair drives unchanged."""
         train, val, _ = two_group_splits
-        of = OmniFair(model_cls(), FairnessSpec("SP", 0.08)).fit(train, val)
-        assert of.validation_report_["feasible"]
+        fm = fit_fair(model_cls(), FairnessSpec("SP", 0.08), train, val)
+        assert fm.report.validation["feasible"]
 
 
 class TestGaussianNaiveBayes:
@@ -108,13 +108,14 @@ class TestPersistence:
 
     def test_roundtrip_omnifair(self, two_group_splits, tmp_path):
         train, val, test = two_group_splits
-        of = OmniFair(
-            LogisticRegression(max_iter=150), FairnessSpec("SP", 0.05)
-        ).fit(train, val)
+        fm = fit_fair(
+            LogisticRegression(max_iter=150), FairnessSpec("SP", 0.05),
+            train, val,
+        )
         path = tmp_path / "fair.pkl"
-        save_model(of, path)
+        save_model(fm, path)
         loaded = load_model(path)
-        assert np.array_equal(loaded.predict(test.X), of.predict(test.X))
+        assert np.array_equal(loaded.predict(test.X), fm.predict(test.X))
 
     def test_bad_file_raises(self, tmp_path):
         path = tmp_path / "junk.pkl"

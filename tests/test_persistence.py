@@ -1,12 +1,16 @@
 """Persistence round-trips for full fitted artifacts, and failure paths."""
 
 import io
+import pathlib
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from repro import FairModel, FairnessSpec, OmniFair, fit_fair
+import repro
+from repro import FairModel, fit_fair
 from repro.cli import main
 from repro.ml import LogisticRegression
 from repro.ml.persistence import (
@@ -53,20 +57,6 @@ class TestFairModelRoundTrip:
         save_model(LogisticRegression(), path)
         with pytest.raises(Exception, match="FairModel"):
             FairModel.load(path)
-
-
-class TestOmniFairRoundTrip:
-    def test_entire_fitted_trainer(self, two_group_splits, tmp_path):
-        train, val, test = two_group_splits
-        of = OmniFair(
-            LogisticRegression(max_iter=200), FairnessSpec("SP", 0.05)
-        ).fit(train, val)
-        path = tmp_path / "of.pkl"
-        save_model(of, path)
-        loaded = load_model(path)
-        assert np.array_equal(loaded.predict(test.X), of.predict(test.X))
-        assert loaded.lambdas_.tolist() == of.lambdas_.tolist()
-        assert loaded.evaluate(test) == of.evaluate(test)
 
 
 class TestFailurePaths:
@@ -123,6 +113,23 @@ class TestCLISaveFlow:
         assert set(audit) == {
             "accuracy", "disparities", "violations", "feasible",
         }
+
+
+class TestLibraryVersion:
+    def test_envelope_and_package_share_one_version(self, tmp_path):
+        # saved artifacts record repro.__version__; setup.py must report
+        # the same number, parsed from the package without importing it
+        pytest.importorskip("setuptools")
+        path = tmp_path / "lr.pkl"
+        save_model(LogisticRegression(), path)
+        _, envelope = load_model(path, with_envelope=True)
+        assert envelope["library_version"] == repro.__version__
+        out = subprocess.run(
+            [sys.executable, "setup.py", "--version"],
+            cwd=pathlib.Path(__file__).resolve().parents[1],
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.split()[-1] == repro.__version__
 
 
 class TestEnvelopeExtras:

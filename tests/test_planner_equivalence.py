@@ -1,8 +1,8 @@
 """Equivalence goldens: the planner replays the pre-refactor solver loops.
 
-``tests/goldens/trajectories.json`` was frozen from the PR 4 solver
-loops (``tune_single_lambda`` / ``hill_climb`` / the grid sweeps /
-CMA-ES) *before* they were ported onto the ask/tell planner: for every
+``tests/goldens/trajectories.json`` was frozen from the hand-written
+solver loops (Algorithm 1, Algorithm 2, the grid sweeps, CMA-ES)
+*before* they were ported onto the ask/tell planner: for every
 strategy × SP/FDR × scenario workload it stores the selected λ vector
 and the full ordered λ-sequence of the search history.
 

@@ -48,8 +48,7 @@ class TestRace:
     def test_race_shares_fit_cache(self, two_group_splits):
         """Components racing the same λ values hit each other's fits."""
         train, val, _ = two_group_splits
-        fm = Engine("race", strategies=("grid", "linear"),
-                    grid_max=0.4, grid_steps=4, strict=False).solve(
+        fm = Engine("race", strategies=("grid", "linear")).solve(
             "SP <= 0.1", GaussianNaiveBayes(), train, val,
         )
         # both components fit Λ=0 at minimum; the second must hit

@@ -17,6 +17,7 @@ from repro.datasets import load_scenario
 from repro.ml import GaussianNaiveBayes
 from repro.serving import (
     FairnessService,
+    JobFailedError,
     ModelRegistry,
     ServingClient,
     ServingError,
@@ -194,6 +195,30 @@ class TestErrorPaths:
             options={"tau": 1e-4},
         )
         assert client.wait_job(job["job_id"])["status"] == "done"
+
+    @pytest.mark.parametrize("options", [
+        {"tau": 0}, {"tau": -1.0}, {"delta": 0},
+    ])
+    def test_retune_bad_search_width_is_400(self, client, options):
+        # a zero width would start a job whose bisection never ends
+        with pytest.raises(ServingError) as excinfo:
+            client.retune(
+                "SP <= 0.1", "scenario:group_sweep",
+                strategy="binary_search", options=options,
+            )
+        assert excinfo.value.status == 400
+        assert next(iter(options)) in str(excinfo.value)
+
+    def test_auto_retune_bad_search_width_ends_in_error(self, client):
+        # "auto" builds its config at solve time, inside the job
+        job = client.retune(
+            "SP <= 0.1", "scenario:group_sweep", name="tau0", n=600,
+            seed=3, options={"tau": 0},
+        )
+        with pytest.raises(JobFailedError) as excinfo:
+            client.wait_job(job["job_id"])
+        assert excinfo.value.job_status == "error"
+        assert "tau" in str(excinfo.value)
 
     def test_unknown_job_is_404(self, client):
         with pytest.raises(ServingError) as excinfo:

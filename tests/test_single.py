@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.api import fit_fair
 from repro.core.exceptions import InfeasibleConstraintError
 from repro.core.fitter import WeightedFitter
-from repro.core.single import lambda_grid_search, tune_single_lambda
 from repro.core.spec import FairnessSpec, bind_specs
 from repro.ml import LogisticRegression
 
@@ -14,59 +14,53 @@ from repro.ml import LogisticRegression
 def sp_setup(two_group_splits):
     train, val, _ = two_group_splits
     spec = FairnessSpec("SP", 0.03)
-    tc = bind_specs([spec], train)
     vc = bind_specs([spec], val)[0]
-    fitter = WeightedFitter(LogisticRegression(max_iter=200), train.X,
-                            train.y, tc)
-    return fitter, vc, val
+    return spec, train, val, vc
+
+
+def _solve(spec, train, val, **options):
+    return fit_fair(
+        LogisticRegression(max_iter=200), spec, train, val,
+        strategy="binary_search", **options,
+    )
 
 
 class TestTuneSingleLambdaSP:
     def test_returns_feasible_model(self, sp_setup):
-        fitter, vc, val = sp_setup
-        result = tune_single_lambda(fitter, vc, val.X, val.y)
-        assert result.feasible
-        pred = result.model.predict(val.X)
+        spec, train, val, vc = sp_setup
+        fm = _solve(spec, train, val)
+        assert fm.report.feasible
+        pred = fm.predict(val.X)
         # evaluate with the *original* orientation constraint
         assert abs(vc.disparity(val.y, pred)) <= 0.03 + 1e-9
 
     def test_history_records_fits(self, sp_setup):
-        fitter, vc, val = sp_setup
-        result = tune_single_lambda(fitter, vc, val.X, val.y)
-        assert len(result.history) == result.n_fits
-        assert result.history[0][0] == 0.0  # first fit is λ=0
+        spec, train, val, _ = sp_setup
+        report = _solve(spec, train, val).report
+        assert len(report.history) == report.n_fits
+        assert report.history[0][0] == 0.0  # first fit is λ=0
 
     def test_loose_epsilon_short_circuits(self, two_group_splits):
         train, val, _ = two_group_splits
         spec = FairnessSpec("SP", 0.9)  # trivially satisfied
-        tc = bind_specs([spec], train)
-        vc = bind_specs([spec], val)[0]
-        fitter = WeightedFitter(LogisticRegression(max_iter=200), train.X,
-                                train.y, tc)
-        result = tune_single_lambda(fitter, vc, val.X, val.y)
-        assert result.lam == 0.0
-        assert result.n_fits == 1  # only the unconstrained fit
+        report = _solve(spec, train, val).report
+        assert report.lambdas.tolist() == [0.0]
+        assert report.n_fits == 1  # only the unconstrained fit
 
     def test_tighter_epsilon_costs_accuracy(self, two_group_splits):
         train, val, _ = two_group_splits
         accs = {}
         for eps in (0.2, 0.02):
-            spec = FairnessSpec("SP", eps)
-            tc = bind_specs([spec], train)
-            vc = bind_specs([spec], val)[0]
-            fitter = WeightedFitter(LogisticRegression(max_iter=200),
-                                    train.X, train.y, tc)
-            result = tune_single_lambda(fitter, vc, val.X, val.y)
-            pred = result.model.predict(val.X)
+            pred = _solve(FairnessSpec("SP", eps), train, val).predict(val.X)
             accs[eps] = float(np.mean(pred == val.y))
         assert accs[0.2] >= accs[0.02] - 0.01
 
     def test_infeasible_raises_with_best_model(self, sp_setup):
         # λ capped far below the feasible region: the probe cannot move the
         # disparity at all, so Algorithm 1 must report infeasibility
-        fitter, vc, val = sp_setup
+        spec, train, val, _ = sp_setup
         with pytest.raises(InfeasibleConstraintError) as excinfo:
-            tune_single_lambda(fitter, vc, val.X, val.y, lambda_max=1e-6)
+            _solve(spec, train, val, lambda_max=1e-6)
         assert excinfo.value.best_model is not None
 
 
@@ -74,13 +68,12 @@ class TestFDRLinearSearchPath:
     def test_parameterized_metric_feasible(self, two_group_splits):
         train, val, _ = two_group_splits
         spec = FairnessSpec("FDR", 0.05)
-        tc = bind_specs([spec], train)
         vc = bind_specs([spec], val)[0]
         fitter = WeightedFitter(LogisticRegression(max_iter=200), train.X,
-                                train.y, tc)
+                                train.y, bind_specs([spec], train))
         assert fitter.parameterized
-        result = tune_single_lambda(fitter, vc, val.X, val.y, delta=0.02)
-        pred = result.model.predict(val.X)
+        fm = _solve(spec, train, val, delta=0.02)
+        pred = fm.predict(val.X)
         assert abs(vc.disparity(val.y, pred)) <= 0.05 + 1e-9
 
 
@@ -119,25 +112,35 @@ class TestEmpiricalMonotonicity:
 
 
 class TestLambdaGridSearch:
+    # a single-λ grid sweeps linspace(-grid_max, grid_max, 2·grid_steps + 1)
+
     def test_grid_finds_feasible(self, sp_setup):
         # a fine grid is needed: the feasible λ band for a tight ε can be
         # narrower than a coarse grid step (the Table 8 phenomenon)
-        fitter, vc, val = sp_setup
-        grid = np.linspace(-1.0, 1.0, 201)
-        result = lambda_grid_search(fitter, vc, val.X, val.y, grid)
-        pred = result.model.predict(val.X)
+        spec, train, val, vc = sp_setup
+        fm = fit_fair(
+            LogisticRegression(max_iter=200), spec, train, val,
+            strategy="grid", grid_max=1.0, grid_steps=100,
+        )
+        pred = fm.predict(val.X)
         assert abs(vc.disparity(val.y, pred)) <= 0.03 + 1e-9
 
     def test_grid_costs_full_sweep(self, sp_setup):
-        fitter, vc, val = sp_setup
-        grid = np.linspace(-0.5, 0.5, 101)
-        result = lambda_grid_search(fitter, vc, val.X, val.y, grid)
-        assert result.n_fits >= len(grid)
+        spec, train, val, _ = sp_setup
+        fm = fit_fair(
+            LogisticRegression(max_iter=200), spec, train, val,
+            strategy="grid", grid_max=0.5, grid_steps=50,
+        )
+        assert fm.report.n_fits >= 101
 
     def test_infeasible_grid_raises(self, sp_setup):
-        fitter, vc, val = sp_setup
+        # a grid too narrow to move the disparity into the band
+        spec, train, val, _ = sp_setup
         with pytest.raises(InfeasibleConstraintError):
-            lambda_grid_search(fitter, vc, val.X, val.y, [0.0])
+            fit_fair(
+                LogisticRegression(max_iter=200), spec, train, val,
+                strategy="grid", grid_max=1e-6, grid_steps=1,
+            )
 
 
 class TestWarmStartFitter:

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro import FairnessSpec, OmniFair, SpecificationError
+from repro import SpecificationError
 from repro.api import Engine
-from repro.core.single import SingleTuneResult
+from repro.core.planner import SingleTuneResult
 from repro.core.strategies import (
     BinarySearchConfig,
     GridConfig,
@@ -52,7 +52,7 @@ class TestRegistry:
             register_strategy(Reserved)
 
     def test_third_party_registration_end_to_end(self, two_group_splits):
-        """A custom strategy plugs in and is dispatched by the shim."""
+        """A custom strategy plugs in and is dispatched by the engine."""
         train, val, _ = two_group_splits
 
         @register_strategy
@@ -69,31 +69,21 @@ class TestRegistry:
                 )
 
         try:
-            of = OmniFair(
-                LogisticRegression(max_iter=150),
-                FairnessSpec("SP", 0.5),
-                search="fixed_lambda",
-            ).fit(train, val)
-            assert of.lambdas_.tolist() == [0.3]
-            assert of.report_.strategy == "fixed_lambda"
+            fm = Engine("fixed_lambda").solve(
+                "SP <= 0.5", LogisticRegression(max_iter=150), train, val,
+            )
+            assert fm.lambdas.tolist() == [0.3]
+            assert fm.report.strategy == "fixed_lambda"
         finally:
             unregister_strategy("fixed_lambda")
         with pytest.raises(SpecificationError):
-            OmniFair(
-                LogisticRegression(), FairnessSpec("SP", 0.5),
-                search="fixed_lambda",
-            )
+            Engine("fixed_lambda")
 
 
 class TestConfigs:
     def test_strict_rejects_unknown_options(self):
         with pytest.raises(SpecificationError, match="unknown option"):
             GridConfig.build({"grid_steps": 3, "typo": 1})
-
-    def test_non_strict_ignores_unknown_options(self):
-        cfg = GridConfig.build({"grid_steps": 3, "delta": 0.5}, strict=False)
-        assert cfg.grid_steps == 3
-        assert cfg.grid_max == 1.0
 
     def test_engine_validates_options_eagerly(self):
         with pytest.raises(SpecificationError, match="unknown option"):
@@ -102,12 +92,6 @@ class TestConfigs:
     def test_engine_rejects_unknown_strategy(self):
         with pytest.raises(SpecificationError, match="unknown search"):
             Engine("nope")
-
-    def test_non_strict_still_rejects_universal_typos(self):
-        # cross-strategy legacy knobs pass, options nobody accepts don't
-        Engine("auto", strict=False, delta=0.01, grid_steps=5)
-        with pytest.raises(SpecificationError, match="no registered"):
-            Engine("auto", strict=False, grid_stepz=20)
 
     def test_run_omnifair_rejects_typoed_kwargs(self, two_group_data):
         from repro.analysis.runner import run_omnifair
@@ -210,16 +194,25 @@ class TestSolvers:
         assert fm.report.n_fits == cold.report.n_fits
         assert np.asarray(fm.report.history[0].lam).tolist() == [0.0, 0.0, 0.0]
 
-    def test_grid_matches_legacy_shim(self, two_group_splits):
+
+class TestSearchWidths:
+    """A zero or NaN width would hang the bisection or skip it."""
+
+    @pytest.mark.parametrize("strategy", ["binary_search", "hill_climb"])
+    @pytest.mark.parametrize("field,value", [
+        ("tau", 0), ("tau", -1e-3), ("tau", float("nan")),
+        ("tau", float("inf")), ("tau", "1e-3"),
+        ("delta", 0), ("delta", -0.01), ("delta", float("nan")),
+    ])
+    def test_engine_refuses_bad_width(self, strategy, field, value):
+        with pytest.raises(SpecificationError, match=field):
+            Engine(strategy, **{field: value})
+
+    def test_auto_refuses_bad_width_at_solve(self, two_group_splits):
+        # "auto" builds its config once the constraint count is known
         train, val, _ = two_group_splits
-        fm = Engine("grid", grid_max=1.0, grid_steps=10).solve(
-            "SP <= 0.05", LogisticRegression(max_iter=150), train, val,
-        )
-        of = OmniFair(
-            LogisticRegression(max_iter=150), FairnessSpec("SP", 0.05),
-            search="grid", grid_max=1.0, grid_steps=10,
-        ).fit(train, val)
-        assert fm.report.lambdas.tolist() == of.lambdas_.tolist()
-        assert np.array_equal(
-            fm.predict(val.X), of.predict(val.X)
-        )
+        engine = Engine("auto", tau=0)
+        with pytest.raises(SpecificationError, match="tau"):
+            engine.solve(
+                "SP <= 0.05", LogisticRegression(max_iter=150), train, val,
+            )

@@ -1,72 +1,73 @@
-"""Tests for the OmniFair public trainer API."""
+"""Tests for the one-call ``fit_fair`` entry point and its FairModel."""
 
 import pytest
 
-from repro import FairnessSpec, OmniFair, SpecificationError
+from repro import FairModel, FairnessSpec, SpecificationError, fit_fair
 from repro.core.grouping import by_groups
 from repro.ml import LogisticRegression
 
 
 class TestConstruction:
     def test_single_spec_wrapped_in_list(self):
-        of = OmniFair(LogisticRegression(), FairnessSpec("SP", 0.03))
-        assert len(of.specs) == 1
+        fm = FairModel(LogisticRegression(), FairnessSpec("SP", 0.03))
+        assert len(fm.specs) == 1
 
-    def test_empty_specs_rejected(self):
+    def test_empty_specs_rejected(self, two_group_data):
         with pytest.raises(SpecificationError, match="at least one"):
-            OmniFair(LogisticRegression(), [])
+            fit_fair(LogisticRegression(), [], two_group_data)
 
-    def test_non_spec_rejected(self):
+    def test_non_spec_rejected(self, two_group_data):
         with pytest.raises(SpecificationError, match="FairnessSpec"):
-            OmniFair(LogisticRegression(), ["SP"])
+            fit_fair(LogisticRegression(), [42], two_group_data)
 
-    def test_unknown_search_rejected(self):
+    def test_unknown_search_rejected(self, two_group_data):
         with pytest.raises(SpecificationError, match="search"):
-            OmniFair(
+            fit_fair(
                 LogisticRegression(), FairnessSpec("SP", 0.03),
-                search="random",
+                two_group_data, strategy="random",
             )
 
 
 class TestFit:
     def test_explicit_validation_set(self, two_group_splits):
         train, val, test = two_group_splits
-        of = OmniFair(
-            LogisticRegression(max_iter=200), FairnessSpec("SP", 0.04)
-        ).fit(train, val)
-        assert of.feasible_
-        assert of.validation_report_["feasible"]
+        fm = fit_fair(
+            LogisticRegression(max_iter=200), FairnessSpec("SP", 0.04),
+            train, val,
+        )
+        assert fm.report.feasible
+        assert fm.report.validation["feasible"]
 
     def test_auto_validation_split(self, two_group_data):
-        of = OmniFair(
-            LogisticRegression(max_iter=200), FairnessSpec("SP", 0.05)
-        ).fit(two_group_data)
-        assert of.feasible_
+        fm = fit_fair(
+            LogisticRegression(max_iter=200), FairnessSpec("SP", 0.05),
+            two_group_data,
+        )
+        assert fm.report.feasible
 
     def test_raw_arrays_rejected(self, two_group_data):
-        of = OmniFair(LogisticRegression(), FairnessSpec("SP", 0.05))
         with pytest.raises(SpecificationError, match="Dataset"):
-            of.fit(two_group_data.X)
-
-    def test_predict_before_fit_raises(self, two_group_data):
-        of = OmniFair(LogisticRegression(), FairnessSpec("SP", 0.05))
-        with pytest.raises(RuntimeError, match="not fitted"):
-            of.predict(two_group_data.X)
+            fit_fair(
+                LogisticRegression(), FairnessSpec("SP", 0.05),
+                two_group_data.X,
+            )
 
     def test_predict_and_proba_shapes(self, two_group_splits):
         train, val, test = two_group_splits
-        of = OmniFair(
-            LogisticRegression(max_iter=200), FairnessSpec("SP", 0.05)
-        ).fit(train, val)
-        assert of.predict(test.X).shape == (len(test),)
-        assert of.predict_proba(test.X).shape == (len(test), 2)
+        fm = fit_fair(
+            LogisticRegression(max_iter=200), FairnessSpec("SP", 0.05),
+            train, val,
+        )
+        assert fm.predict(test.X).shape == (len(test),)
+        assert fm.predict_proba(test.X).shape == (len(test), 2)
 
     def test_evaluate_on_new_dataset(self, two_group_splits):
         train, val, test = two_group_splits
-        of = OmniFair(
-            LogisticRegression(max_iter=200), FairnessSpec("SP", 0.05)
-        ).fit(train, val)
-        report = of.evaluate(test)
+        fm = fit_fair(
+            LogisticRegression(max_iter=200), FairnessSpec("SP", 0.05),
+            train, val,
+        )
+        report = fm.audit(test)
         assert 0.0 <= report["accuracy"] <= 1.0
         assert len(report["disparities"]) == 1
 
@@ -76,46 +77,48 @@ class TestFit:
         spec = FairnessSpec("SP", 0.03)
         constraint = spec.bind(val)[0]
         base_disp = abs(constraint.disparity(val.y, base.predict(val.X)))
-        of = OmniFair(LogisticRegression(max_iter=200), spec).fit(train, val)
+        fm = fit_fair(LogisticRegression(max_iter=200), spec, train, val)
         fair_disp = abs(
-            list(of.validation_report_["disparities"].values())[0]
+            list(fm.report.validation["disparities"].values())[0]
         )
         assert fair_disp < base_disp
         assert fair_disp <= 0.03 + 1e-9
 
     def test_multi_constraint_path(self, three_group_splits):
         train, val, _ = three_group_splits
-        of = OmniFair(
-            LogisticRegression(max_iter=200), FairnessSpec("SP", 0.06)
-        ).fit(train, val)
-        assert of.lambdas_.shape == (3,)
-        assert of.validation_report_["feasible"]
+        fm = fit_fair(
+            LogisticRegression(max_iter=200), FairnessSpec("SP", 0.06),
+            train, val,
+        )
+        assert fm.lambdas.shape == (3,)
+        assert fm.report.validation["feasible"]
 
     def test_grid_search_single(self, two_group_splits):
         train, val, _ = two_group_splits
-        of = OmniFair(
+        fm = fit_fair(
             LogisticRegression(max_iter=200), FairnessSpec("SP", 0.05),
-            search="grid", grid_max=1.0, grid_steps=10,
-        ).fit(train, val)
-        assert of.feasible_
+            train, val, strategy="grid", grid_max=1.0, grid_steps=10,
+        )
+        assert fm.report.feasible
 
     def test_warm_start_path(self, two_group_splits):
         train, val, _ = two_group_splits
-        of = OmniFair(
+        fm = fit_fair(
             LogisticRegression(max_iter=200), FairnessSpec("SP", 0.05),
-            warm_start=True,
-        ).fit(train, val)
-        assert of.feasible_
+            train, val, warm_start=True,
+        )
+        assert fm.report.feasible
 
     def test_custom_grouping_subset(self, three_group_splits):
         train, val, _ = three_group_splits
         spec = FairnessSpec("SP", 0.05, grouping=by_groups("A", "B"))
-        of = OmniFair(LogisticRegression(max_iter=200), spec).fit(train, val)
-        assert of.lambdas_.shape == (1,)
+        fm = fit_fair(LogisticRegression(max_iter=200), spec, train, val)
+        assert fm.lambdas.shape == (1,)
 
     def test_n_fits_counted(self, two_group_splits):
         train, val, _ = two_group_splits
-        of = OmniFair(
-            LogisticRegression(max_iter=200), FairnessSpec("SP", 0.05)
-        ).fit(train, val)
-        assert of.n_fits_ == len(of.history_)
+        fm = fit_fair(
+            LogisticRegression(max_iter=200), FairnessSpec("SP", 0.05),
+            train, val,
+        )
+        assert fm.report.n_fits == len(fm.report.history)
