@@ -8,11 +8,11 @@ runs one identical λ grid search twice through the compiled engine:
   (for trees) the legacy per-node-mergesort builder, i.e. the
   seed-state fit path: one ``clone().fit()`` and one ``predict`` per
   candidate;
-* **batched** — the ISSUE 3 fast path: batched IRLS for logistic
+* **batched** — the fast path: batched IRLS for logistic
   regression (one vectorized damped-Newton pass over all candidates,
   batched Hessian solves), shared-:class:`~repro.ml.tree.PresortedDataset`
   index-partition builds for trees, stacked ``predict_batch`` scoring,
-  and the fit/eval memoization caches.
+  and the fit memoization cache.
 
 Both sides must select the **identical λ** (trees are bit-for-bit
 identical; IRLS coefficients agree to reduction-order round-off, see
@@ -162,8 +162,7 @@ def _splits(dataset):
 
 def _solve(mode, workload, train, val):
     # the serial side is the seed-state fit path: no batch protocol, no
-    # fit/eval memoization — the caches are part of what this PR ships,
-    # so only the batched side gets them
+    # fit memoization — only the batched side gets the fit cache
     engine = Engine(
         workload["strategy"],
         fit_cache=(mode == "batched"),
@@ -181,14 +180,13 @@ def _solve(mode, workload, train, val):
             n_fits=report.n_fits,
             accuracy=report.validation["accuracy"],
             fit_cache_hits=report.fit_cache_hits,
-            eval_cache_hits=report.eval_cache_hits,
             fit_paths=report.fit_paths,
         )
     except InfeasibleConstraintError:
         # the full grid was still scanned — timing stays valid
         result = dict(
             lambdas=None, feasible=False, n_fits=None, accuracy=None,
-            fit_cache_hits=None, eval_cache_hits=None, fit_paths=None,
+            fit_cache_hits=None, fit_paths=None,
         )
     elapsed = time.perf_counter() - t0
     return elapsed, result
@@ -229,7 +227,6 @@ def run_workload(name, workload, repeats):
             else None
         ),
         "batched_fit_cache_hits": batched["fit_cache_hits"],
-        "batched_eval_cache_hits": batched["eval_cache_hits"],
         "batched_fit_paths": batched["fit_paths"],
         "headline": workload["headline"],
     }

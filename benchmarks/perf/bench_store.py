@@ -1,9 +1,9 @@
 """Cross-run semantic cache: persistent store vs cold re-solves.
 
-ISSUE 7 added :mod:`repro.store` — a content-addressed on-disk blob
-store underneath the in-memory fit/eval caches, plus a canonical
-solution cache keyed on ``SpecSet.canonical()`` ×
-``Dataset.fingerprint()`` × model params × strategy config.  This
+:mod:`repro.store` is a content-addressed on-disk blob store
+underneath the in-memory fit cache, plus a canonical solution cache
+keyed on ``SpecSet.canonical()`` × ``Dataset.fingerprint()`` ×
+estimator fingerprint × strategy config.  This
 harness runs the CLI (``python -m repro train``) the way a user would —
 separate processes sharing only ``--store-dir`` — and gates the two
 properties the subsystem promises:

@@ -45,6 +45,7 @@ from .core.strategies import (
 from .core.fitter import WeightedFitter
 from .datasets.schema import Dataset
 from .ml.adapters import resolve_model
+from .ml.base import estimator_fingerprint
 from .ml.model_selection import train_test_split
 from .ml.persistence import load_model, save_model
 
@@ -59,6 +60,14 @@ FAIRMODEL_FORMAT_VERSION = 1
 _KNOWN_EXTRA_KEYS = frozenset({
     "fairmodel_format_version", "spec_canonical", "dataset_fingerprint",
 })
+
+
+def _check_chunk_size(chunk_size):
+    """Refuse a row-block size that is not an int >= 1 or ``None``."""
+    if chunk_size is not None and int(chunk_size) < 1:
+        raise SpecificationError(
+            f"chunk_size must be >= 1 or None, got {chunk_size}"
+        )
 
 
 class Problem:
@@ -157,10 +166,12 @@ class FairModel:
         Binds this model's specs to ``dataset`` and returns the
         :func:`~repro.core.evaluation.evaluate_model` dict (accuracy,
         per-constraint disparities/violations, feasibility).
-        ``chunk_size`` streams the prediction pass in row blocks —
-        identical numbers, bounded peak memory; pass it when auditing
-        memory-mapped (columnar) datasets.
+        ``chunk_size`` (an int >= 1, or ``None`` for one block) streams
+        the prediction pass in row blocks — identical numbers, bounded
+        peak memory; pass it when auditing memory-mapped (columnar)
+        datasets.
         """
+        _check_chunk_size(chunk_size)
         if len(dataset) == 0:
             raise SpecificationError(
                 "cannot audit on an empty dataset: it has zero rows, so "
@@ -292,25 +303,26 @@ class Engine:
         Memoize model fits on the hash of their resolved weight/label
         vectors (default True; automatically off under ``warm_start``).
         Hit counts surface as ``FitReport.fit_cache_hits`` /
-        ``eval_cache_hits``.
+        ``fit_cache_lookups``.
     chunk_size : int or None
-        Row-block size for the validation-side chunked evaluation path:
-        disparity/accuracy accumulators stream over row blocks instead
-        of one stacked mask product, with bit-identical results — the
-        knob that lets λ-search run on million-row scenarios.  ``None``
-        (default) keeps in-memory evaluation.
+        Row-block size of validation scoring and of the final audit:
+        prediction and disparity/accuracy counts stream over row blocks,
+        with bit-identical results — the knob that lets λ-search run on
+        million-row scenarios.  ``None`` (default) scores each split as
+        one block.
     store_dir : path-like or None
         Root of a persistent cross-run cache
         (:class:`repro.store.CacheStore`).  When set, every solve (a)
         consults a canonical solution cache first — an exact hit on
-        ``SpecSet.canonical()`` × dataset fingerprints × model params ×
-        strategy config returns the stored :class:`FairModel` with zero
-        fits, and a same-shape tightened-threshold request warm-starts
-        the single-λ search from the previous solve's λ — and (b)
-        persists/reuses individual fitted models and eval scores, so
-        even partially-overlapping solves skip work across processes.
-        Traffic is reported via ``FitReport.store_hits`` /
-        ``store_lookups``.
+        ``SpecSet.canonical()`` × dataset fingerprints × estimator
+        fingerprint × strategy config returns the stored
+        :class:`FairModel` with zero fits, and a same-shape
+        tightened-threshold request warm-starts the single-λ search
+        from the previous solve's λ — and (b) persists/reuses
+        individual fitted models across processes.  Both are skipped
+        for an estimator without a
+        :func:`~repro.ml.base.estimator_fingerprint`.  Traffic is
+        reported via ``FitReport.store_hits`` / ``store_lookups``.
     store : repro.store.CacheStore or None
         Share a prebuilt store instead of opening ``store_dir`` (the
         serving layer passes one store to every retune engine so its
@@ -346,10 +358,7 @@ class Engine:
                 f"unknown search strategy {strategy!r}; registered: "
                 f"{available_strategies()} (plus 'auto')"
             )
-        if chunk_size is not None and int(chunk_size) < 1:
-            raise SpecificationError(
-                f"chunk_size must be >= 1 or None, got {chunk_size}"
-            )
+        _check_chunk_size(chunk_size)
         self.strategy = strategy
         self.model = None if model is None else resolve_model(model)
         self.negative_weights = negative_weights
@@ -493,16 +502,8 @@ class Engine:
             swapped=swapped,
             fit_cache_hits=fitter.fit_cache_hits,
             fit_cache_lookups=fitter.fit_cache_lookups,
-            eval_cache_hits=fitter.eval_stats["hits"],
-            eval_cache_lookups=fitter.eval_stats["lookups"],
-            store_hits=(
-                fitter.store_stats["hits"]
-                + fitter.eval_stats.get("store_hits", 0)
-            ),
-            store_lookups=(
-                fitter.store_stats["lookups"]
-                + fitter.eval_stats.get("store_lookups", 0)
-            ),
+            store_hits=fitter.store_stats["hits"],
+            store_lookups=fitter.store_stats["lookups"],
             fit_paths=dict(fitter.fit_paths),
             train_constraints=list(fitter.constraints),
             val_constraints=list(val_constraints),
@@ -529,16 +530,20 @@ class Engine:
         """The flat dict that keys a solve in the solution cache.
 
         Covers everything that determines the selected model: the
-        canonical spec, both split fingerprints, the estimator class
-        and hyperparameters, the strategy and its config (minus the
-        warm-start seed fields, which alter only the trajectory), and
-        the weighted-training knobs.  The performance-only ``chunk_size``
-        is deliberately excluded — chunked evaluation is bit-identical,
-        so it would only fragment the cache.
-        Returns ``None`` for non-canonicalizable (non-DSL) specs.
+        canonical spec, both split fingerprints, the
+        :func:`~repro.ml.base.estimator_fingerprint`, the strategy and
+        its config (minus the warm-start seed fields, which alter only
+        the trajectory), and the weighted-training knobs.  The
+        performance-only ``chunk_size`` is deliberately excluded —
+        chunked evaluation is bit-identical, so it would only fragment
+        the cache.  Returns ``None`` for non-canonicalizable (non-DSL)
+        specs and for estimators without a fingerprint.
         """
         from dataclasses import asdict
 
+        fingerprint = estimator_fingerprint(estimator)
+        if fingerprint is None:
+            return None
         try:
             canonical = problem.canonical()
         except SpecificationError:
@@ -554,8 +559,7 @@ class Engine:
             "epsilon": epsilon,
             "train": train.fingerprint(),
             "val": val.fingerprint(),
-            "estimator": type(estimator).__name__,
-            "params": repr(sorted(estimator.get_params().items())),
+            "estimator": fingerprint,
             "strategy": name,
             "config": repr(sorted(cfg.items())),
             "negative_weights": self.negative_weights,
@@ -582,8 +586,6 @@ class Engine:
                 history=[],
                 fit_cache_hits=0,
                 fit_cache_lookups=0,
-                eval_cache_hits=0,
-                eval_cache_lookups=0,
                 store_hits=1,
                 store_lookups=1,
                 fit_paths={"solution": 1},

@@ -414,7 +414,6 @@ def _cmd_train(args, out):
     )
     out.write(
         f"caches: fit {report.fit_cache_hits}/{report.fit_cache_lookups} "
-        f"hits, eval {report.eval_cache_hits}/{report.eval_cache_lookups} "
         f"hits, store {report.store_hits}/{report.store_lookups} hits "
         f"({paths})\n"
     )

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..ml.metrics import accuracy_score
 from .exceptions import SpecificationError
+from .kernels import CompiledEvaluator
 
 __all__ = [
     "evaluate_model",
@@ -16,41 +16,28 @@ __all__ = [
 ]
 
 
-def _predict_chunked(model, X, chunk_size):
-    """Row-block prediction: bounded peak, identical labels.
-
-    Every estimator here predicts each row independently, so block
-    boundaries cannot change the output — the same argument that makes
-    the chunked evaluator bit-identical.  What chunking bounds is the
-    *transient* cost: a full-width ``predict`` materializes (n, d)
-    intermediates several times over, which dominates peak memory on
-    memory-mapped datasets whose columns never live in the heap.
-    """
-    if chunk_size is None or len(X) <= chunk_size:
-        return model.predict(X)
-    return np.concatenate([
-        model.predict(X[i:i + chunk_size])
-        for i in range(0, len(X), chunk_size)
-    ])
-
-
 def evaluate_model(model, X, y, constraints, chunk_size=None):
     """Accuracy plus per-constraint disparities of ``model`` on ``(X, y)``.
 
     Returns a dict with keys ``accuracy``, ``disparities`` (label → FP
     value), ``violations`` (label → ``max(0, |FP| − ε)``) and
-    ``feasible``.  ``chunk_size`` streams the prediction pass in row
-    blocks (see :func:`_predict_chunked`); the metrics themselves are
-    computed on the full label vector either way.
+    ``feasible``.  Scored by the λ-search's own pass,
+    :meth:`~repro.core.kernels.CompiledEvaluator.score_models_batch`, in
+    row blocks of at most ``chunk_size`` rows (``None``: one block), bit
+    for bit equal to :meth:`Constraint.disparity` and ``accuracy_score``
+    on the full prediction vector.
     """
-    pred = _predict_chunked(model, X, chunk_size)
-    disparities = {c.label: c.disparity(y, pred) for c in constraints}
+    evaluator = CompiledEvaluator(constraints, y, chunk_size=chunk_size)
+    scores, accuracy = evaluator.score_models_batch([model], X)
+    disparities = {
+        c.label: float(d) for c, d in zip(constraints, scores[0])
+    }
     violations = {
         c.label: max(0.0, abs(disparities[c.label]) - c.epsilon)
         for c in constraints
     }
     return {
-        "accuracy": accuracy_score(y, pred),
+        "accuracy": float(accuracy[0]),
         "disparities": disparities,
         "violations": violations,
         "feasible": all(v <= 1e-12 for v in violations.values()),

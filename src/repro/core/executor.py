@@ -5,7 +5,7 @@ from candidate *execution*; this module owns the execution half.  The
 :class:`ExecutionBackend` consumes :class:`~repro.core.planner.
 CandidateBatch` objects and drives the engine machinery —
 :meth:`WeightedFitter.fit` / :meth:`WeightedFitter.fit_batch`,
-:func:`~repro.core.kernels.evaluate_lambda_batch`, the fit/eval
+:func:`~repro.core.kernels.evaluate_lambda_batch`, the fit
 memoization caches, and chunked evaluation — uniformly for every
 strategy.  It runs in-process and in order: one fit per candidate of a
 ``"fit"`` batch, one vectorized pass per ``"population"`` batch.  The
@@ -306,7 +306,7 @@ def run_race(strategies, fitter, val_constraints, X_val, y_val,
 
     Each component strategy runs its own plan generator on a sibling
     fitter (:meth:`WeightedFitter.spawn` — same training binding, same
-    fit-memoization cache, same eval-stats sink), so any model one
+    fit-memoization cache), so any model one
     component trains is a cache hit for every other.  Components take
     turns executing ``interleave`` batches each; the first to finish
     with a feasible result wins.  Components that raise

@@ -16,9 +16,9 @@ protocol, :meth:`WeightedFitter.fit_batch`).
 
 A **fit memoization cache** sits in front of every model fit: the
 resolved ``(weights, labels)`` pair — plus the estimator's
-hyperparameters and which training split is in play — is hashed, and a
-candidate whose resolved vectors collide with an earlier fit reuses the
-fitted model instead of retraining.  Collisions
+:func:`~repro.ml.base.estimator_fingerprint` and which training split is
+in play — is hashed, and a candidate whose resolved vectors collide
+with an earlier fit reuses the fitted model instead of retraining.  Collisions
 are common in practice: ``resolve_negative_weights`` can map distinct λ
 to the same resolved vectors, λ-searches revisit Λ = 0, and hill
 climbing re-lands on coordinates it has already tried.  Hit counts are
@@ -35,12 +35,13 @@ A persistent :class:`~repro.store.CacheStore` can sit *under* the
 in-memory cache (``store=`` constructor argument, usually injected by
 ``Engine(store_dir=...)``): a memory miss consults the store before
 training, and every fresh fit is published back.  The persistent key is
-wider than the in-memory one — it adds the estimator class name and a
-digest of the training split itself, because the in-memory key's
-``(weights, labels)`` hash is only unambiguous within one fitter's
-``X``.  Store traffic is tracked in the shared :attr:`store_stats`
-sink, and a store hit still counts as a logical fit (like a cache
-hit).
+wider than the in-memory one — it adds a digest of the training split
+itself, because the in-memory key's ``(weights, labels)`` hash is only
+unambiguous within one fitter's ``X``.  An estimator without a
+fingerprint (a param with no canonical encoding) stays out of the store;
+the in-memory cache still serves it.  Store traffic is tracked in the
+shared :attr:`store_stats` sink, and a store hit still counts as a
+logical fit (like a cache hit).
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ import warnings
 
 import numpy as np
 
+from ..ml.base import estimator_fingerprint
 from ..resilience.faults import inject
 from .kernels import CompiledConstraints
 from .weights import resolve_negative_weights
@@ -91,12 +93,11 @@ class WeightedFitter:
         ``(weights, labels)`` vectors (default True; forced off under
         ``warm_start``).  See the module docstring.
     eval_chunk_size : int or None
-        Row-block size for the validation-side chunked evaluation path.
-        Every :class:`~repro.core.kernels.CompiledEvaluator` the search
-        builds for this fitter streams its mask products and prediction
-        scoring over blocks of at most this many rows — bit-identical
-        results, bounded peak memory.  ``None`` (default) keeps the
-        in-memory path.
+        Row-block size of validation scoring.  Every
+        :class:`~repro.core.kernels.CompiledEvaluator` the search builds
+        for this fitter predicts and counts over blocks of at most this
+        many rows — bit-identical results, bounded peak memory.  ``None``
+        (default) scores the split as one block.
     store : repro.store.CacheStore or None
         Persistent blob store consulted under the in-memory fit cache
         and published to after every fresh fit (see module docstring).
@@ -115,13 +116,9 @@ class WeightedFitter:
         Fit-memoization traffic; ``hits`` short-circuited a fit.
     store_stats : dict
         ``{"hits": int, "lookups": int}`` persistent-store traffic for
-        model fits; shared with :meth:`spawn` siblings like
-        :attr:`eval_stats`.  A store hit also short-circuited a fit
-        (the model was trained by an earlier process or solve).
-    eval_stats : dict
-        ``{"hits": int, "lookups": int}`` sink shared with every
-        :class:`~repro.core.kernels.CompiledEvaluator` the search builds
-        for this fitter (the validation-side prediction-score cache).
+        model fits; shared with :meth:`spawn` siblings.  A store hit
+        also short-circuited a fit (the model was trained by an earlier
+        process or solve).
     fit_paths : dict
         How batch candidates were fitted, by path:
         ``"batch_protocol"`` (estimator's ``fit_weighted_batch``),
@@ -171,7 +168,6 @@ class WeightedFitter:
         self.store = store if self.fit_cache else None
         self.store_stats = {"hits": 0, "lookups": 0}
         self._split_digests = {}
-        self.eval_stats = {"hits": 0, "lookups": 0}
         self.fit_paths = {}
         self._warned_warm_bypass = False
         self._shared = None
@@ -280,21 +276,16 @@ class WeightedFitter:
 
     # -- fit memoization -----------------------------------------------------
 
-    def _params_fingerprint(self):
-        """Small stable digest of the estimator's hyperparameters.
-
-        Recomputed per lookup so an external ``set_params`` between fits
-        cannot serve a stale model; the dicts involved are tiny.
-        """
-        return repr(sorted(self.estimator.get_params().items()))
-
-    def _cache_key(self, w, y_fit, split):
-        # hashlib reads the arrays through the buffer protocol: the
-        # digest sees the same bytes as ``tobytes()`` without the copies
+    @staticmethod
+    def _cache_key(params, w, y_fit, split):
+        # ``params`` is the estimator fingerprint, recomputed per fit
+        # call so an external ``set_params`` between fits cannot serve
+        # a stale model.  hashlib reads the arrays through the buffer
+        # protocol: the digest sees the bytes of ``tobytes()``, uncopied
         digest = hashlib.sha1()
         digest.update(np.ascontiguousarray(w))
         digest.update(np.ascontiguousarray(y_fit))
-        return (split, self._params_fingerprint(), digest.digest())
+        return (split, params, digest.digest())
 
     def _split_digest(self, use_subsample):
         """SHA1 of the training matrix for the persistent fit key.
@@ -312,15 +303,16 @@ class WeightedFitter:
             self._split_digests[use_subsample] = cached
         return cached
 
-    def _store_key(self, w, y_fit, use_subsample):
-        """Hex key for the persistent store: in-memory key + class + X."""
-        digest = hashlib.sha1()
-        digest.update(type(self.estimator).__name__.encode())
-        digest.update(self._params_fingerprint().encode())
-        digest.update(self._split_digest(use_subsample).encode())
-        digest.update(np.ascontiguousarray(w))
-        digest.update(np.ascontiguousarray(y_fit))
-        return digest.hexdigest()
+    def _store_key(self, key):
+        """Persistent key: the in-memory ``key`` plus the split digest.
+
+        ``None`` when the store is off or the estimator has no fingerprint.
+        """
+        split, params, digest = key
+        if self.store is None or params is None:
+            return None
+        text = f"{params}:{self._split_digest(split)}:"
+        return hashlib.sha1(text.encode() + digest).hexdigest()
 
     def _store_get(self, key, store_key):
         """Consult the persistent store after a memory miss.
@@ -390,8 +382,10 @@ class WeightedFitter:
         return self._fit_resolved(X, y_fit, w, use_subsample)
 
     def _fit_resolved(self, X, y_fit, w, use_subsample=False):
+        store_key = None
         if self.fit_cache:
-            key = self._cache_key(w, y_fit, use_subsample)
+            params = estimator_fingerprint(self.estimator)
+            key = self._cache_key(params, w, y_fit, use_subsample)
             self.fit_cache_lookups += 1
             cached = self._cache_get(key)
             if cached is not None:
@@ -399,8 +393,8 @@ class WeightedFitter:
                 self.n_fits += 1   # logical fit; the work was memoized
                 self._record_path("cached")
                 return cached
-            if self.store is not None:
-                store_key = self._store_key(w, y_fit, use_subsample)
+            store_key = self._store_key(key)
+            if store_key is not None:
                 stored = self._store_get(key, store_key)
                 if stored is not None:
                     self.n_fits += 1   # logical fit; trained by a past run
@@ -418,7 +412,7 @@ class WeightedFitter:
         self.n_fits += 1
         if self.fit_cache:
             self._cache_store(key, model)
-            if self.store is not None:
+            if store_key is not None:
                 self._store_put(store_key, model)
         return model
 
@@ -455,8 +449,10 @@ class WeightedFitter:
         models = [None] * B
         keys = None
         if self.fit_cache:
+            params = estimator_fingerprint(self.estimator)
             keys = [
-                self._cache_key(W_res[b], Y_res[b], False) for b in range(B)
+                self._cache_key(params, W_res[b], Y_res[b], False)
+                for b in range(B)
             ]
             self.fit_cache_lookups += B
             todo = []
@@ -473,8 +469,8 @@ class WeightedFitter:
                 if key in fresh:
                     hits += 1      # in-batch duplicate, filled below
                     continue
-                if self.store is not None:
-                    store_keys[b] = self._store_key(W_res[b], Y_res[b], False)
+                store_keys[b] = self._store_key(key)
+                if store_keys[b] is not None:
                     stored = self._store_get(key, store_keys[b])
                     if stored is not None:
                         # _store_get seeded the memory cache, so an
@@ -505,7 +501,7 @@ class WeightedFitter:
                 by_key = {keys[b]: models[b] for b in todo}
                 for b in todo:
                     self._cache_store(keys[b], models[b])
-                    if self.store is not None:
+                    if store_keys[b] is not None:
                         self._store_put(store_keys[b], models[b])
                 for b in range(B):
                     if models[b] is None:  # in-batch duplicate key
@@ -562,7 +558,7 @@ class WeightedFitter:
         The sibling binds the same training data and an independent
         *copy* of the constraint list (so Algorithm 1's in-place
         reorientation cannot leak across siblings), but shares the fit
-        cache dict and the eval-stats sink — any model one sibling
+        cache dict and the store counters — any model one sibling
         trains is a cache hit for every other.  This is what the
         ``race`` meta-strategy runs its components on.
         """
@@ -580,6 +576,5 @@ class WeightedFitter:
             store=self.store,
         )
         sibling._fit_cache = self._fit_cache
-        sibling.eval_stats = self.eval_stats
         sibling.store_stats = self.store_stats
         return sibling

@@ -35,17 +35,18 @@ group/label masks needed to score predictions against every constraint
 into one stacked matrix, so the disparities of a whole batch of
 prediction vectors reduce to a single ``(B, n) @ (n, S)`` product.  All
 rates are computed as exact integer counts divided once, mirroring
-:mod:`repro.ml.metrics` bitwise.
+:mod:`repro.ml.metrics` bitwise.  Its
+:meth:`~CompiledEvaluator.score_models_batch` is the one scoring pass of
+the engine: every λ candidate and every final audit is predicted and
+counted there, one row block at a time.
 
 :func:`evaluate_lambda_batch` glues the two together: weights for a grid
 or population of λ candidates in one pass, one model fit per candidate
-(or one estimator batch-protocol call), and a single vectorized scoring
-pass over the stacked predictions.
+(or one estimator batch-protocol call), and one scoring pass over the
+fitted models.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 
@@ -65,11 +66,6 @@ __all__ = [
     "evaluate_lambda_batch",
     "rate_from_counts",
 ]
-
-# prediction-score cache bound (entries are ~300 B: digest key, (k,)
-# disparity row, accuracy) — LRU so long searches stay bounded while
-# hot vectors keep hitting
-EVAL_CACHE_MAX = 4096
 
 
 class _ConstantTerm:
@@ -460,52 +456,30 @@ class CompiledEvaluator:
     fall back to the per-constraint Python path, keeping results
     identical to :meth:`Constraint.disparity` in all cases.
 
-    ``chunk_size`` enables the **chunked evaluation path**: the mask
-    product and the accuracy reduction are streamed over row blocks of
-    at most ``chunk_size`` rows, bounding the transient ``(B, block)``
-    temporaries instead of materializing ``(B, n)`` products.  Because
-    every accumulated quantity is an exact integer count (float64 adds
-    of integers below 2**53 are exact), the chunked path is
-    **bit-identical** to the in-memory path — same disparities, same
+    ``chunk_size`` is the one row-block size of every pass: the
+    prediction, the mask product and the accuracy reduction stream over
+    row blocks of at most ``chunk_size`` rows, bounding the transient
+    ``(B, block)`` temporaries instead of materializing ``(B, n)``
+    products.  Because every accumulated quantity is an exact integer
+    count (float64 adds of integers below 2**53 are exact), any block
+    size is **bit-identical** to one full pass — same disparities, same
     accuracies, same selected λ (property-tested in
-    ``tests/test_chunked_eval.py``).  Custom (fallback) metrics ignore
-    the knob: they need the full prediction vector by contract.
+    ``tests/test_chunked_eval.py``).  ``None`` (default) makes the whole
+    split one block.
 
-    :meth:`score` / :meth:`score_batch` additionally memoize per
-    prediction-vector hash — the validation-side sibling of the fit
-    cache: duplicate fits return the *same* model object, and λ-searches
-    frequently re-score predictions they have already seen (Λ = 0
-    re-evaluations, cache-hit candidates inside grids).  ``stats`` is an
-    optional ``{"hits": int, "lookups": int}`` dict — pass the owning
-    fitter's ``eval_stats`` so the search can surface hit counts through
-    :class:`~repro.core.report.FitReport`.
-
-    ``store`` adds a persistent :class:`~repro.store.CacheStore` layer
-    under the memory cache (injected by ``Engine(store_dir=...)``): a
-    memory-missed prediction hash is looked up on disk keyed by the
-    hash *plus* a binding digest covering everything that determines a
-    score — labels, mask columns, epsilons, and per-side rate metadata
-    — and fresh scores are published back.  The store is silently
-    disabled when any constraint uses a custom metric: an arbitrary
-    Python callable cannot be soundly keyed (two processes can bind the
-    same metric name to different functions).  Store traffic lands in
-    ``stats["store_hits"]`` / ``stats["store_lookups"]``.
+    Scores are not memoized: a repeated candidate costs one predict and
+    one count, the same work a cache lookup keyed on the predictions
+    would need before it could hit.
     """
 
-    def __init__(self, constraints, y, stats=None, chunk_size=None,
-                 store=None):
+    def __init__(self, constraints, y, chunk_size=None):
         self.y = np.asarray(y, dtype=np.int64)
         self.n = len(self.y)
         self.constraints = list(constraints)
         self.k = len(self.constraints)
-        self.epsilons = np.array(
-            [c.epsilon for c in self.constraints], dtype=np.float64
-        )
         if chunk_size is not None and int(chunk_size) < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.chunk_size = None if chunk_size is None else int(chunk_size)
-        self.stats = stats if stats is not None else {"hits": 0, "lookups": 0}
-        self._score_cache = {}
         mask_cols = []
 
         def add_mask(rows):
@@ -540,121 +514,73 @@ class CompiledEvaluator:
             np.column_stack(mask_cols) if mask_cols
             else np.zeros((self.n, 0))
         )
-        # custom metrics are opaque callables the binding digest cannot
-        # cover, so they disqualify the persistent layer entirely
-        self.store = store if (store is not None
-                               and not self._fallback) else None
-        self._binding = self._binding_digest() if self.store else None
-
-    def _binding_digest(self):
-        """Hex digest of everything that maps predictions to scores.
-
-        Two evaluators with equal binding digests produce identical
-        ``(disparities, accuracy)`` for identical prediction vectors,
-        so the persistent eval key is ``binding × prediction hash``.
-        """
-        digest = hashlib.sha1()
-        digest.update(np.ascontiguousarray(self.y).tobytes())
-        digest.update(np.ascontiguousarray(self.epsilons).tobytes())
-        digest.update(np.ascontiguousarray(self._mask_matrix).tobytes())
-        meta = [
-            (key, s.kind, s.size, s.n_y0, s.n_y1, tuple(s.cols), s.costs)
-            for key, s in sorted(self._sides.items())
-        ]
-        digest.update(repr((self.k, meta)).encode())
-        return digest.hexdigest()
-
-    def _store_get(self, dig):
-        """Persistent score for one prediction digest, or ``None``."""
-        self.stats["store_lookups"] = self.stats.get("store_lookups", 0) + 1
-        entry = self.store.get("eval", self._store_key(dig))
-        if (not isinstance(entry, tuple) or len(entry) != 2
-                or np.shape(entry[0]) != (self.k,)):
-            return None
-        self.stats["store_hits"] = self.stats.get("store_hits", 0) + 1
-        return np.asarray(entry[0], dtype=np.float64), float(entry[1])
-
-    def _store_put(self, dig, disparities, accuracy):
-        self.store.put(
-            "eval", self._store_key(dig), (disparities, float(accuracy)),
-        )
-
-    def _store_key(self, dig):
-        return hashlib.sha1(
-            self._binding.encode() + dig
-        ).hexdigest()
 
     # -- scoring -------------------------------------------------------------
 
-    # kept as a staticmethod alias: external callers/tests reach the
-    # division helper through the evaluator class
-    _safe_div = staticmethod(_safe_div)
+    def _blocks(self):
+        """Row slices of at most ``chunk_size`` rows covering the split.
 
-    def _side_values(self, side, pos_counts):
-        """Rates for one group side from the positive-prediction counts.
-
-        ``pos_counts`` holds ``Σ_{i∈mask}(pred_i = 1)`` per stacked mask
-        column; every other count is an exact integer complement.  The
-        arithmetic lives in :func:`rate_from_counts`, shared with the
-        incremental auditor for bit-identity.
+        Chunking off makes one block; an empty split yields none.
         """
-        counts = tuple(pos_counts[..., c] for c in side.cols)
-        return rate_from_counts(
-            side.kind, counts, side.size, side.n_y0, side.n_y1, side.costs
-        )
-
-    def _blocks(self, chunk_size=None):
-        """Row slices covering the split, at most ``chunk_size`` rows each.
-
-        The one row-block loop of the evaluator.  With chunking off the
-        whole split is a single block; an empty split yields no block.
-        Every caller accumulates exact integer counts over the blocks,
-        so any block size gives the same bits as one full pass.
-        """
-        chunk = self.chunk_size if chunk_size is None else chunk_size
-        step = chunk or max(self.n, 1)
+        step = self.chunk_size or max(self.n, 1)
         for start in range(0, self.n, step):
             yield slice(start, min(start + step, self.n))
 
-    def _pos_counts(self, preds):
-        """Stacked positive-prediction counts per mask column."""
-        out = np.zeros(
-            (preds.shape[0], self._mask_matrix.shape[1]), dtype=np.float64
-        )
+    def _counts(self, block_labels, B):
+        """``(positive counts (B, S), correct (B,))`` over the blocks.
+
+        The one block loop: ``block_labels(rows)`` returns one block's
+        ``(B, block)`` labels, counted before the next block is asked for.
+        """
+        pos_counts = np.zeros((B, self._mask_matrix.shape[1]))
+        correct = np.zeros(B)
         for rows in self._blocks():
-            out += (
-                (preds[:, rows] == 1).astype(np.float64)
-                @ self._mask_matrix[rows]
-            )
-        return out
+            labels = block_labels(rows)
+            if self._sides:
+                pos_counts += (
+                    (labels == 1).astype(np.float64) @ self._mask_matrix[rows]
+                )
+            correct += (labels == self.y[rows]).astype(np.float64).sum(axis=1)
+        return pos_counts, correct
 
-    def _builtin_disparities(self, pos_counts, out):
-        """Fill built-in constraints' columns of ``out`` from counts."""
-        for k in range(self.k):
-            if (k, 0) not in self._sides:
-                continue
-            v1 = self._side_values(self._sides[(k, 0)], pos_counts)
-            v2 = self._side_values(self._sides[(k, 1)], pos_counts)
-            out[:, k] = v1 - v2
-        return out
+    def _scores(self, pos_counts, correct, preds=None):
+        """``(disparities (B, k), accuracies (B,))`` from the counts.
 
-    def disparities_batch(self, predictions):
-        """``(B, k)`` disparity matrix for stacked prediction vectors."""
+        Rates come from :func:`rate_from_counts`, shared with the
+        incremental auditor; a custom metric scores the full ``preds``.
+        """
+        def rate(side):
+            counts = tuple(pos_counts[..., c] for c in side.cols)
+            return rate_from_counts(side.kind, counts, side.size,
+                                    side.n_y0, side.n_y1, side.costs)
+
+        out = np.empty((len(correct), self.k), dtype=np.float64)
+        for k, constraint in enumerate(self.constraints):
+            if k in self._fallback:
+                out[:, k] = [constraint.disparity(self.y, p) for p in preds]
+            else:
+                out[:, k] = rate(self._sides[(k, 0)]) - rate(self._sides[(k, 1)])
+        return out, correct / self.n
+
+    def score_batch(self, predictions):
+        """``(disparities (B, k), accuracies (B,))`` of stacked predictions."""
         preds = np.atleast_2d(np.asarray(predictions, dtype=np.int64))
         if preds.shape[1] != self.n:
             raise ValueError(
                 f"predictions have {preds.shape[1]} columns, "
                 f"expected {self.n}"
             )
-        out = np.empty((preds.shape[0], self.k), dtype=np.float64)
-        if self._sides:
-            self._builtin_disparities(self._pos_counts(preds), out)
-        for k in self._fallback:
-            constraint = self.constraints[k]
-            out[:, k] = [
-                constraint.disparity(self.y, pred) for pred in preds
-            ]
-        return out
+        counts = self._counts(lambda rows: preds[:, rows], len(preds))
+        return self._scores(*counts, preds)
+
+    def score(self, predictions):
+        """``(disparities (k,), accuracy)`` for one prediction vector."""
+        disparities, accuracies = self.score_batch(predictions)
+        return disparities[0], float(accuracies[0])
+
+    def disparities_batch(self, predictions):
+        """``(B, k)`` disparity matrix for stacked prediction vectors."""
+        return self.score_batch(predictions)[0]
 
     def disparities(self, predictions):
         """``(k,)`` disparity vector for a single prediction vector."""
@@ -662,170 +588,51 @@ class CompiledEvaluator:
 
     def accuracies_batch(self, predictions):
         """Plain accuracy per stacked prediction vector."""
-        preds = np.atleast_2d(np.asarray(predictions, dtype=np.int64))
-        correct = np.zeros(preds.shape[0], dtype=np.float64)
-        for rows in self._blocks():
-            correct += (
-                (preds[:, rows] == self.y[rows]).astype(np.float64).sum(axis=1)
-            )
-        return correct / self.n
+        return self.score_batch(predictions)[1]
 
     def accuracy(self, predictions):
         return float(self.accuracies_batch(predictions)[0])
 
-    # -- memoized scoring ----------------------------------------------------
-
-    def score_batch(self, predictions):
-        """``(disparities (B, k), accuracies (B,))``, memoized per row.
-
-        Rows whose prediction-vector hash was scored before — by any
-        earlier :meth:`score`/:meth:`score_batch` call on this evaluator
-        — are served from the cache; only the unseen rows go through the
-        stacked kernels.  Results are identical to
-        :meth:`disparities_batch` / :meth:`accuracies_batch` (the cache
-        stores their exact outputs).
-        """
-        preds = np.atleast_2d(np.asarray(predictions, dtype=np.int64))
-        B = preds.shape[0]
-        digests = [
-            hashlib.sha1(np.ascontiguousarray(preds[b]).tobytes()).digest()
-            for b in range(B)
-        ]
-        self.stats["lookups"] += B
-        disparities = np.empty((B, self.k), dtype=np.float64)
-        accuracies = np.empty(B, dtype=np.float64)
-        filled = np.zeros(B, dtype=bool)
-        todo = []
-        fresh = {}
-        cache = self._score_cache
-        for b, dig in enumerate(digests):
-            cached = cache.pop(dig, None)
-            if cached is not None:
-                cache[dig] = cached          # LRU touch
-                disparities[b], accuracies[b] = cached
-                filled[b] = True
-                self.stats["hits"] += 1
-            elif dig in fresh:
-                self.stats["hits"] += 1   # in-batch duplicate, filled below
-            elif self.store is not None and (
-                stored := self._store_get(dig)
-            ) is not None:
-                disparities[b], accuracies[b] = stored
-                filled[b] = True
-                # seed the memory cache so duplicates and revisits of
-                # this vector resolve locally
-                if len(cache) >= EVAL_CACHE_MAX:
-                    cache.pop(next(iter(cache)))
-                cache[dig] = stored
-            else:
-                fresh[dig] = b
-                todo.append(b)
-        if todo:
-            new_d = self.disparities_batch(preds[todo])
-            new_a = self.accuracies_batch(preds[todo])
-            for j, b in enumerate(todo):
-                disparities[b] = new_d[j]
-                accuracies[b] = new_a[j]
-                filled[b] = True
-                if len(cache) >= EVAL_CACHE_MAX:
-                    cache.pop(next(iter(cache)))
-                cache[digests[b]] = (new_d[j].copy(), float(new_a[j]))
-                if self.store is not None:
-                    self._store_put(digests[b], new_d[j].copy(), new_a[j])
-        for b in np.nonzero(~filled)[0]:         # in-batch duplicate rows
-            j = fresh[digests[b]]
-            disparities[b], accuracies[b] = disparities[j], accuracies[j]
-        return disparities, accuracies
-
-    def score(self, predictions):
-        """``(disparities (k,), accuracy)`` for one vector, memoized."""
-        disparities, accuracies = self.score_batch(predictions)
-        return disparities[0], float(accuracies[0])
-
-    # -- streaming model scoring ---------------------------------------------
-
     @staticmethod
-    def _batch_predictor(models):
-        """The shared ``predict_batch`` hook, when every model has it."""
+    def _predictor(models):
+        """``X -> (B, rows)`` int64 labels, by the one predict rule.
+
+        A lone model uses its own ``predict``; B > 1 models of one class
+        use the class's ``predict_batch`` when it has one (equal to
+        ``predict`` only up to round-off).
+        """
         cls = type(models[0])
         batch_predict = getattr(cls, "predict_batch", None)
-        if batch_predict is not None and all(type(m) is cls for m in models):
-            return batch_predict
-        return None
+        if (len(models) > 1 and batch_predict is not None
+                and all(type(m) is cls for m in models)):
+            return lambda X: np.asarray(batch_predict(models, X)).astype(
+                np.int64, copy=False
+            )
+        return lambda X: np.stack([m.predict(X) for m in models]).astype(
+            np.int64, copy=False
+        )
 
-    def score_models_batch(self, models, X, chunk_size=None):
-        """Score fitted models on ``X`` without stacking ``(B, n)`` preds.
+    def score_models_batch(self, models, X):
+        """``(disparities (B, k), accuracies (B,))`` of fitted models on ``X``.
 
-        With chunking active (``chunk_size`` here or on the evaluator)
-        predictions are produced one row block at a time and reduced
-        straight into the count accumulators, so peak memory holds one
-        ``(B, block)`` prediction slab instead of the full stacked
-        matrix.  Disparities and accuracies equal
-        :meth:`score_batch` of the stacked predictions **bit for bit**
-        (integer-count accumulation), and the per-candidate SHA1 is
-        computed incrementally over the same bytes, so the score cache
-        stays coherent between the streaming and in-memory paths.
-
-        Falls back to the in-memory path when chunking is off, the
-        split is a single block, or any constraint needs the full
-        prediction vector (custom-metric fallback).
+        The one scoring pass behind the λ-search and every audit: it
+        predicts one row block and adds its exact integer counts before
+        the next (:meth:`_counts`), so one ``(B, block)`` slab is alive
+        at a time, and equals :meth:`score_batch` of the stacked
+        predictions **bit for bit**.  A custom metric needs the whole
+        prediction vector, so it makes the split one block.
         """
-        X = np.asarray(X, dtype=np.float64)
-        chunk = self.chunk_size if chunk_size is None else int(chunk_size)
-        B = len(models)
-        if B == 0:
+        if not models:
             raise ValueError("score_models_batch needs at least one model")
-        batch_predict = self._batch_predictor(models)
-
-        def stacked(X_block):
-            if batch_predict is not None:
-                return np.asarray(batch_predict(models, X_block)).astype(
-                    np.int64, copy=False
-                )
-            return np.stack(
-                [m.predict(X_block) for m in models]
-            ).astype(np.int64, copy=False)
-
-        if not chunk or self.n <= chunk or self._fallback:
-            return self.score_batch(stacked(X))
-
-        S = self._mask_matrix.shape[1]
-        pos_counts = np.zeros((B, S), dtype=np.float64)
-        correct = np.zeros(B, dtype=np.float64)
-        hashers = [hashlib.sha1() for _ in range(B)]
-        for rows in self._blocks(chunk):
-            pb = stacked(X[rows])
-            for b in range(B):
-                hashers[b].update(np.ascontiguousarray(pb[b]).tobytes())
-            if S:
-                pos_counts += (
-                    (pb == 1).astype(np.float64) @ self._mask_matrix[rows]
-                )
-            correct += (pb == self.y[rows]).astype(np.float64).sum(axis=1)
-
-        disparities = np.empty((B, self.k), dtype=np.float64)
-        self._builtin_disparities(pos_counts, disparities)
-        accuracies = correct / self.n
-        # reconcile with the memoized-score cache: digests match the
-        # stacked-path keys byte for byte, so cached entries (from either
-        # path) serve identical values and fresh ones are stored for
-        # later in-memory lookups
-        cache = self._score_cache
-        self.stats["lookups"] += B
-        for b in range(B):
-            dig = hashers[b].digest()
-            cached = cache.pop(dig, None)
-            if cached is not None:
-                self.stats["hits"] += 1
-                disparities[b], accuracies[b] = cached
-            elif self.store is not None:
-                # the streaming pass already reduced the counts, so a
-                # store *get* saves nothing here — only publish
-                self._store_put(dig, disparities[b].copy(), accuracies[b])
-            if len(cache) >= EVAL_CACHE_MAX:
-                cache.pop(next(iter(cache)))
-            cache[dig] = (disparities[b].copy(), float(accuracies[b]))
-        return disparities, accuracies
+        X = np.asarray(X, dtype=np.float64)
+        if len(X) != self.n:
+            raise ValueError(f"X has {len(X)} rows, expected {self.n}")
+        predict = self._predictor(models)
+        if self._fallback:
+            return self.score_batch(predict(X))
+        return self._scores(
+            *self._counts(lambda rows: predict(X[rows]), len(models))
+        )
 
 
 # -- batched candidate evaluation --------------------------------------------
@@ -857,8 +664,7 @@ class BatchEvalResult:
 
 
 def evaluate_lambda_batch(
-    fitter, val_constraints, X_val, y_val, lambdas,
-    evaluator=None, chunk_size=None,
+    fitter, val_constraints, X_val, y_val, lambdas, evaluator=None,
 ):
     """Fit and score a whole grid/population of λ candidates in one pass.
 
@@ -874,12 +680,9 @@ def evaluate_lambda_batch(
         Candidate multiplier vectors.
     evaluator : CompiledEvaluator, optional
         Reuse a prebuilt validation evaluator across calls (CMA-ES calls
-        once per generation).
-    chunk_size : int, optional
-        Row-block size for the chunked evaluation path; defaults to the
-        fitter's ``eval_chunk_size`` (``None`` = in-memory scoring).
-        Streaming is bit-identical to in-memory scoring — see
-        :meth:`CompiledEvaluator.score_models_batch`.
+        once per generation).  Its ``chunk_size`` is the row-block size
+        of the scoring pass; when omitted, one is built with the
+        fitter's ``eval_chunk_size``.
 
     Returns
     -------
@@ -888,20 +691,13 @@ def evaluate_lambda_batch(
     lambdas = np.atleast_2d(np.asarray(lambdas, dtype=np.float64))
     if lambdas.shape[0] == 0:
         raise ValueError("evaluate_lambda_batch needs at least one candidate")
-    if chunk_size is None:
-        chunk_size = getattr(fitter, "eval_chunk_size", None)
     models = fitter.fit_batch(lambdas)
-    X_val = np.asarray(X_val, dtype=np.float64)
     if evaluator is None:
         evaluator = CompiledEvaluator(
             val_constraints, y_val,
-            stats=getattr(fitter, "eval_stats", None),
-            chunk_size=chunk_size,
-            store=getattr(fitter, "store", None),
+            chunk_size=getattr(fitter, "eval_chunk_size", None),
         )
-    disparities, accuracies = evaluator.score_models_batch(
-        models, X_val, chunk_size=chunk_size,
-    )
+    disparities, accuracies = evaluator.score_models_batch(models, X_val)
     return BatchEvalResult(
         lambdas=lambdas,
         models=models,

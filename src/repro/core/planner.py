@@ -1,7 +1,7 @@
 """Ask/tell strategy kernel: candidate *generation* behind a narrow IR.
 
 Every solver drives the same fit/evaluate/history loop, so each
-engine capability — compiled batching, fit/eval caches, chunked
+engine capability — compiled batching, the fit caches, chunked
 evaluation — composes once, here.  The loop has two layers:
 
 * a **Strategy** *asks* for candidates by yielding
@@ -213,10 +213,11 @@ class EvalResult:
 class PlanContext:
     """Everything a strategy's ``plan`` generator can see and touch.
 
-    Owns the validation-side scoring (one memoized
+    Owns the validation-side scoring (one
     :class:`~repro.core.kernels.CompiledEvaluator` per constraint
-    binding), the shared history list, and the constraint reorientation
-    hook Algorithm 1's swap step needs.
+    binding, scoring through its one block loop), the shared history
+    list, and the constraint reorientation hook Algorithm 1's swap step
+    needs.
     """
 
     def __init__(self, fitter, val_constraints, X_val, y_val,
@@ -260,30 +261,20 @@ class PlanContext:
     # -- scoring --------------------------------------------------------------
 
     def compiled_scorer(self):
-        """The shared memoized evaluator for the current binding."""
+        """The shared evaluator for the current binding."""
         key = tuple(id(c) for c in self.val_constraints)
         if self._kernel is None or self._kernel_key != key:
             self._kernel = CompiledEvaluator(
                 self.val_constraints, self.y_val,
-                stats=getattr(self.fitter, "eval_stats", None),
                 chunk_size=getattr(self.fitter, "eval_chunk_size", None),
-                store=getattr(self.fitter, "store", None),
             )
             self._kernel_key = key
         return self._kernel
 
     def score(self, model):
         """``(disparities (k,), accuracy)`` of ``model`` on validation."""
-        scorer = self.compiled_scorer()
-        if scorer.chunk_size:
-            # stream the prediction pass: a full-width predict
-            # materializes (n, d) intermediates several times over,
-            # which would dominate peak memory on mapped datasets;
-            # the streaming path is bit-identical and shares the
-            # score cache with the stacked path
-            d, a = scorer.score_models_batch([model], self.X_val)
-            return d[0], float(a[0])
-        return scorer.score(model.predict(self.X_val))
+        d, a = self.compiled_scorer().score_models_batch([model], self.X_val)
+        return d[0], float(a[0])
 
     def violations(self, disparities):
         """``|FP| − ε`` per constraint (positive = violated)."""

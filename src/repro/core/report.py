@@ -47,13 +47,14 @@ class FitReport:
         cache instead of retraining (see
         :class:`~repro.core.fitter.WeightedFitter`).
     eval_cache_hits, eval_cache_lookups : int
-        Validation-side prediction-score cache traffic
-        (:meth:`~repro.core.kernels.CompiledEvaluator.score_batch`).
+        Always 0: validation scores are not memoized.  Kept so readers
+        of these two fields keep working.
     store_hits, store_lookups : int
-        Persistent-store traffic (fit blobs + eval blobs combined) when
-        the solve ran with ``Engine(store_dir=...)``; a store hit means
-        the artifact was produced by an earlier process or solve.
-        Both 0 when no store is configured.
+        Persistent-store traffic when the solve ran with
+        ``Engine(store_dir=...)``: fit blobs, or one hit for a solve
+        served whole by the solution cache.  A store hit means the
+        artifact was produced by an earlier process or solve.  Both 0
+        when no store is configured.
     fit_paths : dict
         How fits were dispatched, by path name (``"batch_protocol"``,
         ``"serial"``, ``"single"``, ``"warm"``,
@@ -103,7 +104,7 @@ class FitReport:
     def fit_store_hits(self):
         """Persistent-store hits that short-circuited a model fit.
 
-        ``store_hits`` aggregates fit and eval blob traffic;
+        ``store_hits`` also counts a solution-cache hit;
         :attr:`fit_paths`' ``"store"`` entry isolates the fit side.
         """
         return self.fit_paths.get("store", 0)
@@ -128,8 +129,6 @@ class FitReport:
             f"accuracy:   {self.accuracy:.4f} (validation)",
             f"caches:     fit {self.fit_cache_hits}/"
             f"{self.fit_cache_lookups} hits, "
-            f"eval {self.eval_cache_hits}/"
-            f"{self.eval_cache_lookups} hits, "
             f"store {self.store_hits}/{self.store_lookups} hits",
         ]
         for label, value in self.disparities.items():

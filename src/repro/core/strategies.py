@@ -6,7 +6,7 @@ loop, a strategy *asks* for candidate λ batches by yielding
 :class:`~repro.core.planner.CandidateBatch` objects and is *told* the
 outcomes as :class:`~repro.core.planner.EvalResult` lists.  The
 :class:`~repro.core.executor.ExecutionBackend` consumes the batches and
-drives the compiled kernels, batched fits, fit/eval caches, and chunked
+drives the compiled kernels, batched fits, the fit caches, and chunked
 evaluation uniformly — so those capabilities compose once, in one
 place, for every strategy.
 
@@ -1137,7 +1137,7 @@ class RaceStrategy(SearchStrategy):
 
     Components (``config.strategies``, or an arity-appropriate default)
     run their plan generators on sibling fitters that share the fit
-    memoization cache and eval-stats sink, interleaving one turn at a
+    memoization cache, interleaving one turn at a
     time; the first feasible result wins.  See
     :func:`repro.core.executor.run_race`.
     """

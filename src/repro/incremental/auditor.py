@@ -554,9 +554,7 @@ class IncrementalAuditor:
         evaluator = CompiledEvaluator(
             constraints, live.y, chunk_size=chunk_size
         )
-        pred = self.live_predictions()
-        disparities = evaluator.disparities(pred)
-        accuracy = evaluator.accuracy(pred)
+        disparities, accuracy = evaluator.score(self.live_predictions())
         max_violation = max_violation_from_disparities(
             disparities, [c.epsilon for c in constraints]
         )

@@ -11,7 +11,7 @@ from .adapters import (
     register_external_model,
     resolve_model,
 )
-from .base import BaseClassifier, clone
+from .base import BaseClassifier, clone, estimator_fingerprint
 from .boosting import GradientBoostedTrees
 from .forest import RandomForest
 from .knn import KNearestNeighbors
@@ -42,6 +42,7 @@ from .tree import DecisionTree, PresortedDataset
 __all__ = [
     "BaseClassifier",
     "clone",
+    "estimator_fingerprint",
     "LogisticRegression",
     "LinearSVM",
     "DecisionTree",

@@ -162,9 +162,10 @@ class ExternalEstimatorAdapter(BaseClassifier):
         """Adapter + inner hyperparameters, stable under refits.
 
         The inner estimator's own ``get_params`` (when present) is
-        inlined under ``estimator__``-prefixed keys so the fit cache's
-        parameter fingerprint tracks the *configuration*, not the
-        object identity of the wrapped instance.
+        inlined under ``estimator__``-prefixed keys as ``repr`` strings,
+        so a clone compares equal: the dict tracks the *configuration*,
+        not the object identity of the wrapped instance.  Cache keys do
+        not use it; see :meth:`_fingerprint_params`.
         """
         params = {
             "weight_mode": self.weight_mode,
@@ -181,6 +182,16 @@ class ExternalEstimatorAdapter(BaseClassifier):
             for key in sorted(inner):
                 params[f"estimator__{key}"] = repr(inner[key])
         return params
+
+    def _fingerprint_params(self):
+        """What :func:`~repro.ml.base.estimator_fingerprint` encodes: the
+        adapter's knobs plus the inner estimator object itself."""
+        return {
+            "weight_mode": self.weight_mode,
+            "replication_resolution": self.replication_resolution,
+            "replication_max_rows": self.replication_max_rows,
+            "estimator": self.estimator,
+        }
 
     def set_params(self, **params):
         """Route ``estimator__``-prefixed keys to the inner estimator."""

@@ -12,12 +12,16 @@ follows a small scikit-learn-like protocol:
   introspection so OmniFair can retrain fresh copies for each λ.
 
 All estimators are pure numpy and deterministic given ``random_state``.
+:func:`estimator_fingerprint` names an estimator's class and params for
+the caches that outlive one fit.
 """
 
 from __future__ import annotations
 
 import copy
+import hashlib
 import inspect
+import json
 
 import numpy as np
 
@@ -27,6 +31,7 @@ __all__ = [
     "check_Xy",
     "check_sample_weight",
     "clone",
+    "estimator_fingerprint",
 ]
 
 
@@ -244,3 +249,68 @@ class BaseClassifier:
 def clone(estimator):
     """Module-level clone helper mirroring ``sklearn.base.clone``."""
     return estimator.clone()
+
+
+def _encode(value):
+    """Canonical form of a param value as tagged nested tuples, or ``None``.
+
+    The type tag keeps different values apart and makes forms with one
+    tag comparable, so dict items sort by encoded key.  A value with
+    ``get_params`` (or an adapter's ``_fingerprint_params``) is a nested
+    estimator.
+    """
+    if isinstance(value, str):
+        return ("s", value)
+    if isinstance(value, float):
+        return ("f", float(value).hex())
+    if isinstance(value, bool):
+        return ("B", value)
+    if isinstance(value, int):
+        return ("i", value)
+    if value is None:
+        return ("n",)
+    if isinstance(value, (np.ndarray, np.generic)):
+        array = np.asarray(value)
+        if array.dtype.hasobject:
+            return None
+        return ("a", array.dtype.descr, array.shape,
+                hashlib.sha1(array.tobytes()).hexdigest())
+    if isinstance(value, dict):
+        items = [(_encode(k), _encode(v)) for k, v in value.items()]
+        if any(None in item for item in items):
+            return None
+        return ("d", tuple(sorted(items)))
+    if isinstance(value, (list, tuple)):
+        items = tuple(_encode(v) for v in value)
+        if None in items:
+            return None
+        return ("l" if isinstance(value, list) else "t", items)
+    get_params = (getattr(value, "_fingerprint_params", None)
+                  or getattr(value, "get_params", None))
+    if not callable(get_params) or isinstance(value, type):
+        return None
+    try:
+        params = _encode(dict(get_params()))
+    except (TypeError, ValueError):   # a get_params that is not sklearn-style
+        return None
+    cls = type(value)
+    return None if params is None else (
+        "e", f"{cls.__module__}.{cls.__qualname__}", params
+    )
+
+
+def estimator_fingerprint(estimator):
+    """SHA1 hex digest of an estimator's class and params, or ``None``.
+
+    The name every cache key gives an estimator: its module-qualified
+    class and each ``get_params()`` value encoded canonically (arrays by
+    dtype, shape and byte hash; containers and nested estimators
+    recursively), never by ``repr``, which numpy shortens for arrays
+    over 1000 elements.  ``None`` for a value with no canonical encoding,
+    or an adapter whose inner object has no ``get_params``; callers keep
+    such an estimator out of every persistent cache.
+    """
+    encoded = _encode(estimator)
+    if encoded is None:
+        return None
+    return hashlib.sha1(json.dumps(encoded).encode()).hexdigest()

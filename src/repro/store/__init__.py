@@ -1,11 +1,9 @@
 """Cross-run semantic cache: the persistent layer under the in-memory caches.
 
-Every cache the engine grew so far — the fit-memoization cache keyed on
-resolved weight vectors (:class:`~repro.core.fitter.WeightedFitter`),
-the validation-side prediction-score cache
-(:class:`~repro.core.kernels.CompiledEvaluator`), and the serving
-registry's canonical dedup index
-(:class:`~repro.serving.registry.ModelRegistry`) — dies with the
+The in-memory caches — the fit-memoization cache keyed on resolved
+weight vectors (:class:`~repro.core.fitter.WeightedFitter`) and the
+serving registry's canonical dedup index
+(:class:`~repro.serving.registry.ModelRegistry`) — die with the
 process.  This package gives them a durable floor:
 
 * :class:`~repro.store.blob.CacheStore` — a content-addressed on-disk
@@ -25,9 +23,8 @@ process.  This package gives them a durable floor:
 
 Wiring: ``Engine(store_dir=...)`` (or the CLI's ``--store-dir``) builds
 one :class:`CacheStore` and threads it through the
-:class:`~repro.core.fitter.WeightedFitter` (persistent fit artifacts),
-the :class:`~repro.core.kernels.CompiledEvaluator` (persistent eval
-scores), and the :class:`SolutionCache`; ``repro serve --store-dir``
+:class:`~repro.core.fitter.WeightedFitter` (persistent fit artifacts)
+and the :class:`SolutionCache`; ``repro serve --store-dir``
 shares the same directory with the model registry's spool files, so a
 restarted server comes back warm.  See ``docs/caching.md`` for the full
 key anatomy and invalidation rules.

@@ -195,7 +195,7 @@ class CacheStore:
         Parameters
         ----------
         namespace : str
-            Blob family (``"fit"``, ``"eval"``, ``"solution"``, ...).
+            Blob family (``"fit"``, ``"solution-v2"``, ...).
         key : str
             SHA1 hex digest (see :func:`content_key`).
         obj : object

@@ -1,9 +1,9 @@
 """Canonical solution cache: finished solves and warm-start brackets.
 
-The blob store remembers *artifacts* (fitted estimators, eval scores);
+The blob store remembers *artifacts* (fitted estimators);
 this module remembers *answers*.  A solution is keyed by everything
 that determines the solve — ``SpecSet.canonical()``, the train/val
-``Dataset.fingerprint()`` digests, the estimator class and parameters,
+``Dataset.fingerprint()`` digests, the estimator fingerprint,
 and the strategy configuration — so a canonically-equivalent request in
 a fresh process gets the finished :class:`~repro.api.FairModel` back
 without training a single model.

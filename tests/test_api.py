@@ -168,6 +168,19 @@ class TestFairModel:
         )
         assert fm.report.strategy == "grid"
 
+    @pytest.mark.parametrize("chunk_size", [0, -5])
+    def test_audit_refuses_bad_chunk_size_by_name(self, two_group_splits,
+                                                  chunk_size):
+        train, val, test = two_group_splits
+        fm = fit_fair(
+            LogisticRegression(max_iter=200), "SP <= 0.05", train, val,
+        )
+        with pytest.raises(
+            SpecificationError,
+            match=f"chunk_size must be >= 1 or None, got {chunk_size}",
+        ):
+            fm.audit(test, chunk_size=chunk_size)
+
 
 class TestEvaluationHelpers:
     def test_max_violation_empty_raises(self):

@@ -39,6 +39,30 @@ def _random_constraints(rng, n, y, k):
     return constraints
 
 
+def _odd_constraint(rng, n):
+    """One constraint on a custom metric, which the evaluator cannot
+    reduce to counts and scores on the full prediction vector."""
+    from repro.core.fairness_metrics import custom_metric
+
+    def odd_coeff(y, _pred):
+        n1 = max(int(np.sum(y == 1)), 1)
+        c = np.zeros(len(y))
+        c[y == 1] = 1.0 / n1
+        return c, 0.0
+
+    def odd_rate(y_true, y_pred):
+        n1 = max(int(np.sum(y_true == 1)), 1)
+        return float(np.sum(y_pred[y_true == 1] == y_true[y_true == 1]) / n1)
+
+    groups = rng.integers(0, 2, size=n)
+    return Constraint(
+        metric=custom_metric("ODD", odd_coeff, odd_rate), epsilon=0.1,
+        group_names=("a", "b"),
+        g1_idx=np.nonzero(groups == 0)[0],
+        g2_idx=np.nonzero(groups == 1)[0], label="odd",
+    )
+
+
 class TestEvaluatorBitIdentity:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -88,60 +112,109 @@ class TestEvaluatorBitIdentity:
 
         full = CompiledEvaluator(constraints, y)
         d_ref, a_ref = full.score_batch(preds)
-        for chunk in (1, 7, 64, n, 2 * n):
+        for chunk in (None, 1, 7, 64, n, 2 * n):
             ev = CompiledEvaluator(constraints, y, chunk_size=chunk)
             d_got, a_got = ev.score_models_batch(models, X)
             assert np.array_equal(d_ref, d_got), chunk
             assert np.array_equal(a_ref, a_got), chunk
 
-    def test_streaming_and_stacked_share_the_score_cache(self):
-        rng = np.random.default_rng(9)
-        n = 120
+    def test_lone_model_scores_with_its_own_predict(self):
+        # predict_batch may differ from predict in round-off; a lone
+        # model must score its predict labels on every block size
+        class OddBatch(GaussianNaiveBayes):
+            @staticmethod
+            def predict_batch(models, X):
+                return 1 - np.stack([m.predict(X) for m in models])
+
+        rng = np.random.default_rng(8)
+        n = 60
         X = rng.normal(size=(n, 3))
         y = (X[:, 0] > 0).astype(np.int64)
-        constraints = _random_constraints(rng, n, y, 1)
-        model = GaussianNaiveBayes().fit(X, y)
-        ev = CompiledEvaluator(constraints, y, chunk_size=32)
-        ev.score_models_batch([model], X)
-        assert ev.stats == {"hits": 0, "lookups": 1}
-        # the incremental SHA1 equals the stacked-path digest, so an
-        # in-memory re-score of the same predictions hits the cache
-        ev.score(model.predict(X))
-        assert ev.stats == {"hits": 1, "lookups": 2}
-        # and a second streaming pass hits it too
-        ev.score_models_batch([model], X)
-        assert ev.stats == {"hits": 2, "lookups": 3}
+        constraints = _random_constraints(rng, n, y, 2)
+        model = OddBatch().fit(X, y)
+        ref = CompiledEvaluator(constraints, y).score(model.predict(X))
+        for chunk in (None, 7):
+            ev = CompiledEvaluator(constraints, y, chunk_size=chunk)
+            d_got, a_got = ev.score_models_batch([model], X)
+            assert np.array_equal(d_got[0], ref[0]), chunk
+            assert a_got[0] == ref[1], chunk
+        # a batch of B > 1 models of the class takes its batch hook
+        pair = CompiledEvaluator(constraints, y, chunk_size=7)
+        d_batch, _ = pair.score_models_batch([model, model], X)
+        flipped = CompiledEvaluator(constraints, y).disparities(
+            1 - model.predict(X)
+        )
+        assert np.array_equal(d_batch[1], flipped)
+
+    def test_rows_of_x_must_match_the_split(self):
+        rng = np.random.default_rng(1)
+        y = rng.integers(0, 2, size=20)
+        c = _random_constraints(rng, 20, y, 1)
+        model = GaussianNaiveBayes().fit(rng.normal(size=(20, 2)), y)
+        with pytest.raises(ValueError, match="rows"):
+            CompiledEvaluator(c, y).score_models_batch(
+                [model], rng.normal(size=(25, 2))
+            )
 
     def test_fallback_metric_uses_in_memory_path(self):
         # a custom metric must still be scored identically (full-vector
         # python fallback), chunked or not
-        from repro.core.fairness_metrics import custom_metric
-
-        def odd_coeff(y, _pred):
-            n1 = max(int(np.sum(y == 1)), 1)
-            c = np.zeros(len(y))
-            c[y == 1] = 1.0 / n1
-            return c, 0.0
-
-        def odd_rate(y_true, y_pred):
-            n1 = max(int(np.sum(y_true == 1)), 1)
-            return float(np.sum(y_pred[y_true == 1] == y_true[y_true == 1]) / n1)
-
-        metric = custom_metric("ODD", odd_coeff, odd_rate)
         rng = np.random.default_rng(2)
         n = 90
         y = rng.integers(0, 2, size=n)
-        groups = rng.integers(0, 2, size=n)
-        constraints = [Constraint(
-            metric=metric, epsilon=0.1, group_names=("a", "b"),
-            g1_idx=np.nonzero(groups == 0)[0],
-            g2_idx=np.nonzero(groups == 1)[0],
-        )]
+        constraints = [_odd_constraint(rng, n)]
         preds = rng.integers(0, 2, size=(3, n))
         full = CompiledEvaluator(constraints, y)
         chunked = CompiledEvaluator(constraints, y, chunk_size=16)
         assert np.array_equal(
             full.disparities_batch(preds), chunked.disparities_batch(preds)
+        )
+
+
+class TestEvaluateModelOracle:
+    """``evaluate_model`` scores through the evaluator's block loop; it
+    equals the per-constraint oracle on ``model.predict(X)`` bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(20, 200),
+        chunk=st.sampled_from(["none", 1, 7, "n", "2n"]),
+        custom=st.booleans(),
+    )
+    def test_matches_per_constraint_oracle(self, seed, n, chunk, custom):
+        from repro.core.evaluation import evaluate_model
+        from repro.core.fairness_metrics import average_error_cost_parity
+        from repro.ml.metrics import accuracy_score
+
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, 3))
+        y = (X[:, 0] + rng.normal(size=n) > 0).astype(np.int64)
+        y[:2] = (0, 1)
+        constraints = _random_constraints(rng, n, y, len(BUILTIN_METRICS))
+        groups = rng.integers(0, 2, size=n)
+        constraints.append(Constraint(
+            metric=average_error_cost_parity(cost_fp=2.0, cost_fn=0.5),
+            epsilon=0.05, group_names=("a", "b"),
+            g1_idx=np.nonzero(groups == 0)[0],
+            g2_idx=np.nonzero(groups == 1)[0], label="aec",
+        ))
+        if custom:
+            constraints.append(_odd_constraint(rng, n))
+        model = GaussianNaiveBayes().fit(
+            X, y, sample_weight=rng.uniform(0.2, 2.0, size=n)
+        )
+        chunk_size = {"none": None, "n": n, "2n": 2 * n}.get(chunk, chunk)
+
+        got = evaluate_model(model, X, y, constraints, chunk_size=chunk_size)
+        pred = model.predict(X)
+        want = {c.label: c.disparity(y, pred) for c in constraints}
+        assert list(got["disparities"]) == list(want)
+        for label, value in want.items():
+            assert got["disparities"][label].hex() == value.hex(), label
+        assert got["accuracy"].hex() == accuracy_score(y, pred).hex()
+        assert got["feasible"] == all(
+            abs(want[c.label]) - c.epsilon <= 1e-12 for c in constraints
         )
 
 
@@ -181,7 +254,10 @@ class TestBatchEvalPlumbing:
         L = np.array([[0.0], [0.25]])
         fitter, c, X, y = self._fitter(None)
         ref = evaluate_lambda_batch(fitter, [c], X, y, L)
-        got = evaluate_lambda_batch(fitter, [c], X, y, L, chunk_size=9)
+        got = evaluate_lambda_batch(
+            fitter, [c], X, y, L,
+            evaluator=CompiledEvaluator([c], y, chunk_size=9),
+        )
         assert np.array_equal(ref.disparities, got.disparities)
         assert np.array_equal(ref.accuracies, got.accuracies)
 

@@ -1,11 +1,8 @@
-"""Fit/eval memoization caches and batch-path bookkeeping (ISSUE 3).
+"""Fit memoization cache and batch-path bookkeeping.
 
 Covers the :class:`~repro.core.fitter.WeightedFitter` fit cache (keyed
-on resolved weight/label vectors), the
-:class:`~repro.core.kernels.CompiledEvaluator` prediction-score cache,
-the one-time warm-start batch-bypass warning, the process-pool
-invalidation on training-matrix changes, and the FitReport/CLI plumbing
-of the hit counters.
+on resolved weight/label vectors), the one-time warm-start batch-bypass
+warning, and the FitReport/CLI plumbing of the hit counters.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ from repro.api import Engine, Problem
 from repro.cli import main
 from repro.core.fairness_metrics import METRIC_FACTORIES
 from repro.core.fitter import WeightedFitter
-from repro.core.kernels import CompiledEvaluator
 from repro.core.spec import Constraint
 from repro.datasets.synthetic import make_biased_dataset
 from repro.ml.logistic import LogisticRegression
@@ -142,39 +138,6 @@ class TestFitCache:
         assert not np.array_equal(full.theta_, sub.theta_)
 
 
-class TestEvalCache:
-    def test_score_batch_matches_uncached_kernels(self):
-        _X, y, constraints = _setup(seed=3)
-        rng = np.random.default_rng(4)
-        evaluator = CompiledEvaluator(constraints, y)
-        preds = rng.integers(0, 2, size=(5, len(y)))
-        preds[3] = preds[0]                      # in-batch duplicate
-        disparities, accuracies = evaluator.score_batch(preds)
-        assert np.array_equal(
-            disparities, evaluator.disparities_batch(preds)
-        )
-        assert np.array_equal(
-            accuracies, evaluator.accuracies_batch(preds)
-        )
-        assert evaluator.stats["hits"] == 1
-        assert evaluator.stats["lookups"] == 5
-        # scoring the same rows again is all hits
-        d2, a2 = evaluator.score_batch(preds[:2])
-        assert np.array_equal(d2, disparities[:2])
-        assert np.array_equal(a2, accuracies[:2])
-        assert evaluator.stats["hits"] == 3
-
-    def test_single_score_uses_cache(self):
-        _X, y, constraints = _setup(seed=5)
-        stats = {"hits": 0, "lookups": 0}
-        evaluator = CompiledEvaluator(constraints, y, stats=stats)
-        pred = np.zeros(len(y), dtype=np.int64)
-        d1, a1 = evaluator.score(pred)
-        d2, a2 = evaluator.score(pred)
-        assert np.array_equal(d1, d2) and a1 == a2
-        assert stats == {"hits": 1, "lookups": 2}
-
-
 class TestWarmStartBypassWarning:
     def test_warns_once_and_records_serial_path(self):
         X, y, constraints = _setup()
@@ -218,7 +181,6 @@ class TestReportAndCli:
         )
         report = fair.report
         assert report.fit_cache_lookups >= report.n_fits - 1
-        assert report.eval_cache_lookups > 0
         assert report.fit_cache_hits >= 0
         assert sum(report.fit_paths.values()) >= report.n_fits
         assert report.fit_paths.get("batch_protocol", 0) > 0
@@ -235,7 +197,7 @@ class TestReportAndCli:
         )
         text = out.getvalue()
         assert code == 0, text
-        assert "caches: fit " in text and "eval " in text
+        assert "caches: fit " in text
 
     def test_cli_no_fit_cache_flag(self):
         out = io.StringIO()

@@ -10,11 +10,15 @@ Three tiers, mirroring the layering in ``repro.store``:
 * engine/CLI integration — a canonically-equivalent re-solve through a
   fresh Engine spends **0 fits** and returns bit-identical λ, a
   tightened re-solve warm-starts into strictly fewer fits than cold,
-  and the CLI ``--store-dir`` round-trip does the same end to end.
+  and the CLI ``--store-dir`` round-trip does the same end to end;
+* estimator fingerprints — both persistent keys (fit blobs and
+  solutions) separate every estimator that could train another model.
 """
 
 import io
+import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -23,8 +27,11 @@ from hypothesis import strategies as st
 
 from repro.api import Engine, FairModel, Problem
 from repro.cli import main as cli_main
+from repro.core.fitter import WeightedFitter
+from repro.core.strategies import get_strategy
 from repro.datasets import load_scenario
-from repro.ml import GaussianNaiveBayes
+from repro.ml import ExternalEstimatorAdapter, GaussianNaiveBayes
+from repro.ml.base import estimator_fingerprint
 from repro.store import CacheStore, SolutionCache
 from repro.store.blob import content_key
 
@@ -352,6 +359,180 @@ class TestEngineStore:
             )
         assert again.report.n_fits > 0
         assert again.report.feasible
+
+
+    def test_solve_writes_no_eval_blobs(self, tmp_path, sweep_data):
+        fair = Engine("hill_climb", store_dir=tmp_path).solve(
+            "SP <= 0.08", GaussianNaiveBayes(), sweep_data,
+        )
+        assert not (tmp_path / "eval").exists()
+        assert fair.report.eval_cache_lookups == 0
+        assert fair.report.eval_cache_hits == 0
+        # every store lookup is a fit blob
+        assert fair.report.store_lookups > 0
+        assert (tmp_path / "fit").exists()
+
+
+# -- estimator fingerprints in the persistent keys ----------------------------
+
+
+class OffsetNB(GaussianNaiveBayes):
+    """NB with extra params that leave its fit unchanged."""
+
+    def __init__(self, var_smoothing=1e-9, offsets=None, depth=3, tag="a",
+                 flags=(True, 0.5)):
+        super().__init__(var_smoothing=var_smoothing)
+        self.offsets = offsets
+        self.depth = depth
+        self.tag = tag
+        self.flags = flags
+
+
+def _always_one(self, X):
+    return np.ones(len(X), dtype=np.int64)
+
+
+def _clf_in(module_name, monkeypatch, predict=None):
+    """An NB subclass named ``Clf`` in a fresh importable module."""
+    module = types.ModuleType(module_name)
+    body = {"__module__": module_name}
+    if predict is not None:
+        body["predict"] = predict
+    module.Clf = type("Clf", (GaussianNaiveBayes,), body)
+    monkeypatch.setitem(sys.modules, module_name, module)
+    return module.Clf
+
+
+@pytest.fixture(scope="module")
+def million_rows():
+    return load_scenario("million_row", n=4000, seed=0)
+
+
+def _grid_solve(store_dir, estimator, data):
+    return Engine("grid", store_dir=store_dir, grid_steps=3).solve(
+        "SP <= 0.9", estimator, data,
+    )
+
+
+class TestEstimatorFingerprintKeys:
+    def test_same_named_classes_in_two_modules_do_not_share(
+        self, tmp_path, monkeypatch, million_rows,
+    ):
+        clf_a = _clf_in("modA", monkeypatch)
+        clf_b = _clf_in("modB", monkeypatch, predict=_always_one)
+        first = _grid_solve(tmp_path, clf_a(), million_rows)
+        assert type(first.model) is clf_a
+        second = _grid_solve(tmp_path, clf_b(), million_rows)
+        assert not second.metadata.get("solution_cache_hit")
+        assert type(second.model) is clf_b
+        assert second.predict(million_rows.X).min() == 1
+        assert second.report.fit_paths.get("store", 0) == 0
+
+    def test_one_array_element_separates_solutions(self, tmp_path,
+                                                   million_rows):
+        zeros = np.zeros(2000)
+        changed = zeros.copy()
+        changed[1000] = 1.0
+        assert repr(zeros) == repr(changed)   # what a repr key would see
+        _grid_solve(tmp_path, OffsetNB(offsets=zeros), million_rows)
+        got = _grid_solve(tmp_path, OffsetNB(offsets=changed), million_rows)
+        assert not got.metadata.get("solution_cache_hit")
+        assert got.model.offsets[1000] == 1.0
+        assert got.report.fit_paths.get("store", 0) == 0
+
+    def test_unencodable_estimator_skips_the_persistent_layers(
+        self, tmp_path, million_rows,
+    ):
+        class Duck:   # no get_params: the adapter cannot name it
+            def fit(self, X, y, sample_weight=None):
+                self.model_ = GaussianNaiveBayes().fit(X, y, sample_weight)
+                return self
+
+            def predict(self, X):
+                return self.model_.predict(X)
+
+        adapter = ExternalEstimatorAdapter(Duck())
+        assert estimator_fingerprint(adapter) is None
+        assert estimator_fingerprint(OffsetNB(offsets=len)) is None
+        fair = _grid_solve(tmp_path, adapter, million_rows)
+        assert fair.report.store_lookups == 0
+        assert fair.report.fit_cache_lookups > 0   # memory cache still on
+        assert not any(tmp_path.iterdir())
+
+    def test_fingerprint_names_the_module_qualified_class(self):
+        assert estimator_fingerprint(GaussianNaiveBayes()) != (
+            estimator_fingerprint(OffsetNB())
+        )
+        assert estimator_fingerprint(OffsetNB(tag="x")) == (
+            estimator_fingerprint(OffsetNB(tag="x"))
+        )
+
+
+@pytest.fixture(scope="module")
+def key_splits(tmp_path_factory):
+    data = load_scenario("imbalance", n=300, seed=1)
+    rows = np.arange(len(data))
+    store = CacheStore(tmp_path_factory.mktemp("keys"))
+    return data.subset(rows[:200]), data.subset(rows[200:]), store
+
+
+def _persistent_keys(estimator, train, val, store):
+    """``(solution key, fit-blob key)`` of a grid solve of ``estimator``."""
+    problem = Problem("SP <= 0.9")
+    engine = Engine("grid", store=store)
+    config = get_strategy("grid").make_config({})
+    desc = engine._describe_solution(
+        problem, train, val, estimator, "grid", config,
+    )
+    fitter = WeightedFitter(
+        estimator, train.X, train.y, problem.bind(train), store=store,
+    )
+    key = fitter._cache_key(
+        estimator_fingerprint(estimator), np.ones(len(train)), train.y, False,
+    )
+    return SolutionCache.exact_key(desc), fitter._store_key(key)
+
+
+_BASE_PARAMS = dict(
+    var_smoothing=1e-9, offsets=np.zeros(2000), depth=3, tag="a",
+    flags=(True, 0.5),
+)
+_OTHER_FLOATS = st.floats(allow_nan=False).filter(lambda v: v != 0.0)
+
+
+@st.composite
+def _one_param_changed(draw):
+    """The base params with exactly one value changed."""
+    params = dict(_BASE_PARAMS, offsets=_BASE_PARAMS["offsets"].copy())
+    name = draw(st.sampled_from(sorted(params)))
+    if name == "offsets":
+        index = draw(st.integers(0, 1999))
+        params["offsets"][index] = draw(_OTHER_FLOATS)
+    elif name == "var_smoothing":
+        params[name] = draw(_OTHER_FLOATS.filter(lambda v: v != 1e-9))
+    elif name == "depth":
+        params[name] = draw(st.integers().filter(lambda v: v != 3))
+    elif name == "tag":
+        params[name] = draw(st.text().filter(lambda v: v != "a"))
+    else:
+        params[name] = draw(st.sampled_from(
+            [(False, 0.5), (True, -0.5), (True, 0.5, None), [True, 0.5]]
+        ))
+    return params
+
+
+class TestKeySoundnessProperty:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(params=_one_param_changed())
+    def test_any_single_param_change_changes_both_keys(self, key_splits,
+                                                       params):
+        train, val, store = key_splits
+        base = _persistent_keys(OffsetNB(**_BASE_PARAMS), train, val, store)
+        changed = _persistent_keys(OffsetNB(**params), train, val, store)
+        assert None not in base and None not in changed
+        assert base[0] != changed[0]      # solution cache
+        assert base[1] != changed[1]      # fit blobs
 
 
 class TestCliStore:
