@@ -113,27 +113,28 @@ def _run_dimension_order():
     specs = [FairnessSpec("SP", 0.08)]
 
     def most_violated():
-        return Engine("hill_climb").solve(
+        report = Engine("hill_climb").solve(
             specs, LogisticRegression(max_iter=150), train, val,
         ).report
+        return report.n_fits, report.n_rounds
 
     def round_robin():
         fitter = WeightedFitter(
             LogisticRegression(max_iter=150), train.X, train.y,
             bind_specs(specs, train),
         )
-        return run_plan(
+        result = run_plan(
             RoundRobinHillClimb(), fitter, bind_specs(specs, val),
             val.X, val.y, HillClimbConfig(),
         )
+        return fitter.n_fits, result.n_rounds
 
     out = {}
     for order, solve in (
         ("most_violated", most_violated), ("round_robin", round_robin),
     ):
         try:
-            result = solve()
-            out[order] = (True, result.n_fits, result.n_rounds)
+            out[order] = (True, *solve())
         except InfeasibleConstraintError:
             out[order] = (False, None, None)
     return out

@@ -33,7 +33,7 @@ import numpy as np
 from .core.dsl import SpecSet, parse_spec
 from .core.evaluation import evaluate_model
 from .core.exceptions import SpecificationError
-from .core.planner import SingleTuneResult
+from .core import strategies
 from .core.report import FitReport
 from .core.spec import bind_specs
 from .core.strategies import (
@@ -476,30 +476,25 @@ class Engine:
             store=self.store,
         )
 
-        raw = strategy.run(fitter, val_constraints, val.X, val.y, config)
-
-        if isinstance(raw, SingleTuneResult):
-            lambdas = np.array([raw.lam], dtype=np.float64)
-            n_rounds = 0
-            swapped = raw.swapped
-        else:
-            lambdas = np.asarray(raw.lambdas, dtype=np.float64)
-            n_rounds = raw.n_rounds
-            swapped = False
+        # called through the module: bench/tracing.py wraps this
+        # attribute as the planner layer
+        result = strategies.run_plan(
+            strategy, fitter, val_constraints, val.X, val.y, config,
+        )
 
         report = FitReport(
             strategy=name,
-            lambdas=lambdas,
-            feasible=raw.feasible,
-            n_fits=raw.n_fits,
-            n_rounds=n_rounds,
-            history=list(raw.history),
+            lambdas=result.lambdas,
+            feasible=result.feasible,
+            n_fits=fitter.n_fits,
+            n_rounds=result.n_rounds,
+            history=list(result.history),
             constraint_labels=tuple(c.label for c in val_constraints),
             validation=evaluate_model(
-                raw.model, val.X, val.y, val_constraints,
+                result.model, val.X, val.y, val_constraints,
                 chunk_size=self.chunk_size,
             ),
-            swapped=swapped,
+            swapped=result.swapped,
             fit_cache_hits=fitter.fit_cache_hits,
             fit_cache_lookups=fitter.fit_cache_lookups,
             store_hits=fitter.store_stats["hits"],
@@ -509,7 +504,7 @@ class Engine:
             val_constraints=list(val_constraints),
         )
         fair = FairModel(
-            raw.model,
+            result.model,
             problem.specs,
             report=report,
             metadata={
@@ -521,7 +516,7 @@ class Engine:
             solution_cache.put(desc, fair)
             if len(train_constraints) == 1:
                 solution_cache.note_warm(
-                    desc, float(lambdas[0]), bool(swapped),
+                    desc, float(result.lambdas[0]), bool(result.swapped),
                 )
         return fair
 

@@ -10,12 +10,10 @@ memoization caches, and chunked evaluation — uniformly for every
 strategy.  It runs in-process and in order: one fit per candidate of a
 ``"fit"`` batch, one vectorized pass per ``"population"`` batch.  The
 search, not the executor, keeps the fit count small (Algorithms 1 and
-2 use the monotonicity of FP in λ).
-
-:func:`run_race` is the ``race`` meta-strategy's driver: it interleaves
-several strategies' plan generators against one shared fit cache
-(sibling fitters from :meth:`WeightedFitter.spawn`) and returns the
-first feasible result.
+2 use the monotonicity of FP in λ).  Each candidate is fitted at
+``ctx.orient(λ)`` and reports ``ctx.orient`` of its disparities, so a
+plan sees Algorithm 1's swap only as a sign
+(:meth:`~repro.core.planner.PlanContext.orient`).
 
 :func:`submit_job` runs a callable (a serving retune) on a daemon thread
 behind a :class:`JobHandle` state machine.
@@ -29,13 +27,12 @@ import time
 import traceback
 import warnings
 
-from .exceptions import InfeasibleConstraintError, SpecificationError
+from .exceptions import SpecificationError
 from .kernels import evaluate_lambda_batch
-from .planner import EvalResult, PlanContext
+from .planner import EvalResult
 
 __all__ = [
     "ExecutionBackend",
-    "run_race",
     "JobHandle",
     "JOB_TERMINAL",
     "submit_job",
@@ -56,14 +53,15 @@ class ExecutionBackend:
         t0 = time.perf_counter()
         scored = evaluate_lambda_batch(
             ctx.fitter, ctx.val_constraints, ctx.X_val, ctx.y_val,
-            batch.lambdas, evaluator=ctx.compiled_scorer(),
+            ctx.orient(batch.lambdas), evaluator=ctx.compiled_scorer(),
         )
+        disparities = ctx.orient(scored.disparities)
         share = (time.perf_counter() - t0) / max(len(scored), 1)
         results = []
         for b in range(len(scored)):
             res = EvalResult(
-                scored.lambdas[b], scored.models[b],
-                scored.disparities[b], float(scored.accuracies[b]),
+                batch.lambdas[b], scored.models[b],
+                disparities[b], float(scored.accuracies[b]),
                 index=b, batch_id=ctx.next_batch_id, wall_time_s=share,
             )
             if batch.record:
@@ -77,7 +75,7 @@ class ExecutionBackend:
         for i in range(len(batch)):
             t0 = time.perf_counter()
             model = ctx.fitter.fit(
-                batch.lambdas[i], prev_model=prev,
+                ctx.orient(batch.lambdas[i]), prev_model=prev,
                 use_subsample=batch.use_subsample,
             )
             disparities, accuracy = ctx.score(model)
@@ -296,101 +294,3 @@ def submit_job(fn, *args, name=None, timeout_s=None, on_done=None, **kwargs):
     worker.start()
     return handle
 
-
-# -- the race meta-strategy driver --------------------------------------------
-
-
-def run_race(strategies, fitter, val_constraints, X_val, y_val,
-             interleave=1):
-    """Interleave several strategies against one shared fit cache.
-
-    Each component strategy runs its own plan generator on a sibling
-    fitter (:meth:`WeightedFitter.spawn` — same training binding, same
-    fit-memoization cache), so any model one
-    component trains is a cache hit for every other.  Components take
-    turns executing ``interleave`` batches each; the first to finish
-    with a feasible result wins.  Components that raise
-    :class:`InfeasibleConstraintError` drop out; if all do, the error
-    aggregates their messages.
-
-    Returns the winning component's ``SingleTuneResult`` /
-    ``MultiTuneResult`` with ``n_fits`` set to the *total* logical fits
-    spent across all components (the race's true budget).  Component
-    fit/cache counters are folded back into ``fitter`` so the engine's
-    :class:`~repro.core.report.FitReport` reflects the whole race.
-    """
-    from .strategies import SearchStrategy, get_strategy  # runtime dep
-
-    if int(interleave) < 1:
-        raise SpecificationError(
-            f"race interleave must be >= 1, got {interleave}"
-        )
-    interleave = int(interleave)
-    backend = ExecutionBackend()
-    runners = []
-    try:
-        for name in strategies:
-            strategy = get_strategy(name)
-            if type(strategy).plan is SearchStrategy.plan:
-                raise SpecificationError(
-                    f"race component {name!r} does not implement the "
-                    f"ask/tell planner"
-                )
-            sub = fitter.spawn()
-            ctx = PlanContext(sub, list(val_constraints), X_val, y_val)
-            gen = strategy.plan(ctx, strategy.make_config({}))
-            runners.append({
-                "name": name, "gen": gen, "ctx": ctx, "fitter": sub,
-                "pending": None, "started": False,
-            })
-    except Exception:
-        for runner in runners:
-            runner["gen"].close()
-        raise
-
-    def fold_stats():
-        for r in runners:
-            sub = r["fitter"]
-            fitter.n_fits += sub.n_fits
-            fitter.fit_cache_hits += sub.fit_cache_hits
-            fitter.fit_cache_lookups += sub.fit_cache_lookups
-            for path, count in sub.fit_paths.items():
-                fitter.fit_paths[path] = (
-                    fitter.fit_paths.get(path, 0) + count
-                )
-
-    failures = []
-    winner = None
-    try:
-        active = list(runners)
-        while active and winner is None:
-            for runner in list(active):
-                for _ in range(interleave):
-                    try:
-                        batch = runner["gen"].send(runner["pending"])
-                    except StopIteration as stop:
-                        active.remove(runner)
-                        result = stop.value
-                        if result is not None and result.feasible:
-                            winner = (runner, result)
-                        break
-                    except InfeasibleConstraintError as exc:
-                        active.remove(runner)
-                        failures.append(f"{runner['name']}: {exc}")
-                        break
-                    runner["pending"] = backend.run(batch, runner["ctx"])
-                if winner is not None:
-                    break
-    finally:
-        for runner in runners:
-            runner["gen"].close()
-        fold_stats()
-
-    if winner is None:
-        raise InfeasibleConstraintError(
-            "race found no feasible result; components failed with: "
-            + ("; ".join(failures) if failures else "no failures recorded")
-        )
-    runner, result = winner
-    result.n_fits = fitter.n_fits
-    return result

@@ -39,9 +39,9 @@ wider than the in-memory one — it adds a digest of the training split
 itself, because the in-memory key's ``(weights, labels)`` hash is only
 unambiguous within one fitter's ``X``.  An estimator without a
 fingerprint (a param with no canonical encoding) stays out of the store;
-the in-memory cache still serves it.  Store traffic is tracked in the
-shared :attr:`store_stats` sink, and a store hit still counts as a
-logical fit (like a cache hit).
+the in-memory cache still serves it.  Store traffic is tracked in
+:attr:`store_stats`, and a store hit still counts as a logical fit
+(like a cache hit).
 """
 
 from __future__ import annotations
@@ -75,7 +75,8 @@ class WeightedFitter:
         Training data.
     constraints : list of Constraint
         Constraints bound to the *training* set (their indices address
-        ``X_train`` rows).
+        ``X_train`` rows), in their declared orientation.  The fitter
+        never rewrites them, so one fitter can serve several plans.
     negative_weights : {"flip", "clip"}
         Strategy for negative weights (see :mod:`repro.core.weights`).
     warm_start : bool
@@ -116,9 +117,8 @@ class WeightedFitter:
         Fit-memoization traffic; ``hits`` short-circuited a fit.
     store_stats : dict
         ``{"hits": int, "lookups": int}`` persistent-store traffic for
-        model fits; shared with :meth:`spawn` siblings.  A store hit
-        also short-circuited a fit (the model was trained by an earlier
-        process or solve).
+        model fits.  A store hit also short-circuited a fit (the model
+        was trained by an earlier process or solve).
     fit_paths : dict
         How batch candidates were fitted, by path:
         ``"batch_protocol"`` (estimator's ``fit_weighted_batch``),
@@ -151,7 +151,6 @@ class WeightedFitter:
         self.constraints = list(constraints)
         self.negative_weights = negative_weights
         self.warm_start = warm_start
-        self.subsample_seed = subsample_seed
         self.eval_chunk_size = (
             None if eval_chunk_size is None else int(eval_chunk_size)
         )
@@ -173,7 +172,6 @@ class WeightedFitter:
         self._shared = None
         self._kernel = None
         self._sub_kernel = None
-        self._kernel_constraints = None
         if warm_start:
             self._shared = estimator.clone()
             if "warm_start" in self._shared.get_params():
@@ -233,14 +231,12 @@ class WeightedFitter:
     def kernel(self):
         """The :class:`CompiledConstraints` for the full training split.
 
-        Built lazily on first use and rebuilt if the constraint list is
-        swapped in place (Algorithm 1's orientation step replaces
-        ``constraints[0]``).
+        Built once, on first use: the constraint list is never
+        rewritten (Algorithm 1's swap is a sign on the λ a
+        :class:`~repro.core.planner.PlanContext` hands in).
         """
-        current = tuple(id(c) for c in self.constraints)
-        if self._kernel is None or self._kernel_constraints != current:
+        if self._kernel is None:
             self._kernel = CompiledConstraints(self.constraints, self.y_train)
-            self._kernel_constraints = current
         return self._kernel
 
     def _subsample_kernel(self):
@@ -547,34 +543,3 @@ class WeightedFitter:
                 model.fit(X, Y_res[b], sample_weight=W_res[b])
                 models.append(model)
         return models
-
-    def fit_unweighted(self):
-        """Fit with Λ = 0 — the unconstrained accuracy-maximizing model."""
-        return self.fit(np.zeros(len(self.constraints)))
-
-    def spawn(self):
-        """A sibling fitter sharing this one's memoization state.
-
-        The sibling binds the same training data and an independent
-        *copy* of the constraint list (so Algorithm 1's in-place
-        reorientation cannot leak across siblings), but shares the fit
-        cache dict and the store counters — any model one sibling
-        trains is a cache hit for every other.  This is what the
-        ``race`` meta-strategy runs its components on.
-        """
-        sibling = WeightedFitter(
-            self.estimator,
-            self.X_train,
-            self.y_train,
-            list(self.constraints),
-            negative_weights=self.negative_weights,
-            warm_start=self.warm_start,
-            subsample=self.subsample,
-            subsample_seed=self.subsample_seed,
-            fit_cache=self.fit_cache,
-            eval_chunk_size=self.eval_chunk_size,
-            store=self.store,
-        )
-        sibling._fit_cache = self._fit_cache
-        sibling.store_stats = self.store_stats
-        return sibling

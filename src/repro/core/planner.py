@@ -38,8 +38,13 @@ every :class:`~repro.core.history.HistoryPoint` carries the executing
 batch's ``batch_id`` and its share of the round's wall-clock time, which
 ``analysis/timing.py`` aggregates per evaluation round.
 
-A plan returns :class:`SingleTuneResult` (one λ, Algorithm 1 style) or
-:class:`MultiTuneResult` (a Λ vector, Algorithm 2 style).
+Algorithm 1's swap of the group pair (lines 4–5) only negates λ's
+effect on the weights and the sign of FP, so it is a sign in the
+:class:`PlanContext`, applied to every λ the context hands the fitter
+and every disparity it reports.  No constraint list is rewritten, and
+one fitter can serve several plans (``race``'s forked contexts).
+:func:`run_plan` is the one driver; every plan returns a
+:class:`TuneResult`.
 """
 
 from __future__ import annotations
@@ -54,9 +59,8 @@ from .kernels import CompiledEvaluator
 __all__ = [
     "CandidateBatch",
     "EvalResult",
-    "MultiTuneResult",
     "PlanContext",
-    "SingleTuneResult",
+    "TuneResult",
     "run_plan",
 ]
 
@@ -64,27 +68,25 @@ BATCH_KINDS = ("fit", "population")
 
 
 @dataclass
-class SingleTuneResult:
-    """Outcome of a single-λ search (Algorithm 1, §5.3)."""
+class TuneResult:
+    """What every plan returns: the selected model and its Λ.
 
-    model: object
-    lam: float
-    feasible: bool
-    swapped: bool
-    n_fits: int
-    history: list = field(default_factory=list)  # list of HistoryPoint
-
-
-@dataclass
-class MultiTuneResult:
-    """Outcome of a Λ-vector search (Algorithm 2, §6, or a Λ grid)."""
+    ``lambdas`` is the (k,) vector in the plan's orientation, and
+    ``swapped`` says whether Algorithm 1 reversed the group pair.  The
+    fit count is the fitter's ``n_fits``.
+    """
 
     model: object
     lambdas: np.ndarray
     feasible: bool
-    n_fits: int
+    swapped: bool = False
     n_rounds: int = 0
     history: list = field(default_factory=list)  # list of HistoryPoint
+
+    def __post_init__(self):
+        self.lambdas = np.atleast_1d(
+            np.asarray(self.lambdas, dtype=np.float64)
+        )
 
 
 class CandidateBatch:
@@ -113,13 +115,18 @@ class CandidateBatch:
     stop : callable(EvalResult) -> bool, optional
         Evaluated after each candidate of a ``"fit"`` batch; truthy ends
         the batch (the triggering candidate is still reported).
+    ctx : PlanContext, optional
+        The context that runs the batch in place of the driver's own
+        (``race`` tags each component's batches with that component's
+        :meth:`PlanContext.fork`).
     """
 
     __slots__ = ("lambdas", "kind", "purpose", "prev_model", "chain",
-                 "record", "use_subsample", "stop")
+                 "record", "use_subsample", "stop", "ctx")
 
     def __init__(self, lambdas, kind="fit", purpose="", prev_model=None,
-                 chain=False, record=True, use_subsample=False, stop=None):
+                 chain=False, record=True, use_subsample=False, stop=None,
+                 ctx=None):
         self.lambdas = np.atleast_2d(np.asarray(lambdas, dtype=np.float64))
         if self.lambdas.ndim != 2 or self.lambdas.shape[0] == 0:
             raise ValueError(
@@ -137,6 +144,7 @@ class CandidateBatch:
         self.record = bool(record)
         self.use_subsample = bool(use_subsample)
         self.stop = stop
+        self.ctx = ctx
 
     def __len__(self):
         return self.lambdas.shape[0]
@@ -154,10 +162,11 @@ class EvalResult:
     Attributes
     ----------
     lam : ndarray (k,)
-        The candidate's multiplier vector.
+        The candidate's multiplier vector, in the plan's orientation.
     model : fitted estimator
     disparities : ndarray (k,)
-        Validation disparity per bound constraint.
+        Validation disparity per bound constraint, in the plan's
+        orientation.
     accuracy : float
         Validation accuracy.
     index : int
@@ -215,22 +224,33 @@ class PlanContext:
 
     Owns the validation-side scoring (one
     :class:`~repro.core.kernels.CompiledEvaluator` per constraint
-    binding, scoring through its one block loop), the shared history
-    list, and the constraint reorientation hook Algorithm 1's swap step
-    needs.
+    binding, scoring through its one block loop), the history list, and
+    the plan's orientation: ``signs``, a (k,) vector of ±1.0 that
+    Algorithm 1's swap step flips.  Every λ the context hands the
+    fitter, and every disparity it reports, is multiplied by ``signs``
+    (:meth:`orient`); neither constraint list is ever rewritten, so the
+    fitter's kernels and the evaluator are built once.
     """
 
-    def __init__(self, fitter, val_constraints, X_val, y_val,
-                 record_style="vector"):
+    def __init__(self, fitter, val_constraints, X_val, y_val):
         self.fitter = fitter
         self.val_constraints = list(val_constraints)
         self.X_val = np.asarray(X_val, dtype=np.float64)
         self.y_val = np.asarray(y_val, dtype=np.int64)
-        self.record_style = record_style
+        self.record_style = "vector"
+        self.signs = np.ones(len(fitter.constraints))
         self.history = []
         self.next_batch_id = 0
         self._kernel = None
-        self._kernel_key = None
+
+    def fork(self):
+        """A context on the same fitter, validation split and evaluator,
+        with its own signs, history, record style and batch ids."""
+        child = PlanContext(
+            self.fitter, self.val_constraints, self.X_val, self.y_val,
+        )
+        child._kernel = self.compiled_scorer()
+        return child
 
     # -- problem shape --------------------------------------------------------
 
@@ -244,37 +264,35 @@ class PlanContext:
         """Per-constraint allowance vector (validation binding)."""
         return np.array([c.epsilon for c in self.val_constraints])
 
-    @property
-    def parameterized(self):
-        """True when any constraint's weights need model predictions."""
-        return self.fitter.parameterized
-
-    # -- constraint reorientation (Algorithm 1 lines 4-5) ---------------------
+    # -- orientation (Algorithm 1 lines 4-5) ----------------------------------
 
     def swap_constraint(self, j=0):
-        """Swap constraint ``j``'s group pair on both bindings."""
-        self.fitter.constraints[j] = self.fitter.constraints[j].swapped()
-        self.val_constraints[j] = self.val_constraints[j].swapped()
-        self._kernel = None
-        self._kernel_key = None
+        """Reverse constraint ``j``'s group pair for this plan."""
+        self.signs[j] = -self.signs[j]
+
+    def orient(self, values):
+        """``values`` (..., k) times ``signs``: a plan's λ to the declared
+        binding's, or a declared disparity to the plan's.  Adding 0.0
+        keeps a flipped exact tie at +0.0, as ``rate(g2) − rate(g1)`` is.
+        """
+        return values * self.signs + 0.0
 
     # -- scoring --------------------------------------------------------------
 
     def compiled_scorer(self):
-        """The shared evaluator for the current binding."""
-        key = tuple(id(c) for c in self.val_constraints)
-        if self._kernel is None or self._kernel_key != key:
+        """The shared evaluator of the validation binding."""
+        if self._kernel is None:
             self._kernel = CompiledEvaluator(
                 self.val_constraints, self.y_val,
                 chunk_size=getattr(self.fitter, "eval_chunk_size", None),
             )
-            self._kernel_key = key
         return self._kernel
 
     def score(self, model):
-        """``(disparities (k,), accuracy)`` of ``model`` on validation."""
+        """``(disparities (k,), accuracy)`` of ``model`` on validation,
+        the disparities in the plan's orientation."""
         d, a = self.compiled_scorer().score_models_batch([model], self.X_val)
-        return d[0], float(a[0])
+        return self.orient(d[0]), float(a[0])
 
     def violations(self, disparities):
         """``|FP| − ε`` per constraint (positive = violated)."""
@@ -292,10 +310,11 @@ class PlanContext:
 def run_plan(strategy, fitter, val_constraints, X_val, y_val, config):
     """Drive a strategy's ask/tell generator through the executor.
 
-    The generator protocol: ``plan(ctx, config)`` yields
+    The one driver of every solve.  ``plan(ctx, config)`` yields
     :class:`CandidateBatch` objects and receives ``list[EvalResult]``
-    for each; its return value (a :class:`SingleTuneResult` or
-    :class:`MultiTuneResult`) becomes this function's return value.
+    for each; its return value, a :class:`TuneResult`, becomes this
+    function's.  A batch tagged with a context (``batch.ctx``) runs on
+    that context instead of the one built here.
     """
     from .executor import ExecutionBackend  # runtime dep, not import-time
 
@@ -303,14 +322,17 @@ def run_plan(strategy, fitter, val_constraints, X_val, y_val, config):
     ctx = PlanContext(fitter, val_constraints, X_val, y_val)
     gen = strategy.plan(ctx, config)
     results = None
-    while True:
-        try:
-            batch = gen.send(results)
-        except StopIteration as stop:
-            return stop.value
-        if not isinstance(batch, CandidateBatch):
-            raise TypeError(
-                f"strategy {strategy.name!r} yielded "
-                f"{type(batch).__name__}, expected CandidateBatch"
-            )
-        results = backend.run(batch, ctx)
+    try:
+        while True:
+            try:
+                batch = gen.send(results)
+            except StopIteration as stop:
+                return stop.value
+            if not isinstance(batch, CandidateBatch):
+                raise TypeError(
+                    f"strategy {strategy.name!r} yielded "
+                    f"{type(batch).__name__}, expected CandidateBatch"
+                )
+            results = backend.run(batch, batch.ctx or ctx)
+    finally:
+        gen.close()

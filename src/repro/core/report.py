@@ -40,7 +40,9 @@ class FitReport:
         :func:`~repro.core.evaluation.evaluate_model` output on the
         validation split (accuracy, disparities, violations, feasible).
     swapped : bool
-        Whether Algorithm 1 reoriented the group pair (single only).
+        Whether Algorithm 1 reversed the group pair (single only): the
+        search then ran with the pair's sign flipped, so ``lambdas``
+        are in the reversed orientation.
     fit_cache_hits, fit_cache_lookups : int
         Fit-memoization traffic: ``n_fits`` counts logical fits, of
         which ``fit_cache_hits`` were served from the resolved-weight
@@ -61,8 +63,9 @@ class FitReport:
         ``"cached"``) — records, e.g., that ``warm_start`` bypassed an
         estimator's batch hook.
     train_constraints, val_constraints : list of Constraint
-        The bound constraints (train side reflects any reorientation);
-        kept for audit/debug, excluded from ``repr``.
+        The bound constraints, both in the declared orientation
+        (``swapped`` says whether the search reversed it); kept for
+        audit/debug, excluded from ``repr``.
     """
 
     strategy: str

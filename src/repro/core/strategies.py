@@ -20,11 +20,13 @@ Third parties can still ship solvers without touching the engine::
         config_cls = MyConfig
 
         def plan(self, ctx, config):          # ask/tell generator
-            result = yield CandidateBatch([[0.0]])
+            (r0,) = yield CandidateBatch([[0.0]])
             ...
+            return TuneResult(r0.model, r0.lam, feasible=True,
+                              history=ctx.history)
 
-A strategy may override ``solve()`` instead of ``plan()``, as ``race``
-does; such a strategy cannot be a ``race`` component.
+:func:`~repro.core.planner.run_plan` is the one driver of every plan,
+and :func:`register_strategy` refuses a class without ``plan()``.
 
 Built-ins:
 
@@ -47,9 +49,9 @@ Built-ins:
     marginal monotonicity is too badly violated for hill climbing.
     Each generation is one population ask.
 ``race``
-    Meta-strategy: interleaves several strategies against one shared
-    fit cache and returns the first feasible result
-    (:func:`repro.core.executor.run_race`).
+    Meta-strategy: interleaves several strategies' plans on forks of its
+    context (one shared fitter, fit cache and evaluator) and returns the
+    first feasible result.
 
 Each strategy declares a config dataclass that holds its solver knobs.
 ``Config.build(options)`` constructs one from a flat dict and rejects
@@ -60,6 +62,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -67,7 +70,7 @@ import numpy as np
 from ..optim.cmaes import cmaes_generations
 from .exceptions import InfeasibleConstraintError, SpecificationError
 from .history import HistoryPoint
-from .planner import CandidateBatch, MultiTuneResult, SingleTuneResult, run_plan
+from .planner import CandidateBatch, TuneResult, run_plan
 
 __all__ = [
     "SearchStrategy",
@@ -83,6 +86,9 @@ __all__ = [
     "get_strategy",
     "available_strategies",
     "resolve_strategy_name",
+    # the one plan driver, re-exported: Engine.solve calls it through
+    # this module attribute
+    "run_plan",
 ]
 
 
@@ -106,23 +112,39 @@ class StrategyConfig:
         return cls(**options)
 
 
-def _check_positive(config, *names):
-    """Refuse a search width that is not a finite number > 0.
+def _check_positive(config, *names, allow_zero=False):
+    """Refuse a knob that is not a finite number > 0 (>= 0 with
+    ``allow_zero``).
 
     A zero width never ends a bisection (its bracket stalls on adjacent
-    floats), and a NaN one compares false everywhere, so the search
-    would either hang or skip its refinement.
+    floats), a NaN one compares false everywhere, and an infinite grid
+    or step puts inf or NaN into the weights, so the search would hang,
+    skip its refinement, or select a wrong model.
     """
     for name in names:
         value = getattr(config, name)
         try:
-            ok = math.isfinite(value) and value > 0
+            ok = math.isfinite(value) and (
+                value > 0 or (allow_zero and value == 0)
+            )
         except TypeError:
             ok = False
         if not ok:
             raise SpecificationError(
                 f"{type(config).__name__}.{name} must be a finite number "
-                f"> 0, got {value!r}"
+                f"{'>=' if allow_zero else '>'} 0, got {value!r}"
+            )
+
+
+def _check_count(config, *names, minimum=1):
+    """Refuse a count knob that is not an int >= ``minimum``."""
+    for name in names:
+        value = getattr(config, name)
+        if (not isinstance(value, numbers.Integral)
+                or isinstance(value, bool) or value < minimum):
+            raise SpecificationError(
+                f"{type(config).__name__}.{name} must be an int >= "
+                f"{minimum}, got {value!r}"
             )
 
 
@@ -147,7 +169,8 @@ class BinarySearchConfig(StrategyConfig):
     warm_swapped: bool = False
 
     def __post_init__(self):
-        _check_positive(self, "delta", "tau")
+        _check_positive(self, "delta", "tau", "lambda_max")
+        _check_count(self, "max_linear_steps")
 
 
 @dataclass
@@ -174,7 +197,9 @@ class HillClimbConfig(StrategyConfig):
     warm_lambdas: tuple = None
 
     def __post_init__(self):
-        _check_positive(self, "delta", "tau")
+        _check_positive(self, "delta", "tau", "initial_step", "lambda_max")
+        if self.max_rounds is not None:
+            _check_count(self, "max_rounds")
 
 
 @dataclass
@@ -184,6 +209,10 @@ class GridConfig(StrategyConfig):
     grid_max: float = 1.0
     grid_steps: int = 5
 
+    def __post_init__(self):
+        _check_positive(self, "grid_max")
+        _check_count(self, "grid_steps")
+
 
 @dataclass
 class LinearConfig(StrategyConfig):
@@ -191,6 +220,10 @@ class LinearConfig(StrategyConfig):
 
     step: float = 0.05
     max_steps: int = 400
+
+    def __post_init__(self):
+        _check_positive(self, "step")
+        _check_count(self, "max_steps")
 
 
 @dataclass
@@ -202,6 +235,13 @@ class CMAESConfig(StrategyConfig):
     popsize: int = None
     seed: int = 0
     penalty: float = 10.0
+
+    def __post_init__(self):
+        _check_positive(self, "sigma0")
+        _check_positive(self, "penalty", allow_zero=True)
+        _check_count(self, "max_evals")
+        if self.popsize is not None:
+            _check_count(self, "popsize", minimum=2)
 
 
 @dataclass
@@ -217,6 +257,17 @@ class RaceConfig(StrategyConfig):
     strategies: tuple = ()
     interleave: int = 1
 
+    def __post_init__(self):
+        _check_count(self, "interleave")
+        known = available_strategies()
+        if not isinstance(self.strategies, (list, tuple)) or not all(
+            name in known for name in self.strategies
+        ):
+            raise SpecificationError(
+                f"RaceConfig.strategies must be a list of registered "
+                f"strategy names {known}, got {self.strategies!r}"
+            )
+
 
 class SearchStrategy:
     """Protocol every registered solver implements.
@@ -231,12 +282,8 @@ class SearchStrategy:
     A strategy implements :meth:`plan` — an ask/tell generator
     yielding :class:`~repro.core.planner.CandidateBatch` objects and
     receiving ``list[EvalResult]``, whose return value is a
-    :class:`~repro.core.planner.SingleTuneResult` or
-    :class:`~repro.core.planner.MultiTuneResult` (or it raises
-    :class:`InfeasibleConstraintError`).
-
-    It may instead override :meth:`solve` with the single-call
-    signature.
+    :class:`~repro.core.planner.TuneResult` (or it raises
+    :class:`InfeasibleConstraintError`).  :func:`run_plan` drives it.
     """
 
     name = None
@@ -245,20 +292,6 @@ class SearchStrategy:
     def plan(self, ctx, config):
         """Ask/tell generator (see :mod:`repro.core.planner`)."""
         raise NotImplementedError
-
-    def run(self, fitter, val_constraints, X_val, y_val, config):
-        """Engine entry point: the planner or an overridden ``solve``."""
-        return self.solve(fitter, val_constraints, X_val, y_val, config)
-
-    def solve(self, fitter, val_constraints, X_val, y_val, config):
-        """Drive :meth:`plan` through the planner."""
-        if type(self).plan is not SearchStrategy.plan:
-            return run_plan(
-                self, fitter, val_constraints, X_val, y_val, config,
-            )
-        raise NotImplementedError(
-            "implement plan() (preferred) or override solve()"
-        )
 
     def make_config(self, options):
         return self.config_cls.build(options)
@@ -271,7 +304,9 @@ def register_strategy(cls):
     """Class decorator: add a :class:`SearchStrategy` to the registry.
 
     Re-registering a name overwrites the previous entry (latest wins),
-    so tests and plugins can shadow built-ins deliberately.
+    so tests and plugins can shadow built-ins deliberately.  A class
+    that does not implement :meth:`SearchStrategy.plan` is refused: a
+    ``solve()`` override is never called.
     """
     if not (isinstance(cls, type) and issubclass(cls, SearchStrategy)):
         raise SpecificationError(
@@ -283,6 +318,11 @@ def register_strategy(cls):
         )
     if cls.name == "auto":
         raise SpecificationError("'auto' is reserved for engine dispatch")
+    if cls.plan is SearchStrategy.plan:
+        raise SpecificationError(
+            f"{cls.__name__} must implement plan(), the ask/tell "
+            f"generator run_plan drives"
+        )
     _REGISTRY[cls.name] = cls
     return cls
 
@@ -367,13 +407,12 @@ def _plan_single_lambda(ctx, delta=0.01, tau=1e-3, lambda_max=1e5,
     model0 = r0.model
     fp0 = r0.fp
     if abs(fp0) <= epsilon:
-        return SingleTuneResult(
-            model=model0, lam=0.0, feasible=True, swapped=False,
-            n_fits=fitter.n_fits, history=ctx.history,
-        )
+        return TuneResult(model0, [0.0], feasible=True, history=ctx.history)
 
     # orientation (Algorithm 1 lines 4-5): ensure FP(θ0) < −ε so the
-    # search runs over positive λ
+    # search runs over positive λ.  The swap is a sign in the context,
+    # which it applies to the λ of every fit (the subsample's too) and
+    # to every disparity it reports
     swapped = fp0 > 0
     if swapped:
         ctx.swap_constraint(0)
@@ -618,9 +657,9 @@ def _plan_single_lambda(ctx, delta=0.01, tau=1e-3, lambda_max=1e5,
             best_model=model_u,
         )
     model_best, lam_best, _ = best
-    return SingleTuneResult(
-        model=model_best, lam=lam_best, feasible=True, swapped=swapped,
-        n_fits=fitter.n_fits, history=ctx.history,
+    return TuneResult(
+        model_best, [lam_best], feasible=True, swapped=swapped,
+        history=ctx.history,
     )
 
 
@@ -763,8 +802,7 @@ def _plan_hill_climb(ctx, max_rounds=None, initial_step=0.1, tau=1e-3,
     pre-planner Algorithm 2 loop unless ``warm_lambdas`` seeds the
     starting Λ from a previous solve — the drift-retune warm entry)."""
     ctx.record_style = "vector"
-    fitter = ctx.fitter
-    k = len(fitter.constraints)
+    k = ctx.k
     if len(ctx.val_constraints) != k:
         raise ValueError("train/val constraint lists differ in length")
     if max_rounds is None:
@@ -793,9 +831,8 @@ def _plan_hill_climb(ctx, max_rounds=None, initial_step=0.1, tau=1e-3,
         if worst < best_viol:
             best_model, best_lams, best_viol = model, lambdas.copy(), worst
         if worst <= 1e-12:
-            return MultiTuneResult(
-                model=model, lambdas=lambdas, feasible=True,
-                n_fits=fitter.n_fits, n_rounds=round_idx,
+            return TuneResult(
+                model, lambdas, feasible=True, n_rounds=round_idx,
                 history=ctx.history,
             )
         if dimension_order == "round_robin":
@@ -816,9 +853,9 @@ def _plan_hill_climb(ctx, max_rounds=None, initial_step=0.1, tau=1e-3,
 
     violations = ctx.violations(disparities)
     if float(violations.max()) <= 1e-12:
-        return MultiTuneResult(
-            model=model, lambdas=lambdas, feasible=True,
-            n_fits=fitter.n_fits, n_rounds=max_rounds, history=ctx.history,
+        return TuneResult(
+            model, lambdas, feasible=True, n_rounds=max_rounds,
+            history=ctx.history,
         )
     raise InfeasibleConstraintError(
         f"hill climbing did not satisfy all constraints after "
@@ -860,10 +897,7 @@ def _plan_grid_single(ctx, grid):
             f"no grid point satisfies {label}",
             best_model=model0,
         )
-    return SingleTuneResult(
-        model=best[0], lam=best[1], feasible=True, swapped=False,
-        n_fits=fitter.n_fits, history=ctx.history,
-    )
+    return TuneResult(best[0], [best[1]], feasible=True, history=ctx.history)
 
 
 def _plan_grid_multi(ctx, grid_max=1.0, grid_steps=5):
@@ -901,9 +935,8 @@ def _plan_grid_multi(ctx, grid_max=1.0, grid_steps=5):
             f"({grid_steps} steps/axis) satisfies all constraints",
             best_model=model0,
         )
-    return MultiTuneResult(
-        model=best[0], lambdas=best[1], feasible=True,
-        n_fits=fitter.n_fits, n_rounds=len(ctx.history),
+    return TuneResult(
+        best[0], best[1], feasible=True, n_rounds=len(ctx.history),
         history=ctx.history,
     )
 
@@ -917,10 +950,7 @@ def _plan_linear(ctx, step=0.05, max_steps=400):
 
     (r0,) = yield CandidateBatch([[0.0]], purpose="init")
     if abs(r0.fp) <= epsilon:
-        return SingleTuneResult(
-            model=r0.model, lam=0.0, feasible=True, swapped=False,
-            n_fits=fitter.n_fits, history=ctx.history,
-        )
+        return TuneResult(r0.model, [0.0], feasible=True, history=ctx.history)
 
     prev_pos = prev_neg = r0.model
     for i in range(1, max_steps + 1):
@@ -943,10 +973,7 @@ def _plan_linear(ctx, step=0.05, max_steps=400):
         ]
         if feasible:
             acc, lam, model = max(feasible, key=lambda t: t[0])
-            return SingleTuneResult(
-                model=model, lam=lam, feasible=True, swapped=False,
-                n_fits=fitter.n_fits, history=ctx.history,
-            )
+            return TuneResult(model, [lam], feasible=True, history=ctx.history)
     raise InfeasibleConstraintError(
         f"linear sweep found no feasible lambda within "
         f"±{max_steps * step:g} for {constraint.label}",
@@ -963,9 +990,8 @@ def _plan_cmaes(ctx, config):
 
     (r0,) = yield CandidateBatch([np.zeros(k)], purpose="init")
     if float((np.abs(r0.disparities) - eps).max()) <= 1e-12:
-        return MultiTuneResult(
-            model=r0.model, lambdas=np.zeros(k), feasible=True,
-            n_fits=fitter.n_fits, n_rounds=0, history=ctx.history,
+        return TuneResult(
+            r0.model, np.zeros(k), feasible=True, history=ctx.history,
         )
 
     prev = r0.model
@@ -1007,9 +1033,8 @@ def _plan_cmaes(ctx, config):
             best_model=prev,
         )
     acc, lams, model = best[0]
-    return MultiTuneResult(
-        model=model, lambdas=lams, feasible=True,
-        n_fits=fitter.n_fits, n_rounds=len(ctx.history) - 1,
+    return TuneResult(
+        model, lams, feasible=True, n_rounds=len(ctx.history) - 1,
         history=ctx.history,
     )
 
@@ -1133,30 +1158,58 @@ class CMAESStrategy(SearchStrategy):
 
 @register_strategy
 class RaceStrategy(SearchStrategy):
-    """Meta-strategy: several solvers race against one shared fit cache.
+    """Meta-strategy: several solvers race on one shared fitter.
 
     Components (``config.strategies``, or an arity-appropriate default)
-    run their plan generators on sibling fitters that share the fit
-    memoization cache, interleaving one turn at a
-    time; the first feasible result wins.  See
-    :func:`repro.core.executor.run_race`.
+    run their plans on :meth:`~repro.core.planner.PlanContext.fork`
+    contexts of this plan's context, so they share the fitter (its fit
+    cache and counters) and the evaluator.  They take turns of
+    ``interleave`` batches, each batch tagged with its component's
+    context; the first feasible result wins.  A component that raises
+    :class:`InfeasibleConstraintError` drops out, and if all do, the
+    error lists their messages.
     """
 
     name = "race"
     config_cls = RaceConfig
 
-    def solve(self, fitter, val_constraints, X_val, y_val, config):
-        from .executor import run_race
-
-        names = tuple(config.strategies)
-        if not names:
-            names = (
-                ("binary_search", "grid", "linear")
-                if len(fitter.constraints) == 1
-                else ("hill_climb", "cmaes", "grid")
-            )
-        return run_race(
-            names, fitter, val_constraints, X_val, y_val,
-            interleave=config.interleave,
+    def plan(self, ctx, config):
+        names = tuple(config.strategies) or (
+            ("binary_search", "grid", "linear") if ctx.k == 1
+            else ("hill_climb", "cmaes", "grid")
         )
-
+        runners = []
+        failures = []
+        try:
+            for name in names:
+                strategy = get_strategy(name)
+                child = ctx.fork()
+                runners.append({
+                    "name": name, "ctx": child, "results": None,
+                    "gen": strategy.plan(child, strategy.make_config({})),
+                })
+            active = list(runners)
+            while active:
+                for runner in list(active):
+                    for _ in range(config.interleave):
+                        try:
+                            batch = runner["gen"].send(runner["results"])
+                        except StopIteration as stop:
+                            active.remove(runner)
+                            result = stop.value
+                            if result is not None and result.feasible:
+                                return result
+                            break
+                        except InfeasibleConstraintError as exc:
+                            active.remove(runner)
+                            failures.append(f"{runner['name']}: {exc}")
+                            break
+                        batch.ctx = batch.ctx or runner["ctx"]
+                        runner["results"] = yield batch
+        finally:
+            for runner in runners:
+                runner["gen"].close()
+        raise InfeasibleConstraintError(
+            "race found no feasible result; components failed with: "
+            + ("; ".join(failures) if failures else "no failures recorded")
+        )

@@ -68,6 +68,10 @@ WORKLOADS = {
         "cmaes", "FDR <= 0.05", "label_noise", dict(max_evals=32, seed=0)),
     "cmaes-sp-group_sweep": (
         "cmaes", "SP <= 0.10", "group_sweep", dict(max_evals=64, seed=0)),
+    # default components; the k = 1 SP winner (binary_search) swaps
+    "race-sp-label_noise": ("race", "SP <= 0.05", "label_noise", {}),
+    "race-fdr-label_noise": ("race", "FDR <= 0.05", "label_noise", {}),
+    "race-sp-group_sweep": ("race", "SP <= 0.08", "group_sweep", {}),
 }
 
 
@@ -87,15 +91,20 @@ def lam_seq(history):
             for h in history]
 
 
-def run_workload(name, splits_cache):
+def solve_workload(name, splits_cache):
+    """The workload's :class:`~repro.api.FairModel` on its golden split."""
     strategy, spec, scenario, options = WORKLOADS[name]
     if scenario not in splits_cache:
         splits_cache[scenario] = splits_for(scenario)
     train, val = splits_cache[scenario]
-    fair = Engine(strategy, **options).solve(
+    return Engine(strategy, **options).solve(
         Problem(spec), GaussianNaiveBayes(), train, val
     )
-    report = fair.report
+
+
+def run_workload(name, splits_cache):
+    strategy, spec, scenario, options = WORKLOADS[name]
+    report = solve_workload(name, splits_cache).report
     return {
         "strategy": report.strategy,
         "spec": spec,

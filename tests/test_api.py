@@ -132,6 +132,20 @@ class TestRemovedSolverSurface:
         with pytest.raises(SpecificationError, match="unknown option"):
             Engine("race", strategies=("grid", "linear"), grid_steps=4)
 
+    def test_second_driver_and_result_types_are_gone(self):
+        # one driver (run_plan) and one result type (TuneResult)
+        from repro.core import executor, planner
+        from repro.core.fitter import WeightedFitter
+        from repro.core.strategies import SearchStrategy
+
+        for owner, name in (
+            (planner, "SingleTuneResult"), (planner, "MultiTuneResult"),
+            (executor, "run_race"), (WeightedFitter, "spawn"),
+            (WeightedFitter, "fit_unweighted"), (SearchStrategy, "run"),
+            (SearchStrategy, "solve"),
+        ):
+            assert not hasattr(owner, name), name
+
     def test_trainer_is_not_exported(self):
         import repro
         import repro.core

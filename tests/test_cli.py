@@ -166,6 +166,22 @@ class TestCommands:
         assert "SPEC ERROR" in out.getvalue()
         assert opt.split("=")[0] in out.getvalue()
 
+    def test_train_infinite_grid_exits_2(self):
+        # 1e999 parses to inf: the grid used to select λ = [inf] and
+        # report a constant-prediction model as feasible (exit 0)
+        out = io.StringIO()
+        code = main(
+            [
+                "train", "--dataset", "scenario:label_noise",
+                "--rows", "1600", "--model", "NB", "--search", "grid",
+                "--strategy-opt", "grid_max=1e999", "--epsilon", "0.05",
+            ],
+            out=out,
+        )
+        assert code == 2
+        assert "SPEC ERROR" in out.getvalue()
+        assert "grid_max" in out.getvalue()
+
     def test_train_reserved_strategy_opt_fails_cleanly(self):
         out = io.StringIO()
         code = main(

@@ -113,6 +113,34 @@ class TestSubsamplePruning:
             >= plain.report.validation["accuracy"] - 0.05
         )
 
+    def test_subsample_bracket_follows_the_swap(self):
+        """The subsample kernel sees Algorithm 1's swap too.
+
+        The swap used to rewrite only the full-data constraint, so
+        after it the subsample bracket fits pushed FDR the wrong way
+        and the linear ladder ran out of steps (infeasible, ~2 s).
+        """
+        from repro.api import Engine
+        from repro.datasets import load_scenario
+        from repro.ml import GaussianNaiveBayes
+        from repro.ml.model_selection import train_val_test_split
+
+        data = load_scenario("covariate_shift", n=4000, seed=3)
+        tr, va, _ = train_val_test_split(
+            len(data), seed=5, stratify=data.sensitive * 2 + data.y,
+        )
+        train, val = data.subset(tr), data.subset(va)
+        full = Engine("binary_search").solve(
+            "FDR <= 0.02", GaussianNaiveBayes(), train, val,
+        ).report
+        pruned = Engine("binary_search", subsample=0.3).solve(
+            "FDR <= 0.02", GaussianNaiveBayes(), train, val,
+        ).report
+        assert full.swapped and full.n_fits == 8
+        assert pruned.swapped
+        assert pruned.feasible and pruned.validation["feasible"]
+        assert pruned.n_fits <= 4 * full.n_fits
+
 
 class TestTiming:
     def test_stopwatch_records_positive(self):

@@ -11,7 +11,11 @@ The contract under test:
   ``evaluate_lambda_batch``) agree with their sequential counterparts;
 * the incremental FOR/FDR prediction update equals a fresh recount;
 * :class:`CompiledEvaluator` matches ``Constraint.disparity`` and
-  ``accuracy_score`` exactly.
+  ``accuracy_score`` exactly;
+* with disjoint group sides, swapping a pair is a sign: the swapped
+  kernel's weights at λ are the declared kernel's at −λ, and the
+  swapped evaluator's disparities are the declared ones negated — the
+  identity the planner's per-constraint signs rest on.
 """
 
 from __future__ import annotations
@@ -80,8 +84,9 @@ def _make_metric(name):
 
 
 @st.composite
-def weight_problems(draw):
-    """Random (y, constraints, λ, predictions) tuples, overlaps included."""
+def weight_problems(draw, disjoint=False, metric=None):
+    """Random (y, constraints, λ, predictions) tuples, overlaps included
+    unless ``disjoint``; ``metric`` fixes every constraint's metric."""
     n = draw(st.integers(min_value=5, max_value=50))
     y = np.array(
         draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
@@ -92,13 +97,19 @@ def weight_problems(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     names = ALL_METRICS + ["AEC", "CUSTOM"]
     for i in range(k):
-        metric = _make_metric(draw(st.sampled_from(names)))
-        # overlapping, non-empty groups drawn independently
-        g1 = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
-        g2 = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
+        name = metric or draw(st.sampled_from(names))
+        if disjoint:
+            # two non-empty sides of one shuffle, rows left in neither
+            perm = rng.permutation(n)
+            cut = rng.integers(1, n)
+            g1, g2 = perm[:cut], perm[cut:cut + rng.integers(1, n - cut + 1)]
+        else:
+            # overlapping, non-empty groups drawn independently
+            g1 = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
+            g2 = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
         constraints.append(
             Constraint(
-                metric=metric,
+                metric=_make_metric(name),
                 epsilon=0.1,
                 group_names=(f"a{i}", f"b{i}"),
                 g1_idx=np.sort(g1),
@@ -183,6 +194,49 @@ class TestWeightEquivalenceProperty:
         assert got == sides_overlap(g1, g2)
         if disjoint:
             assert not got
+
+
+class TestSwapIsASign:
+    """Algorithm 1's swap of a disjoint pair equals negating its λ."""
+
+    @pytest.mark.parametrize("metric", ALL_METRICS + ["AEC", "CUSTOM"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_swapped_kernel_weights_equal_negated_lambda(self, metric,
+                                                         data):
+        y, constraints, lambdas, predictions = data.draw(
+            weight_problems(disjoint=True, metric=metric)
+        )
+        j = data.draw(st.integers(0, len(constraints) - 1))
+        swapped = list(constraints)
+        swapped[j] = constraints[j].swapped()
+        negated = lambdas.copy()
+        negated[j] = -negated[j]
+
+        def weights(cons, lams):
+            kernel = CompiledConstraints(cons, y)
+            return (kernel.weights(lams, predictions=predictions),
+                    kernel.weights_batch(lams[None, :]))
+
+        for got, want in zip(weights(swapped, lambdas),
+                             weights(constraints, negated)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("metric", ALL_METRICS + ["AEC", "CUSTOM"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_swapped_disparities_negate_exactly(self, metric, data):
+        y, constraints, _lambdas, predictions = data.draw(
+            weight_problems(disjoint=True, metric=metric)
+        )
+        preds = np.stack([predictions, 1 - predictions,
+                          np.zeros_like(predictions)])
+        d = CompiledEvaluator(constraints, y).score_batch(preds)[0]
+        d_swapped = CompiledEvaluator(
+            [c.swapped() for c in constraints], y,
+        ).score_batch(preds)[0]
+        # PlanContext.orient's flip: −d, an exact tie reported as +0.0
+        assert d_swapped.tobytes() == (d * -1.0 + 0.0).tobytes()
 
 
 class TestIncrementalPredictionUpdates:

@@ -2,11 +2,11 @@
 
 Two layers of checks:
 
-* **Plan protocol** — every registered strategy that implements
-  ``plan()`` must yield well-formed :class:`CandidateBatch` objects
-  (2-D float64 λ matrix with the bound constraint count as trailing
-  dimension, valid kind, string purpose) and must produce the same
-  result through ``run()`` as through the legacy ``solve()`` surface.
+* **Plan protocol** — every registered strategy (the registry refuses
+  one without ``plan()``) driven by :func:`run_plan` must yield
+  well-formed :class:`CandidateBatch` objects (2-D float64 λ matrix
+  with the bound constraint count as trailing dimension, valid kind,
+  string purpose) and return a feasible :class:`TuneResult`.
 * **Executor contract** — stop predicates end a ``"fit"`` batch at the
   triggering candidate (nothing past it is reported or even fitted),
   chained batches thread ``prev_model`` candidate to candidate, and
@@ -19,13 +19,16 @@ import pytest
 from repro.core.dsl import parse_spec
 from repro.core.executor import ExecutionBackend
 from repro.core.fitter import WeightedFitter
-from repro.core.planner import CandidateBatch, EvalResult, PlanContext
-from repro.core.spec import bind_specs
-from repro.core.strategies import (
-    SearchStrategy,
-    available_strategies,
-    get_strategy,
+from repro.core.kernels import CompiledEvaluator
+from repro.core.planner import (
+    CandidateBatch,
+    EvalResult,
+    PlanContext,
+    TuneResult,
+    run_plan,
 )
+from repro.core.spec import bind_specs
+from repro.core.strategies import available_strategies, get_strategy
 from repro.ml import GaussianNaiveBayes
 
 
@@ -72,16 +75,13 @@ def _record_batches(monkeypatch):
     return batches
 
 
-PLANNED = [
-    name for name in available_strategies()
-    if type(get_strategy(name)).plan is not SearchStrategy.plan
-]
+PLANNED = available_strategies()
 
 
 class TestPlanProtocol:
     def test_every_builtin_is_planner_capable(self):
         for expected in ("binary_search", "linear", "grid", "hill_climb",
-                         "cmaes"):
+                         "cmaes", "race"):
             assert expected in PLANNED
 
     @pytest.mark.parametrize("name", PLANNED)
@@ -91,26 +91,13 @@ class TestPlanProtocol:
         config = strategy.make_config({})
         fitter, vc, val = _make_fitter(two_group_splits, "SP <= 0.1")
         batches = _record_batches(monkeypatch)
-        result = strategy.run(fitter, vc, val.X, val.y, config)
+        result = run_plan(strategy, fitter, vc, val.X, val.y, config)
         assert batches, "strategy never asked for candidates"
+        assert isinstance(result, TuneResult)
         assert result.feasible
+        assert result.lambdas.shape == (1,)
+        assert result.lambdas.dtype == np.float64
         assert len(result.history) >= 1
-
-    @pytest.mark.parametrize("name", PLANNED)
-    def test_run_matches_solve(self, name, two_group_splits):
-        strategy = get_strategy(name)
-        config = strategy.make_config({})
-        f1, vc1, val = _make_fitter(two_group_splits, "SP <= 0.1")
-        via_run = strategy.run(f1, vc1, val.X, val.y, config)
-        f2, vc2, val = _make_fitter(two_group_splits, "SP <= 0.1")
-        via_solve = get_strategy(name).solve(f2, vc2, val.X, val.y, config)
-        lam1 = np.atleast_1d(getattr(via_run, "lam", None)
-                             if hasattr(via_run, "lam")
-                             else via_run.lambdas)
-        lam2 = np.atleast_1d(getattr(via_solve, "lam", None)
-                             if hasattr(via_solve, "lam")
-                             else via_solve.lambdas)
-        np.testing.assert_array_equal(lam1, lam2)
 
 
 class TestExecutorContract:
@@ -149,6 +136,35 @@ class TestExecutorContract:
         np.testing.assert_array_equal(
             np.concatenate([res.lam for res in results]), grid[:, 0],
         )
+
+    @pytest.mark.parametrize("kind", ["fit", "population"])
+    def test_swapped_fork_fits_the_negated_lambda(self, kind,
+                                                  two_group_splits):
+        """Algorithm 1's swap is a sign: a swapped context fits the
+        declared constraint at −λ and reports the negated disparity."""
+        fitter, vc, val = _make_fitter(two_group_splits)
+        declared = fitter.constraints[0]
+        plain = PlanContext(fitter, vc, val.X, val.y)
+        swapped = plain.fork()
+        swapped.swap_constraint(0)
+        assert swapped.compiled_scorer() is plain.compiled_scorer()
+        grid = np.array([[0.2], [-0.1]])
+        want = ExecutionBackend().run(CandidateBatch(-grid, kind=kind), plain)
+        got = ExecutionBackend().run(CandidateBatch(grid, kind=kind), swapped)
+        rewritten = CompiledEvaluator([vc[0].swapped()], val.y)
+        for w, g in zip(want, got):
+            np.testing.assert_array_equal(g.lam, -w.lam)
+            np.testing.assert_array_equal(g.disparities, -w.disparities)
+            assert g.accuracy == w.accuracy
+            # bit for bit what a rewritten (swapped) binding reports
+            d, _ = rewritten.score_models_batch([g.model], val.X)
+            assert g.disparities.tobytes() == d[0].tobytes()
+        # one fitter: the fork's candidates hit the plain context's fits
+        assert fitter.fit_cache_hits == len(grid)
+        assert len(plain.history) == len(swapped.history) == len(grid)
+        # no constraint list was rewritten
+        assert fitter.constraints[0] is declared
+        assert swapped.val_constraints[0] is vc[0]
 
     def test_chained_batch_threads_prev_model(self, two_group_splits):
         calls = []

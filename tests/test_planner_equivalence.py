@@ -6,6 +6,11 @@ solver loops (Algorithm 1, Algorithm 2, the grid sweeps, CMA-ES)
 strategy × SP/FDR × scenario workload it stores the selected λ vector
 and the full ordered λ-sequence of the search history.
 
+The three ``race`` workloads were frozen later, from the race driver
+that ran its components on sibling fitters, before race became a plan
+on one shared fitter; :data:`RACE_TOTALS` pins that driver's fit and
+cache-hit totals as well.
+
 These tests assert that every workload, run through the planner and
 the executor, reproduces both bit-for-bit.
 
@@ -27,7 +32,18 @@ from capture_trajectories import (  # noqa: E402
     OUT as TRAJECTORY_FILE,
     WORKLOADS,
     run_workload,
+    solve_workload,
 )
+
+#: the race totals the pre-refactor race driver reported on the golden
+#: splits, before race became a plan on one shared fitter
+RACE_TOTALS = {
+    "race-sp-label_noise": dict(n_fits=48, fit_cache_hits=7, swapped=True),
+    "race-fdr-label_noise": dict(n_fits=18, fit_cache_hits=3,
+                                 swapped=False),
+    "race-sp-group_sweep": dict(n_fits=210, fit_cache_hits=23,
+                                swapped=False),
+}
 
 @pytest.fixture(scope="module")
 def golden():
@@ -59,5 +75,11 @@ def test_goldens_cover_every_registered_builtin(golden):
     from repro.core.strategies import available_strategies
 
     covered = {record["strategy"] for record in golden.values()}
-    # race is a meta-strategy over the covered components
-    assert covered >= set(available_strategies()) - {"race"}
+    assert covered >= set(available_strategies())
+
+
+@pytest.mark.parametrize("name", sorted(RACE_TOTALS))
+def test_race_totals_pinned(name, splits_cache):
+    report = solve_workload(name, splits_cache).report
+    got = {field: getattr(report, field) for field in RACE_TOTALS[name]}
+    assert got == RACE_TOTALS[name]

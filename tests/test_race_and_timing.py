@@ -1,5 +1,7 @@
 """The ``race`` meta-strategy, history timing fields, and round_times."""
 
+import importlib.util
+import pathlib
 import pickle
 
 import numpy as np
@@ -33,17 +35,25 @@ class TestRace:
         assert fm.report.lambdas.shape == (3,)
 
     def test_race_matches_a_component_lambda(self, two_group_splits):
-        """The winner's λ equals what that component finds standalone."""
+        """A one-component race is that component's standalone solve:
+        same λ, budget, cache traffic and history."""
         train, val, _ = two_group_splits
         racer = Engine("race", strategies=("binary_search",)).solve(
             "SP <= 0.1", GaussianNaiveBayes(), train, val,
-        )
+        ).report
         solo = Engine("binary_search").solve(
             "SP <= 0.1", GaussianNaiveBayes(), train, val,
-        )
+        ).report
         np.testing.assert_allclose(
-            racer.report.lambdas, solo.report.lambdas, rtol=0, atol=0,
+            racer.lambdas, solo.lambdas, rtol=0, atol=0,
         )
+        assert racer.n_fits == solo.n_fits
+        assert racer.fit_cache_hits == solo.fit_cache_hits
+        assert racer.fit_paths == solo.fit_paths
+        assert racer.swapped == solo.swapped
+        assert [h.lam for h in racer.history] == [
+            h.lam for h in solo.history
+        ]
 
     def test_race_shares_fit_cache(self, two_group_splits):
         """Components racing the same λ values hit each other's fits."""
@@ -56,45 +66,113 @@ class TestRace:
 
     def test_race_all_infeasible_raises(self, two_group_splits):
         train, val, _ = two_group_splits
-        with pytest.raises(InfeasibleConstraintError, match="race"):
-            Engine("race", strategies=("grid",)).solve(
+        with pytest.raises(InfeasibleConstraintError,
+                           match="race.*grid: .*binary_search: "):
+            Engine("race", strategies=("grid", "binary_search")).solve(
                 "SP <= 0.000001", GaussianNaiveBayes(), train, val,
             )
 
-    def test_race_rejects_nonpositive_interleave(self, two_group_splits):
+    def test_race_rejects_nonpositive_interleave(self):
         from repro.core.exceptions import SpecificationError
 
-        train, val, _ = two_group_splits
+        # refused when the engine is built, not when a solve (or a
+        # /retune job) runs
         with pytest.raises(SpecificationError, match="interleave"):
-            Engine("race", interleave=0).solve(
-                "SP <= 0.1", GaussianNaiveBayes(), train, val,
-            )
+            Engine("race", interleave=0)
 
-    def test_race_rejects_legacy_solve_component(self, two_group_splits):
-        from repro.core.exceptions import SpecificationError
+    def test_race_nests(self):
+        """A race component may itself be a race: each batch keeps the
+        innermost component's context (its signs and history), so the
+        solve is unchanged, swap included."""
+        from capture_trajectories import splits_for
+
+        train, val = splits_for("label_noise")
+        flat, nested = (
+            Engine("race", strategies=names).solve(
+                "SP <= 0.05", GaussianNaiveBayes(), train, val,
+            ).report
+            for names in ((), ("race",))
+        )
+        assert flat.swapped and nested.swapped
+        assert nested.lambdas.tolist() == flat.lambdas.tolist()
+        assert [h.lam for h in nested.history] == [
+            h.lam for h in flat.history
+        ]
+        assert (nested.n_fits, nested.fit_cache_hits) == (
+            flat.n_fits, flat.fit_cache_hits,
+        )
+
+    def test_race_closes_losing_components(self, two_group_splits):
+        """The winner ends the race; every other plan is closed."""
+        from repro.core.planner import CandidateBatch
         from repro.core.strategies import (
+            LinearConfig,
             SearchStrategy,
             register_strategy,
             unregister_strategy,
         )
 
-        @register_strategy
-        class LegacyOnly(SearchStrategy):
-            name = "legacy_only_tmp"
+        closed = []
 
-            def solve(self, fitter, val_constraints, X_val, y_val,
-                      config):
-                raise AssertionError("unreachable")
+        @register_strategy
+        class Endless(SearchStrategy):
+            name = "endless_tmp"
+            config_cls = LinearConfig
+
+            def plan(self, ctx, config):
+                try:
+                    while True:
+                        yield CandidateBatch([[0.0]], record=False)
+                finally:
+                    closed.append(ctx)
 
         train, val, _ = two_group_splits
         try:
-            with pytest.raises(SpecificationError,
-                               match="ask/tell planner"):
-                Engine("race", strategies=("legacy_only_tmp",)).solve(
-                    "SP <= 0.1", GaussianNaiveBayes(), train, val,
-                )
+            fm = Engine(
+                "race", strategies=("endless_tmp", "binary_search"),
+            ).solve("SP <= 0.1", GaussianNaiveBayes(), train, val)
         finally:
-            unregister_strategy("legacy_only_tmp")
+            unregister_strategy("endless_tmp")
+        assert fm.report.feasible
+        assert len(closed) == 1
+        # the loser's Λ = 0 fits were cache hits on the one shared fitter
+        assert fm.report.fit_cache_hits >= 1
+
+
+def _bench_tracer():
+    """``bench/tracing.py``'s :class:`Tracer`, loaded by file path."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer
+
+
+class TestSingleDriver:
+    def test_every_race_batch_runs_under_the_one_planner_span(self):
+        """``run_plan`` is the only driver, reached through the
+        ``repro.core.strategies`` attribute the benchmark tracer wraps:
+        a race is one planner span holding every executor span."""
+        from capture_trajectories import splits_for
+
+        train, val = splits_for("label_noise")
+        tracer = _bench_tracer()().install()
+        try:
+            Engine("race").solve(
+                "SP <= 0.05", GaussianNaiveBayes(), train, val,
+            )
+        finally:
+            tracer.uninstall()
+        parent_of = {span[0]: span[1] for span in tracer.spans}
+        planners = [span[0] for span in tracer.spans if span[2] == "planner"]
+        executors = [span for span in tracer.spans if span[2] == "executor"]
+        assert len(planners) == 1
+        assert executors
+        for span in executors:
+            ancestor = span[1]
+            while ancestor and ancestor != planners[0]:
+                ancestor = parent_of[ancestor]
+            assert ancestor == planners[0]
 
 
 class TestHistoryTiming:

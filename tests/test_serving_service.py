@@ -209,6 +209,32 @@ class TestErrorPaths:
         assert excinfo.value.status == 400
         assert next(iter(options)) in str(excinfo.value)
 
+    @pytest.mark.parametrize("strategy,options", [
+        ("grid", b'{"grid_max": 1e999}'),
+        ("grid", b'{"grid_max": NaN}'),
+        ("race", b'{"interleave": 0}'),
+        ("race", b'{"strategies": "grid"}'),
+    ])
+    def test_retune_bad_strategy_knob_is_400(self, client, strategy,
+                                             options):
+        # json.loads accepts NaN and reads 1e999 as inf; the Engine
+        # refuses the knob by name before any job (or breaker) sees it
+        body = (
+            b'{"spec": "SP <= 0.1", "dataset": "scenario:group_sweep", '
+            b'"strategy": "' + strategy.encode() + b'", "options": '
+            + options + b'}'
+        )
+        conn = client._connection()
+        conn.request(
+            "POST", "/retune", body=body,
+            headers={"Content-Type": "application/json",
+                     "Content-Length": str(len(body))},
+        )
+        response = conn.getresponse()
+        payload = response.read().decode()
+        assert response.status == 400
+        assert options.decode().split('"')[1] in payload
+
     def test_auto_retune_bad_search_width_ends_in_error(self, client):
         # "auto" builds its config at solve time, inside the job
         job = client.retune(

@@ -5,7 +5,7 @@ import pytest
 
 from repro import SpecificationError
 from repro.api import Engine
-from repro.core.planner import SingleTuneResult
+from repro.core.planner import CandidateBatch, TuneResult
 from repro.core.strategies import (
     BinarySearchConfig,
     GridConfig,
@@ -51,6 +51,20 @@ class TestRegistry:
         with pytest.raises(SpecificationError, match="reserved"):
             register_strategy(Reserved)
 
+    def test_register_refuses_strategy_without_plan(self):
+        """A legacy ``solve()`` override would never run: refused."""
+
+        class LegacyOnly(SearchStrategy):
+            name = "legacy_only_tmp"
+
+            def solve(self, fitter, val_constraints, X_val, y_val,
+                      config):
+                raise AssertionError("unreachable")
+
+        with pytest.raises(SpecificationError, match=r"plan\(\)"):
+            register_strategy(LegacyOnly)
+        assert "legacy_only_tmp" not in available_strategies()
+
     def test_third_party_registration_end_to_end(self, two_group_splits):
         """A custom strategy plugs in and is dispatched by the engine."""
         train, val, _ = two_group_splits
@@ -60,13 +74,11 @@ class TestRegistry:
             name = "fixed_lambda"
             config_cls = BinarySearchConfig
 
-            def solve(self, fitter, val_constraints, X_val, y_val, config):
-                model = fitter.fit(np.array([0.3]),
-                                   prev_model=fitter.fit_unweighted())
-                return SingleTuneResult(
-                    model=model, lam=0.3, feasible=True, swapped=False,
-                    n_fits=fitter.n_fits, history=[],
-                )
+            def plan(self, ctx, config):
+                (r0,) = yield CandidateBatch([[0.0]], record=False)
+                (r,) = yield CandidateBatch([[0.3]], prev_model=r0.model)
+                return TuneResult(r.model, r.lam, feasible=True,
+                                  history=ctx.history)
 
         try:
             fm = Engine("fixed_lambda").solve(
@@ -74,6 +86,8 @@ class TestRegistry:
             )
             assert fm.lambdas.tolist() == [0.3]
             assert fm.report.strategy == "fixed_lambda"
+            assert fm.report.n_fits == 2
+            assert len(fm.report.history) == 1
         finally:
             unregister_strategy("fixed_lambda")
         with pytest.raises(SpecificationError):
@@ -216,3 +230,49 @@ class TestSearchWidths:
             engine.solve(
                 "SP <= 0.05", LogisticRegression(max_iter=150), train, val,
             )
+
+
+class TestKnobChecks:
+    """Every other knob is refused by name when the Engine is built.
+
+    An infinite or NaN grid or step puts inf/NaN into the weights (a
+    wrong model reported feasible), a zero count raises deep inside a
+    kernel or divides by zero, and a bad race component list fails
+    only at solve time.
+    """
+
+    @pytest.mark.parametrize("strategy,field,value", [
+        ("grid", "grid_max", float("inf")),
+        ("grid", "grid_max", float("nan")),
+        ("grid", "grid_max", 0.0),
+        ("grid", "grid_steps", 0),
+        ("grid", "grid_steps", 2.5),
+        ("linear", "step", -0.05),
+        ("linear", "step", float("inf")),
+        ("linear", "max_steps", 0),
+        ("binary_search", "lambda_max", float("inf")),
+        ("binary_search", "max_linear_steps", 0),
+        ("hill_climb", "initial_step", 0.0),
+        ("hill_climb", "lambda_max", -1.0),
+        ("hill_climb", "max_rounds", 0),
+        ("hill_climb", "max_rounds", "5"),
+        ("cmaes", "sigma0", float("nan")),
+        ("cmaes", "max_evals", 0),
+        ("cmaes", "popsize", 1),
+        ("cmaes", "popsize", 4.0),
+        ("cmaes", "penalty", -1.0),
+        ("cmaes", "penalty", float("inf")),
+        ("race", "interleave", True),
+        ("race", "strategies", "grid"),
+        ("race", "strategies", ("grid", "nope")),
+        ("race", "strategies", [["grid"]]),
+    ])
+    def test_engine_refuses_bad_knob(self, strategy, field, value):
+        with pytest.raises(SpecificationError, match=f"{field} must be"):
+            Engine(strategy, **{field: value})
+
+    def test_boundary_values_pass(self):
+        Engine("cmaes", penalty=0.0, popsize=2, max_evals=1)
+        Engine("hill_climb", max_rounds=None)
+        Engine("grid", grid_steps=np.int64(1), grid_max=1e-9)
+        Engine("race", strategies=["grid", "linear"], interleave=2)
