@@ -108,9 +108,9 @@ def build_parser():
     encode = sub.add_parser(
         "encode",
         help="encode a dataset into an out-of-core columnar store "
-             "(memory-mapped columns + encode-once index sidecars); "
-             "scenario families stream block-by-block and never "
-             "materialize the matrix",
+             "(one memory-mapped .npy file per column plus a "
+             "manifest); scenario families stream block-by-block and "
+             "never materialize the matrix",
     )
     encode.add_argument("--dataset", required=True, metavar="NAME",
                         help="benchmark twin "
@@ -125,14 +125,10 @@ def build_parser():
                              "default — hundred_million_row defaults "
                              "to 1e8)")
     encode.add_argument("--seed", type=int, default=0)
-    encode.add_argument("--chunk-size", type=int, default=None,
+    encode.add_argument("--chunk-size", type=int, default=65_536,
                         metavar="ROWS",
                         help="encoder block rows (bounds encode memory; "
                              "default 65536)")
-    encode.add_argument("--no-feature-order", action="store_true",
-                        help="skip the per-feature argsort sidecar "
-                             "(tree presort falls back to sorting "
-                             "per fit)")
 
     train = sub.add_parser("train", help="train a fair model on a twin")
     train.add_argument("--dataset", required=True,
@@ -192,7 +188,7 @@ def build_parser():
                        help="persistent cross-run cache directory: exact "
                             "canonical re-solves return the stored model "
                             "with 0 fits, tightened re-solves warm-start, "
-                            "and individual fit/eval artifacts are reused "
+                            "and individual fit artifacts are reused "
                             "across processes")
     train.add_argument("--no-store", action="store_true",
                        help="ignore --store-dir for this run (cold-solve "
@@ -217,7 +213,7 @@ def build_parser():
                        help="persistence directory: the registry spools "
                             "evicted models here, previously spooled "
                             "models are re-registered on startup, and "
-                            "retune jobs share a cross-run fit/eval/"
+                            "retune jobs share a cross-run fit/"
                             "solution cache rooted here")
     serve.add_argument("--max-models", type=int, default=None,
                        help="resident-model bound (LRU eviction beyond it)")
@@ -284,24 +280,17 @@ def _cmd_encode(args, out):
 
     from .datasets import encode_dataset, encode_scenario
 
-    chunk = args.chunk_size if args.chunk_size else 65_536
-    if chunk < 1:
-        out.write("SPEC ERROR: --chunk-size must be >= 1\n")
-        return 2
     start = time.perf_counter()
     try:
         if args.dataset.startswith("scenario:"):
             manifest = encode_scenario(
                 args.dataset[len("scenario:"):], args.out,
-                n=args.rows, seed=args.seed, chunk_rows=chunk,
-                feature_order=not args.no_feature_order,
+                n=args.rows, seed=args.seed, chunk_rows=args.chunk_size,
             )
         else:
             data = load(args.dataset, n=args.rows, seed=args.seed)
-            manifest = encode_dataset(
-                data, args.out, chunk_rows=chunk,
-                feature_order=not args.no_feature_order,
-            )
+            manifest = encode_dataset(data, args.out,
+                                      chunk_rows=args.chunk_size)
     except (KeyError, ValueError, OSError) as exc:
         out.write(f"SPEC ERROR: {exc.args[0] if exc.args else exc}\n")
         return 2
@@ -313,8 +302,7 @@ def _cmd_encode(args, out):
     out.write(
         f"encoded {manifest['name']} -> {args.out}\n"
         f"rows: {manifest['n_rows']}  features: {manifest['n_features']}  "
-        f"columns: {len(manifest['columns'])}  "
-        f"sidecars: {', '.join(sorted(manifest['sidecars']))}\n"
+        f"columns: {len(manifest['columns'])}\n"
         f"bytes: {total}  seconds: {elapsed:.2f}\n"
         f"fingerprint: {manifest['fingerprint']}\n"
     )

@@ -11,31 +11,19 @@ yields a :class:`ColumnarDataset` whose columns are read-only
 never materialize the matrix, so dataset size is bounded by disk, not
 RAM.
 
-Two index structures are computed **once at encode time** (in
-bounded-memory chunks) and themselves memory-mapped, so work that every
-consumer would otherwise redo per run is amortized into the encode:
-
-``group_order.npy`` / ``group_offsets.npy``
-    A stable group-sorted row index plus an offsets table —
-    ``group_order[group_offsets[g]:group_offsets[g+1]]`` lists the rows
-    of group ``g`` in original order (the per-group index the spec
-    binder and auditors rebuild per run).
-``feature_order.npy``
-    The per-feature stable argsort of ``X`` — exactly the array
-    :class:`repro.ml.tree.PresortedDataset` computes per fit, so tree
-    training on a full columnar matrix skips the sort entirely
-    (:func:`sidecar_order`).
-
 The manifest records the **same fingerprint** ``Dataset.fingerprint``
 (v2) computes in memory: the encoder streams the identical
 ``tag|dtype|shape|bytes`` framing through SHA1 block by block.  A
-columnar-opened dataset therefore keys the persistent fit/eval/solution
+columnar-opened dataset therefore keys the persistent fit and solution
 stores identically to its in-memory twin — an encode → solve → re-solve
 round trip through :class:`repro.store.SolutionCache` costs zero fits.
 
 Corruption discipline matches :class:`repro.store.CacheStore`: a
 missing, truncated, or inconsistent store **warns and refuses to open**
-(:class:`ColumnarFormatError`) — it never returns wrong counts.
+(:class:`ColumnarFormatError`) — it never returns wrong counts.  The
+manifest is untrusted input: every field is type-checked, and each
+column must live in the file the writer names for its tag, before any
+column is opened.
 """
 
 from __future__ import annotations
@@ -58,8 +46,6 @@ __all__ = [
     "encode_dataset",
     "encode_scenario",
     "open_columnar",
-    "mmap_source",
-    "sidecar_order",
 ]
 
 FORMAT = "repro-columnar/v1"
@@ -131,15 +117,22 @@ def streaming_fingerprint(name, sensitive_attribute, columns,
 # -- encoder ------------------------------------------------------------------
 
 
+def _check_chunk_rows(chunk_rows):
+    if isinstance(chunk_rows, bool) \
+            or not isinstance(chunk_rows, (int, np.integer)) or chunk_rows < 1:
+        raise ValueError(f"chunk_rows must be an int >= 1, got {chunk_rows!r}")
+    return int(chunk_rows)
+
+
 class ColumnarWriter:
     """Stream rows into a columnar store with bounded memory.
 
     Columns are pre-allocated ``.npy`` memory maps sized for the full
     row count; :meth:`append` copies one block of rows in, and
-    :meth:`finalize` computes the sidecars and the streaming
-    fingerprint, then writes the manifest (atomically, tmp + rename —
-    a store without a manifest never opens, so a crashed encode can
-    never be mistaken for a complete one).
+    :meth:`finalize` computes the streaming fingerprint, then writes
+    the manifest (atomically, tmp + rename — a store without a
+    manifest never opens, so a crashed encode can never be mistaken
+    for a complete one).
 
     Per-row extras are discovered from the first appended block; every
     later block must carry the same keys.  Only numeric/bool ndarray
@@ -149,9 +142,10 @@ class ColumnarWriter:
 
     def __init__(self, root, n_rows, *, name, sensitive_attribute="group",
                  group_names=(), feature_names=(), task="", metadata=None,
-                 feature_order=True, chunk_rows=DEFAULT_CHUNK_ROWS):
+                 chunk_rows=DEFAULT_CHUNK_ROWS):
         if n_rows < 1:
             raise ValueError(f"n_rows must be >= 1, got {n_rows}")
+        self.chunk_rows = _check_chunk_rows(chunk_rows)
         self.root = pathlib.Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.n_rows = int(n_rows)
@@ -161,8 +155,6 @@ class ColumnarWriter:
         self.feature_names = tuple(feature_names)
         self.task = task
         self.metadata = dict(metadata or {})
-        self.feature_order = bool(feature_order)
-        self.chunk_rows = int(chunk_rows)
         self._maps = {}      # tag -> writable open_memmap
         self._cursor = 0
         self._finalized = False
@@ -210,6 +202,10 @@ class ColumnarWriter:
         rows = len(y)
         if len(X) != rows or len(sensitive) != rows:
             raise ValueError("X, y, sensitive blocks must have equal lengths")
+        if sensitive.min(initial=0) < 0 or (
+                self.group_names
+                and sensitive.max(initial=0) >= len(self.group_names)):
+            raise ValueError("sensitive codes out of range for group_names")
         stop = self._cursor + rows
         if stop > self.n_rows:
             raise ValueError(
@@ -234,70 +230,8 @@ class ColumnarWriter:
             self._maps[f"extra:{key}"][self._cursor:stop] = arr
         self._cursor = stop
 
-    def _write_group_sidecars(self):
-        """Group-sorted row index + offsets via a two-pass counting sort.
-
-        Pass 1 counts rows per group in chunks; pass 2 fills the order
-        with per-group cursors.  The sort is stable (rows within a
-        group keep original order) and needs O(chunk + n_groups)
-        working memory beyond the output map.
-        """
-        sens = self._maps["sensitive"]
-        n_groups = len(self.group_names)
-        if n_groups == 0:
-            for start in range(0, self.n_rows, self.chunk_rows):
-                block_max = int(sens[start:start + self.chunk_rows].max())
-                n_groups = max(n_groups, block_max + 1)
-        counts = np.zeros(n_groups, dtype=np.int64)
-        for start in range(0, self.n_rows, self.chunk_rows):
-            block = sens[start:start + self.chunk_rows]
-            if block.min(initial=0) < 0 or block.max(initial=0) >= n_groups:
-                raise ValueError(
-                    "sensitive codes out of range for group_names"
-                )
-            counts += np.bincount(block, minlength=n_groups)
-        offsets = np.zeros(n_groups + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        order = np.lib.format.open_memmap(
-            self.root / "group_order.npy", mode="w+",
-            dtype=np.int64, shape=(self.n_rows,),
-        )
-        cursors = offsets[:-1].copy()
-        for start in range(0, self.n_rows, self.chunk_rows):
-            block = np.asarray(sens[start:start + self.chunk_rows])
-            rows = np.arange(start, start + len(block), dtype=np.int64)
-            for g in range(n_groups):
-                members = rows[block == g]
-                order[cursors[g]:cursors[g] + len(members)] = members
-                cursors[g] += len(members)
-        order.flush()
-        np.save(self.root / "group_offsets.npy", offsets)
-        return {"group_order": "group_order.npy",
-                "group_offsets": "group_offsets.npy"}
-
-    def _write_feature_order(self):
-        """Per-feature stable argsort of ``X``, one column at a time.
-
-        Column ``f`` of the sidecar equals column ``f`` of
-        ``np.argsort(X, axis=0, kind="mergesort")`` — an axis-0 argsort
-        is computed per column independently, so sorting one column at
-        a time is bitwise identical while bounding working memory to
-        one column plus its index vector.
-        """
-        Xmap = self._maps["X"]
-        d = Xmap.shape[1]
-        out = np.lib.format.open_memmap(
-            self.root / "feature_order.npy", mode="w+",
-            dtype=np.int64, shape=(self.n_rows, d),
-        )
-        for f in range(d):
-            col = np.ascontiguousarray(Xmap[:, f])
-            out[:, f] = np.argsort(col, kind="mergesort")
-        out.flush()
-        return {"feature_order": "feature_order.npy"}
-
     def finalize(self):
-        """Flush columns, build sidecars, fingerprint, write the manifest."""
+        """Flush columns, fingerprint, write the manifest."""
         if self._finalized:
             raise RuntimeError("writer already finalized")
         if self._cursor != self.n_rows:
@@ -309,9 +243,6 @@ class ColumnarWriter:
             raise ValueError("no rows appended")
         for arr in self._maps.values():
             arr.flush()
-        sidecars = self._write_group_sidecars()
-        if self.feature_order:
-            sidecars.update(self._write_feature_order())
         fingerprint = streaming_fingerprint(
             self.name, self.sensitive_attribute, self._maps,
             chunk_rows=self.chunk_rows,
@@ -334,7 +265,6 @@ class ColumnarWriter:
                 }
                 for tag, arr in sorted(self._maps.items())
             },
-            "sidecars": sidecars,
             "metadata": self.metadata,
         }
         tmp = self.root / (MANIFEST_NAME + ".tmp")
@@ -381,8 +311,7 @@ def _split_extras(extras, n):
     return columns, metadata
 
 
-def encode_dataset(dataset, root, *, feature_order=True,
-                   chunk_rows=DEFAULT_CHUNK_ROWS):
+def encode_dataset(dataset, root, *, chunk_rows=DEFAULT_CHUNK_ROWS):
     """Encode an in-memory :class:`Dataset` into a columnar store.
 
     Returns the manifest dict.  The stored fingerprint equals
@@ -399,7 +328,6 @@ def encode_dataset(dataset, root, *, feature_order=True,
         feature_names=dataset.feature_names,
         task=dataset.task,
         metadata=metadata,
-        feature_order=feature_order,
         chunk_rows=chunk_rows,
     )
     for start in range(0, n, writer.chunk_rows):
@@ -412,19 +340,19 @@ def encode_dataset(dataset, root, *, feature_order=True,
     return writer.finalize()
 
 
-def encode_scenario(name, root, n=None, seed=0, *, feature_order=True,
+def encode_scenario(name, root, n=None, seed=0, *,
                     chunk_rows=DEFAULT_CHUNK_ROWS, **overrides):
     """Stream a scenario family straight into a columnar store.
 
     Generation blocks flow through :func:`iter_scenario_chunks` into
     the writer — the full matrix is never materialized, so encoding a
-    ``hundred_million_row`` store needs O(chunk) feature memory (plus
-    the per-column argsort pass at finalize).  The result is
-    row-for-row and fingerprint-identical to
+    ``hundred_million_row`` store needs O(chunk) feature memory.  The
+    result is row-for-row and fingerprint-identical to
     ``encode_dataset(load_scenario(name, n, seed), root)``.
     """
     from .scenarios import SCENARIOS, iter_scenario_chunks
 
+    chunk_rows = _check_chunk_rows(chunk_rows)
     try:
         scenario = SCENARIOS[name]
     except KeyError:
@@ -449,7 +377,6 @@ def encode_scenario(name, root, n=None, seed=0, *, feature_order=True,
                 feature_names=chunk.feature_names,
                 task=chunk.task,
                 metadata=metadata,
-                feature_order=feature_order,
                 chunk_rows=chunk_rows,
             )
         writer.append(chunk.X, chunk.y, chunk.sensitive, columns)
@@ -465,18 +392,11 @@ class ColumnarDataset(Dataset):
 
     Construct via :func:`open_columnar`.  All `Dataset` semantics hold
     (the compiled kernels, binders, and fitters see ordinary float64/
-    int64 arrays); additionally the encode-time sidecars are exposed:
-
-    - :attr:`group_order` / :attr:`group_offsets` — stable group-sorted
-      row index (``group_rows(g)`` slices one group's rows, a view);
-    - :attr:`feature_order` — the per-feature argsort consumed by the
-      presorted tree builder via :func:`sidecar_order` (``None`` when
-      the store was encoded with ``feature_order=False``).
-
-    ``subset`` with a **slice** returns view-backed plain ``Dataset``
-    objects (no rows copied); fancy indexing copies, as everywhere in
-    numpy.  ``fingerprint()`` returns the manifest's stored digest —
-    computed at encode time with the identical framing — in O(1).
+    int64 arrays).  ``subset`` with a **slice** returns view-backed
+    plain ``Dataset`` objects (no rows copied); fancy indexing copies,
+    as everywhere in numpy.  ``fingerprint()`` returns the manifest's
+    stored digest — computed at encode time with the identical framing
+    — in O(1).
     """
 
     root: pathlib.Path | None = None
@@ -501,50 +421,6 @@ class ColumnarDataset(Dataset):
         )
         return got == self.manifest.get("fingerprint", got)
 
-    def _sidecar(self, key):
-        cache = self.__dict__.setdefault("_sidecar_cache", {})
-        if key not in cache:
-            rel = self.manifest.get("sidecars", {}).get(key)
-            if rel is None:
-                cache[key] = None
-            else:
-                path = self.root / rel
-                try:
-                    cache[key] = np.load(path, mmap_mode="r")
-                except Exception as exc:
-                    _refuse(self.root, f"sidecar {rel} unreadable: {exc}")
-        return cache[key]
-
-    @property
-    def group_order(self):
-        order = self._sidecar("group_order")
-        if order is None:
-            _refuse(self.root, "store has no group_order sidecar")
-        return order
-
-    @property
-    def group_offsets(self):
-        offsets = self._sidecar("group_offsets")
-        if offsets is None:
-            _refuse(self.root, "store has no group_offsets sidecar")
-        return offsets
-
-    @property
-    def feature_order(self):
-        return self._sidecar("feature_order")
-
-    def group_rows(self, group):
-        """Row indices of one group (name or code), original order — a view."""
-        if isinstance(group, str):
-            try:
-                group = self.group_names.index(group)
-            except ValueError:
-                raise KeyError(
-                    f"unknown group {group!r}; known: {self.group_names}"
-                ) from None
-        offsets = self.group_offsets
-        return self.group_order[offsets[group]:offsets[group + 1]]
-
     def iter_chunks(self, chunk_size=DEFAULT_CHUNK_ROWS):
         """Yield contiguous row-slice subsets (views, nothing copied)."""
         chunk_size = int(chunk_size)
@@ -555,20 +431,74 @@ class ColumnarDataset(Dataset):
                                                len(self))))
 
 
+def _check_manifest(root, manifest):
+    """Refuse a manifest that is not shaped like the writer's output.
+
+    The manifest is untrusted input: a field of the wrong type must be
+    refused by name, not crash the reader, and a column may only live
+    in the bare file name the writer gives its tag — otherwise a store
+    could open another file's rows under its own fingerprint.
+    """
+    if not isinstance(manifest, dict):
+        _refuse(root, f"manifest is a {type(manifest).__name__}, "
+                      f"not an object")
+    if manifest.get("format") != FORMAT:
+        _refuse(root, f"unsupported format {manifest.get('format')!r} "
+                      f"(expected {FORMAT!r})")
+    required = {"name", "n_rows", "columns", "fingerprint",
+                "sensitive_attribute"}
+    missing = required - set(manifest)
+    if missing:
+        _refuse(root, f"manifest missing keys {sorted(missing)}")
+    n_rows = manifest["n_rows"]
+    if type(n_rows) is not int or n_rows < 1:
+        _refuse(root, f"manifest n_rows {n_rows!r} is not an int >= 1")
+    digest = manifest["fingerprint"]
+    if not (isinstance(digest, str) and len(digest) == 40
+            and set(digest) <= set("0123456789abcdef")):
+        _refuse(root, f"manifest fingerprint {digest!r} is not a "
+                      f"40-character hex digest")
+    for key in ("name", "sensitive_attribute", "task"):
+        if not isinstance(manifest.get(key, ""), str):
+            _refuse(root, f"manifest {key} is not a string")
+    for key in ("group_names", "feature_names"):
+        names = manifest.get(key, [])
+        if not isinstance(names, list) \
+                or not all(isinstance(v, str) for v in names):
+            _refuse(root, f"manifest {key} is not a list of strings")
+    if not isinstance(manifest.get("metadata", {}), dict):
+        _refuse(root, "manifest metadata is not an object")
+    if not isinstance(manifest["columns"], dict):
+        _refuse(root, "manifest columns is not an object")
+    for tag, spec in manifest["columns"].items():
+        if not isinstance(spec, dict):
+            _refuse(root, f"column {tag}: spec is not an object")
+        expected = ColumnarWriter._column_file(tag)
+        if spec.get("file") != expected \
+                or os.path.basename(expected) != expected:
+            _refuse(root, f"column {tag}: file {spec.get('file')!r} is "
+                          f"not the writer's bare name {expected!r}")
+        shape = spec.get("shape")
+        if not isinstance(spec.get("dtype"), str) or not (
+                isinstance(shape, list)
+                and all(type(s) is int for s in shape)):
+            _refuse(root, f"column {tag}: dtype must be a string and "
+                          f"shape a list of ints")
+
+
 def _open_column(root, manifest, tag, spec):
-    path = root / spec.get("file", "")
+    path = root / spec["file"]
     if not path.is_file():
-        _refuse(root, f"column file {spec.get('file')!r} is missing")
+        _refuse(root, f"column file {spec['file']!r} is missing")
     try:
         arr = np.load(path, mmap_mode="r")
     except Exception as exc:
         _refuse(root, f"column file {path.name} unreadable: {exc}")
-    if arr.dtype.str != spec.get("dtype") \
-            or list(arr.shape) != list(spec.get("shape", [])):
+    if arr.dtype.str != spec["dtype"] or list(arr.shape) != spec["shape"]:
         _refuse(
             root,
             f"column {tag}: file is {arr.dtype.str}{arr.shape}, manifest "
-            f"says {spec.get('dtype')}{tuple(spec.get('shape', []))}",
+            f"says {spec['dtype']}{tuple(spec['shape'])}",
         )
     if len(arr) != manifest["n_rows"]:
         _refuse(root, f"column {tag} has {len(arr)} rows, store declares "
@@ -580,11 +510,14 @@ def open_columnar(root, *, verify=False):
     """Open a columnar store as a :class:`ColumnarDataset`.
 
     Raises :class:`ColumnarFormatError` (after a ``RuntimeWarning``)
-    when the manifest or any column file is missing, truncated, or
-    inconsistent with the manifest — a damaged store refuses to open
-    rather than ever producing wrong counts.  ``verify=True``
-    additionally re-streams the fingerprint over the column bytes and
-    refuses on mismatch (a full-content check; costs one read pass).
+    when the manifest is malformed, or the manifest or any column file
+    is missing, truncated, or inconsistent with the manifest — a
+    damaged store refuses to open rather than ever producing wrong
+    counts.  ``verify=True`` additionally re-streams the fingerprint
+    over the column bytes and refuses on mismatch (a full-content
+    check; costs one read pass).  Files the manifest does not name
+    (such as the index files that stores written before 5.0.0 carry)
+    are never read.
     """
     root = pathlib.Path(root)
     manifest_path = root / MANIFEST_NAME
@@ -595,14 +528,7 @@ def open_columnar(root, *, verify=False):
         manifest = json.loads(manifest_path.read_text())
     except (ValueError, OSError) as exc:
         _refuse(root, f"manifest unreadable: {exc}")
-    if manifest.get("format") != FORMAT:
-        _refuse(root, f"unsupported format {manifest.get('format')!r} "
-                      f"(expected {FORMAT!r})")
-    required = {"name", "n_rows", "columns", "fingerprint",
-                "sensitive_attribute"}
-    missing = required - set(manifest)
-    if missing:
-        _refuse(root, f"manifest missing keys {sorted(missing)}")
+    _check_manifest(root, manifest)
     columns = {}
     specs = manifest["columns"]
     for tag in ("X", "y", "sensitive"):
@@ -620,92 +546,24 @@ def open_columnar(root, *, verify=False):
             extras[tag[len("extra:"):]] = _open_column(
                 root, manifest, tag, spec,
             )
-    data = ColumnarDataset(
-        name=manifest["name"],
-        X=columns["X"],
-        y=columns["y"],
-        sensitive=columns["sensitive"],
-        group_names=tuple(manifest.get("group_names", ())),
-        sensitive_attribute=manifest["sensitive_attribute"],
-        feature_names=tuple(manifest.get("feature_names", ())),
-        task=manifest.get("task", ""),
-        extras=extras,
-        root=root,
-        manifest=manifest,
-    )
+    try:
+        data = ColumnarDataset(
+            name=manifest["name"],
+            X=columns["X"],
+            y=columns["y"],
+            sensitive=columns["sensitive"],
+            group_names=tuple(manifest.get("group_names", ())),
+            sensitive_attribute=manifest["sensitive_attribute"],
+            feature_names=tuple(manifest.get("feature_names", ())),
+            task=manifest.get("task", ""),
+            extras=extras,
+            root=root,
+            manifest=manifest,
+        )
+    except ValueError as exc:  # e.g. group_names too short for the codes
+        _refuse(root, str(exc))
     if verify and not data.verify_fingerprint():
         _refuse(root, "fingerprint mismatch: column bytes do not hash to "
                       "the manifest fingerprint")
     return data
 
-
-# -- zero-copy plumbing -------------------------------------------------------
-
-
-def mmap_source(arr):
-    """Resolve ``(path, dtype_str, shape, offset)`` for an mmap-backed array.
-
-    Walks the ``.base`` chain to the root :class:`np.memmap` (plain
-    views over a map — ``np.asarray``, row slices — resolve to their
-    backing file).  Returns ``None`` unless ``arr`` is a C-contiguous
-    window of a file-backed map, so callers can branch:
-    :func:`sidecar_order` uses it to recognise the store's full
-    ``X.npy`` and serve its encode-time presort.
-
-    Only the root map's ``.offset`` is trusted — numpy propagates the
-    attribute unadjusted through slicing, so the byte offset of ``arr``
-    itself is recovered with pointer arithmetic against the root.
-    """
-    if not isinstance(arr, np.ndarray) or not arr.flags["C_CONTIGUOUS"]:
-        return None
-    base = arr
-    while isinstance(base.base, np.ndarray):
-        base = base.base
-    if not isinstance(base, np.memmap):
-        return None
-    filename = getattr(base, "filename", None)
-    if filename is None:
-        return None
-    delta = arr.ctypes.data - base.ctypes.data
-    if delta < 0 or delta + arr.nbytes > base.nbytes:
-        return None
-    return (str(filename), arr.dtype.str, arr.shape,
-            int(base.offset) + int(delta))
-
-
-_ORDER_CACHE = {}
-
-
-def sidecar_order(X):
-    """The encode-time presort for a **full** columnar feature matrix.
-
-    Returns the memory-mapped ``feature_order`` sidecar when ``X`` is
-    (a view over) the complete ``X.npy`` of a store that has one, else
-    ``None`` and the caller argsorts as before.  Partial views return
-    ``None`` — the argsort of a subset is not a subset of the argsort.
-    """
-    try:
-        source = mmap_source(X)
-        if source is None:
-            return None
-        path, dtype_str, shape, offset = source
-        path = pathlib.Path(path)
-        if path.name != "X.npy" or dtype_str != "<f8" or len(shape) != 2:
-            return None
-        base = X
-        while isinstance(base.base, np.ndarray):
-            base = base.base
-        if shape != base.shape or offset != int(base.offset):
-            return None  # a window, not the full matrix
-        order_path = path.parent / "feature_order.npy"
-        stat = order_path.stat()
-        key = (str(order_path), stat.st_mtime_ns, stat.st_size)
-        if key not in _ORDER_CACHE:
-            _ORDER_CACHE.clear()  # one live store at a time is the norm
-            _ORDER_CACHE[key] = np.load(order_path, mmap_mode="r")
-        order = _ORDER_CACHE[key]
-        if order.shape != shape or order.dtype != np.int64:
-            return None
-        return order
-    except Exception:
-        return None

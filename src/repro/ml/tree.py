@@ -50,35 +50,13 @@ class PresortedDataset:
     order : ndarray (n, d) of int64
         ``order[:, f]`` lists row indices sorted by feature ``f``
         (mergesort, so ties keep original row order — the invariant the
-        presorted builder's equivalence proof rests on).  A
-        precomputed order with the same stability contract may be
-        passed in instead — the columnar store's encode-once
-        ``feature_order`` sidecar is exactly this array, memory-mapped.
+        presorted builder's equivalence proof rests on).
     """
 
-    def __init__(self, X, order=None):
+    def __init__(self, X):
         X, _ = check_Xy(X)
         self.X = X
-        if order is None:
-            order = np.argsort(X, axis=0, kind="mergesort")
-        else:
-            order = np.asarray(order, dtype=np.int64)
-            if order.shape != X.shape:
-                raise ValueError(
-                    f"order shape {order.shape} does not match X shape "
-                    f"{X.shape}"
-                )
-        self.order = order
-
-
-def _sidecar_order(X):
-    """Encode-time presort for a full columnar matrix, else ``None``."""
-    try:
-        from ..datasets.columnar import sidecar_order
-
-        return sidecar_order(X)
-    except Exception:
-        return None
+        self.order = np.argsort(X, axis=0, kind="mergesort")
 
 
 def partition_sorted(sorted_idx, member, n_left):
@@ -387,13 +365,7 @@ class DecisionTree(BaseClassifier):
             if presorted is not None and presorted.X is X and not dropped:
                 order = presorted.order
             else:
-                # a full columnar matrix carries its stable argsort as
-                # an encode-time sidecar; any window/drop invalidates
-                # it (the argsort of a subset is not a subset of the
-                # argsort), so those recompute as before
-                order = None if dropped else _sidecar_order(X)
-                if order is None:
-                    order = np.argsort(X, axis=0, kind="mergesort")
+                order = np.argsort(X, axis=0, kind="mergesort")
             builder = _PresortTreeBuilder(
                 self.max_depth,
                 self.min_samples_split,
@@ -439,7 +411,7 @@ class DecisionTree(BaseClassifier):
         """
         cached = getattr(self, "_presort_cache", None)
         if cached is None or cached.X is not X:
-            cached = PresortedDataset(X, order=_sidecar_order(X))
+            cached = PresortedDataset(X)
             self._presort_cache = cached
         return cached
 

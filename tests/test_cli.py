@@ -1,10 +1,16 @@
 """Tests for the command-line interface."""
 
+import argparse
 import io
+import json
+import pathlib
+import re
 
 import pytest
 
 from repro.cli import build_parser, main
+
+CLI_DOC = pathlib.Path(__file__).resolve().parents[1] / "docs" / "cli.md"
 
 
 class TestParser:
@@ -61,6 +67,31 @@ class TestParser:
             build_parser().parse_args(
                 ["train", "--dataset", "compas", "--strategy-opt", "tau"]
             )
+
+    def test_cli_doc_flag_tables_match_the_parser(self):
+        # each "## `repro <cmd>`" section's table lists, in its first
+        # column, exactly the flags that subcommand's parser accepts
+        documented = {}
+        for section in re.split(r"^## ", CLI_DOC.read_text(), flags=re.M):
+            title = re.match(r"`repro ([\w-]+)`", section)
+            if title is None:
+                continue
+            flags = documented.setdefault(title.group(1), set())
+            for line in section.splitlines():
+                if line.startswith("|"):
+                    first = line.split("|")[1]
+                    flags.update(re.findall(r"--[a-z][a-z-]*", first))
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        accepted = {
+            name: {opt for action in sub._actions
+                   for opt in action.option_strings} - {"-h", "--help"}
+            for name, sub in subparsers.choices.items()
+        }
+        assert documented == {
+            name: flags for name, flags in accepted.items() if flags
+        }
 
 
 class TestCommands:
@@ -361,7 +392,24 @@ class TestEncodeAndColumnarCommands:
         assert "encoded scenario:million_row" in text
         assert "rows: 2000" in text
         assert "fingerprint: " in text
-        assert "sidecars: " in text
+
+    def test_encode_no_feature_order_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["encode", "--dataset", "scenario:million_row",
+                  "--out", str(tmp_path), "--no-feature-order"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_encode_chunk_size_0_exits_2(self, tmp_path):
+        out = io.StringIO()
+        code = main(
+            ["encode", "--dataset", "scenario:million_row", "--rows", "500",
+             "--out", str(tmp_path / "store"), "--chunk-size", "0"],
+            out=out,
+        )
+        assert code == 2
+        assert "SPEC ERROR: chunk_rows" in out.getvalue()
+        assert not (tmp_path / "store").exists()
 
     def test_encode_unknown_dataset_fails_cleanly(self, tmp_path):
         out = io.StringIO()
@@ -441,3 +489,30 @@ class TestEncodeAndColumnarCommands:
             )
         assert code == 2
         assert "SPEC ERROR" in out.getvalue()
+
+    def test_escaped_column_file_fails_cleanly(self, tmp_path):
+        # the manifest names a same-shape X.npy outside the store: it
+        # must refuse, not open the other rows under its fingerprint
+        import warnings
+
+        self._encode(tmp_path / "store", rows="1000")
+        out = io.StringIO()
+        assert main(
+            ["encode", "--dataset", "scenario:million_row", "--rows",
+             "1000", "--seed", "1", "--out", str(tmp_path / "outside")],
+            out=out,
+        ) == 0
+        path = tmp_path / "store" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["columns"]["X"]["file"] = "../outside/X.npy"
+        path.write_text(json.dumps(manifest))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(
+                ["train", "--dataset", "scenario:million_row@columnar",
+                 "--columnar-dir", str(tmp_path / "store")],
+                out=out,
+            )
+        assert code == 2
+        assert "SPEC ERROR" in out.getvalue()
+        assert "../outside/X.npy" in out.getvalue()

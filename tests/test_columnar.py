@@ -1,4 +1,4 @@
-"""Out-of-core columnar store: round-trip identity, sidecars, corruption.
+"""Out-of-core columnar store: round-trip identity, views, corruption.
 
 The columnar backend's contract is *bit identity*: an encoded-and-
 reopened dataset must produce the same fingerprint, the same compiled
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from repro.datasets import (
     load_scenario,
     open_columnar,
 )
-from repro.datasets.columnar import mmap_source, sidecar_order
+from repro.datasets.columnar import ColumnarWriter
 from repro.datasets.scenarios import SCENARIOS
 from repro.ml import DecisionTree, GaussianNaiveBayes
 
@@ -58,6 +59,33 @@ def _random_dataset(rng, n, d, n_groups=2, extras=True):
     )
 
 
+# arbitrary JSON, plus the names and values a valid manifest holds, so a
+# replacement can also be another column's file or a well-formed field
+_JSON_VALUES = st.one_of(
+    st.recursive(
+        st.none() | st.booleans() | st.integers()
+        | st.floats(allow_nan=False) | st.text(max_size=8),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+        max_leaves=6,
+    ),
+    st.sampled_from([
+        "X.npy", "y.npy", "sensitive.npy", "extra_is_val.npy",
+        "extra_score.npy", "../X.npy", "<f8", "<i8", "|b1", [120],
+        [120, 2], 120, 119, ["g0", "g1"], ["g0"], [], {}, "0" * 40,
+    ]),
+)
+
+
+@pytest.fixture(scope="module")
+def pristine_store(tmp_path_factory):
+    """A valid store, its manifest text, and the dataset it encodes."""
+    root = tmp_path_factory.mktemp("pristine")
+    data = _random_dataset(np.random.default_rng(8), 120, 2)
+    encode_dataset(data, root)
+    return root, (root / "manifest.json").read_text(), data
+
+
 class TestRoundTrip:
     def test_arrays_fingerprint_and_sidecars(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -78,21 +106,42 @@ class TestRoundTrip:
         # columns stay memory-mapped through Dataset.__post_init__
         assert isinstance(got.X, np.memmap)
         assert isinstance(got.y, np.memmap)
-        # group sidecar == stable sort by group code
-        for g in range(3):
-            assert np.array_equal(
-                got.group_rows(g), np.nonzero(data.sensitive == g)[0]
-            )
-        assert np.array_equal(
-            got.group_rows("g1"), got.group_rows(1)
+        # the store is the manifest plus one file per column, no more
+        assert "sidecars" not in manifest
+        files = {spec["file"] for spec in manifest["columns"].values()}
+        assert len(files) == len(manifest["columns"])
+        assert {p.name for p in tmp_path.iterdir()} == files | {
+            "manifest.json"
+        }
+
+    def test_store_written_by_4x_still_opens(self, tmp_path):
+        # a 4.x encoder also wrote a group-sorted row index and a
+        # per-feature argsort, and listed them under "sidecars"; the
+        # reader never opens them, so the store opens unchanged
+        data = _random_dataset(np.random.default_rng(1), 300, 3, n_groups=3)
+        encode_dataset(data, tmp_path)
+        counts = np.bincount(data.sensitive, minlength=3)
+        np.save(tmp_path / "group_order.npy",
+                np.argsort(data.sensitive, kind="stable"))
+        np.save(tmp_path / "group_offsets.npy",
+                np.concatenate([[0], np.cumsum(counts)]))
+        np.save(tmp_path / "feature_order.npy",
+                np.argsort(data.X, axis=0, kind="mergesort"))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["sidecars"] = {
+            "feature_order": "feature_order.npy",
+            "group_offsets": "group_offsets.npy",
+            "group_order": "group_order.npy",
+        }
+        (tmp_path / "manifest.json").write_text(
+            json.dumps(manifest, indent=1, sort_keys=True)
         )
-        with pytest.raises(KeyError, match="unknown group"):
-            got.group_rows("nope")
-        # feature sidecar == the presort the tree builder computes
-        assert np.array_equal(
-            np.asarray(got.feature_order),
-            np.argsort(data.X, axis=0, kind="mergesort"),
-        )
+        got = open_columnar(tmp_path, verify=True)
+        assert got.fingerprint() == data.fingerprint()
+        assert np.array_equal(got.X, data.X)
+        assert np.array_equal(got.y, data.y)
+        assert np.array_equal(got.sensitive, data.sensitive)
+        assert np.array_equal(got.extras["score"], data.extras["score"])
 
     def test_streaming_scenario_encode_equals_materialized(self, tmp_path):
         # odd chunk size, bool + positional float extras
@@ -116,18 +165,29 @@ class TestRoundTrip:
                             chunk_rows=1999)
         assert a["fingerprint"] == b["fingerprint"]
 
-    def test_no_feature_order_flag(self, tmp_path):
-        data = _random_dataset(np.random.default_rng(1), 100, 2)
-        encode_dataset(data, tmp_path, feature_order=False)
-        got = open_columnar(tmp_path)
-        assert got.feature_order is None
-        assert got.fingerprint() == data.fingerprint()
-
     def test_list_extras_refused(self, tmp_path):
         data = _random_dataset(np.random.default_rng(2), 50, 2, extras=False)
         data.extras["roles"] = ["a"] * 50
         with pytest.raises(ValueError, match="object array"):
             encode_dataset(data, tmp_path)
+
+    @pytest.mark.parametrize("chunk_rows", [0, -1, 2.5])
+    @pytest.mark.parametrize("entry", ["writer", "dataset", "scenario"])
+    def test_bad_chunk_rows_refused_before_mkdir(self, tmp_path, entry,
+                                                 chunk_rows):
+        root = tmp_path / "store"
+        data = _random_dataset(np.random.default_rng(2), 300, 2)
+        calls = {
+            "writer": lambda: ColumnarWriter(
+                root, 300, name="t", chunk_rows=chunk_rows),
+            "dataset": lambda: encode_dataset(
+                data, root, chunk_rows=chunk_rows),
+            "scenario": lambda: encode_scenario(
+                "imbalance", root, n=300, chunk_rows=chunk_rows),
+        }
+        with pytest.raises(ValueError, match="chunk_rows"):
+            calls[entry]()
+        assert not root.exists()
 
     def test_hundred_million_row_family_registered(self):
         family = SCENARIOS["hundred_million_row"]
@@ -175,35 +235,7 @@ class TestViewsAndZeroCopy:
                         sensitive=s)
         assert data2.X.dtype == np.float64 and data2.y.dtype == np.int64
 
-    def test_mmap_source_resolves_windows(self, tmp_path):
-        data = _random_dataset(np.random.default_rng(5), 200, 3)
-        encode_dataset(data, tmp_path)
-        got = open_columnar(tmp_path)
-        # a row window of the map re-opens to the identical bytes
-        window = got.subset(slice(40, 160)).X
-        path, dtype_str, shape, offset = mmap_source(window)
-        reopened = np.memmap(path, dtype=np.dtype(dtype_str), mode="r",
-                             shape=shape, offset=offset)
-        assert np.array_equal(reopened, window)
-        # in-memory arrays and non-contiguous views resolve to None
-        assert mmap_source(data.X) is None
-        assert mmap_source(got.X[:, :2]) is None
-
-    def test_sidecar_order_full_matrix_only(self, tmp_path):
-        data = _random_dataset(np.random.default_rng(6), 150, 3)
-        encode_dataset(data, tmp_path)
-        got = open_columnar(tmp_path)
-        order = sidecar_order(np.asarray(got.X))
-        assert order is not None
-        assert np.array_equal(
-            np.asarray(order),
-            np.argsort(data.X, axis=0, kind="mergesort"),
-        )
-        # windows and plain arrays fall back to sorting
-        assert sidecar_order(got.subset(slice(0, 100)).X) is None
-        assert sidecar_order(data.X) is None
-
-    def test_tree_consumes_sidecar_presort(self, tmp_path):
+    def test_tree_on_mapped_matrix_matches_in_memory(self, tmp_path):
         data = _random_dataset(np.random.default_rng(7), 240, 3,
                                extras=False)
         encode_dataset(data, tmp_path)
@@ -332,24 +364,81 @@ class TestCorruptionDiscipline:
             with pytest.raises(ColumnarFormatError, match="fingerprint"):
                 open_columnar(root, verify=True)
 
-    def test_corrupt_sidecar_refuses_on_access(self, tmp_path):
-        root = self._store(tmp_path)
-        (root / "feature_order.npy").write_bytes(b"junk")
-        got = open_columnar(root)
-        with pytest.warns(RuntimeWarning, match="refused"):
-            with pytest.raises(ColumnarFormatError, match="sidecar"):
-                got.feature_order
-
     def test_crashed_encode_never_opens(self, tmp_path):
         # a writer that never finalized leaves no manifest behind
-        from repro.datasets.columnar import ColumnarWriter
-
         writer = ColumnarWriter(tmp_path, 100, name="t")
         writer.append(np.zeros((40, 2)), np.zeros(40, dtype=np.int64),
                       np.zeros(40, dtype=np.int64))
         self._assert_refuses(tmp_path, "no manifest")
         with pytest.raises(ValueError, match="incomplete"):
             writer.finalize()
+
+    @pytest.mark.parametrize("path, value, match", [
+        ((), ["manifest"], "not an object"),
+        ((), "manifest", "not an object"),
+        (("columns", "X"), "X.npy", "column X"),
+        (("columns", "X", "shape"), 5, "shape"),
+        (("metadata",), [1, 2], "metadata"),
+        (("group_names",), 5, "group_names"),
+        (("columns", "X", "file"), None, "column X"),
+        (("columns", "X", "file"), "<absolute>", "column X"),
+        (("columns", "X", "file"), "../outside/X.npy", "column X"),
+        (("columns", "y", "file"), "sensitive.npy", "column y"),
+        (("fingerprint",), 5, "fingerprint"),
+    ], ids=["list", "string", "spec-string", "shape-int", "metadata-list",
+            "group-names-int", "file-null", "file-absolute", "file-escapes",
+            "file-swapped", "fingerprint-int"])
+    def test_malformed_manifest_refused(self, tmp_path, path, value, match):
+        # a same-shape store next door: a manifest that could name its
+        # files would open with its rows under this store's fingerprint
+        root = self._store(tmp_path / "store")
+        encode_dataset(
+            _random_dataset(np.random.default_rng(9), 120, 2),
+            tmp_path / "outside",
+        )
+        if value == "<absolute>":
+            value = str(tmp_path / "outside" / "X.npy")
+        manifest = json.loads((root / "manifest.json").read_text())
+        if path:
+            *parents, key = path
+            target = manifest
+            for parent in parents:
+                target = target[parent]
+            target[key] = value
+        else:
+            manifest = value
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        self._assert_refuses(root, match)
+
+    @settings(max_examples=80, deadline=None)
+    @given(choice=st.data(), value=_JSON_VALUES)
+    def test_one_field_replaced_refuses_or_reads_the_same_rows(
+            self, pristine_store, choice, value):
+        root, text, data = pristine_store
+        manifest = json.loads(text)
+        if choice.draw(st.booleans(), label="column spec field"):
+            tag = choice.draw(st.sampled_from(sorted(manifest["columns"])))
+            spec = manifest["columns"][tag]
+            spec[choice.draw(st.sampled_from(sorted(spec)))] = value
+        else:
+            manifest[choice.draw(st.sampled_from(sorted(manifest)))] = value
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                got = open_columnar(root)
+        except ColumnarFormatError:
+            return
+        finally:
+            (root / "manifest.json").write_text(text)
+        assert np.array_equal(got.X, data.X)
+        assert np.array_equal(got.y, data.y)
+        assert np.array_equal(got.sensitive, data.sensitive)
+        per_row = {k: v for k, v in got.extras.items()
+                   if isinstance(v, np.ndarray)}
+        assert per_row.keys() == {"is_val", "score"}
+        for key, column in per_row.items():
+            assert np.array_equal(column, data.extras[key])
 
 
 class TestLoaderIntegration:
