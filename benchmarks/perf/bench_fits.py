@@ -5,9 +5,9 @@ accelerated — the per-candidate model fits themselves.  Each workload
 runs one identical λ grid search twice through the compiled engine:
 
 * **serial** — estimator variants with the batch protocol hidden and
-  (for trees) the legacy per-node-mergesort builder, i.e. the
-  seed-state fit path: one ``clone().fit()`` and one ``predict`` per
-  candidate;
+  (for trees) the per-node-mergesort builder of the test oracle
+  (``tests/tree_oracle.py``, ``PerNodeSortTree``), i.e. the seed-state
+  fit path: one ``clone().fit()`` and one ``predict`` per candidate;
 * **batched** — the fast path: batched IRLS for logistic
   regression (one vectorized damped-Newton pass over all candidates,
   batched Hessian solves), shared-:class:`~repro.ml.tree.PresortedDataset`
@@ -37,8 +37,9 @@ import sys
 import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
-if str(REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+for _path in (REPO_ROOT / "src", REPO_ROOT / "tests"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 import numpy as np  # noqa: E402
 
@@ -48,6 +49,7 @@ from repro.datasets.synthetic import make_biased_dataset  # noqa: E402
 from repro.ml.logistic import LogisticRegression  # noqa: E402
 from repro.ml.model_selection import train_test_split  # noqa: E402
 from repro.ml.tree import DecisionTree  # noqa: E402
+from tree_oracle import PerNodeSortTree  # noqa: E402
 
 DEFAULT_OUT = pathlib.Path(__file__).parent / "BENCH_fits.json"
 SCHEMA = "bench_fits/v1"
@@ -55,13 +57,6 @@ SCHEMA = "bench_fits/v1"
 
 class SerialLogisticRegression(LogisticRegression):
     """IRLS logistic with the batch protocol hidden: serial baseline."""
-
-    fit_weighted_batch = None
-    predict_batch = None
-
-
-class SerialDecisionTree(DecisionTree):
-    """Legacy per-node-sort tree with the batch protocol hidden."""
 
     fit_weighted_batch = None
     predict_batch = None
@@ -92,9 +87,7 @@ def _logistic_same_solver(mode):
 def _tree(mode):
     if mode == "batched":
         return DecisionTree(max_depth=12, min_samples_leaf=2)
-    return SerialDecisionTree(
-        max_depth=12, min_samples_leaf=2, presort=False
-    )
+    return PerNodeSortTree(max_depth=12, min_samples_leaf=2)
 
 
 def _synthetic(n, seed=1, wide=False):

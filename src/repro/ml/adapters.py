@@ -22,10 +22,9 @@ whose ``fit`` has no ``sample_weight`` parameter are handled by the
 paper's replication construction (§1) via
 :func:`~repro.ml.replication.replicate_by_weight`.
 
-The adapter also implements the optional batch protocol
-(``fit_weighted_batch`` / ``predict_batch``) as a refit loop, so the
-batch-native grid/CMA-ES paths work out of the box; it is a
-correctness-preserving fallback, not a speedup.
+The adapter implements no batch protocol: the fitter fits one
+``clone()`` per candidate and the evaluator stacks each model's
+``predict``, which is all a refit loop could do.
 
 A tiny registry maps short names to external estimator factories so the
 CLI and :class:`~repro.api.Engine` can dispatch on strings::
@@ -269,28 +268,6 @@ class ExternalEstimatorAdapter(BaseClassifier):
                 fn(np.asarray(X, dtype=np.float64)), dtype=np.float64
             ).reshape(-1)
         return super().decision_function(X)
-
-    # -- optional batch protocol (refit loop) --------------------------------
-
-    @property
-    def supports_batch_fit(self):
-        """The refit loop is always a valid batched counterpart."""
-        return True
-
-    def fit_weighted_batch(self, X, y_batch, w_batch):
-        """Per-candidate refits of fresh clones — the serial semantics,
-        exposed through the batch protocol so batch-native strategies
-        (grid, CMA-ES) accept adapted estimators unchanged."""
-        y_batch = np.atleast_2d(np.asarray(y_batch))
-        w_batch = np.atleast_2d(np.asarray(w_batch, dtype=np.float64))
-        return [
-            self.clone().fit(X, y_batch[b], sample_weight=w_batch[b])
-            for b in range(len(y_batch))
-        ]
-
-    @staticmethod
-    def predict_batch(models, X):
-        return np.stack([m.predict(X) for m in models]).astype(np.int64)
 
     def __repr__(self):
         return (

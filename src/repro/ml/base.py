@@ -28,6 +28,7 @@ import numpy as np
 __all__ = [
     "BaseClassifier",
     "check_binary_labels",
+    "check_n_features",
     "check_Xy",
     "check_sample_weight",
     "clone",
@@ -88,6 +89,22 @@ def check_Xy(X, y=None):
     if len(y) != len(X):
         raise ValueError(f"X has {len(X)} rows but y has {len(y)}")
     return X, check_binary_labels(y)
+
+
+def check_n_features(estimator, X):
+    """Refuse a validated ``X`` whose width is not the fitted one.
+
+    For estimators that record ``n_features_in_`` at fit; ``None`` (a
+    model pickled before 6.0.0) skips the check.  A tree reads only the
+    columns its splits use, so without this it would answer rows of any
+    width.
+    """
+    expected = estimator.n_features_in_
+    if expected is not None and X.shape[1] != expected:
+        raise ValueError(
+            f"X has {X.shape[1]} features, but {type(estimator).__name__} "
+            f"was fitted on {expected}"
+        )
 
 
 def check_sample_weight(sample_weight, n_samples):
@@ -223,17 +240,11 @@ class BaseClassifier:
     #   trajectories have no batched counterpart); single-dgemm batch
     #   predict; matches serial IRLS to BLAS reduction-order round-off.
     # * DecisionTree — per-candidate builds off one shared
-    #   ``PresortedDataset`` (``supports_batch_fit`` is False when
-    #   ``presort=False``); stacked vectorized batch predict; trees are
-    #   bit-for-bit identical to scalar fits.
-    # * ExternalEstimatorAdapter — a refit loop with exactly the serial
-    #   semantics, exposed through the protocol so adapted third-party
-    #   estimators ride the batch-native strategies unchanged (a
-    #   compatibility shim, not a speedup).
+    #   ``PresortedDataset``; one stacked descent for batch predict;
+    #   trees are bit-for-bit identical to scalar fits.
     #
-    # The conformance suites (tests/test_batch_protocol.py,
-    # tests/test_adapters.py) run every implementer against its serial
-    # path on random weighted problems.
+    # The conformance suite (tests/test_batch_protocol.py) runs every
+    # implementer against its serial path on random weighted problems.
 
     @property
     def supports_batch_fit(self):

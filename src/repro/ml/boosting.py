@@ -11,200 +11,43 @@ formulas::
 ``sample_weight`` multiplies the per-example gradients and hessians, which
 is exactly how the real library consumes weights — so OmniFair's example
 weighting works unchanged.
+
+The rounds grow from the one tree builder of :mod:`repro.ml.tree`, off
+one presort per ``fit`` (only ``g``/``h`` change round to round), and
+are walked by its one descent.  A fitted model keeps each round as its
+five node arrays, never the round's training arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import BaseClassifier, check_Xy, check_sample_weight
+from .base import BaseClassifier, check_n_features, check_Xy, check_sample_weight
 from .logistic import sigmoid
-from .tree import partition_sorted
+from .tree import _Builder, _descend
 
 __all__ = ["GradientBoostedTrees"]
 
-_LEAF = -1
+_NODE_LISTS = ("feature", "threshold", "left", "right", "value")
 
 
 class _BoostTreeBuilder:
-    """Regression tree on (gradient, hessian) pairs, exact greedy splits."""
+    """A boosting round as a 5.x pickle names it.
 
-    def __init__(self, max_depth, min_child_weight, reg_lambda, gamma,
-                 max_features, rng):
-        self.max_depth = max_depth
-        self.min_child_weight = min_child_weight
-        self.reg_lambda = reg_lambda
-        self.gamma = gamma
-        self.max_features = max_features
-        self.rng = rng
-        self.feature = []
-        self.threshold = []
-        self.left = []
-        self.right = []
-        self.value = []
+    5.x kept each round's builder, training arrays included; loading
+    keeps only its five node lists, and the round then unpacks like the
+    node-array tuple a round is now.
+    """
 
-    def _new_node(self):
-        self.feature.append(_LEAF)
-        self.threshold.append(0.0)
-        self.left.append(_LEAF)
-        self.right.append(_LEAF)
-        self.value.append(0.0)
-        return len(self.feature) - 1
+    def __setstate__(self, state):
+        self.__dict__.update((key, state[key]) for key in _NODE_LISTS)
 
-    def build(self, X, g, h, depth=0):
-        node = self._new_node()
-        G, H = g.sum(), h.sum()
-        self.value[node] = float(-G / (H + self.reg_lambda))
-        if depth >= self.max_depth or len(g) < 2:
-            return node
-        split = self._best_split(X, g, h, G, H)
-        if split is None:
-            return node
-        feat, thresh = split
-        mask = X[:, feat] <= thresh
-        left = self.build(X[mask], g[mask], h[mask], depth + 1)
-        right = self.build(X[~mask], g[~mask], h[~mask], depth + 1)
-        self.feature[node] = feat
-        self.threshold[node] = thresh
-        self.left[node] = left
-        self.right[node] = right
-        return node
-
-    def _best_split(self, X, g, h, G, H):
-        n_features = X.shape[1]
-        if self.max_features is None or self.max_features >= n_features:
-            candidates = np.arange(n_features)
-        else:
-            candidates = self.rng.choice(
-                n_features, size=self.max_features, replace=False
-            )
-        lam = self.reg_lambda
-        parent_score = G * G / (H + lam)
-        best, best_gain = None, 1e-12
-        for feat in candidates:
-            col = X[:, feat]
-            order = np.argsort(col, kind="mergesort")
-            cs = col[order]
-            GL = np.cumsum(g[order])[:-1]
-            HL = np.cumsum(h[order])[:-1]
-            valid = cs[:-1] < cs[1:]
-            HR = H - HL
-            valid &= (HL >= self.min_child_weight) & (HR >= self.min_child_weight)
-            if not np.any(valid):
-                continue
-            GR = G - GL
-            gain = 0.5 * (
-                GL**2 / (HL + lam) + GR**2 / (HR + lam) - parent_score
-            ) - self.gamma
-            gain[~valid] = -np.inf
-            idx = int(np.argmax(gain))
-            if gain[idx] > best_gain:
-                best_gain = float(gain[idx])
-                best = (int(feat), float(0.5 * (cs[idx] + cs[idx + 1])))
-        return best
-
-    def predict(self, X):
-        feature = np.asarray(self.feature, dtype=np.int64)
-        threshold = np.asarray(self.threshold)
-        left = np.asarray(self.left, dtype=np.int64)
-        right = np.asarray(self.right, dtype=np.int64)
-        value = np.asarray(self.value)
-        nodes = np.zeros(len(X), dtype=np.int64)
-        active = feature[nodes] != _LEAF
-        while np.any(active):
-            idx = np.nonzero(active)[0]
-            cur = nodes[idx]
-            go_left = X[idx, feature[cur]] <= threshold[cur]
-            nodes[idx] = np.where(go_left, left[cur], right[cur])
-            active = feature[nodes] != _LEAF
-        return value[nodes]
+    def __iter__(self):
+        return (getattr(self, key) for key in _NODE_LISTS)
 
 
 class _PresortBoostTreeBuilder(_BoostTreeBuilder):
-    """The identical regression tree grown from presorted index lists.
-
-    Boosting refits a tree on the *same* feature matrix every round, so
-    the per-feature stable argsort is computed once per ``fit`` and
-    shared by all rounds; nodes partition the index lists stably instead
-    of re-sorting (see :mod:`repro.ml.tree` for the bitwise-equivalence
-    argument — stable partition of a full stable sort equals a stable
-    sort of the subset).
-    """
-
-    def __init__(self, max_depth, min_child_weight, reg_lambda, gamma,
-                 max_features, rng, X, g, h):
-        super().__init__(max_depth, min_child_weight, reg_lambda, gamma,
-                         max_features, rng)
-        self.X = X
-        self.g = g
-        self.h = h
-        self._member = np.zeros(len(g), dtype=bool)
-
-    def build(self, node_rows, sorted_idx, depth=0):
-        node = self._new_node()
-        g = self.g[node_rows]
-        h = self.h[node_rows]
-        G, H = g.sum(), h.sum()
-        self.value[node] = float(-G / (H + self.reg_lambda))
-        if depth >= self.max_depth or len(g) < 2:
-            return node
-        split = self._best_split(sorted_idx, G, H)
-        if split is None:
-            return node
-        feat, thresh = split
-        go_left = self.X[node_rows, feat] <= thresh
-        left_rows = node_rows[go_left]
-        right_rows = node_rows[~go_left]
-        self._member[left_rows] = True
-        left_sorted, right_sorted = partition_sorted(
-            sorted_idx, self._member, len(left_rows)
-        )
-        self._member[left_rows] = False
-        left = self.build(left_rows, left_sorted, depth + 1)
-        right = self.build(right_rows, right_sorted, depth + 1)
-        self.feature[node] = feat
-        self.threshold[node] = thresh
-        self.left[node] = left
-        self.right[node] = right
-        return node
-
-    def _best_split(self, sorted_idx, G, H):
-        n_features = sorted_idx.shape[1]
-        if self.max_features is None or self.max_features >= n_features:
-            candidates = np.arange(n_features)
-            sorted_sub = sorted_idx
-        else:
-            candidates = self.rng.choice(
-                n_features, size=self.max_features, replace=False
-            )
-            sorted_sub = sorted_idx[:, candidates]
-        lam = self.reg_lambda
-        parent_score = G * G / (H + lam)
-        CS = self.X[sorted_sub, candidates[None, :]]
-        GL = np.cumsum(self.g[sorted_sub], axis=0)[:-1]
-        HL = np.cumsum(self.h[sorted_sub], axis=0)[:-1]
-        valid = CS[:-1] < CS[1:]
-        HR = H - HL
-        valid &= (HL >= self.min_child_weight) & (HR >= self.min_child_weight)
-        if not valid.any():
-            return None
-        GR = G - GL
-        gain = 0.5 * (
-            GL**2 / (HL + lam) + GR**2 / (HR + lam) - parent_score
-        ) - self.gamma
-        gain[~valid] = -np.inf
-        best, best_gain = None, 1e-12
-        rows = np.argmax(gain, axis=0)
-        col_gains = gain[rows, np.arange(gain.shape[1])]
-        for ci in range(len(candidates)):
-            if col_gains[ci] > best_gain:
-                best_gain = float(col_gains[ci])
-                j = rows[ci]
-                best = (
-                    int(candidates[ci]),
-                    float(0.5 * (CS[j, ci] + CS[j + 1, ci])),
-                )
-        return best
+    """The presorted 5.x round; loads like :class:`_BoostTreeBuilder`."""
 
 
 class GradientBoostedTrees(BaseClassifier):
@@ -228,13 +71,9 @@ class GradientBoostedTrees(BaseClassifier):
         Feature subsampling per split.
     random_state : int
         Seed for feature subsampling.
-    presort : bool
-        Argsort each feature once per ``fit`` and grow all
-        ``n_estimators`` round trees off the shared presorted index
-        lists (default) — the per-node mergesort of the legacy builder
-        disappears, and the trees stay bit-for-bit identical.  ``False``
-        keeps the legacy builder for equivalence testing.
     """
+
+    n_features_in_ = None   # models pickled before 6.0.0 skip the check
 
     def __init__(
         self,
@@ -246,7 +85,6 @@ class GradientBoostedTrees(BaseClassifier):
         min_child_weight=1e-3,
         max_features=None,
         random_state=0,
-        presort=True,
     ):
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
@@ -256,7 +94,6 @@ class GradientBoostedTrees(BaseClassifier):
         self.min_child_weight = min_child_weight
         self.max_features = max_features
         self.random_state = random_state
-        self.presort = presort
         self._fitted = False
 
     def fit(self, X, y, sample_weight=None):
@@ -272,49 +109,47 @@ class GradientBoostedTrees(BaseClassifier):
         yf = y.astype(np.float64)
         # boosting refits on the same X every round: one argsort serves
         # all rounds (only g/h change round to round)
-        order = (
-            np.argsort(X, axis=0, kind="mergesort") if self.presort else None
-        )
-        all_rows = np.arange(len(y), dtype=np.int64)
+        order = np.argsort(X, axis=0, kind="mergesort")
         for _ in range(self.n_estimators):
             p = sigmoid(raw)
             g = w * (p - yf)
             h = np.maximum(w * p * (1.0 - p), 1e-16)
-            if self.presort:
-                builder = _PresortBoostTreeBuilder(
-                    self.max_depth,
-                    self.min_child_weight,
-                    self.reg_lambda,
-                    self.gamma,
-                    self.max_features,
-                    rng,
-                    X,
-                    g,
-                    h,
-                )
-                builder.build(all_rows, order)
-            else:
-                builder = _BoostTreeBuilder(
-                    self.max_depth,
-                    self.min_child_weight,
-                    self.reg_lambda,
-                    self.gamma,
-                    self.max_features,
-                    rng,
-                )
-                builder.build(X, g, h)
-            update = builder.predict(X)
-            raw = raw + self.learning_rate * update
-            self.trees_.append(builder)
+            nodes = _Builder(self, X, rng, (g, h)).grow(order)
+            raw = raw + self.learning_rate * _descend([nodes], X)[0]
+            self.trees_.append(nodes)
+        self.n_features_in_ = X.shape[1]
         self._fitted = True
         return self
+
+    def _node_stat(self, rows, g, h):
+        """Leaf value ``-G/(H+λ)`` of a node; totals ``(G, H)`` unless it
+        holds fewer than two rows."""
+        G, H = g[rows].sum(), h[rows].sum()
+        value = float(-G / (H + self.reg_lambda))
+        return value, ((G, H) if len(rows) >= 2 else None)
+
+    def _split_gain(self, sorted_sub, totals, valid, g, h):
+        """XGBoost gain of every split, honoring ``min_child_weight``."""
+        G, H = totals
+        lam = self.reg_lambda
+        GL = np.cumsum(g[sorted_sub], axis=0)[:-1]
+        HL = np.cumsum(h[sorted_sub], axis=0)[:-1]
+        HR = H - HL
+        valid &= (HL >= self.min_child_weight) & (HR >= self.min_child_weight)
+        if not valid.any():
+            return None
+        GR = G - GL
+        return 0.5 * (
+            GL**2 / (HL + lam) + GR**2 / (HR + lam) - G * G / (H + lam)
+        ) - self.gamma
 
     def decision_function(self, X):
         self._check_is_fitted()
         X, _ = check_Xy(X)
+        check_n_features(self, X)
         raw = np.full(len(X), self.base_score_)
         for tree in self.trees_:
-            raw = raw + self.learning_rate * tree.predict(X)
+            raw = raw + self.learning_rate * _descend([tree], X)[0]
         return raw
 
     def predict_proba(self, X):

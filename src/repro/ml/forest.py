@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BaseClassifier, check_Xy, check_sample_weight
+from .base import BaseClassifier, check_n_features, check_Xy, check_sample_weight
 from .tree import DecisionTree, PresortedDataset
 
 __all__ = ["RandomForest"]
@@ -35,6 +35,8 @@ class RandomForest(BaseClassifier):
     random_state : int
         Master seed; per-tree seeds are derived from it.
     """
+
+    n_features_in_ = None   # models pickled before 6.0.0 skip the check
 
     def __init__(
         self,
@@ -96,11 +98,13 @@ class RandomForest(BaseClassifier):
                 tree.fit(X_fit, y_fit, sample_weight=w_fit,
                          presorted=shared)
             self.trees_.append(tree)
+        self.n_features_in_ = X.shape[1]
         self._fitted = True
         return self
 
     def predict_proba(self, X):
         self._check_is_fitted()
         X, _ = check_Xy(X)
+        check_n_features(self, X)
         p1 = np.mean([t.predict_proba(X)[:, 1] for t in self.trees_], axis=0)
         return np.column_stack([1.0 - p1, p1])

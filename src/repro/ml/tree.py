@@ -5,34 +5,32 @@ no explicit loss function; both are built on this tree.  Splits minimize
 weighted Gini impurity; ``sample_weight`` flows through naturally, which is
 what makes the tree usable inside OmniFair unchanged.
 
-Two builders grow **bit-for-bit identical** trees:
+Every tree in :mod:`repro.ml` grows from one builder, :class:`_Builder`.
+It argsorts each feature **once** for the whole dataset
+(:class:`PresortedDataset`); each split then only *partitions* the
+per-feature index lists stably (:func:`partition_sorted`) and scans
+every threshold with cumulative sums, with no per-node sort.  The
+builder owns the node arrays, the recursion, the per-node feature
+subsampling and the argmax tie-break; the model supplies its node
+statistic and split gain (weighted Gini here, the XGBoost G/H gain in
+:mod:`repro.ml.boosting`).  A stable partition of a full stable sort
+equals a stable sort of the node's rows, so the trees are bit for bit
+those of a builder that re-sorts every node — ``tests/tree_oracle.py``
+keeps that builder as the oracle the test suite checks against.
 
-* the legacy builder re-sorts every feature column at every node
-  (``O(d · m log m)`` per node);
-* the presorted builder (default) argsorts each feature **once** for the
-  whole dataset (:class:`PresortedDataset`) and thereafter only
-  *partitions* the per-feature index lists at each split, evaluating
-  thresholds with the same cumulative-sum scan but no per-node sort.
-
-The equivalence is exact, not approximate: boolean-mask recursion keeps a
-node's rows in original order, and a stable (mergesort) per-node sort of a
-subset equals the stable partition of the full stable sort — so both
-builders scan identical value/weight sequences, hence identical cumsums,
-gains, tie-breaks, and thresholds (asserted in
-``tests/test_batch_protocol.py``).
-
-For λ-search batches, :meth:`DecisionTree.fit_weighted_batch` reuses one
-:class:`PresortedDataset` across **all** candidates' trees — the argsort
-is paid once per dataset, not once per node per candidate — and
+Every tree is walked by one descent, :func:`_descend`, which steps all
+(tree, row) pairs down together.  For λ-search batches,
+:meth:`DecisionTree.fit_weighted_batch` reuses one
+:class:`PresortedDataset` across **all** candidates' trees, and
 :meth:`DecisionTree.predict_batch` descends every candidate tree over the
-shared feature matrix in one stacked vectorized walk.
+shared feature matrix in one walk.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import BaseClassifier, check_Xy, check_sample_weight
+from .base import BaseClassifier, check_n_features, check_Xy, check_sample_weight
 
 __all__ = ["DecisionTree", "PresortedDataset"]
 
@@ -50,7 +48,7 @@ class PresortedDataset:
     order : ndarray (n, d) of int64
         ``order[:, f]`` lists row indices sorted by feature ``f``
         (mergesort, so ties keep original row order — the invariant the
-        presorted builder's equivalence proof rests on).
+        builder's equivalence with per-node sorting rests on).
     """
 
     def __init__(self, X):
@@ -76,218 +74,99 @@ def partition_sorted(sorted_idx, member, n_left):
     return left, right
 
 
-class _TreeBuilder:
-    """Grows the flat-array tree representation used for fast prediction."""
+class _Builder:
+    """Grows one tree's flat node arrays from presorted index lists.
 
-    def __init__(self, max_depth, min_samples_split, min_samples_leaf,
-                 max_features, rng):
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.min_samples_leaf = min_samples_leaf
-        self.max_features = max_features
+    Nodes are addressed by ``(rows, sorted_idx)``: the node's rows in
+    original order, and the same rows ordered by each feature.  The
+    ``model`` supplies ``max_depth``, ``max_features`` and two hooks,
+    both handed the per-row arrays ``stats``:
+
+    * ``model._node_stat(rows, *stats)`` returns the node's value and
+      the totals its split scan needs, or ``None`` totals for a node
+      that must stay a leaf;
+    * ``model._split_gain(sorted_sub, totals, valid, *stats)`` returns
+      the gain of every ``(position, candidate)`` split, narrowing the
+      distinct-value mask ``valid`` in place, or ``None`` when no
+      position is valid.
+    """
+
+    def __init__(self, model, X, rng, stats):
+        self.model = model
+        self.X = X
         self.rng = rng
+        self.stats = stats
+        self._member = np.zeros(len(X), dtype=bool)  # reusable scratch
         self.feature = []
         self.threshold = []
         self.left = []
         self.right = []
-        self.value = []  # weighted P(y=1) at the node
+        self.value = []
 
-    def _new_node(self):
+    def grow(self, order):
+        """Grow from the root off ``order``, the presort of ``X``; return
+        ``(feature, threshold, left, right, value)`` as int64/float64
+        node arrays."""
+        self._grow(np.arange(len(self.X), dtype=np.int64), order, 0)
+        return (
+            np.asarray(self.feature, dtype=np.int64),
+            np.asarray(self.threshold, dtype=np.float64),
+            np.asarray(self.left, dtype=np.int64),
+            np.asarray(self.right, dtype=np.int64),
+            np.asarray(self.value, dtype=np.float64),
+        )
+
+    def _grow(self, rows, sorted_idx, depth):
+        node = len(self.value)
+        value, totals = self.model._node_stat(rows, *self.stats)
         self.feature.append(_LEAF)
         self.threshold.append(0.0)
         self.left.append(_LEAF)
         self.right.append(_LEAF)
-        self.value.append(0.0)
-        return len(self.feature) - 1
-
-    def build(self, X, y, w, depth=0):
-        node = self._new_node()
-        w_sum = w.sum()
-        p1 = float(np.dot(w, y) / w_sum) if w_sum > 0 else 0.0
-        self.value[node] = p1
-        if (
-            depth >= self.max_depth
-            or len(y) < self.min_samples_split
-            or p1 <= 0.0
-            or p1 >= 1.0
-        ):
+        self.value.append(value)
+        if totals is None or depth >= self.model.max_depth:
             return node
-        split = self._best_split(X, y, w)
+        split = self._split(sorted_idx, totals)
         if split is None:
             return node
         feat, thresh = split
-        mask = X[:, feat] <= thresh
-        left = self.build(X[mask], y[mask], w[mask], depth + 1)
-        right = self.build(X[~mask], y[~mask], w[~mask], depth + 1)
-        self.feature[node] = feat
-        self.threshold[node] = thresh
-        self.left[node] = left
-        self.right[node] = right
-        return node
-
-    def _best_split(self, X, y, w):
-        n_features = X.shape[1]
-        if self.max_features is None or self.max_features >= n_features:
-            candidates = np.arange(n_features)
-        else:
-            candidates = self.rng.choice(
-                n_features, size=self.max_features, replace=False
-            )
-        w_total = w.sum()
-        wy_total = np.dot(w, y)
-        parent_gini = self._gini(wy_total, w_total)
-        best = None
-        best_gain = 1e-12
-        for feat in candidates:
-            col = X[:, feat]
-            order = np.argsort(col, kind="mergesort")
-            cs = col[order]
-            ws = w[order]
-            wys = ws * y[order]
-            cum_w = np.cumsum(ws)
-            cum_wy = np.cumsum(wys)
-            # valid split positions: between distinct values, honoring
-            # min_samples_leaf on both sides
-            distinct = cs[:-1] < cs[1:]
-            pos = np.nonzero(distinct)[0]
-            if len(pos) == 0:
-                continue
-            k = self.min_samples_leaf
-            pos = pos[(pos + 1 >= k) & (len(cs) - (pos + 1) >= k)]
-            if len(pos) == 0:
-                continue
-            wl = cum_w[pos]
-            wyl = cum_wy[pos]
-            wr = w_total - wl
-            wyr = wy_total - wyl
-            child = (
-                wl * self._gini_vec(wyl, wl) + wr * self._gini_vec(wyr, wr)
-            ) / w_total
-            gain = parent_gini - child
-            idx = int(np.argmax(gain))
-            if gain[idx] > best_gain:
-                best_gain = float(gain[idx])
-                thresh = 0.5 * (cs[pos[idx]] + cs[pos[idx] + 1])
-                best = (int(feat), float(thresh))
-        return best
-
-    @staticmethod
-    def _gini(wy, w_total):
-        if w_total <= 0:
-            return 0.0
-        p = wy / w_total
-        return 2.0 * p * (1.0 - p)
-
-    @staticmethod
-    def _gini_vec(wy, w_total):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = np.where(w_total > 0, wy / np.maximum(w_total, 1e-300), 0.0)
-        return 2.0 * p * (1.0 - p)
-
-
-class _PresortTreeBuilder(_TreeBuilder):
-    """Grows the identical tree from per-feature presorted index lists.
-
-    Nodes are addressed by ``(node_rows, sorted_idx)``: the node's rows
-    in original order, and the same rows ordered by each feature.  The
-    per-node mergesort of the legacy builder is skipped entirely — every
-    split scan gathers its column through the presorted indices, and
-    splits partition the lists stably instead of re-sorting.
-    """
-
-    def __init__(self, max_depth, min_samples_split, min_samples_leaf,
-                 max_features, rng, X, y, w):
-        super().__init__(max_depth, min_samples_split, min_samples_leaf,
-                         max_features, rng)
-        self.X = X
-        self.y = y
-        self.w = w
-        self._member = np.zeros(len(y), dtype=bool)  # reusable scratch
-
-    def build(self, node_rows, sorted_idx, depth=0):
-        node = self._new_node()
-        w = self.w[node_rows]
-        y = self.y[node_rows]
-        w_sum = w.sum()
-        wy = np.dot(w, y)
-        p1 = float(wy / w_sum) if w_sum > 0 else 0.0
-        self.value[node] = p1
-        if (
-            depth >= self.max_depth
-            or len(y) < self.min_samples_split
-            or p1 <= 0.0
-            or p1 >= 1.0
-        ):
-            return node
-        split = self._best_split(sorted_idx, w_sum, wy)
-        if split is None:
-            return node
-        feat, thresh = split
-        go_left = self.X[node_rows, feat] <= thresh
-        left_rows = node_rows[go_left]
-        right_rows = node_rows[~go_left]
+        go_left = self.X[rows, feat] <= thresh
+        left_rows = rows[go_left]
         self._member[left_rows] = True
         left_sorted, right_sorted = partition_sorted(
             sorted_idx, self._member, len(left_rows)
         )
         self._member[left_rows] = False
-        left = self.build(left_rows, left_sorted, depth + 1)
-        right = self.build(right_rows, right_sorted, depth + 1)
         self.feature[node] = feat
         self.threshold[node] = thresh
-        self.left[node] = left
-        self.right[node] = right
+        self.left[node] = self._grow(left_rows, left_sorted, depth + 1)
+        self.right[node] = self._grow(rows[~go_left], right_sorted, depth + 1)
         return node
 
-    def _best_split(self, sorted_idx, w_total, wy_total):
-        """All-features-at-once split scan over the presorted lists.
+    def _split(self, sorted_idx, totals):
+        """Best ``(feature, threshold)`` over the sampled features, or None.
 
-        The gain at every (position, feature) pair is the exact same
-        elementwise expression the legacy per-feature loop evaluates
-        (cumsums over identical sequences, the same ``_gini_vec``), so
-        every gain value — and therefore every argmax tie-break — is
-        bitwise identical; invalid positions are masked to ``-inf``
-        instead of being filtered, which cannot win a strictly-greater
-        comparison.  One vectorized pass replaces ``d`` per-feature
-        passes of several numpy calls each.
+        One ``rng.choice`` per scan when ``max_features`` is below the
+        width.  Gains of every (position, feature) pair come from one
+        vectorized pass; invalid positions are masked to ``-inf``, which
+        cannot beat the ``1e-12`` floor.  Ties go to the first position,
+        then to the first feature in candidate order.
         """
         n_features = sorted_idx.shape[1]
-        if self.max_features is None or self.max_features >= n_features:
+        max_features = self.model.max_features
+        if max_features is None or max_features >= n_features:
             candidates = np.arange(n_features)
             sorted_sub = sorted_idx                       # (m, c) as-is
         else:
             candidates = self.rng.choice(
-                n_features, size=self.max_features, replace=False
+                n_features, size=max_features, replace=False
             )
             sorted_sub = sorted_idx[:, candidates]
-        m = sorted_idx.shape[0]
         CS = self.X[sorted_sub, candidates[None, :]]
-        WS = self.w[sorted_sub]
-        WYS = WS * self.y[sorted_sub]
-        cum_w = np.cumsum(WS, axis=0)
-        cum_wy = np.cumsum(WYS, axis=0)
-        left_counts = np.arange(1, m)
         valid = CS[:-1] < CS[1:]                          # distinct values
-        k = self.min_samples_leaf
-        if k > 1:
-            ok = (left_counts >= k) & (m - left_counts >= k)
-            valid &= ok[:, None]
-        if not valid.any():
+        gain = self.model._split_gain(sorted_sub, totals, valid, *self.stats)
+        if gain is None:
             return None
-        wl = cum_w[:-1]
-        wyl = cum_wy[:-1]
-        wr = w_total - wl
-        wyr = wy_total - wyl
-        # inlined _gini_vec, identical arithmetic without the per-call
-        # errstate context (zero-weight rows were dropped before the
-        # build, so every wl/wr is strictly positive here and the
-        # guarded division can never actually trip)
-        pl = np.where(wl > 0, wyl / np.maximum(wl, 1e-300), 0.0)
-        pr = np.where(wr > 0, wyr / np.maximum(wr, 1e-300), 0.0)
-        child = (
-            wl * (2.0 * pl * (1.0 - pl)) + wr * (2.0 * pr * (1.0 - pr))
-        ) / w_total
-        gain = self._gini(wy_total, w_total) - child
         gain[~valid] = -np.inf
         best = None
         best_gain = 1e-12
@@ -300,6 +179,37 @@ class _PresortTreeBuilder(_TreeBuilder):
                 thresh = 0.5 * (CS[j, ci] + CS[j + 1, ci])
                 best = (int(candidates[ci]), float(thresh))
         return best
+
+
+def _descend(trees, X):
+    """Leaf value of every tree on every row of ``X``, as ``(B, n)``.
+
+    ``trees`` holds ``(feature, threshold, left, right, value)`` node
+    arrays.  They are laid end to end in one node space, and every
+    (tree, row) pair steps down together, comparing
+    ``X[row, feature] <= threshold`` at each inner node, until all reach
+    a leaf.
+    """
+    columns = list(zip(*trees))                # each node array, per tree
+    sizes = [len(feature) for feature in columns[0]]
+    roots = np.cumsum([0] + sizes[:-1], dtype=np.int64)
+    feature, threshold, left, right, value = map(np.concatenate, columns)
+    shift = np.repeat(roots, sizes)
+    left = left + shift
+    right = right + shift
+    n = len(X)
+    node = np.repeat(roots, n)                 # flat (tree, row) pairs
+    live = np.flatnonzero(feature[node] != _LEAF)
+    rows = live % n
+    while live.size:
+        cur = node[live]
+        go_left = X[rows, feature[cur]] <= threshold[cur]
+        nxt = np.where(go_left, left[cur], right[cur])
+        node[live] = nxt
+        inner = feature[nxt] != _LEAF
+        live = live[inner]
+        rows = rows[inner]
+    return value[node].reshape(len(sizes), n)
 
 
 class DecisionTree(BaseClassifier):
@@ -317,13 +227,9 @@ class DecisionTree(BaseClassifier):
         Features sampled per split (``None`` = all) — the random-forest hook.
     random_state : int
         Seed for feature subsampling.
-    presort : bool
-        Build via the presorted-index builder (default) — one stable
-        argsort per dataset instead of a mergesort per node, bit-for-bit
-        identical trees.  ``False`` keeps the legacy per-node-sort
-        builder (for equivalence testing and benchmarking); it also
-        disables the batch protocol (:attr:`supports_batch_fit`).
     """
+
+    n_features_in_ = None   # models pickled before 6.0.0 skip the check
 
     def __init__(
         self,
@@ -332,14 +238,12 @@ class DecisionTree(BaseClassifier):
         min_samples_leaf=1,
         max_features=None,
         random_state=0,
-        presort=True,
     ):
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.random_state = random_state
-        self.presort = presort
         self._fitted = False
 
     def fit(self, X, y, sample_weight=None, presorted=None):
@@ -347,60 +251,69 @@ class DecisionTree(BaseClassifier):
 
         ``presorted`` is honored only when it was built from the *same*
         array object as ``X`` and no zero-weight rows need dropping
-        (dropping rows invalidates the presorted index lists); otherwise
-        the presort is recomputed locally (``presort=True``) or the
-        legacy per-node-sort builder runs (``presort=False``).
+        (dropping rows copies ``X``, so the identity check fails);
+        otherwise the presort is computed here.
         """
         X, y = check_Xy(X, y)
         w = check_sample_weight(sample_weight, len(y))
         # drop zero-weight rows: they must not influence splits
         keep = w > 0
-        dropped = not np.all(keep)
-        if dropped:
+        if not np.all(keep):
             X, y, w = X[keep], y[keep], w[keep]
         if len(y) == 0:
             raise ValueError("all sample weights are zero")
-        rng = np.random.default_rng(self.random_state)
-        if self.presort:
-            if presorted is not None and presorted.X is X and not dropped:
-                order = presorted.order
-            else:
-                order = np.argsort(X, axis=0, kind="mergesort")
-            builder = _PresortTreeBuilder(
-                self.max_depth,
-                self.min_samples_split,
-                self.min_samples_leaf,
-                self.max_features,
-                rng,
-                X,
-                y,
-                w,
-            )
-            builder.build(np.arange(len(y), dtype=np.int64), order)
+        if presorted is not None and presorted.X is X:
+            order = presorted.order
         else:
-            builder = _TreeBuilder(
-                self.max_depth,
-                self.min_samples_split,
-                self.min_samples_leaf,
-                self.max_features,
-                rng,
-            )
-            builder.build(X, y, w)
-        self.feature_ = np.asarray(builder.feature, dtype=np.int64)
-        self.threshold_ = np.asarray(builder.threshold, dtype=np.float64)
-        self.left_ = np.asarray(builder.left, dtype=np.int64)
-        self.right_ = np.asarray(builder.right, dtype=np.int64)
-        self.value_ = np.asarray(builder.value, dtype=np.float64)
+            order = np.argsort(X, axis=0, kind="mergesort")
+        rng = np.random.default_rng(self.random_state)
+        (self.feature_, self.threshold_, self.left_, self.right_,
+         self.value_) = _Builder(self, X, rng, (y, w)).grow(order)
         self.n_nodes_ = len(self.feature_)
+        self.n_features_in_ = X.shape[1]
         self._fitted = True
         return self
 
-    # -- batch protocol (used by the compiled λ-search engine) ---------------
+    def _node_stat(self, rows, y, w):
+        """Weighted ``P(y=1)`` of a node; totals ``(Σw, Σwy)`` unless pure
+        or below ``min_samples_split``."""
+        w = w[rows]
+        w_sum = w.sum()
+        wy = np.dot(w, y[rows])
+        p1 = float(wy / w_sum) if w_sum > 0 else 0.0
+        if len(rows) < self.min_samples_split or p1 <= 0.0 or p1 >= 1.0:
+            return p1, None
+        return p1, (w_sum, wy)
 
-    @property
-    def supports_batch_fit(self):
-        """Batch fitting piggybacks on the shared presort."""
-        return bool(self.presort)
+    def _split_gain(self, sorted_sub, totals, valid, y, w):
+        """Weighted Gini decrease of every split, honoring
+        ``min_samples_leaf``.
+
+        Zero-weight rows were dropped before the build, so every child
+        weight is positive and the guarded divisions never trip.
+        """
+        w_total, wy_total = totals
+        m = len(sorted_sub)
+        k = self.min_samples_leaf
+        if k > 1:
+            left_counts = np.arange(1, m)
+            valid &= ((left_counts >= k) & (m - left_counts >= k))[:, None]
+        if not valid.any():
+            return None
+        WS = w[sorted_sub]
+        wl = np.cumsum(WS, axis=0)[:-1]
+        wyl = np.cumsum(WS * y[sorted_sub], axis=0)[:-1]
+        wr = w_total - wl
+        wyr = wy_total - wyl
+        pl = np.where(wl > 0, wyl / np.maximum(wl, 1e-300), 0.0)
+        pr = np.where(wr > 0, wyr / np.maximum(wr, 1e-300), 0.0)
+        child = (
+            wl * (2.0 * pl * (1.0 - pl)) + wr * (2.0 * pr * (1.0 - pr))
+        ) / w_total
+        p = wy_total / w_total
+        return 2.0 * p * (1.0 - p) - child
+
+    # -- batch protocol (used by the compiled λ-search engine) ---------------
 
     def _shared_presort(self, X):
         """One cached :class:`PresortedDataset` per training matrix.
@@ -422,7 +335,7 @@ class DecisionTree(BaseClassifier):
         ----------
         X : ndarray (n, d)
             Shared training features — argsorted once (and cached across
-            calls on the same array), not once per node per candidate.
+            calls on the same array), not once per candidate.
         y_batch : ndarray (B, n)
             Per-candidate labels (negative-weight resolution may flip
             labels differently per candidate).
@@ -433,7 +346,7 @@ class DecisionTree(BaseClassifier):
         -------
         list of fitted :class:`DecisionTree`, one per candidate — each
         **bit-for-bit identical** to ``clone().fit(X, y_b, w_b)``.
-        Candidates containing zero weights fall back to the plain fit
+        Candidates containing zero weights presort their own rows
         (zero-weight rows must be dropped, which invalidates the shared
         index lists); all-positive candidates share the presort.
         """
@@ -445,7 +358,7 @@ class DecisionTree(BaseClassifier):
                 f"y_batch/w_batch must both be (B, {len(X)}); got "
                 f"{Y.shape} and {W.shape}"
             )
-        presorted = self._shared_presort(X) if self.presort else None
+        presorted = self._shared_presort(X)
         models = []
         for b in range(len(Y)):
             model = self.clone()
@@ -457,60 +370,24 @@ class DecisionTree(BaseClassifier):
     def predict_batch(models, X):
         """Hard labels of every fitted tree on a shared feature matrix.
 
-        Pads all trees' flat node arrays to a common width and descends
-        every (candidate, row) pair simultaneously — one vectorized walk
-        of depth ``max(depth_b)`` instead of ``B`` Python-level
-        traversals.  Returns an ``(B, n)`` int64 matrix whose rows equal
-        ``models[b].predict(X)`` exactly (identical values and
-        thresholding).
+        One :func:`_descend` over all ``B`` trees.  Returns an ``(B, n)``
+        int64 matrix whose rows equal ``models[b].predict(X)`` exactly
+        (identical values and thresholding).
         """
         X, _ = check_Xy(X)
-        B, n = len(models), len(X)
-        width = max(m.n_nodes_ for m in models)
-        feature = np.full((B, width), _LEAF, dtype=np.int64)
-        threshold = np.zeros((B, width), dtype=np.float64)
-        left = np.zeros((B, width), dtype=np.int64)
-        right = np.zeros((B, width), dtype=np.int64)
-        value = np.zeros((B, width), dtype=np.float64)
-        for b, model in enumerate(models):
-            model._check_is_fitted()
-            k = model.n_nodes_
-            feature[b, :k] = model.feature_
-            threshold[b, :k] = model.threshold_
-            left[b, :k] = model.left_
-            right[b, :k] = model.right_
-            value[b, :k] = model.value_
-        nodes = np.zeros((B, n), dtype=np.int64)
-        brow = np.arange(B)[:, None]
-        active = feature[brow, nodes] != _LEAF
-        while np.any(active):
-            b_idx, i_idx = np.nonzero(active)
-            cur = nodes[b_idx, i_idx]
-            go_left = (
-                X[i_idx, feature[b_idx, cur]] <= threshold[b_idx, cur]
-            )
-            nxt = np.where(go_left, left[b_idx, cur], right[b_idx, cur])
-            nodes[b_idx, i_idx] = nxt
-            active[b_idx, i_idx] = feature[b_idx, nxt] != _LEAF
-        p1 = value[brow, nodes]
+        p1 = _descend([model._nodes(X) for model in models], X)
         return (p1 >= 0.5).astype(np.int64)
 
-    def _apply(self, X):
-        """Return the leaf index for every row (iterative descent)."""
-        nodes = np.zeros(len(X), dtype=np.int64)
-        active = self.feature_[nodes] != _LEAF
-        while np.any(active):
-            idx = np.nonzero(active)[0]
-            cur = nodes[idx]
-            go_left = X[idx, self.feature_[cur]] <= self.threshold_[cur]
-            nodes[idx] = np.where(go_left, self.left_[cur], self.right_[cur])
-            active = self.feature_[nodes] != _LEAF
-        return nodes
+    def _nodes(self, X):
+        """The node arrays, once the tree is fitted on ``X``'s width."""
+        self._check_is_fitted()
+        check_n_features(self, X)
+        return (self.feature_, self.threshold_, self.left_, self.right_,
+                self.value_)
 
     def predict_proba(self, X):
-        self._check_is_fitted()
         X, _ = check_Xy(X)
-        p1 = self.value_[self._apply(X)]
+        p1 = _descend([self._nodes(X)], X)[0]
         return np.column_stack([1.0 - p1, p1])
 
     @property

@@ -6,9 +6,9 @@ dispatch cost every time.  A :class:`MicroBatcher` puts an asyncio queue
 in front of each model: the first request opens a batch, the worker
 drains whatever else is queued (waiting at most ``max_wait_us`` for
 stragglers, up to ``max_batch_size`` requests), and the whole batch runs
-as **one** :meth:`FairModel.predict_batch` call — a stack, a single
-``predict`` pass, a split.  Results are bit-identical to per-request
-``predict`` because predictions are per-row.
+as **one** :meth:`FairModel.predict_batch` call per row width — a
+stack, a single ``predict`` pass, a split.  Results are bit-identical to
+per-request ``predict`` because predictions are per-row.
 
 Each batcher owns a small thread pool (the *per-model worker pool*) so
 one model's slow predict cannot head-of-line-block another model, and
@@ -26,8 +26,10 @@ Resilience hooks (see ``docs/resilience.md``):
   :class:`~repro.resilience.DeadlineExceeded` *before* the batch runs,
   so a congested queue never spends model time on answers nobody is
   waiting for (counted under ``expired`` in :meth:`stats`);
-* a failing batch fails only its own waiters — the worker loop
-  survives a poisoned request and keeps serving the next batch;
+* a failing pass fails only its own waiters — the worker loop
+  survives a poisoned request and keeps serving the next batch, and a
+  request of the wrong width fails alone, because each width runs its
+  own pass;
 * ``close(drain=True)`` flushes queued and in-flight work before
   cancelling the workers (the service's graceful-stop path);
 * the ``batcher.predict`` fault-injection site fires inside the batch
@@ -53,7 +55,7 @@ class MicroBatcher:
     predict_batch : callable(list of row-blocks) -> list of label arrays
         Typically ``FairModel.predict_batch`` (or a registry-resolving
         wrapper so evict/reload and re-registration take effect
-        mid-flight).
+        mid-flight).  Called once per row width in a batch.
     max_batch_size : int
         Largest number of requests coalesced into one pass; 1 disables
         coalescing while keeping the identical pipeline.
@@ -254,6 +256,16 @@ class MicroBatcher:
                 self._inflight -= 1
 
     async def _run_batch(self, loop, batch):
+        # one pass per row width: a block of another width would fail
+        # the stack it joins, so it runs (and fails) on its own
+        by_width = {}
+        for entry in batch:
+            width = getattr(entry[0], "shape", ())[1:]
+            by_width.setdefault(width, []).append(entry)
+        for group in by_width.values():
+            await self._run_pass(loop, group)
+
+    async def _run_pass(self, loop, batch):
         chunks = [rows for rows, _, _ in batch]
         try:
             # chaos site: an injected raise lands in the same handler

@@ -6,8 +6,8 @@ Three layers:
 * engine equivalence — an adapter-wrapped *weight-equivalent* in-repo
   model must select the identical λ as the bare model on a fixed
   scenario (always run);
-* sklearn conformance — the batch-protocol and engine runs against
-  adapter-wrapped ``sklearn`` ``LogisticRegression`` /
+* sklearn conformance — ``WeightedFitter.fit_batch`` and engine runs
+  against adapter-wrapped ``sklearn`` ``LogisticRegression`` /
   ``DecisionTreeClassifier`` (auto-skipped when sklearn is absent).
 """
 
@@ -193,25 +193,6 @@ class TestAdapterProtocol:
         # fit cache keys on
         assert a.get_params() == b.get_params()
 
-    def test_batch_protocol_refit_loop_matches_serial(self, xyw):
-        X, y, w = xyw
-        rng = np.random.default_rng(3)
-        B = 3
-        Y = np.where(rng.random((B, len(y))) < 0.1, 1 - y, y)
-        W = rng.uniform(0.2, 2.0, size=(B, len(y)))
-        proto = ExternalEstimatorAdapter(DuckWeighted())
-        assert proto.supports_batch_fit
-        models = proto.fit_weighted_batch(X, Y, W)
-        assert len(models) == B
-        preds = ExternalEstimatorAdapter.predict_batch(models, X)
-        assert preds.shape == (B, len(X))
-        for b in range(B):
-            ref = ExternalEstimatorAdapter(DuckWeighted()).fit(
-                X, Y[b], sample_weight=W[b]
-            )
-            assert np.array_equal(models[b].predict(X), ref.predict(X))
-            assert np.array_equal(preds[b], ref.predict(X))
-
 
 class TestResolveModel:
     def test_base_classifier_passes_through(self):
@@ -291,9 +272,9 @@ class TestEngineEquivalence:
         )
 
     def test_grid_identical_lambda_through_batch_paths(self):
-        # bare lbfgs logistic fits serially (supports_batch_fit False);
-        # the adapter's refit loop is serial semantics behind the batch
-        # hook — both must land on the same grid point
+        # bare lbfgs logistic fits serially (supports_batch_fit False),
+        # and so does the adapter, which has no batch protocol — both
+        # must land on the same grid point
         train, val, _ = _scenario_splits()
         problem = Problem("SP <= 0.08")
         factory = lambda: LogisticRegression(max_iter=120)  # noqa: E731
@@ -326,7 +307,8 @@ class TestEngineEquivalence:
         assert fitter.fit_cache_hits == 1
         models = fitter.fit_batch(np.array([[0.0], [0.3], [0.5]]))
         assert len(models) == 3
-        assert fitter.fit_paths.get("batch_protocol", 0) >= 1
+        assert fitter.fit_paths.get("batch_protocol", 0) == 0
+        assert fitter.fit_paths["serial"] >= 1
 
 
 _HAS_SKLEARN = importlib.util.find_spec("sklearn") is not None
@@ -352,17 +334,26 @@ class TestSklearnConformance:
         )
 
     def test_batch_protocol_conformance(self, sk_adapter_factory, xyw):
-        X, y, w = xyw
-        rng = np.random.default_rng(1)
-        B = 3
-        Y = np.where(rng.random((B, len(y))) < 0.1, 1 - y, y)
-        W = rng.uniform(0.2, 2.0, size=(B, len(y)))
-        proto = sk_adapter_factory()
-        models = proto.fit_weighted_batch(X, Y, W)
-        preds = ExternalEstimatorAdapter.predict_batch(models, X)
-        for b in range(B):
-            ref = sk_adapter_factory().fit(X, Y[b], sample_weight=W[b])
-            assert np.array_equal(preds[b], ref.predict(X))
+        # the adapter has no batch protocol: fit_batch fits one clone per
+        # candidate, and each equals a serial fit at the same λ
+        X, y, _ = xyw
+        groups = np.arange(len(y)) % 2
+        constraint = Constraint(
+            metric=METRIC_FACTORIES["SP"](), epsilon=0.05,
+            group_names=("a", "b"),
+            g1_idx=np.nonzero(groups == 0)[0],
+            g2_idx=np.nonzero(groups == 1)[0],
+        )
+        L = np.array([[0.0], [0.3], [0.6]])
+        fitter = WeightedFitter(sk_adapter_factory(), X, y, [constraint])
+        models = fitter.fit_batch(L)
+        assert fitter.fit_paths.get("batch_protocol", 0) == 0
+        assert fitter.fit_paths["serial"] == len(L)
+        for b, model in enumerate(models):
+            ref = WeightedFitter(
+                sk_adapter_factory(), X, y, [constraint]
+            ).fit(L[b])
+            assert np.array_equal(model.predict(X), ref.predict(X))
 
     def test_engine_end_to_end(self, sk_adapter_factory):
         train, val, test = _scenario_splits()

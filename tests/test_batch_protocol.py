@@ -13,8 +13,11 @@ is run against its serial path on random weighted problems
 * ``predict_batch(models, X)[b]`` must match ``models[b].predict(X)``
   under the same rule;
 * ``supports_batch_fit`` must gate configurations whose serial
-  trajectory has no batched counterpart (lbfgs/gd logistic, legacy
-  trees), and the fitter must honor the gate.
+  trajectory has no batched counterpart (lbfgs/gd logistic), and the
+  fitter must honor the gate.
+
+Every tree in :mod:`repro.ml` must also grow the node arrays of the
+per-node-sort oracle (``tests/tree_oracle.py``) bit for bit.
 """
 
 from __future__ import annotations
@@ -24,12 +27,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tree_oracle
 from repro.core.fitter import WeightedFitter
 from repro.core.spec import Constraint
 from repro.core.fairness_metrics import METRIC_FACTORIES
+from repro.ml.boosting import GradientBoostedTrees
+from repro.ml.forest import RandomForest
 from repro.ml.logistic import LogisticRegression
 from repro.ml.naive_bayes import GaussianNaiveBayes
 from repro.ml.tree import DecisionTree
+
+NODE_ARRAYS = ("feature_", "threshold_", "left_", "right_", "value_")
 
 # (factory, decision margin below which a prediction flip is tolerated;
 #  0.0 means predictions must match exactly)
@@ -172,11 +180,96 @@ class TestConformance:
                 ), (b, attr)
 
 
+def _assert_same_nodes(got, want, context):
+    """Node arrays equal bit for bit, dtypes included."""
+    assert len(got) == len(want) == 5, context
+    for name, a, b in zip(NODE_ARRAYS, got, want):
+        assert a.dtype == b.dtype, (context, name, a.dtype, b.dtype)
+        assert a.tobytes() == b.tobytes(), (context, name)
+
+
+def _tree_nodes(tree):
+    return tuple(getattr(tree, attr) for attr in NODE_ARRAYS)
+
+
+@st.composite
+def tree_problems(draw):
+    """Weighted problems that stress split selection: duplicated columns,
+    quantized ties, zero weights, and every knob that prunes a split."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(min_value=8, max_value=80))
+    d = draw(st.integers(min_value=1, max_value=5))
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    if draw(st.booleans()):
+        X = np.round(X * 2) / 2                 # within-feature ties
+    if d > 1 and draw(st.booleans()):
+        X[:, -1] = X[:, 0]                      # cross-feature ties
+    y = (X[:, 0] + 0.7 * rng.normal(size=n) > 0).astype(np.int64)
+    w = rng.uniform(0.1, 3.0, size=n)
+    if draw(st.booleans()):
+        w[rng.random(n) < 0.25] = 0.0
+        w[0] = max(w[0], 0.5)                   # keep one positive row
+    max_features = draw(st.sampled_from([None, 1, max(1, d - 1), d + 1]))
+    tree = dict(
+        max_depth=draw(st.integers(0, 6)),
+        min_samples_split=draw(st.integers(2, 6)),
+        min_samples_leaf=draw(st.integers(1, 4)),
+        max_features=max_features,
+        random_state=seed % 1000,
+    )
+    boost = dict(
+        n_estimators=draw(st.integers(1, 4)),
+        max_depth=draw(st.integers(0, 4)),
+        min_child_weight=draw(st.sampled_from([0.0, 1e-3, 0.5, 2.0])),
+        gamma=draw(st.sampled_from([0.0, 0.02, 0.5])),
+        reg_lambda=draw(st.sampled_from([0.5, 1.0])),
+        max_features=max_features,
+        random_state=seed % 1000,
+    )
+    return X, y, w, tree, boost
+
+
+class TestTreeOracle:
+    """The one presorted builder grows the per-node-sort oracle's trees."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=tree_problems())
+    def test_every_tree_matches_the_oracle(self, problem):
+        X, y, w, tree, boost = problem
+        got = DecisionTree(**tree).fit(X, y, sample_weight=w)
+        _assert_same_nodes(
+            _tree_nodes(got),
+            tree_oracle.tree_arrays(X, y, w, **tree),
+            "DecisionTree",
+        )
+
+        gbt = GradientBoostedTrees(**boost).fit(X, y, sample_weight=w)
+        base, rounds, raw = tree_oracle.boosted_rounds(X, y, w, **boost)
+        assert gbt.base_score_ == base
+        assert len(gbt.trees_) == len(rounds)
+        for r, (got_round, want_round) in enumerate(zip(gbt.trees_, rounds)):
+            _assert_same_nodes(got_round, want_round, f"round {r}")
+        assert gbt.decision_function(X).tobytes() == raw.tobytes()
+
+        forest = RandomForest(
+            n_estimators=3, max_depth=tree["max_depth"],
+            min_samples_leaf=tree["min_samples_leaf"], bootstrap=False,
+            random_state=tree["random_state"],
+        ).fit(X, y, sample_weight=w)
+        for t, member in enumerate(forest.trees_):
+            _assert_same_nodes(
+                _tree_nodes(member),
+                tree_oracle.tree_arrays(X, y, w, **member.get_params()),
+                f"forest tree {t}",
+            )
+
+
 class TestPresortTieBreaks:
-    """Satellite: presorted and legacy builders pick identical splits
-    even when gains tie — across features (duplicated columns must both
-    resolve to the first candidate in feature order) and within a
-    feature (heavily quantized values give equal-gain positions)."""
+    """The presorted builder picks the oracle's splits even when gains
+    tie — across features (duplicated columns must both resolve to the
+    first candidate in feature order) and within a feature (heavily
+    quantized values give equal-gain positions)."""
 
     def test_duplicated_columns_tie_break_identically(self):
         rng = np.random.default_rng(21)
@@ -189,17 +282,13 @@ class TestPresortTieBreaks:
         ])
         y = (base + 0.3 * rng.normal(size=n) > 0).astype(np.int64)
         w = rng.uniform(0.5, 1.5, size=n)
-        legacy = DecisionTree(max_depth=6, presort=False).fit(
-            X, y, sample_weight=w
-        )
-        fast = DecisionTree(max_depth=6, presort=True).fit(
-            X, y, sample_weight=w
-        )
-        for attr in ("feature_", "threshold_", "left_", "right_", "value_"):
-            assert np.array_equal(getattr(legacy, attr), getattr(fast, attr))
+        oracle = tree_oracle.tree_arrays(X, y, w, max_depth=6)
+        fast = DecisionTree(max_depth=6).fit(X, y, sample_weight=w)
+        for attr, want in zip(NODE_ARRAYS, oracle):
+            assert np.array_equal(want, getattr(fast, attr))
         # the duplicate-column tie genuinely occurred and resolved to
         # the first feature in candidate order
-        split_feats = legacy.feature_[legacy.feature_ >= 0]
+        split_feats = oracle[0][oracle[0] >= 0]
         assert 0 in split_feats and 1 not in split_feats
 
     def test_quantized_within_feature_ties_break_identically(self):
@@ -210,14 +299,10 @@ class TestPresortTieBreaks:
              ^ (rng.random(n) < 0.1)).astype(np.int64)
         w = np.ones(n)
         w[rng.choice(n, size=40, replace=False)] = 2.0
-        legacy = DecisionTree(max_depth=8, presort=False).fit(
-            X, y, sample_weight=w
-        )
-        fast = DecisionTree(max_depth=8, presort=True).fit(
-            X, y, sample_weight=w
-        )
-        for attr in ("feature_", "threshold_", "left_", "right_", "value_"):
-            assert np.array_equal(getattr(legacy, attr), getattr(fast, attr))
+        oracle = tree_oracle.tree_arrays(X, y, w, max_depth=8)
+        fast = DecisionTree(max_depth=8).fit(X, y, sample_weight=w)
+        for attr, want in zip(NODE_ARRAYS, oracle):
+            assert np.array_equal(want, getattr(fast, attr))
 
 
 class TestGating:
@@ -244,10 +329,6 @@ class TestGating:
                 np.ones((1, 4)),
             )
 
-    def test_legacy_tree_gates_batch_path(self):
-        assert not DecisionTree(presort=False).supports_batch_fit
-        assert DecisionTree().supports_batch_fit
-
     def test_fitter_honors_gate(self):
         # lbfgs logistic: fit_batch must take the serial path, and its
         # models must equal per-candidate serial fits
@@ -262,6 +343,7 @@ class TestGating:
             assert np.array_equal(model.predict(X), ref.predict(X))
 
     def test_fitter_uses_batch_protocol_when_supported(self):
+        assert DecisionTree().supports_batch_fit
         fitter, _X = self._fitter(
             LogisticRegression(solver="irls", max_iter=30)
         )

@@ -4,6 +4,8 @@ Each model must: learn a separable problem well, emit valid probabilities,
 respond to sample weights, and be deterministic given its seed.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,19 @@ class TestDecisionTree:
                 np.zeros((3, 1)), np.array([0, 1, 0]), np.zeros(3)
             )
 
+    def test_row_on_a_threshold_goes_left(self):
+        # the one descent compares X[row, feature] <= threshold
+        X = np.array([[0.0], [1.0]])
+        y = np.array([0, 1])
+        tree = DecisionTree(max_depth=1).fit(X, y)
+        assert tree.threshold_[0] == 0.5
+        rows = np.array([[0.5], [np.nextafter(0.5, 1.0)]])
+        assert tree.predict(rows).tolist() == [0, 1]
+        assert DecisionTree.predict_batch([tree], rows).tolist() == [[0, 1]]
+        boosted = GradientBoostedTrees(n_estimators=1, max_depth=1).fit(X, y)
+        raw = boosted.decision_function(np.vstack([X, rows]))
+        assert raw[2] == raw[0] and raw[3] == raw[1] and raw[0] < raw[1]
+
     def test_constant_features_yield_stump(self):
         X = np.ones((20, 3))
         y = np.array([0, 1] * 10)
@@ -201,6 +216,51 @@ class TestGradientBoostedTrees:
         raw = slow.decision_function(X)
         # tiny learning rate keeps scores near the base score
         assert np.all(np.abs(raw - slow.base_score_) < 0.5)
+
+    @pytest.mark.parametrize("n", [2_000, 20_000])
+    def test_pickle_does_not_grow_with_training_rows(self, n):
+        # each round is kept as its five node arrays; 5.x kept the
+        # round's builder with X, g and h (11.5 MB at 20k rows)
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(n, 4))
+        y = (X[:, 0] + 0.5 * rng.normal(size=n) > 0).astype(np.int64)
+        model = GradientBoostedTrees(n_estimators=20, max_depth=3).fit(X, y)
+        assert len(pickle.dumps(model)) < 64 * 1024
+
+
+TREE_MODELS = [
+    lambda: DecisionTree(max_depth=4),
+    lambda: RandomForest(n_estimators=3, max_depth=4),
+    lambda: GradientBoostedTrees(n_estimators=3, max_depth=2),
+]
+
+
+class TestTreeInputWidth:
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["d-1", "d+1"])
+    @pytest.mark.parametrize(
+        "factory", TREE_MODELS,
+        ids=["DecisionTree", "RandomForest", "GradientBoostedTrees"],
+    )
+    def test_wrong_width_is_refused(self, factory, extra, xy_noisy):
+        X, y = xy_noisy
+        d = X.shape[1]
+        model = factory().fit(X, y)
+        assert model.n_features_in_ == d
+        rows = np.zeros((3, d + extra))
+        pattern = rf"X has {d + extra} features, but \w+ was fitted on {d}"
+        with pytest.raises(ValueError, match=pattern):
+            model.predict(rows)
+        with pytest.raises(ValueError, match=pattern):
+            model.decision_function(rows)
+        if isinstance(model, DecisionTree):
+            with pytest.raises(ValueError, match=pattern):
+                DecisionTree.predict_batch([model, model], rows)
+
+    def test_presort_argument_is_gone(self):
+        with pytest.raises(TypeError):
+            DecisionTree(presort=False)
+        with pytest.raises(TypeError):
+            GradientBoostedTrees(presort=True)
 
 
 class TestNeuralNetwork:

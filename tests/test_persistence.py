@@ -182,3 +182,47 @@ class TestEnvelopeExtras:
         with pytest.warns(RuntimeWarning, match="loading anyway"):
             loaded = FairModel.load(path)
         assert np.array_equal(loaded.predict(test.X), fm.predict(test.X))
+
+
+class TestTreeModelsPickledBy5x:
+    """Tree models pickled by 5.0.0 load and predict bit-identically.
+
+    ``fixtures/models_5x.pkl`` was written by repro 5.0.0: a
+    ``DecisionTree(max_depth=3)``, a non-bootstrap
+    ``RandomForest(n_estimators=3, max_depth=3)`` and
+    ``GradientBoostedTrees(n_estimators=3, max_depth=2)`` fitted with
+    ``presort=True`` and ``presort=False`` (so both 5.x round classes
+    appear), on 40 weighted rows of 3 features, with each model's
+    ``predict_proba`` on 8 fixed rows.
+    """
+
+    @pytest.fixture(scope="class")
+    def fixture(self):
+        path = pathlib.Path(__file__).parent / "fixtures" / "models_5x.pkl"
+        with open(path, "rb") as fh:
+            return pickle.load(fh)
+
+    def test_load_and_predict_bit_identically(self, fixture):
+        assert fixture["version"] == "5.0.0"
+        rows = fixture["rows"]
+        assert len(fixture["models"]) == 4
+        for name, model in fixture["models"].items():
+            want = fixture["predict_proba"][name]
+            assert model.predict_proba(rows).tobytes() == want.tobytes(), name
+            assert model.n_features_in_ is None, name
+
+    def test_boosting_rounds_keep_only_node_lists(self, fixture):
+        names = set()
+        for name, model in fixture["models"].items():
+            if name.startswith("GradientBoostedTrees"):
+                for tree in model.trees_:
+                    names.add(type(tree).__name__)
+                    assert sorted(vars(tree)) == [
+                        "feature", "left", "right", "threshold", "value",
+                    ]
+                again = pickle.loads(pickle.dumps(model))
+                assert np.array_equal(
+                    again.decision_function(fixture["rows"]),
+                    model.decision_function(fixture["rows"]),
+                )
+        assert names == {"_BoostTreeBuilder", "_PresortBoostTreeBuilder"}

@@ -352,6 +352,39 @@ class TestMicroBatcher:
         assert len(results) == 5
         assert all(isinstance(r, RuntimeError) for r in results)
 
+    @pytest.mark.parametrize("estimator", [
+        GaussianNaiveBayes(), DecisionTree(max_depth=3),
+    ])
+    def test_wrong_width_request_fails_alone(self, estimator):
+        # coalesced with well-formed requests, a 3-column block used to
+        # fail the whole stack: every client got the ValueError
+        fair = make_fair_model(seed=9, estimator=estimator)
+        rng = np.random.default_rng(12)
+        good = [rng.normal(size=(2, 4)) for _ in range(3)]
+        bad = rng.normal(size=(2, 3))
+
+        async def main():
+            batcher = MicroBatcher(
+                fair.predict_batch, max_batch_size=8, max_wait_us=5000,
+            )
+            await batcher.start()
+            try:
+                results = await asyncio.gather(
+                    *(batcher.submit(rows) for rows in (*good[:2], bad,
+                                                        good[2])),
+                    return_exceptions=True,
+                )
+                return results, batcher.stats()
+            finally:
+                await batcher.close()
+
+        results, stats = asyncio.run(main())
+        assert isinstance(results[2], ValueError)
+        for rows, got in zip(good, (results[0], results[1], results[3])):
+            assert np.array_equal(got, fair.predict(rows))
+        assert stats["requests"] == 3
+        assert stats["batch_errors"] == 1
+
     def test_knob_validation(self):
         with pytest.raises(ValueError):
             MicroBatcher(lambda c: c, max_batch_size=0)

@@ -12,9 +12,9 @@ import threading
 import numpy as np
 import pytest
 
-from repro.api import Engine, Problem
+from repro.api import Engine, FairModel, Problem
 from repro.datasets import load_scenario
-from repro.ml import GaussianNaiveBayes
+from repro.ml import DecisionTree, GaussianNaiveBayes
 from repro.serving import (
     FairnessService,
     JobFailedError,
@@ -136,6 +136,27 @@ class TestErrorPaths:
                 {"model": "gs", "rows": [[1.0, 2.0], [1.0]]},
             )
         assert excinfo.value.status == 400
+
+    def test_wrong_width_on_tree_model_is_400(self, dataset):
+        # a tree reads only the columns its splits use; before trees
+        # checked their width, extra columns answered 200 with labels
+        tree = DecisionTree(max_depth=4).fit(dataset.X, dataset.y)
+        registry = ModelRegistry()
+        registry.register("tree", FairModel(tree, "SP <= 0.08"))
+        service = FairnessService(registry=registry, batching=True)
+        d = dataset.X.shape[1]
+        with serve_in_thread(service) as handle:
+            with ServingClient(handle.host, handle.port) as c:
+                for width in (d + 1, d - 1):
+                    rows = np.zeros((2, width))
+                    with pytest.raises(ServingError) as excinfo:
+                        c.predict("tree", rows)
+                    assert excinfo.value.status == 400
+                    assert f"X has {width} features" in str(excinfo.value)
+                assert np.array_equal(
+                    c.predict("tree", dataset.X[:5]),
+                    tree.predict(dataset.X[:5]),
+                )
 
     def test_empty_inline_audit_is_400(self, client):
         # the Engine/audit empty-dataset guard surfaces as a clean 400
