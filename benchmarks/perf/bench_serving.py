@@ -19,15 +19,17 @@ The server runs in its own subprocess (own GIL) via ``repro serve``;
 the model is created through ``POST /retune`` exactly as a client
 would.  Both arms use the identical pipeline — the "off" arm is the
 batcher pinned to ``max_batch_size=1`` — so the measured gap is
-coalescing, not a different code path.  The committed
-``BENCH_serving.json`` shows the ≥ 2x headline throughput gain at 32
-clients.
+coalescing, not a different code path.  Two floors gate it: batching
+must win at the largest client count (``--min-speedup``), and must not
+lose much at one client (``--min-one-client-ratio``), where there is
+nothing to coalesce and any idle wait before a pass shows up directly.
 
 Run from the repository root::
 
     PYTHONPATH=src python benchmarks/perf/bench_serving.py
     PYTHONPATH=src python benchmarks/perf/bench_serving.py \
-        --quick --min-speedup 1.0 --max-p99-ms 500
+        --quick --min-speedup 1.0 --min-one-client-ratio 0.5 \
+        --max-p99-ms 500
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ ESTIMATOR = "NB"
 DATASET = "scenario:group_sweep"
 CLIENT_COUNTS = (1, 8, 32)
 MAX_BATCH_SIZE = 32
-MAX_WAIT_US = 2000
 ROWS_PER_REQUEST = 4
 
 
@@ -76,10 +77,7 @@ class ServerProcess:
             "--host", "127.0.0.1", "--port", "0",
         ]
         if batching:
-            cmd += [
-                "--max-batch-size", str(MAX_BATCH_SIZE),
-                "--max-wait-us", str(MAX_WAIT_US),
-            ]
+            cmd += ["--max-batch-size", str(MAX_BATCH_SIZE)]
         else:
             cmd += ["--no-batching"]
         env = dict(os.environ)
@@ -171,7 +169,6 @@ def run_arm(*, batching, rows, seed, requests_per_client, pool_X, expected):
         "knobs": {
             "batching": batching,
             "max_batch_size": MAX_BATCH_SIZE if batching else 1,
-            "max_wait_us": MAX_WAIT_US if batching else 0,
         },
         "retune": retune,
         "clients": by_clients,
@@ -198,6 +195,10 @@ def main(argv=None):
                         metavar="X",
                         help="exit non-zero if batched/unbatched throughput "
                              "at the largest client count is < X")
+    parser.add_argument("--min-one-client-ratio", type=float, default=None,
+                        metavar="X",
+                        help="exit non-zero if batched/unbatched throughput "
+                             "at 1 client is < X")
     parser.add_argument("--max-p99-ms", type=float, default=None,
                         metavar="MS",
                         help="exit non-zero if any load run's p99 exceeds "
@@ -225,11 +226,14 @@ def main(argv=None):
                 f"ok={report['predictions_ok']}"
             )
 
+    def speedup_at(n_clients):
+        return (
+            arms["batching_on"]["clients"][n_clients]["throughput_rps"]
+            / arms["batching_off"]["clients"][n_clients]["throughput_rps"]
+        )
+
     top = str(max(CLIENT_COUNTS))
-    speedup = (
-        arms["batching_on"]["clients"][top]["throughput_rps"]
-        / arms["batching_off"]["clients"][top]["throughput_rps"]
-    )
+    speedup, one_client = speedup_at(top), speedup_at("1")
 
     failures = []
     for label, result in arms.items():
@@ -258,6 +262,12 @@ def main(argv=None):
         failures.append(
             f"speedup at {top} clients {speedup:.2f} < {args.min_speedup}"
         )
+    if (args.min_one_client_ratio is not None
+            and one_client < args.min_one_client_ratio):
+        failures.append(
+            f"batched/unbatched at 1 client {one_client:.2f} < "
+            f"{args.min_one_client_ratio}"
+        )
 
     payload = {
         "schema": SCHEMA,
@@ -278,8 +288,10 @@ def main(argv=None):
         "client_counts": list(CLIENT_COUNTS),
         "arms": arms,
         "speedup_at_max_clients": round(speedup, 2),
+        "speedup_at_one_client": round(one_client, 2),
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"speedup at 1 client: x{one_client:.2f}")
     print(f"speedup at {top} clients: x{speedup:.2f}")
     print(f"wrote {args.out}")
     if failures:

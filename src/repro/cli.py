@@ -223,9 +223,6 @@ def build_parser():
     serve.add_argument("--max-batch-size", type=int, default=32,
                        help="requests coalesced per predict pass "
                             "(default 32)")
-    serve.add_argument("--max-wait-us", type=int, default=2000,
-                       help="how long an open batch waits for "
-                            "stragglers, in microseconds (default 2000)")
     serve.add_argument("--n-workers", type=int, default=1,
                        help="per-model batch workers (default 1)")
     serve.add_argument("--max-inflight", type=int, default=256,
@@ -444,7 +441,6 @@ def _cmd_serve(args, out):
             registry=registry,
             batching=not args.no_batching,
             max_batch_size=args.max_batch_size,
-            max_wait_us=args.max_wait_us,
             n_workers=args.n_workers,
             store_dir=args.store_dir,
             max_inflight=args.max_inflight,

@@ -10,9 +10,10 @@ into a service:
   load/save/evict lifecycle (persistence-envelope backed) and
   spec-canonical dedup keys (``SpecSet.canonical() ×
   Dataset.fingerprint()``);
-* :mod:`~repro.serving.batcher` — a per-model micro-batching queue that
-  coalesces concurrent ``predict`` calls into one
-  :meth:`FairModel.predict_batch` pass;
+* :mod:`~repro.serving.batcher` — a per-model, work-conserving
+  micro-batching queue: each :meth:`FairModel.predict_batch` pass starts
+  as soon as a worker is free and takes whatever ``predict`` calls
+  queued during the previous pass;
 * :mod:`~repro.serving.service` — the asyncio HTTP front end
   (``/predict``, ``/audit``, ``/retune`` + job polling, ``/models``,
   ``/healthz``, ``/stats``);

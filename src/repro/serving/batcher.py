@@ -3,12 +3,13 @@
 Production prediction traffic is many small concurrent requests against
 one model; per-request model invocation pays the fixed Python/numpy
 dispatch cost every time.  A :class:`MicroBatcher` puts an asyncio queue
-in front of each model: the first request opens a batch, the worker
-drains whatever else is queued (waiting at most ``max_wait_us`` for
-stragglers, up to ``max_batch_size`` requests), and the whole batch runs
-as **one** :meth:`FairModel.predict_batch` call per row width — a
-stack, a single ``predict`` pass, a split.  Results are bit-identical to
-per-request ``predict`` because predictions are per-row.
+in front of each model and is work-conserving: a free worker takes the
+request that woke it plus whatever is queued (up to ``max_batch_size``)
+and runs the pass at once, so requests that arrive during a pass form
+the next batch.  A batch runs as **one** :meth:`FairModel.predict_batch`
+call per row width — a stack, a single ``predict`` pass, a split.
+Results are bit-identical to per-request ``predict`` because
+predictions are per-row.
 
 Each batcher owns a small thread pool (the *per-model worker pool*) so
 one model's slow predict cannot head-of-line-block another model, and
@@ -59,27 +60,21 @@ class MicroBatcher:
     max_batch_size : int
         Largest number of requests coalesced into one pass; 1 disables
         coalescing while keeping the identical pipeline.
-    max_wait_us : int
-        How long an open batch waits for stragglers, in microseconds.
-        0 drains only already-queued requests.
     n_workers : int
         Worker tasks (and pool threads) for this model; >1 lets batches
         overlap.
     """
 
-    def __init__(self, predict_batch, *, max_batch_size=32,
-                 max_wait_us=2000, n_workers=1, name="model"):
+    def __init__(self, predict_batch, *, max_batch_size=32, n_workers=1,
+                 name="model"):
         if int(max_batch_size) < 1:
             raise ValueError(
                 f"max_batch_size must be >= 1, got {max_batch_size}"
             )
-        if int(max_wait_us) < 0:
-            raise ValueError(f"max_wait_us must be >= 0, got {max_wait_us}")
         if int(n_workers) < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self.predict_batch = predict_batch
         self.max_batch_size = int(max_batch_size)
-        self.max_wait_us = int(max_wait_us)
         self.n_workers = int(n_workers)
         self.name = name
         self._queue = None
@@ -195,21 +190,12 @@ class MicroBatcher:
                 for size, count in sorted(self._histogram.items())
             },
             "max_batch_size": self.max_batch_size,
-            "max_wait_us": self.max_wait_us,
             "queue_depth": self.queue_depth,
             "expired": self._n_expired,
             "batch_errors": self._n_batch_errors,
         }
 
     # -- worker side ---------------------------------------------------------
-
-    def _drain_ready(self, batch):
-        """Move already-queued requests into the open batch (no waiting)."""
-        while len(batch) < self.max_batch_size:
-            try:
-                batch.append(self._queue.get_nowait())
-            except asyncio.QueueEmpty:
-                return
 
     def _drop_expired(self, batch):
         """Fail entries whose deadline lapsed while queued; keep the rest."""
@@ -232,20 +218,8 @@ class MicroBatcher:
         loop = asyncio.get_running_loop()
         while True:
             batch = [await self._queue.get()]
-            self._drain_ready(batch)
-            if self.max_wait_us and len(batch) < self.max_batch_size:
-                deadline = loop.time() + self.max_wait_us / 1e6
-                while len(batch) < self.max_batch_size:
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
-                        break
-                    try:
-                        batch.append(await asyncio.wait_for(
-                            self._queue.get(), remaining,
-                        ))
-                    except asyncio.TimeoutError:
-                        break
-                    self._drain_ready(batch)
+            while len(batch) < self.max_batch_size and self._queue.qsize():
+                batch.append(self._queue.get_nowait())
             batch = self._drop_expired(batch)
             if not batch:
                 continue

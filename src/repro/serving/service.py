@@ -11,9 +11,10 @@ Endpoints
 ---------
 ``POST /predict``
     ``{"model": name, "rows": [[...], ...]}`` → hard labels.  Requests
-    for the same model coalesce through the micro-batcher into one
-    :meth:`FairModel.predict_batch` pass (bit-identical to per-request
-    ``predict``).
+    for the same model coalesce through the micro-batcher: each pass
+    starts as soon as a worker is free and takes whatever queued during
+    the previous pass, as one :meth:`FairModel.predict_batch` call
+    (bit-identical to per-request ``predict``).
 ``POST /audit``
     ``{"model": name, "dataset": "adult"|"scenario:...", "n": ..,
     "seed": ..}`` or inline ``{"data": {"X": .., "y": ..,
@@ -40,8 +41,9 @@ Endpoints
 ``GET /jobs/<id>``
     Poll a retune job (status / result / error / timeout / cancelled).
 ``GET /models`` / ``GET /healthz`` / ``GET /stats``
-    Registry rows; liveness; queue depth, admission counts, batch-size
-    histograms, registry/dedup hit counters, job table, breaker states,
+    Registry rows; liveness; queue depth, admission counts, per-route
+    counts (known routes plus ``other``), batch-size histograms,
+    registry/dedup hit counters, job table, breaker states,
     shed/deadline counters, fault-plan schedule.
 
 Resilience semantics (see ``docs/resilience.md``):
@@ -93,14 +95,26 @@ __all__ = ["FairnessService", "ServerHandle", "serve_in_thread"]
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 429: "Too Many Requests",
-    500: "Internal Server Error", 503: "Service Unavailable",
-    504: "Gateway Timeout",
+    405: "Method Not Allowed", 413: "Content Too Large",
+    429: "Too Many Requests", 431: "Request Header Fields Too Large",
+    500: "Internal Server Error", 501: "Not Implemented",
+    503: "Service Unavailable", 504: "Gateway Timeout",
 }
+
+#: every route the service answers; ``/stats`` counts any other
+#: method/path pair under ``other``, so clients cannot grow its keys
+_ROUTES = frozenset({
+    "GET /healthz", "GET /models", "GET /stats", "GET /jobs/*",
+    "POST /predict", "POST /audit", "POST /retune", "POST /update",
+})
+_PATHS = frozenset(route.split(" ")[1] for route in _ROUTES)
 
 #: bound on inline payload sizes (rows × features) — a serving layer
 #: should reject absurd requests instead of allocating for them
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: header lines one request may carry
+MAX_HEADER_LINES = 100
 
 
 def _jsonable(obj):
@@ -118,6 +132,38 @@ def _jsonable(obj):
 
 class _BadRequest(SpecificationError):
     """Client-side request error → HTTP 400."""
+
+
+class _FramingError(Exception):
+    """Bytes that cannot be framed as a request → one answer, then close."""
+
+    def __init__(self, status, message):
+        super().__init__(message)
+        self.status = status
+
+
+async def _read_line(reader):
+    try:
+        return await reader.readline()
+    except ValueError as exc:  # the line overran the reader's limit
+        raise _FramingError(431, "request line or header too long") from exc
+
+
+async def _discard_input(reader, writer):
+    """Half-close, then drop client input until EOF, for at most 1 s.
+
+    Closing with unread input resets the connection, which can destroy
+    the last response before the client reads it.
+    """
+    async def drain():
+        while await reader.read(65536):
+            pass
+
+    writer.write_eof()
+    try:
+        await asyncio.wait_for(drain(), 1.0)
+    except (asyncio.TimeoutError, ConnectionError):
+        pass
 
 
 class _Shed(Exception):
@@ -161,7 +207,7 @@ class FairnessService:
         Coalesce concurrent predicts through the micro-batcher.  False
         pins every batcher to ``max_batch_size=1`` — the identical
         pipeline without coalescing (the benchmark's off arm).
-    max_batch_size, max_wait_us, n_workers
+    max_batch_size, n_workers
         Micro-batcher knobs, applied per model.
     store_dir : path-like or None
         Root of the persistent cross-run cache
@@ -183,8 +229,7 @@ class FairnessService:
     """
 
     def __init__(self, registry=None, *, batching=True, max_batch_size=32,
-                 max_wait_us=2000, n_workers=1,
-                 store_dir=None, max_inflight=256, max_jobs=32,
+                 n_workers=1, store_dir=None, max_inflight=256, max_jobs=32,
                  breaker_threshold=5, breaker_cooldown_s=30.0):
         if int(max_inflight) < 1:
             raise SpecificationError(
@@ -201,8 +246,7 @@ class FairnessService:
 
             self.store = CacheStore(store_dir)
         self.batching = bool(batching)
-        self.max_batch_size = int(max_batch_size)
-        self.max_wait_us = int(max_wait_us)
+        self.max_batch_size = int(max_batch_size) if self.batching else 1
         self.n_workers = int(n_workers)
         self.max_inflight = int(max_inflight)
         self.max_jobs = int(max_jobs)
@@ -285,7 +329,16 @@ class FairnessService:
     async def _handle_connection(self, reader, writer):
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _FramingError as exc:
+                    # the stream cannot be re-synchronised: answer, close
+                    self._count("admitted")
+                    await self._respond(
+                        writer, exc.status, {"error": str(exc)}, {},
+                        keep_alive=False,
+                    )
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
@@ -294,23 +347,10 @@ class FairnessService:
                     method, path, body,
                 )
                 keep_alive = headers.get("connection", "").lower() != "close"
-                data = json.dumps(_jsonable(payload)).encode()
-                extra_lines = "".join(
-                    f"{key}: {value}\r\n" for key, value in extra.items()
-                )
-                head = (
-                    f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
-                    f"Content-Type: application/json\r\n"
-                    f"Content-Length: {len(data)}\r\n"
-                    f"{extra_lines}"
-                    f"Connection: {'keep-alive' if keep_alive else 'close'}"
-                    f"\r\n\r\n"
-                ).encode("latin-1")
-                writer.write(head + data)
-                await writer.drain()
-                self._count("completed" if status < 400 else "errors")
+                await self._respond(writer, status, payload, extra, keep_alive)
                 if not keep_alive:
                     break
+            await _discard_input(reader, writer)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-request
         except asyncio.CancelledError:
@@ -322,27 +362,66 @@ class FairnessService:
             except (ConnectionError, OSError):
                 pass
 
+    async def _respond(self, writer, status, payload, extra, keep_alive):
+        data = json.dumps(_jsonable(payload)).encode()
+        extra_lines = "".join(
+            f"{key}: {value}\r\n" for key, value in extra.items()
+        )
+        head = (
+            f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(data)}\r\n"
+            f"{extra_lines}"
+            f"Connection: {'keep-alive' if keep_alive else 'close'}"
+            f"\r\n\r\n"
+        ).encode("latin-1")
+        writer.write(head + data)
+        await writer.drain()
+        self._count("completed" if status < 400 else "errors")
+
     @staticmethod
     async def _read_request(reader):
-        line = await reader.readline()
+        """One request off the stream, or None at its end.
+
+        Raises :class:`_FramingError` (answered with ``Connection:
+        close``): 400 for a malformed request line or a
+        ``Content-Length`` that is not one plain decimal, 431 for a line
+        over the reader's limit or more than :data:`MAX_HEADER_LINES`
+        header lines, 413 for a body over :data:`MAX_BODY_BYTES`, 501
+        for any ``Transfer-Encoding``.
+        """
+        line = await _read_line(reader)
         if not line or not line.strip():
             return None
         parts = line.decode("latin-1").split()
         if len(parts) < 2:
-            return None
+            raise _FramingError(400, "malformed request line")
         method, path = parts[0].upper(), parts[1]
         headers = {}
-        while True:
-            raw = await reader.readline()
+        for _ in range(MAX_HEADER_LINES + 1):
+            raw = await _read_line(reader)
             if raw in (b"\r\n", b"\n", b""):
                 break
             key, _, value = raw.decode("latin-1").partition(":")
-            headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
-        if length > MAX_BODY_BYTES:
-            raise ConnectionError("request body too large")
-        body = await reader.readexactly(length) if length else b""
-        return method, path, headers, body
+            key, value = key.strip().lower(), value.strip()
+            if key == "content-length" and headers.get(key, value) != value:
+                raise _FramingError(400, "conflicting Content-Length headers")
+            headers[key] = value
+        else:
+            raise _FramingError(
+                431, f"more than {MAX_HEADER_LINES} header lines",
+            )
+        if "transfer-encoding" in headers:
+            raise _FramingError(501, "Transfer-Encoding is not supported")
+        length = headers.get("content-length", "0")
+        if not (length.isascii() and length.isdigit()):
+            raise _FramingError(400, f"non-decimal Content-Length {length!r}")
+        length = length.lstrip("0") or "0"
+        # count digits first: int() refuses absurdly long strings
+        too_long = len(length) > len(str(MAX_BODY_BYTES))
+        if too_long or int(length) > MAX_BODY_BYTES:
+            raise _FramingError(413, f"body over {MAX_BODY_BYTES} bytes")
+        return method, path, headers, await reader.readexactly(int(length))
 
     # -- dispatch ------------------------------------------------------------
 
@@ -356,9 +435,10 @@ class FairnessService:
         the ``service.dispatch`` fault site — inside the connection
         loop.
         """
-        self._routes[f"{method} {path.split('?')[0]}"] = (
-            self._routes.get(f"{method} {path.split('?')[0]}", 0) + 1
-        )
+        target = "/jobs/*" if path.startswith("/jobs/") else path
+        route = f"{method} {target}"
+        label = route if route in _ROUTES else "other"
+        self._routes[label] = self._routes.get(label, 0) + 1
         try:
             inject("service.dispatch")
             body = {}
@@ -369,25 +449,23 @@ class FairnessService:
                     raise _BadRequest(f"request body is not JSON: {exc}")
                 if not isinstance(body, dict):
                     raise _BadRequest("request body must be a JSON object")
-            if method == "GET" and path == "/healthz":
+            if route == "GET /healthz":
                 return 200, self._healthz(), {}
-            if method == "GET" and path == "/models":
+            if route == "GET /models":
                 return 200, {"models": self.registry.describe()}, {}
-            if method == "GET" and path == "/stats":
+            if route == "GET /stats":
                 return 200, self._stats(), {}
-            if method == "GET" and path.startswith("/jobs/"):
+            if route == "GET /jobs/*":
                 return 200, self._job_status(path[len("/jobs/"):]), {}
-            if method == "POST" and path == "/predict":
+            if route == "POST /predict":
                 return 200, await self._predict(body), {}
-            if method == "POST" and path == "/audit":
+            if route == "POST /audit":
                 return 200, await self._audit(body), {}
-            if method == "POST" and path == "/retune":
+            if route == "POST /retune":
                 return 200, self._retune(body), {}
-            if method == "POST" and path == "/update":
+            if route == "POST /update":
                 return 200, await self._update(body), {}
-            if path in ("/predict", "/audit", "/retune", "/update",
-                        "/healthz", "/models",
-                        "/stats") or path.startswith("/jobs/"):
+            if target in _PATHS:
                 return 405, {"error": f"{method} not allowed on {path}"}, {}
             return 404, {"error": f"no route {method} {path}"}, {}
         except KeyError as exc:
@@ -443,10 +521,7 @@ class FairnessService:
             "queue_depth": sum(b.queue_depth for b in self._batchers.values()),
             "batching": {
                 "enabled": self.batching,
-                "max_batch_size": (
-                    self.max_batch_size if self.batching else 1
-                ),
-                "max_wait_us": self.max_wait_us,
+                "max_batch_size": self.max_batch_size,
                 "per_model": batchers,
             },
             "registry": self.registry.stats(),
@@ -484,8 +559,7 @@ class FairnessService:
 
             batcher = MicroBatcher(
                 predict_chunks,
-                max_batch_size=self.max_batch_size if self.batching else 1,
-                max_wait_us=self.max_wait_us if self.batching else 0,
+                max_batch_size=self.max_batch_size,
                 n_workers=self.n_workers,
                 name=name,
             )

@@ -252,6 +252,13 @@ class TestCommands:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_serve_max_wait_us_flag_is_gone(self, capsys):
+        # removed in 7.0.0: the batcher no longer holds batches open
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--port", "0", "--max-wait-us", "1"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_train_bad_spec_fails_cleanly(self):
         out = io.StringIO()
         code = main(

@@ -144,7 +144,7 @@ class TestBatcherResilience:
 
         async def main():
             batcher = MicroBatcher(
-                spying_predict, max_batch_size=8, max_wait_us=0,
+                spying_predict, max_batch_size=8,
             )
             await batcher.start()
             try:
@@ -175,8 +175,7 @@ class TestBatcherResilience:
 
         async def main():
             batcher = MicroBatcher(
-                moody_predict, max_batch_size=8, max_wait_us=0,
-                name="moody",
+                moody_predict, max_batch_size=8, name="moody",
             )
             await batcher.start()
             try:
@@ -199,7 +198,7 @@ class TestBatcherResilience:
 
         async def main():
             batcher = MicroBatcher(
-                _labels, max_batch_size=4, max_wait_us=0,
+                _labels, max_batch_size=4,
             )
             await batcher.start()
             try:
@@ -216,7 +215,7 @@ class TestBatcherResilience:
     def test_drain_close_answers_queued_requests(self):
         async def main():
             batcher = MicroBatcher(
-                _labels, max_batch_size=4, max_wait_us=0,
+                _labels, max_batch_size=4,
             )
             await batcher.start()
             futures = [
@@ -262,7 +261,6 @@ def _make_service(dataset, fair_model, **kwargs):
     )
     kwargs.setdefault("batching", True)
     kwargs.setdefault("max_batch_size", 16)
-    kwargs.setdefault("max_wait_us", 500)
     return FairnessService(registry=registry, **kwargs)
 
 

@@ -299,7 +299,7 @@ class TestMicroBatcher:
             rng.normal(size=(int(rng.integers(1, 7)), 4)) for _ in range(40)
         ]
         results, stats = run_batched(
-            fair, chunks, max_batch_size=16, max_wait_us=5000,
+            fair, chunks, max_batch_size=16,
         )
         for chunk, got in zip(chunks, results):
             assert got.dtype == np.int64
@@ -311,7 +311,7 @@ class TestMicroBatcher:
         fair = make_fair_model(seed=6)
         chunks = [np.zeros((2, 4)) for _ in range(30)]
         _, stats = run_batched(
-            fair, chunks, max_batch_size=4, max_wait_us=5000,
+            fair, chunks, max_batch_size=4,
         )
         sizes = [int(size) for size in stats["histogram"]]
         assert max(sizes) <= 4
@@ -324,7 +324,7 @@ class TestMicroBatcher:
         fair = make_fair_model(seed=7)
         chunks = [np.zeros((1, 4)) for _ in range(10)]
         results, stats = run_batched(
-            fair, chunks, max_batch_size=1, max_wait_us=0,
+            fair, chunks, max_batch_size=1,
         )
         assert stats["batches"] == 10
         assert stats["histogram"] == {"1": 10}
@@ -337,7 +337,7 @@ class TestMicroBatcher:
             raise RuntimeError("model exploded")
 
         async def main():
-            batcher = MicroBatcher(boom, max_batch_size=8, max_wait_us=5000)
+            batcher = MicroBatcher(boom, max_batch_size=8)
             await batcher.start()
             try:
                 results = await asyncio.gather(
@@ -365,7 +365,7 @@ class TestMicroBatcher:
 
         async def main():
             batcher = MicroBatcher(
-                fair.predict_batch, max_batch_size=8, max_wait_us=5000,
+                fair.predict_batch, max_batch_size=8,
             )
             await batcher.start()
             try:
@@ -389,9 +389,62 @@ class TestMicroBatcher:
         with pytest.raises(ValueError):
             MicroBatcher(lambda c: c, max_batch_size=0)
         with pytest.raises(ValueError):
-            MicroBatcher(lambda c: c, max_wait_us=-1)
-        with pytest.raises(ValueError):
             MicroBatcher(lambda c: c, n_workers=0)
+
+    def test_max_wait_us_keyword_is_gone(self):
+        # removed in 7.0.0: batches no longer wait on a timer
+        with pytest.raises(TypeError):
+            MicroBatcher(lambda c: c, max_wait_us=0)
+        assert "max_wait_us" not in MicroBatcher(lambda c: c).stats()
+
+    def test_lone_request_does_not_wait_for_stragglers(self):
+        # the second request arrives while the first one's pass runs,
+        # so it forms its own batch instead of joining a held-open one
+        fair = make_fair_model(seed=10)
+        rows = np.zeros((2, 4))
+
+        async def main():
+            batcher = MicroBatcher(fair.predict_batch)
+            await batcher.start()
+            try:
+                first = asyncio.ensure_future(batcher.submit(rows))
+                await asyncio.sleep(0)
+                await asyncio.sleep(0)
+                second = asyncio.ensure_future(batcher.submit(rows))
+                await asyncio.gather(first, second)
+                return batcher.stats()
+            finally:
+                await batcher.close()
+
+        assert asyncio.run(main())["histogram"] == {"1": 2}
+
+    def test_requests_queued_during_a_pass_form_one_next_batch(self):
+        started, release = threading.Event(), threading.Event()
+
+        def blocking_predict(chunks):
+            started.set()
+            release.wait(10)
+            return [np.zeros(len(c), dtype=np.int64) for c in chunks]
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            batcher = MicroBatcher(blocking_predict)
+            await batcher.start()
+            try:
+                first = asyncio.ensure_future(batcher.submit(np.zeros((1, 4))))
+                await loop.run_in_executor(None, started.wait, 10)
+                rest = [
+                    asyncio.ensure_future(batcher.submit(np.zeros((1, 4))))
+                    for _ in range(5)
+                ]
+                await asyncio.sleep(0)
+                release.set()
+                await asyncio.gather(first, *rest)
+                return batcher.stats()
+            finally:
+                await batcher.close()
+
+        assert asyncio.run(main())["histogram"] == {"1": 1, "5": 1}
 
     def test_task_storm_from_many_producers(self, scenario):
         """Batch-boundary determinism under a real concurrent storm."""
@@ -402,8 +455,7 @@ class TestMicroBatcher:
 
         async def main():
             batcher = MicroBatcher(
-                fair.predict_batch, max_batch_size=32, max_wait_us=2000,
-                n_workers=2,
+                fair.predict_batch, max_batch_size=32, n_workers=2,
             )
             await batcher.start()
             try:

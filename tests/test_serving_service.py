@@ -49,7 +49,7 @@ def server(dataset, fair_model):
         "gs", fair_model, dataset_fingerprint=dataset.fingerprint(),
     )
     service = FairnessService(
-        registry=registry, batching=True, max_batch_size=16, max_wait_us=500,
+        registry=registry, batching=True, max_batch_size=16,
     )
     with serve_in_thread(service) as handle:
         yield handle
@@ -100,11 +100,18 @@ class TestBasics:
         client.predict("gs", dataset.X[:3])
         stats = client.stats()
         assert stats["batching"]["enabled"] is True
+        assert "max_wait_us" not in stats["batching"]
         assert "gs" in stats["batching"]["per_model"]
         assert stats["registry"]["models"] == 1
         assert stats["admission"]["admitted"] >= 1
         assert "queue_depth" in stats
         assert stats["store"] is None  # no --store-dir on this server
+
+    def test_max_wait_us_keyword_is_gone(self):
+        # removed in 7.0.0: batches form from whatever queued during the
+        # previous pass, so there is no straggler window to configure
+        with pytest.raises(TypeError):
+            FairnessService(max_wait_us=0)
 
     def test_stats_reports_store_counters(self, tmp_path):
         service = FairnessService(store_dir=tmp_path)
