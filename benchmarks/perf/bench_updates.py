@@ -1,16 +1,19 @@
 """Incremental engine: O(batch) audit updates vs from-scratch recompute.
 
-ISSUE 9 added :mod:`repro.incremental` — exact fairness maintenance
-under data updates.  This harness measures the two properties the
-subsystem promises, on the ``million_row`` scaling scenario:
+:mod:`repro.incremental` keeps fairness audits exact under data
+updates.  This harness measures the two properties the subsystem
+promises, on the ``million_row`` scaling scenario:
 
 * **per-batch audit cost is independent of the audited row count** —
   appending a fixed-size batch through
   :meth:`~repro.incremental.IncrementalAuditor.append_rows` (count
   deltas over the changed rows only) must be an order of magnitude
   cheaper than a from-scratch :class:`~repro.core.kernels.
-  CompiledEvaluator` pass over all live rows, and the two must agree
-  **bit-for-bit** after every batch (the gate checks both);
+  CompiledEvaluator` pass over all live rows.  Each append is followed
+  by a :meth:`~repro.incremental.IncrementalAuditor.retire_rows` of the
+  oldest batch of live rows, and both snapshots must agree
+  **bit-for-bit** with the recompute (the gate checks the append
+  speedup and every snapshot);
 * **drift retunes are warm** — when the updated max-violation breaches
   the drift tolerance, the λ re-search seeded from the deployed model's
   fitted λ (:func:`~repro.incremental.warm_retune`) must spend strictly
@@ -76,8 +79,18 @@ def fit_model(dataset, spec, seed):
     return model
 
 
+def same_audit(snapshot, reference):
+    """Whether an incremental snapshot equals a recompute bit for bit."""
+    return (
+        snapshot["disparities"].tobytes()
+        == reference["disparities"].tobytes()
+        and snapshot["accuracy"] == reference["accuracy"]
+        and snapshot["max_violation"] == reference["max_violation"]
+    )
+
+
 def run_update_arm(base_rows, n_batches, seed):
-    """Fixed-size appends: incremental audit vs from-scratch recompute.
+    """Fixed-size appends and retires: incremental audit vs recompute.
 
     The recompute arm re-binds the constraints and re-scores the stored
     predictions through the batched evaluator — the cheapest honest
@@ -96,7 +109,8 @@ def run_update_arm(base_rows, n_batches, seed):
     stream = load_scenario(
         UPDATE_SCENARIO, n=n_batches * BATCH_ROWS, seed=seed + 1,
     )
-    inc_s, full_s = [], []
+
+    inc_s, ret_s, full_s = [], [], []
     bit_identical = True
     for b in range(n_batches):
         batch = stream.subset(
@@ -108,13 +122,17 @@ def run_update_arm(base_rows, n_batches, seed):
         start = time.perf_counter()
         reference = auditor.recompute()
         full_s.append(time.perf_counter() - start)
-        bit_identical = bit_identical and (
-            snapshot["disparities"].tobytes()
-            == reference["disparities"].tobytes()
-            and snapshot["accuracy"] == reference["accuracy"]
-            and snapshot["max_violation"] == reference["max_violation"]
+        bit_identical = same_audit(snapshot, reference) and bit_identical
+        # row ids are append order, so the oldest live rows come first
+        oldest = np.arange(b * BATCH_ROWS, (b + 1) * BATCH_ROWS)
+        start = time.perf_counter()
+        snapshot = auditor.retire_rows(oldest)
+        ret_s.append(time.perf_counter() - start)
+        bit_identical = (
+            same_audit(snapshot, auditor.recompute()) and bit_identical
         )
     inc_median = statistics.median(inc_s)
+    ret_median = statistics.median(ret_s)
     full_median = statistics.median(full_s)
     return {
         "scenario": UPDATE_SCENARIO,
@@ -123,8 +141,10 @@ def run_update_arm(base_rows, n_batches, seed):
         "n_batches": n_batches,
         "auditor_init_s": round(init_s, 4),
         "incremental_s": [round(t, 6) for t in inc_s],
+        "retire_s": [round(t, 6) for t in ret_s],
         "recompute_s": [round(t, 6) for t in full_s],
         "incremental_median_s": round(inc_median, 6),
+        "retire_median_s": round(ret_median, 6),
         "recompute_median_s": round(full_median, 6),
         "speedup": round(full_median / max(inc_median, 1e-9), 2),
         "bit_identical": bit_identical,
@@ -184,7 +204,8 @@ def main(argv=None):
           f"batch={BATCH_ROWS} x{n_batches}")
     update = run_update_arm(base_rows, n_batches, args.seed)
     print(f"  incremental: {update['incremental_median_s'] * 1e3:.2f}ms "
-          f"median/batch")
+          f"median/batch append, "
+          f"{update['retire_median_s'] * 1e3:.2f}ms retire")
     print(f"  recompute:   {update['recompute_median_s'] * 1e3:.2f}ms "
           f"median/batch  x{update['speedup']}")
     print(f"  bit-identical after every batch: "

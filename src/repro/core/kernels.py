@@ -30,15 +30,25 @@ therefore stores the static mask once and tracks only the scalar count:
 rows whose predictions actually changed since the previous call, instead
 of recomputing every coefficient.
 
-:class:`CompiledEvaluator` is the validation-side twin: it compiles the
-group/label masks needed to score predictions against every constraint
-into one stacked matrix, so the disparities of a whole batch of
-prediction vectors reduce to a single ``(B, n) @ (n, S)`` product.  All
-rates are computed as exact integer counts divided once, mirroring
-:mod:`repro.ml.metrics` bitwise.  Its
+Scoring has one count layout (:func:`count_columns`).  A *count column*
+is one group's rows filtered by the labels its rate kind needs — all
+rows for SP, the ``y = 0`` rows for FPR, the ``y = 1`` rows for FNR and
+both for MR/FOR/FDR/AEC — and its state is two exact integers: its row
+count and its positive-prediction count.  Sides that share a group
+share its columns.  One count→rate step (:func:`disparities_from_counts`
+over :func:`rate_from_counts`) turns the counts into disparities,
+mirroring :mod:`repro.ml.metrics` bitwise.
+
+:class:`CompiledEvaluator` is the validation-side twin of the weight
+kernels: it marks the count columns in one ``(n, width)`` mask, so the
+positive counts of a whole batch of prediction vectors are a single
+``(B, n) @ (n, width)`` product.  Its
 :meth:`~CompiledEvaluator.score_models_batch` is the one scoring pass of
 the engine: every λ candidate and every final audit is predicted and
-counted there, one row block at a time.
+counted there, one row block at a time.  The
+:class:`~repro.incremental.IncrementalAuditor` keeps the same counts as
+running totals under row appends and retires, and scores them through
+the same step.
 
 :func:`evaluate_lambda_batch` glues the two together: weights for a grid
 or population of λ candidates in one pass, one model fit per candidate
@@ -51,6 +61,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..ml import metrics as mlm
+from ..ml.base import check_binary_labels
 from .fairness_metrics import (
     _aec_rate,
     _fdr_coeff,
@@ -62,7 +73,10 @@ from .fairness_metrics import (
 __all__ = [
     "CompiledConstraints",
     "CompiledEvaluator",
+    "CountLayout",
     "BatchEvalResult",
+    "count_columns",
+    "disparities_from_counts",
     "evaluate_lambda_batch",
     "rate_from_counts",
 ]
@@ -357,25 +371,7 @@ class CompiledConstraints:
         return W
 
 
-# -- validation-side evaluation kernel ---------------------------------------
-
-
-class _RateSide:
-    """How to score one group side of one constraint from count columns.
-
-    ``kind`` selects the closed-form rate; ``cols`` indexes into the
-    stacked count matrix produced by one batched mask product.
-    """
-
-    __slots__ = ("kind", "size", "n_y0", "n_y1", "cols", "costs")
-
-    def __init__(self, kind, size, n_y0, n_y1, cols, costs=None):
-        self.kind = kind
-        self.size = size
-        self.n_y0 = n_y0
-        self.n_y1 = n_y1
-        self.cols = cols
-        self.costs = costs
+# -- count columns: the one count layout of scoring and incremental audits ---
 
 
 def _safe_div(num, den):
@@ -387,28 +383,31 @@ def _safe_div(num, den):
     return out
 
 
-def rate_from_counts(kind, counts, size, n_y0, n_y1, costs=None):
-    """Closed-form group rate from exact positive-prediction counts.
+def rate_from_counts(kind, pos, rows, costs=None):
+    """Closed-form group rate of one constraint side from its count columns.
 
-    ``counts`` carries the per-mask positive-prediction tallies for one
-    group side — one entry for ``sp``/``fpr``/``fnr``, the
-    ``(y=0 rows, y=1 rows)`` pair for the two-column kinds — as float64
-    scalars or arrays.  Every operation is float64 arithmetic over
-    exact integers (< 2**53), so *any* caller that supplies the same
-    counts gets the same bits back: this one function is shared by the
-    batched :class:`CompiledEvaluator` matmul path and the
-    :class:`~repro.incremental.IncrementalAuditor` accumulator path,
-    which is what makes incremental audits bit-identical to
-    from-scratch evaluation.
+    ``pos`` and ``rows`` hold, for each count column of the side, its
+    positive-prediction count and its row count (float64 or integer
+    scalars, or arrays over a batch): one column for ``sp`` (the
+    group), ``fpr`` (its ``y = 0`` rows) and ``fnr`` (its ``y = 1``
+    rows); the ``(y = 0, y = 1)`` pair for the two-column kinds, whose
+    group size is ``n_y0 + n_y1``.  Every operation is float64
+    arithmetic over exact integers (< 2**53), so any caller that
+    supplies the same counts gets the same bits back: the
+    :class:`CompiledEvaluator` block loop and the
+    :class:`~repro.incremental.IncrementalAuditor` running totals both
+    score through here, which is what makes incremental audits
+    bit-identical to from-scratch evaluation.
     """
     if kind == "sp":
-        return counts[0] / size
+        return pos[0] / rows[0]
     if kind == "fpr":
-        return _safe_div(counts[0], n_y0)
+        return _safe_div(pos[0], rows[0])
     if kind == "fnr":
-        return _safe_div(n_y1 - counts[0], n_y1)
-    pos0 = counts[0]   # pred=1 among y=0 rows: FP
-    pos1 = counts[1]   # pred=1 among y=1 rows: TP
+        return _safe_div(rows[0] - pos[0], rows[0])
+    pos0, pos1 = pos[0], pos[1]     # FP, TP
+    n_y0, n_y1 = rows[0], rows[1]
+    size = n_y0 + n_y1
     if kind == "mr":
         return (pos0 + (n_y1 - pos1)) / size
     if kind == "for":
@@ -446,15 +445,102 @@ def _rate_kind(metric):
     return None, None
 
 
+#: the label filter of each count column of one side, per rate kind
+#: (``None``: every row of the group)
+_COLUMN_LABELS = {
+    "sp": (None,), "fpr": (0,), "fnr": (1,),
+    "mr": (0, 1), "for": (0, 1), "fdr": (0, 1), "aec": (0, 1),
+}
+
+
+class CountLayout:
+    """Which count columns score each side of each bound constraint.
+
+    ``rates`` holds ``(k, kind, costs, side1, side2)`` per built-in
+    constraint, each side a slice of adjacent columns; ``fallback``
+    lists the custom-metric constraints, whose rates are not counts;
+    ``width`` is the number of columns.
+    """
+
+    __slots__ = ("k", "rates", "fallback", "width")
+
+    def __init__(self, k, rates, fallback, width):
+        self.k = k
+        self.rates = rates
+        self.fallback = fallback
+        self.width = width
+
+
+def count_columns(constraints, y):
+    """``(layout, mask)``: the count columns of ``constraints`` over ``y``.
+
+    A count column is one group's rows filtered by the labels its rate
+    kind needs (:data:`_COLUMN_LABELS`); ``mask`` is the ``(n, width)``
+    float64 0/1 matrix whose column ``c`` marks column ``c``'s rows.
+    Sides that share a group share its columns: every pair of one
+    :meth:`FairnessSpec.bind` holds the same index array object for a
+    group, so array identity is the key.  Labels outside {0, 1} are
+    refused (:func:`~repro.ml.base.check_binary_labels`): a row labelled
+    2 would sit in a group column but in neither label column.
+    """
+    y = check_binary_labels(y)
+    first = {}      # (id(group rows), labels) -> its first column
+    cells = []      # row indices of each column
+    rates, fallback = [], []
+    for k, constraint in enumerate(constraints):
+        kind, costs = _rate_kind(constraint.metric)
+        if kind is None:
+            fallback.append(k)
+            continue
+        labels = _COLUMN_LABELS[kind]
+        sides = []
+        for idx in (constraint.g1_idx, constraint.g2_idx):
+            key = (id(idx), labels)
+            if key not in first:
+                first[key] = len(cells)
+                if labels == (None,):
+                    cells.append(idx)
+                else:
+                    y_g = y[idx]
+                    cells.extend(idx[y_g == label] for label in labels)
+            start = first[key]
+            sides.append(slice(start, start + len(labels)))
+        rates.append((k, kind, costs, *sides))
+    # column-major: each column is one contiguous run to mark and sum
+    mask = np.zeros((len(y), len(cells)), order="F")
+    for c, rows in enumerate(cells):
+        mask[rows, c] = 1.0
+    layout = CountLayout(len(constraints), rates, fallback, len(cells))
+    return layout, mask
+
+
+def disparities_from_counts(layout, pos, rows):
+    """``(B, k)`` disparities from ``(B, width)`` positive counts.
+
+    ``rows`` is the ``(width,)`` row count of every column.  Each
+    built-in constraint's disparity is ``rate(side1) − rate(side2)``
+    through :func:`rate_from_counts`; the custom-metric columns
+    (``layout.fallback``) are left for the caller to fill.
+    """
+    pos = pos.T
+    out = np.empty((pos.shape[1], layout.k))
+    for k, kind, costs, side1, side2 in layout.rates:
+        out[:, k] = (
+            rate_from_counts(kind, pos[side1], rows[side1], costs)
+            - rate_from_counts(kind, pos[side2], rows[side2], costs)
+        )
+    return out
+
+
 class CompiledEvaluator:
     """Vectorized disparity/accuracy scoring against bound constraints.
 
     Built once per (validation split, constraints) pair.  For built-in
-    metrics every group rate reduces to exact integer counts obtained
-    from a single stacked mask product, so scoring B candidate
-    prediction vectors is one ``(B, n) @ (n, S)`` matmul; custom metrics
-    fall back to the per-constraint Python path, keeping results
-    identical to :meth:`Constraint.disparity` in all cases.
+    metrics every group rate reduces to exact integer counts over the
+    count columns of :func:`count_columns`, so scoring B candidate
+    prediction vectors is one ``(B, n) @ (n, width)`` mask product;
+    custom metrics fall back to the per-constraint Python path, keeping
+    results identical to :meth:`Constraint.disparity` in all cases.
 
     ``chunk_size`` is the one row-block size of every pass: the
     prediction, the mask product and the accuracy reduction stream over
@@ -473,47 +559,15 @@ class CompiledEvaluator:
     """
 
     def __init__(self, constraints, y, chunk_size=None):
-        self.y = np.asarray(y, dtype=np.int64)
-        self.n = len(self.y)
         self.constraints = list(constraints)
         self.k = len(self.constraints)
         if chunk_size is not None and int(chunk_size) < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.chunk_size = None if chunk_size is None else int(chunk_size)
-        mask_cols = []
-
-        def add_mask(rows):
-            col = np.zeros(self.n, dtype=np.float64)
-            col[rows] = 1.0
-            mask_cols.append(col)
-            return len(mask_cols) - 1
-
-        self._sides = {}      # (constraint_index, side) -> _RateSide
-        self._fallback = []   # constraint indices scored via Python
-        for k, constraint in enumerate(self.constraints):
-            kind, costs = _rate_kind(constraint.metric)
-            if kind is None:
-                self._fallback.append(k)
-                continue
-            for side, idx in ((0, constraint.g1_idx), (1, constraint.g2_idx)):
-                y_g = self.y[idx]
-                n_y0 = int(np.sum(y_g == 0))
-                n_y1 = int(np.sum(y_g == 1))
-                if kind in ("sp",):
-                    cols = (add_mask(idx),)
-                elif kind in ("mr", "for", "fdr", "aec"):
-                    cols = (add_mask(idx[y_g == 0]), add_mask(idx[y_g == 1]))
-                elif kind == "fpr":
-                    cols = (add_mask(idx[y_g == 0]),)
-                else:  # fnr
-                    cols = (add_mask(idx[y_g == 1]),)
-                self._sides[(k, side)] = _RateSide(
-                    kind, len(idx), n_y0, n_y1, cols, costs
-                )
-        self._mask_matrix = (
-            np.column_stack(mask_cols) if mask_cols
-            else np.zeros((self.n, 0))
-        )
+        self._layout, self._mask = count_columns(self.constraints, y)
+        self._rows = self._mask.sum(axis=0)
+        self.y = np.asarray(y, dtype=np.int64)
+        self.n = len(self.y)
 
     # -- scoring -------------------------------------------------------------
 
@@ -527,18 +581,18 @@ class CompiledEvaluator:
             yield slice(start, min(start + step, self.n))
 
     def _counts(self, block_labels, B):
-        """``(positive counts (B, S), correct (B,))`` over the blocks.
+        """``(positive counts (B, width), correct (B,))`` over the blocks.
 
         The one block loop: ``block_labels(rows)`` returns one block's
         ``(B, block)`` labels, counted before the next block is asked for.
         """
-        pos_counts = np.zeros((B, self._mask_matrix.shape[1]))
+        pos_counts = np.zeros((B, self._layout.width))
         correct = np.zeros(B)
         for rows in self._blocks():
             labels = block_labels(rows)
-            if self._sides:
+            if self._layout.width:
                 pos_counts += (
-                    (labels == 1).astype(np.float64) @ self._mask_matrix[rows]
+                    (labels == 1).astype(np.float64) @ self._mask[rows]
                 )
             correct += (labels == self.y[rows]).astype(np.float64).sum(axis=1)
         return pos_counts, correct
@@ -546,20 +600,14 @@ class CompiledEvaluator:
     def _scores(self, pos_counts, correct, preds=None):
         """``(disparities (B, k), accuracies (B,))`` from the counts.
 
-        Rates come from :func:`rate_from_counts`, shared with the
-        incremental auditor; a custom metric scores the full ``preds``.
+        Rates come from :func:`disparities_from_counts`, shared with
+        the incremental auditor; a custom metric scores the full
+        ``preds``.
         """
-        def rate(side):
-            counts = tuple(pos_counts[..., c] for c in side.cols)
-            return rate_from_counts(side.kind, counts, side.size,
-                                    side.n_y0, side.n_y1, side.costs)
-
-        out = np.empty((len(correct), self.k), dtype=np.float64)
-        for k, constraint in enumerate(self.constraints):
-            if k in self._fallback:
-                out[:, k] = [constraint.disparity(self.y, p) for p in preds]
-            else:
-                out[:, k] = rate(self._sides[(k, 0)]) - rate(self._sides[(k, 1)])
+        out = disparities_from_counts(self._layout, pos_counts, self._rows)
+        for k in self._layout.fallback:
+            out[:, k] = [self.constraints[k].disparity(self.y, p)
+                         for p in preds]
         return out, correct / self.n
 
     def score_batch(self, predictions):
@@ -628,7 +676,7 @@ class CompiledEvaluator:
         if len(X) != self.n:
             raise ValueError(f"X has {len(X)} rows, expected {self.n}")
         predict = self._predictor(models)
-        if self._fallback:
+        if self._layout.fallback:
             return self.score_batch(predict(X))
         return self._scores(
             *self._counts(lambda rows: predict(X[rows]), len(models))

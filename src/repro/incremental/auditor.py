@@ -1,26 +1,28 @@
 """Exact incremental fairness auditing under row appends and retires.
 
-The chunked :class:`~repro.core.kernels.CompiledEvaluator` already
-reduces every supported disparity and the accuracy to exact integer
-counts divided once.  :class:`IncrementalAuditor` makes those counts
-first-class *updatable* state: per (spec, group) it holds the group
-size, the per-label row counts, and the positive-prediction counts
-split by label, and :meth:`append_rows` / :meth:`retire_rows` apply
-count deltas touching only the changed rows.  Rates are then computed
-through the very same :func:`~repro.core.kernels.rate_from_counts`
-arithmetic the batched evaluator uses — float64 operations over exact
-integers below 2**53 — so after **every** update the auditor's
-disparities, accuracy, and max-violation are bit-identical to a
-from-scratch :class:`~repro.core.kernels.CompiledEvaluator` pass over
-the live rows (:meth:`recompute` performs that pass for verification;
-the equivalence is property-tested in ``tests/test_incremental.py``).
+The :class:`~repro.core.kernels.CompiledEvaluator` reduces every
+supported disparity and the accuracy to exact integer counts over its
+*count columns* (:func:`~repro.core.kernels.count_columns`): one
+group's rows filtered by the labels its rate kind needs, each holding a
+row count and a positive-prediction count.  :class:`IncrementalAuditor`
+keeps those same columns as running totals.  Every stored row keeps its
+bool mask row (which columns it counts in), and :meth:`append_rows` /
+:meth:`retire_rows` add or subtract one delta over the changed rows
+only.  Rates then go through the evaluator's own count→rate step
+(:func:`~repro.core.kernels.disparities_from_counts`) — float64
+operations over exact integers below 2**53 — so after **every** update
+the auditor's disparities, accuracy, and max-violation are
+bit-identical to a from-scratch evaluator pass over the live rows
+(:meth:`recompute` performs that pass for verification; the
+equivalence is property-tested in ``tests/test_incremental.py``).
 
-Group membership for appended rows is decided by the spec's own
-grouping function, evaluated on the batch padded with one *witness* row
-per known group (grouping functions reject groupings with missing or
-empty groups, and a small batch rarely covers every group).  The group
-universe is fixed at construction: a batch that introduces a group the
-base dataset did not have raises instead of silently skewing counts.
+The mask rows of appended rows come from the same column builder, run
+on the batch padded with one *witness* row per known group (grouping
+functions reject groupings with missing or empty groups, and a small
+batch rarely covers every group).  The group universe is fixed at
+construction: a batch that introduces a group the base dataset did not
+have binds a different constraint set and raises instead of silently
+skewing counts.
 
 Dataset identity is maintained as a **delta-chained fingerprint**
 (:mod:`repro.store.delta`): the base dataset's full fingerprint plus an
@@ -35,69 +37,20 @@ import numpy as np
 from ..core.dsl import parse_spec
 from ..core.evaluation import max_violation_from_disparities
 from ..core.exceptions import SpecificationError
-from ..core.kernels import CompiledEvaluator, _rate_kind, rate_from_counts
+from ..core.kernels import (
+    CompiledEvaluator,
+    count_columns,
+    disparities_from_counts,
+)
 from ..core.spec import bind_specs
 from ..datasets.schema import Dataset
+from ..ml.base import check_binary_labels
 from ..store.delta import append_digest, chain_fingerprint, retire_digest
 
 __all__ = ["IncrementalAuditor"]
 
 #: row-block size for the initial / rebase prediction passes
 _PREDICT_CHUNK = 262144
-
-
-class _GroupCounts:
-    """The updatable integer accumulators for one (spec, group) pair.
-
-    Every rate the evaluator computes reduces to these five integers:
-    ``size`` (live rows in the group), ``n_y0`` / ``n_y1`` (label
-    counts), and ``pos0`` / ``pos1`` (positive predictions split by
-    label; the group's total positives are ``pos0 + pos1`` exactly).
-    """
-
-    __slots__ = ("size", "n_y0", "n_y1", "pos0", "pos1")
-
-    def __init__(self):
-        self.size = 0
-        self.n_y0 = 0
-        self.n_y1 = 0
-        self.pos0 = 0
-        self.pos1 = 0
-
-    def add_rows(self, y, pred, sign=1):
-        """Fold a batch of member rows in (``sign=+1``) or out (``-1``)."""
-        n = len(y)
-        n_y1 = int(np.sum(y == 1))
-        self.size += sign * n
-        self.n_y1 += sign * n_y1
-        self.n_y0 += sign * (n - n_y1)
-        pos = pred == 1
-        self.pos0 += sign * int(np.sum(pos & (y == 0)))
-        self.pos1 += sign * int(np.sum(pos & (y == 1)))
-
-    def as_dict(self):
-        return {
-            "size": self.size, "n_y0": self.n_y0, "n_y1": self.n_y1,
-            "pos0": self.pos0, "pos1": self.pos1,
-        }
-
-
-class _AuditConstraint:
-    """One pairwise constraint tracked by name (indices are fluid here)."""
-
-    __slots__ = ("spec_idx", "metric", "epsilon", "g1", "g2", "kind",
-                 "costs", "label")
-
-    def __init__(self, spec_idx, metric, epsilon, g1, g2, kind, costs):
-        self.spec_idx = spec_idx
-        self.metric = metric
-        self.epsilon = float(epsilon)
-        self.g1 = g1
-        self.g2 = g2
-        self.kind = kind
-        self.costs = costs
-        # matches Constraint's auto label so recompute() can align
-        self.label = f"{metric.name}|{g1}-{g2}|eps={epsilon}"
 
 
 class IncrementalAuditor:
@@ -139,42 +92,24 @@ class IncrementalAuditor:
         }
         n = len(base)
 
-        # -- fixed group universe + constraint list (bind order) -------------
-        self._group_names = []    # per spec: tuple of group names, in order
-        self._constraints = []    # flattened, bind_specs order
-        memberships = []
-        for s, fspec in enumerate(self.specs):
-            kind, costs = _rate_kind(fspec.metric)
-            if kind is None:
-                raise SpecificationError(
-                    f"metric {fspec.metric.name!r} is custom; incremental "
-                    f"auditing needs a count-reducible built-in metric"
-                )
-            groups = fspec.grouping(base)
-            names = tuple(groups)
-            self._group_names.append(names)
-            member = np.zeros((n, len(names)), dtype=bool)
-            for j, name in enumerate(names):
-                member[groups[name], j] = True
-            memberships.append(member)
-            for i1 in range(len(names)):
-                for i2 in range(i1 + 1, len(names)):
-                    self._constraints.append(_AuditConstraint(
-                        s, fspec.metric, fspec.epsilon,
-                        names[i1], names[i2], kind, costs,
-                    ))
-        self.k = len(self._constraints)
+        # -- fixed group universe: labels, epsilons, count layout -------------
+        constraints = bind_specs(self.specs, base)
+        self._layout, mask = count_columns(constraints, base.y)
+        if self._layout.fallback:
+            name = constraints[self._layout.fallback[0]].metric.name
+            raise SpecificationError(
+                f"metric {name!r} is custom; incremental auditing needs a "
+                f"count-reducible built-in metric"
+            )
+        self._labels = [c.label for c in constraints]
+        self._epsilons = [c.epsilon for c in constraints]
+        self.k = len(constraints)
 
         # -- witness rows: one representative per known group -----------------
-        witness = sorted({
-            int(groups_idx[0])
-            for s, fspec in enumerate(self.specs)
-            for groups_idx in [
-                memberships[s][:, j].nonzero()[0]
-                for j in range(len(self._group_names[s]))
-            ]
-        })
-        self._witness = base.subset(np.asarray(witness, dtype=np.int64))
+        witness = np.unique([
+            idx[0] for c in constraints for idx in (c.g1_idx, c.g2_idx)
+        ])
+        self._witness = base.subset(witness)
 
         # -- growable row storage ---------------------------------------------
         self._extra_keys = tuple(sorted(
@@ -188,17 +123,11 @@ class IncrementalAuditor:
         self._append_storage(
             base.X, base.y, base.sensitive,
             [np.asarray(base.extras[k]) for k in self._extra_keys],
-            memberships,
+            mask != 0,
             self._predict(base.X),
         )
 
         # -- counters + identity ----------------------------------------------
-        self._counts = [
-            {name: _GroupCounts() for name in names}
-            for names in self._group_names
-        ]
-        self._n_live = 0
-        self._correct = 0
         self._recount()
         self.fingerprint = base.fingerprint()
         self.n_updates = 0
@@ -228,8 +157,7 @@ class IncrementalAuditor:
             self._cols[key] = grown
         self._cap = cap
 
-    def _append_storage(self, X, y, sensitive, extra_vals, memberships,
-                        pred):
+    def _append_storage(self, X, y, sensitive, extra_vals, mask, pred):
         n_b = len(y)
         if not self._cols:
             d = np.asarray(X).shape[1]
@@ -239,14 +167,11 @@ class IncrementalAuditor:
                 "sensitive": np.zeros(0, dtype=np.int64),
                 "pred": np.zeros(0, dtype=np.int64),
                 "alive": np.zeros(0, dtype=bool),
+                "mask": np.zeros((0, self._layout.width), dtype=bool),
             }
             for key, val in zip(self._extra_keys, extra_vals):
                 self._cols["extra:" + key] = np.zeros(
                     (0,) + val.shape[1:], dtype=val.dtype
-                )
-            for s, member in enumerate(memberships):
-                self._cols[f"member{s}"] = np.zeros(
-                    (0, member.shape[1]), dtype=bool
                 )
         self._ensure_capacity(n_b)
         lo, hi = self._n, self._n + n_b
@@ -255,12 +180,10 @@ class IncrementalAuditor:
         self._cols["sensitive"][lo:hi] = sensitive
         self._cols["pred"][lo:hi] = pred
         self._cols["alive"][lo:hi] = True
+        self._cols["mask"][lo:hi] = mask
         for key, val in zip(self._extra_keys, extra_vals):
             self._cols["extra:" + key][lo:hi] = val
-        for s, member in enumerate(memberships):
-            self._cols[f"member{s}"][lo:hi] = member
         self._n = hi
-        return np.arange(lo, hi)
 
     def _col(self, key):
         return self._cols[key][:self._n]
@@ -277,7 +200,7 @@ class IncrementalAuditor:
             X, y, sensitive = batch.X, batch.y, batch.sensitive
             extras = batch.extras
         X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
+        y = check_binary_labels(y)
         sensitive = np.asarray(sensitive, dtype=np.int64)
         if X.ndim != 2 or X.shape[1] != self._cols["X"].shape[1]:
             raise SpecificationError(
@@ -303,17 +226,18 @@ class IncrementalAuditor:
             extra_vals.append(val)
         return X, y, sensitive, extra_vals
 
-    def _batch_membership(self, X, y, sensitive, extra_vals):
-        """Per-spec boolean membership of batch rows, via witness padding.
+    def _batch_mask(self, X, y, sensitive, extra_vals):
+        """The batch rows' bool mask rows, via witness padding.
 
-        The grouping function is evaluated on ``witness ⊕ batch``: the
-        witness rows (one live representative per known group) keep
-        every universe group non-empty so grouping validation passes,
-        and the batch rows' group assignment is read off the result.
-        O(batch) — independent of the audited row count.
+        The specs are bound to ``witness ⊕ batch`` and its count columns
+        built by the same :func:`~repro.core.kernels.count_columns` as
+        the base's: the witness rows (one representative per known
+        group) keep every universe group non-empty, so the padded
+        binding matches the base's constraint list and column order
+        unless the batch adds a group.  O(batch) — independent of the
+        audited row count.
         """
         w = self._witness
-        nw = len(w)
         extras = {}
         for j, key in enumerate(self._extra_keys):
             extras[key] = np.concatenate(
@@ -330,22 +254,28 @@ class IncrementalAuditor:
             task=self._base_meta["task"],
             extras=extras,
         )
-        memberships = []
-        for s, fspec in enumerate(self.specs):
-            names = self._group_names[s]
-            order = {name: j for j, name in enumerate(names)}
-            member = np.zeros((len(X), len(names)), dtype=bool)
-            for name, idx in fspec.grouping(padded).items():
-                if name not in order:
-                    raise SpecificationError(
-                        f"update batch introduces unknown group {name!r}; "
-                        f"the incremental auditor's group universe is "
-                        f"fixed at construction ({list(names)})"
-                    )
-                rows = idx[idx >= nw] - nw
-                member[rows, order[name]] = True
-            memberships.append(member)
-        return memberships
+        constraints = bind_specs(self.specs, padded)
+        labels = [c.label for c in constraints]
+        if labels != self._labels:
+            unknown = sorted(set(labels) - set(self._labels))
+            raise SpecificationError(
+                f"update batch introduces unknown group(s): it binds "
+                f"{unknown}, outside the group universe fixed at "
+                f"construction"
+            )
+        _layout, mask = count_columns(constraints, padded.y)
+        return mask[len(w):] != 0
+
+    def _add(self, mask, y, pred, sign):
+        """Fold rows into (``sign=+1``) or out of (``-1``) every count.
+
+        The one state change: each column's row count and
+        positive-prediction count, the correct count and the live count.
+        """
+        self._rows += sign * mask.sum(axis=0)
+        self._pos += sign * mask[pred == 1].sum(axis=0)
+        self._correct += sign * int(np.count_nonzero(pred == y))
+        self._n_live += sign * len(y)
 
     # -- updates --------------------------------------------------------------
 
@@ -355,27 +285,53 @@ class IncrementalAuditor:
 
         Returns the post-update :meth:`audit` snapshot.  The batch is a
         :class:`Dataset` (or raw ``X``/``y``/``sensitive`` arrays) whose
-        rows are predicted once with the audited model; group
-        membership comes from each spec's own grouping function.
+        rows are predicted once with the audited model; its count
+        columns come from each spec's own grouping function.  A batch
+        that is refused (bad shape, a label outside {0, 1}, an unknown
+        group) changes nothing.
         """
         X, y, sensitive, extra_vals = self._coerce_batch(
             batch, X, y, sensitive, extras
         )
-        memberships = self._batch_membership(X, y, sensitive, extra_vals)
+        mask = self._batch_mask(X, y, sensitive, extra_vals)
         pred = self._predict(X)
-        self._append_storage(X, y, sensitive, extra_vals, memberships, pred)
-        for s, member in enumerate(memberships):
-            for j, name in enumerate(self._group_names[s]):
-                m = member[:, j]
-                if m.any():
-                    self._counts[s][name].add_rows(y[m], pred[m], +1)
-        self._n_live += len(y)
-        self._correct += int(np.sum(pred == y))
+        self._append_storage(X, y, sensitive, extra_vals, mask, pred)
+        self._add(mask, y, pred, +1)
         self.fingerprint = chain_fingerprint(
             self.fingerprint, "append", append_digest(X, y, sensitive)
         )
         self.n_updates += 1
         return self.audit()
+
+    def check_retire(self, idx, appended=0):
+        """The unique ids of ``idx``, refused unless each names a live row.
+
+        Row ids are append-order positions (see :meth:`retire_rows`).
+        ``appended`` counts rows an update appends before it retires:
+        their ids continue the numbering and are live.  Raises
+        :class:`SpecificationError` on an empty, out-of-range or
+        already-retired id, so a caller can check a whole update before
+        it applies any part of it.
+        """
+        limit = self._n + appended
+        out_of_range = SpecificationError(
+            f"retire ids out of range [0, {limit})"
+        )
+        try:
+            idx = np.unique(np.asarray(idx, dtype=np.int64))
+        except OverflowError:
+            raise out_of_range from None
+        if idx.size == 0:
+            raise SpecificationError("empty retire batch")
+        if idx.min() < 0 or idx.max() >= limit:
+            raise out_of_range
+        old = idx[idx < self._n]
+        alive = self._cols["alive"][old]
+        if not alive.all():
+            raise SpecificationError(
+                f"rows already retired: {old[~alive][:8].tolist()}"
+            )
+        return idx
 
     def retire_rows(self, idx):
         """Retire rows by id; O(retired rows) count deltas + audit.
@@ -383,33 +339,15 @@ class IncrementalAuditor:
         Row ids are append-order positions: the base dataset's rows are
         ``0..n_base-1``, each appended batch continues the numbering
         (``append_rows``'s storage order).  Retiring an unknown or
-        already-retired id raises.  Returns the post-update
-        :meth:`audit` snapshot.
+        already-retired id raises (:meth:`check_retire`) and changes
+        nothing.  Returns the post-update :meth:`audit` snapshot.
         """
-        idx = np.unique(np.asarray(idx, dtype=np.int64))
-        if idx.size == 0:
-            raise SpecificationError("empty retire batch")
-        if idx.min() < 0 or idx.max() >= self._n:
-            raise SpecificationError(
-                f"retire ids out of range [0, {self._n})"
-            )
-        alive = self._cols["alive"]
-        if not alive[idx].all():
-            dead = idx[~alive[idx]][:8]
-            raise SpecificationError(
-                f"rows already retired: {dead.tolist()}"
-            )
-        y = self._cols["y"][idx]
-        pred = self._cols["pred"][idx]
-        for s in range(len(self.specs)):
-            member = self._cols[f"member{s}"][idx]
-            for j, name in enumerate(self._group_names[s]):
-                m = member[:, j]
-                if m.any():
-                    self._counts[s][name].add_rows(y[m], pred[m], -1)
-        alive[idx] = False
-        self._n_live -= idx.size
-        self._correct -= int(np.sum(pred == y))
+        idx = self.check_retire(idx)
+        self._add(
+            self._cols["mask"][idx], self._cols["y"][idx],
+            self._cols["pred"][idx], -1,
+        )
+        self._cols["alive"][idx] = False
         self.fingerprint = chain_fingerprint(
             self.fingerprint, "retire", retire_digest(idx)
         )
@@ -427,40 +365,17 @@ class IncrementalAuditor:
     def n_live(self):
         return self._n_live
 
-    def _side_counts(self, constraint, counts):
-        kind = constraint.kind
-        if kind == "sp":
-            return (np.float64(counts.pos0 + counts.pos1),)
-        if kind == "fpr":
-            return (np.float64(counts.pos0),)
-        if kind == "fnr":
-            return (np.float64(counts.pos1),)
-        return (np.float64(counts.pos0), np.float64(counts.pos1))
-
     def disparities(self):
         """``(k,)`` disparity vector, bit-identical to the evaluator's.
 
-        Each side's rate goes through the shared
-        :func:`~repro.core.kernels.rate_from_counts` with this
-        auditor's integer accumulators — the same float64 arithmetic,
-        in the same order, on the same exact values the batched mask
-        product would produce.
+        The running column counts go through the evaluator's own
+        :func:`~repro.core.kernels.disparities_from_counts` — the same
+        float64 arithmetic, in the same order, on the same exact values
+        its block loop would count.
         """
-        out = np.empty(self.k, dtype=np.float64)
-        for i, c in enumerate(self._constraints):
-            group = self._counts[c.spec_idx]
-            v1 = rate_from_counts(
-                c.kind, self._side_counts(c, group[c.g1]),
-                group[c.g1].size, group[c.g1].n_y0, group[c.g1].n_y1,
-                c.costs,
-            )
-            v2 = rate_from_counts(
-                c.kind, self._side_counts(c, group[c.g2]),
-                group[c.g2].size, group[c.g2].n_y0, group[c.g2].n_y1,
-                c.costs,
-            )
-            out[i] = v1 - v2
-        return out
+        return disparities_from_counts(
+            self._layout, self._pos[None, :], self._rows
+        )[0]
 
     def accuracy(self):
         """Live-row accuracy of the audited model (exact counts)."""
@@ -471,18 +386,18 @@ class IncrementalAuditor:
     def max_violation(self):
         """``max_k |disparity_k| − ε_k`` over the live rows."""
         return max_violation_from_disparities(
-            self.disparities(), [c.epsilon for c in self._constraints]
+            self.disparities(), self._epsilons
         )
 
     def audit(self):
         """Snapshot dict: disparities, accuracy, max violation, identity."""
         disparities = self.disparities()
         max_violation = max_violation_from_disparities(
-            disparities, [c.epsilon for c in self._constraints]
+            disparities, self._epsilons
         )
         return {
             "disparities": disparities,
-            "constraint_labels": [c.label for c in self._constraints],
+            "constraint_labels": list(self._labels),
             "accuracy": self.accuracy(),
             "max_violation": max_violation,
             "feasible": max_violation <= 1e-12,
@@ -491,13 +406,6 @@ class IncrementalAuditor:
             "n_updates": self.n_updates,
             "fingerprint": self.fingerprint,
         }
-
-    def counts(self):
-        """The raw integer accumulators, per spec per group (for tests)."""
-        return [
-            {name: gc.as_dict() for name, gc in per_spec.items()}
-            for per_spec in self._counts
-        ]
 
     # -- materialization + verification ---------------------------------------
 
@@ -545,7 +453,7 @@ class IncrementalAuditor:
         live = self.live_dataset()
         constraints = bind_specs(self.specs, live)
         labels = [c.label for c in constraints]
-        if labels != [c.label for c in self._constraints]:
+        if labels != self._labels:
             raise SpecificationError(
                 "live dataset no longer binds the original constraint "
                 "set (a group emptied?); incremental audit state cannot "
@@ -574,9 +482,9 @@ class IncrementalAuditor:
 
         A retune changes every row's prediction, so this is inherently
         O(live rows): the new model predicts all live rows once and the
-        accumulators are recounted vectorized.  Count *structure* and
-        the delta-chained fingerprint are untouched — the data did not
-        change, only the model.
+        counts are rebuilt vectorized.  The count columns, every row's
+        mask row and the delta-chained fingerprint are untouched — the
+        data did not change, only the model.
         """
         self.model = model
         alive = self._col("alive")
@@ -587,20 +495,16 @@ class IncrementalAuditor:
         return self.audit()
 
     def _recount(self):
-        """Rebuild every accumulator from storage (vectorized, O(n))."""
+        """Rebuild every count from storage (vectorized, O(n))."""
+        self._pos = np.zeros(self._layout.width, dtype=np.int64)
+        self._rows = np.zeros(self._layout.width, dtype=np.int64)
+        self._correct = 0
+        self._n_live = 0
         alive = self._col("alive")
-        y = self._col("y")
-        pred = self._col("pred")
-        self._n_live = int(np.sum(alive))
-        self._correct = int(np.sum((pred == y) & alive))
-        for s in range(len(self.specs)):
-            member = self._col(f"member{s}")
-            for j, name in enumerate(self._group_names[s]):
-                m = member[:, j] & alive
-                gc = self._counts[s][name]
-                gc.size = gc.n_y0 = gc.n_y1 = gc.pos0 = gc.pos1 = 0
-                if m.any():
-                    gc.add_rows(y[m], pred[m], +1)
+        self._add(
+            self._col("mask")[alive], self._col("y")[alive],
+            self._col("pred")[alive], +1,
+        )
 
     def __repr__(self):
         return (

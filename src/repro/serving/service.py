@@ -68,6 +68,7 @@ import asyncio
 import concurrent.futures
 import itertools
 import json
+import math
 import threading
 import time
 import warnings
@@ -86,6 +87,7 @@ from ..datasets import load
 from ..datasets.schema import Dataset
 from ..incremental import DriftPolicy, IncrementalAuditor, warm_retune
 from ..ml.adapters import resolve_model
+from ..ml.base import check_binary_labels
 from ..resilience.faults import current_plan, inject
 from ..resilience.policy import BreakerBoard, Deadline, DeadlineExceeded
 from .batcher import MicroBatcher
@@ -182,6 +184,16 @@ class _BreakerOpen(Exception):
         super().__init__(name)
         self.name = name
         self.retry_after_s = float(retry_after_s)
+
+
+def _is_finite_number(value):
+    """Whether a JSON value is a finite number (a bool is not one)."""
+    if type(value) not in (int, float):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _require(body, key, kind=None):
@@ -645,7 +657,7 @@ class FairnessService:
                 return Dataset(
                     name=str(data.get("name", f"inline-{what}")),
                     X=np.asarray(_require(data, "X", list), dtype=np.float64),
-                    y=np.asarray(_require(data, "y", list)),
+                    y=check_binary_labels(_require(data, "y", list)),
                     sensitive=np.asarray(_require(data, "sensitive", list)),
                 )
             except ValueError as exc:
@@ -773,11 +785,26 @@ class FairnessService:
         """
         name = _require(body, "model", str)
         model = self.registry.get(name)  # 404 before any state change
+        # the whole body is validated before the first delta: a refused
+        # request changes nothing, so a client may fix it and resend
         tolerance = body.get("tolerance")
-        if tolerance is not None and not isinstance(tolerance, (int, float)):
+        if tolerance is not None and not _is_finite_number(tolerance):
             raise _BadRequest(
-                f"tolerance must be a number, got {tolerance!r}"
+                f"tolerance must be a finite number, got {tolerance!r}"
             )
+        append = body.get("append")
+        retire = body.get("retire")
+        if append is not None and not isinstance(append, dict):
+            raise _BadRequest("'append' must be {\"X\": .., \"y\": .., "
+                              "\"sensitive\": ..}")
+        if retire is not None:
+            if not isinstance(retire, list):
+                raise _BadRequest("'retire' must be a list of row ids")
+            bad = [i for i in retire if type(i) is not int][:3]
+            if bad:
+                raise _BadRequest(
+                    f"'retire' row ids must be JSON integers, got {bad!r}"
+                )
         loop = asyncio.get_running_loop()
         entry = self._auditors.get(name)
         if entry is None:
@@ -805,16 +832,6 @@ class FairnessService:
                 f"auditor for model {name!r} is already seeded; send "
                 f"append/retire deltas without 'base'"
             )
-        if tolerance is not None:
-            entry["policy"].tolerance = float(tolerance)
-
-        append = body.get("append")
-        retire = body.get("retire")
-        if append is not None and not isinstance(append, dict):
-            raise _BadRequest("'append' must be {\"X\": .., \"y\": .., "
-                              "\"sensitive\": ..}")
-        if retire is not None and not isinstance(retire, list):
-            raise _BadRequest("'retire' must be a list of row ids")
 
         def _apply():
             auditor = entry["auditor"]
@@ -825,25 +842,30 @@ class FairnessService:
                     X = np.asarray(
                         _require(append, "X", list), dtype=np.float64,
                     )
+                    y = np.asarray(_require(append, "y", list))
+                    sensitive = np.asarray(_require(append, "sensitive", list))
+                if retire is not None:
+                    # checked before the append lands; appended rows
+                    # continue the id numbering
+                    retire_ids = auditor.check_retire(
+                        retire, appended=0 if append is None else len(X),
+                    )
+                if append is not None:
                     snapshot = auditor.append_rows(
-                        X=X,
-                        y=np.asarray(_require(append, "y", list)),
-                        sensitive=np.asarray(
-                            _require(append, "sensitive", list)
-                        ),
+                        X=X, y=y, sensitive=sensitive,
                         extras=append.get("extras"),
                     )
                     ops.append("append")
                     rows += len(X)
                 if retire is not None:
-                    snapshot = auditor.retire_rows(
-                        np.asarray(retire, dtype=np.int64)
-                    )
+                    snapshot = auditor.retire_rows(retire_ids)
                     ops.append("retire")
                     rows += len(retire)
                 return snapshot, ops, rows
 
         snapshot, ops, rows = await loop.run_in_executor(None, _apply)
+        if tolerance is not None:
+            entry["policy"].tolerance = float(tolerance)
         with self._counter_lock:
             self._counters["updates"] += 1
             self._counters["update_rows"] += rows

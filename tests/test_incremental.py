@@ -18,8 +18,12 @@ from hypothesis import strategies as st
 from repro.api import Engine
 from repro.core.evaluation import max_violation as reference_max_violation
 from repro.core.exceptions import SpecificationError
-from repro.core.fairness_metrics import FairnessMetric
+from repro.core.fairness_metrics import (
+    FairnessMetric,
+    average_error_cost_parity,
+)
 from repro.core.grouping import by_attributes, by_predicate
+from repro.core.kernels import CompiledEvaluator
 from repro.core.spec import FairnessSpec, bind_specs
 from repro.datasets import load
 from repro.datasets.schema import Dataset
@@ -39,15 +43,15 @@ class ThresholdModel:
         return (np.asarray(X)[:, 0] > 0).astype(np.int64)
 
 
-def make_dataset(rng, n, name="synth", extras=None):
+def make_dataset(rng, n, name="synth", extras=None, groups=("A", "B")):
     X = rng.normal(size=(n, 3))
     y = rng.integers(0, 2, size=n).astype(np.int64)
-    sensitive = rng.integers(0, 2, size=n).astype(np.int64)
-    # guarantee both groups and both labels exist
-    sensitive[:2] = [0, 1]
+    sensitive = rng.integers(0, len(groups), size=n).astype(np.int64)
+    # guarantee every group and both labels exist
+    sensitive[:len(groups)] = np.arange(len(groups))
     y[:2] = [0, 1]
     return Dataset(
-        name=name, X=X, y=y, sensitive=sensitive, group_names=("A", "B"),
+        name=name, X=X, y=y, sensitive=sensitive, group_names=groups,
         extras=dict(extras or {}),
     )
 
@@ -62,34 +66,41 @@ def assert_snapshot_matches(snapshot, reference):
     assert snapshot["max_violation"] == reference["max_violation"]
 
 
-def retire_is_safe(auditor, pick):
-    """True when retiring ``pick`` leaves every group non-empty."""
-    alive = auditor._col("alive").copy()
-    alive[pick] = False
-    for s in range(len(auditor.specs)):
-        member = auditor._col(f"member{s}")
-        if (member & alive[:, None]).sum(axis=0).min() == 0:
-            return False
-    return True
+def retire_is_safe(auditor, live, pick):
+    """True when retiring ``pick`` still binds every group.
+
+    ``live`` holds the live row ids in storage order, the order of
+    ``live_dataset()``.
+    """
+    keep = np.nonzero(~np.isin(live, pick))[0]
+    rest = auditor.live_dataset().subset(keep)
+    try:
+        labels = [c.label for c in bind_specs(auditor.specs, rest)]
+    except SpecificationError:  # a predicate group emptied
+        return False
+    return labels == auditor.audit()["constraint_labels"]
 
 
 def drive_random_updates(auditor, pool, rng, n_ops):
     """Random append/retire sequence, verifying bit-identity each step."""
+    live = np.arange(auditor.n_total)
     cursor = 0
     for _ in range(n_ops):
         if rng.random() < 0.4 and auditor.n_live > 40:
-            live = np.nonzero(auditor._col("alive"))[0]
             pick = rng.choice(
                 live, size=int(rng.integers(1, 10)), replace=False,
             )
-            if not retire_is_safe(auditor, pick):
+            if not retire_is_safe(auditor, live, pick):
                 continue
             snapshot = auditor.retire_rows(pick)
+            live = live[~np.isin(live, pick)]
         else:
             take = int(rng.integers(1, 30))
             idx = np.arange(cursor, cursor + take) % len(pool)
             cursor += take
+            first = auditor.n_total
             snapshot = auditor.append_rows(pool.subset(idx))
+            live = np.concatenate([live, np.arange(first, auditor.n_total)])
         assert_snapshot_matches(snapshot, auditor.recompute())
 
 
@@ -131,6 +142,26 @@ class TestBitIdentityProperty:
         auditor = IncrementalAuditor(specs, ThresholdModel(), base)
         assert_snapshot_matches(auditor.audit(), auditor.recompute())
         drive_random_updates(auditor, make_dataset(rng, 300), rng, n_ops)
+
+    @given(st.integers(0, 10_000), st.integers(1, 6))
+    @settings(max_examples=15, deadline=None)
+    def test_three_groups_every_builtin_kind(self, seed, n_ops):
+        """Every rate kind on 3 groups: shared columns, one-column
+        FPR/FNR sides and AEC costs under updates."""
+        rng = np.random.default_rng(seed)
+        groups = ("A", "B", "C")
+        specs = [
+            FairnessSpec(name, 0.1)
+            for name in ("SP", "MR", "FPR", "FNR", "FOR", "FDR")
+        ] + [FairnessSpec(average_error_cost_parity(2.0, 1.0), 0.1)]
+        base = make_dataset(rng, 90 + int(rng.integers(0, 60)),
+                            groups=groups)
+        auditor = IncrementalAuditor(specs, ThresholdModel(), base)
+        assert auditor.k == 7 * 3
+        assert_snapshot_matches(auditor.audit(), auditor.recompute())
+        drive_random_updates(
+            auditor, make_dataset(rng, 300, groups=groups), rng, n_ops,
+        )
 
     def test_matches_per_constraint_reference_evaluation(self):
         """Auditor max-violation equals evaluation.max_violation exactly."""
@@ -178,6 +209,31 @@ class TestValidation:
         )
         with pytest.raises(SpecificationError, match="unknown group"):
             auditor.append_rows(batch)
+
+    def test_non_binary_label_is_refused_and_changes_nothing(self):
+        rng = np.random.default_rng(13)
+        auditor = IncrementalAuditor(
+            FairnessSpec("FPR", 0.05), ThresholdModel(),
+            make_dataset(rng, 200),
+        )
+        before = auditor.audit()
+        batch = make_dataset(rng, 10)
+        with pytest.raises(ValueError, match=r"\[2\]"):
+            auditor.append_rows(
+                X=batch.X, y=np.full(10, 2), sensitive=batch.sensitive,
+            )
+        after = auditor.audit()
+        for key in ("n_live", "n_total", "n_updates", "fingerprint"):
+            assert after[key] == before[key]
+        assert_snapshot_matches(after, auditor.recompute())
+
+    def test_non_binary_base_label_is_refused(self):
+        rng = np.random.default_rng(14)
+        base = make_dataset(rng, 60)
+        base.y[5] = 2
+        with pytest.raises(ValueError, match=r"\[2\]"):
+            IncrementalAuditor(FairnessSpec("SP", 0.05), ThresholdModel(),
+                               base)
 
     def test_batch_missing_per_row_extras_is_rejected(self):
         rng = np.random.default_rng(2)
@@ -382,17 +438,37 @@ class TestStorage:
         assert np.array_equal(live.extras["flag"], expected)
 
     def test_counts_are_exact_integers(self):
+        """After random updates the running column counts equal, as
+        exact integers, a from-scratch evaluator's over the live rows."""
         rng = np.random.default_rng(10)
-        base = make_dataset(rng, 90)
+        groups = ("A", "B", "C")
+        specs = [FairnessSpec("SP", 0.05), FairnessSpec("FOR", 0.1)]
         auditor = IncrementalAuditor(
-            FairnessSpec("SP", 0.05), ThresholdModel(), base,
+            specs, ThresholdModel(), make_dataset(rng, 90, groups=groups),
         )
-        pred = ThresholdModel().predict(base.X)
-        for name, j in (("A", 0), ("B", 1)):
-            member = base.sensitive == j
-            counts = auditor.counts()[0][name]
-            assert counts["size"] == int(member.sum())
-            assert counts["n_y1"] == int((base.y[member] == 1).sum())
-            assert counts["pos0"] + counts["pos1"] == int(
-                (pred[member] == 1).sum()
-            )
+        drive_random_updates(
+            auditor, make_dataset(rng, 200, groups=groups), rng, 12,
+        )
+        assert auditor.n_updates > 0
+        live = auditor.live_dataset()
+        evaluator = CompiledEvaluator(bind_specs(specs, live), live.y)
+        preds = auditor.live_predictions()[None, :]
+        pos, correct = evaluator._counts(lambda rows: preds[:, rows], 1)
+        assert auditor._pos.dtype == auditor._rows.dtype == np.int64
+        assert np.array_equal(auditor._pos, pos[0])
+        assert np.array_equal(auditor._rows, evaluator._rows)
+        assert auditor._correct == correct[0]
+        assert auditor._n_live == auditor.n_live == len(live)
+
+    def test_sides_share_their_group_columns(self):
+        """A 4-group SP binding counts 4 columns, not one per side."""
+        rng = np.random.default_rng(12)
+        base = make_dataset(rng, 80, groups=("A", "B", "C", "D"))
+        spec = FairnessSpec("SP", 0.05)
+        evaluator = CompiledEvaluator(bind_specs([spec], base), base.y)
+        auditor = IncrementalAuditor(spec, ThresholdModel(), base)
+        assert auditor.k == 6
+        assert evaluator._mask.shape == (80, 4)
+        assert auditor._col("mask").shape == (80, 4)
+        auditor.append_rows(make_dataset(rng, 10, groups=("A", "B", "C", "D")))
+        assert auditor._col("mask").shape == (90, 4)

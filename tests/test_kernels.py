@@ -339,7 +339,7 @@ class TestRateFromCounts:
         pred = rng.integers(0, 2, size=200).astype(np.int64)
         g1 = np.sort(rng.choice(200, size=90, replace=False))
         g2 = np.sort(rng.choice(200, size=90, replace=False))
-        for name in ["SP", "MR", "FPR", "FNR", "FOR", "FDR"]:
+        for name in ["SP", "MR", "FPR", "FNR", "FOR", "FDR", "AEC"]:
             metric = _make_metric(name)
             constraint = Constraint(
                 metric=metric, epsilon=0.05, group_names=("a", "b"),
@@ -348,23 +348,28 @@ class TestRateFromCounts:
             evaluator = CompiledEvaluator([constraint], y)
             sides = []
             for idx in (g1, g2):
-                yg, pg = y[idx], pred[idx]
-                pos0 = np.float64(np.sum((pg == 1) & (yg == 0)))
-                pos1 = np.float64(np.sum((pg == 1) & (yg == 1)))
-                counts = {
-                    "SP": (pos0 + pos1,), "FPR": (pos0,), "FNR": (pos1,),
-                }.get(name, (pos0, pos1))
-                kind = {
-                    "SP": "sp", "MR": "mr", "FPR": "fpr", "FNR": "fnr",
-                    "FOR": "for", "FDR": "fdr",
-                }[name]
-                sides.append(rate_from_counts(
-                    kind, counts, len(idx),
-                    int(np.sum(yg == 0)), int(np.sum(yg == 1)), None,
-                ))
+                # one count column per label filter the kind needs
+                columns = {
+                    "SP": [idx], "FPR": [idx[y[idx] == 0]],
+                    "FNR": [idx[y[idx] == 1]],
+                }.get(name, [idx[y[idx] == 0], idx[y[idx] == 1]])
+                pos = [np.float64(np.sum(pred[c] == 1)) for c in columns]
+                rows = [np.float64(len(c)) for c in columns]
+                kind = name.lower()
+                costs = (0.7, 1.3) if kind == "aec" else None
+                sides.append(rate_from_counts(kind, pos, rows, costs))
             expected = np.asarray([sides[0] - sides[1]], dtype=np.float64)
             actual = evaluator.disparities(pred)
             assert actual.tobytes() == expected.tobytes(), name
+
+    def test_non_binary_labels_are_refused(self):
+        y = np.array([0, 1, 2, 1])
+        constraint = Constraint(
+            metric=_make_metric("SP"), epsilon=0.05, group_names=("a", "b"),
+            g1_idx=np.array([0, 1]), g2_idx=np.array([2, 3]),
+        )
+        with pytest.raises(ValueError, match=r"\[2\]"):
+            CompiledEvaluator([constraint], y)
 
 
 class TestCompiledEvaluator:

@@ -405,6 +405,103 @@ class TestUpdate:
             })
         assert e.value.status == 400
 
+    def _stats_row(self, client):
+        row = client.stats()["incremental"]["gs"]
+        return {key: row[key] for key in ("n_live", "n_updates",
+                                          "fingerprint", "tolerance")}
+
+    def _raw_update(self, client, **body):
+        with pytest.raises(ServingError) as e:
+            client._request("POST", "/update", {"model": "gs", **body})
+        assert e.value.status == 400
+        return str(e.value)
+
+    def test_non_binary_append_label_is_400(self, client):
+        client.update("gs", base=self.BASE, tolerance=10.0)
+        before = self._stats_row(client)
+        batch = load_scenario("group_sweep", n=10, seed=11)
+        message = self._raw_update(client, append={
+            "X": batch.X.tolist(), "y": [2] * 10,
+            "sensitive": batch.sensitive.tolist(),
+        })
+        assert "[2]" in message
+        assert self._stats_row(client) == before
+
+    def test_audit_with_non_binary_inline_label_is_400(self, client, dataset):
+        sub = dataset.subset(np.arange(30))
+        with pytest.raises(ServingError, match=r"\[2\]") as e:
+            client.audit("gs", data={
+                "X": sub.X.tolist(),
+                "y": [2] + sub.y[1:].tolist(),
+                "sensitive": sub.sensitive.tolist(),
+            })
+        assert e.value.status == 400
+
+    def test_fractional_retire_id_is_400(self, client):
+        client.update("gs", base=self.BASE, tolerance=10.0)
+        before = self._stats_row(client)
+        assert "retire" in self._raw_update(client, retire=[1.5])
+        assert self._stats_row(client) == before
+
+    def test_bool_retire_id_is_400(self, client):
+        client.update("gs", base=self.BASE, tolerance=10.0)
+        before = self._stats_row(client)
+        assert "retire" in self._raw_update(client, retire=[True])
+        assert self._stats_row(client) == before
+
+    def test_string_retire_id_is_400(self, client):
+        client.update("gs", base=self.BASE, tolerance=10.0)
+        before = self._stats_row(client)
+        assert "retire" in self._raw_update(client, retire=["3"])
+        assert self._stats_row(client) == before
+
+    def test_huge_retire_id_is_400(self, client):
+        client.update("gs", base=self.BASE, tolerance=10.0)
+        before = self._stats_row(client)
+        assert "out of range" in self._raw_update(client, retire=[2 ** 70])
+        assert self._stats_row(client) == before
+
+    def test_refused_retire_applies_no_append(self, client):
+        client.update("gs", base=self.BASE, tolerance=10.0)
+        client.update("gs", retire=[1])
+        before = self._stats_row(client)
+        batch = load_scenario("group_sweep", n=5, seed=11)
+        message = self._raw_update(client, append={
+            "X": batch.X.tolist(), "y": batch.y.tolist(),
+            "sensitive": batch.sensitive.tolist(),
+        }, retire=[1])
+        assert "already retired" in message
+        assert self._stats_row(client) == before
+        # the corrected request applies once
+        out = client.update("gs", append={
+            "X": batch.X, "y": batch.y, "sensitive": batch.sensitive,
+        }, retire=[2])
+        assert out["audit"]["n_live"] == before["n_live"] + 5 - 1
+        assert out["audit"]["n_total"] == 405
+
+    def test_retire_may_name_rows_appended_in_the_same_update(self, client):
+        client.update("gs", base=self.BASE, tolerance=10.0)
+        batch = load_scenario("group_sweep", n=5, seed=11)
+        out = client.update("gs", append={
+            "X": batch.X, "y": batch.y, "sensitive": batch.sensitive,
+        }, retire=[404])
+        assert out["ops"] == ["append", "retire"]
+        assert out["audit"]["n_live"] == 404
+        self._raw_update(client, retire=[405])  # out of range now
+
+    def test_nan_tolerance_is_400(self, client):
+        client.update("gs", base=self.BASE, tolerance=10.0)
+        before = self._stats_row(client)
+        assert "tolerance" in self._raw_update(client, tolerance=float("nan"))
+        assert "tolerance" in self._raw_update(client, tolerance=1e999)
+        assert self._stats_row(client) == before
+
+    def test_bool_tolerance_is_400(self, client):
+        client.update("gs", base=self.BASE, tolerance=10.0)
+        before = self._stats_row(client)
+        assert "tolerance" in self._raw_update(client, tolerance=True)
+        assert self._stats_row(client) == before
+
     def test_drift_breach_triggers_warm_retune_job(self, client):
         # tolerance below any possible max-violation forces the breach
         out = client.update("gs", base=self.BASE, tolerance=-10.0)
