@@ -31,11 +31,7 @@ from .grouping import (
 )
 from .executor import ExecutionBackend
 from .history import HistoryPoint
-from .kernels import (
-    CompiledConstraints,
-    CompiledEvaluator,
-    evaluate_lambda_batch,
-)
+from .kernels import CompiledConstraints, CompiledEvaluator
 from .planner import (
     CandidateBatch,
     EvalResult,
@@ -95,7 +91,6 @@ __all__ = [
     "resolve_negative_weights",
     "CompiledConstraints",
     "CompiledEvaluator",
-    "evaluate_lambda_batch",
     "CandidateBatch",
     "EvalResult",
     "PlanContext",

@@ -4,11 +4,12 @@ The planner (:mod:`repro.core.planner`) separates candidate *generation*
 from candidate *execution*; this module owns the execution half.  The
 :class:`ExecutionBackend` consumes :class:`~repro.core.planner.
 CandidateBatch` objects and drives the engine machinery —
-:meth:`WeightedFitter.fit` / :meth:`WeightedFitter.fit_batch`,
-:func:`~repro.core.kernels.evaluate_lambda_batch`, the fit
-memoization caches, and chunked evaluation — uniformly for every
-strategy.  It runs in-process and in order: one fit per candidate of a
-``"fit"`` batch, one vectorized pass per ``"population"`` batch.  The
+:meth:`WeightedFitter.fit` / :meth:`WeightedFitter.fit_batch`, the fit
+memoization caches, and the chunked scoring pass
+(:meth:`~repro.core.kernels.CompiledEvaluator.score_models_batch`) —
+uniformly for every strategy.  It runs in-process and in order: one
+fit per candidate of a ``"fit"`` batch; one ``fit_batch`` call and one
+scoring pass per ``"population"`` batch.  The
 search, not the executor, keeps the fit count small (Algorithms 1 and
 2 use the monotonicity of FP in λ).  Each candidate is fitted at
 ``ctx.orient(λ)`` and reports ``ctx.orient`` of its disparities, so a
@@ -28,7 +29,6 @@ import traceback
 import warnings
 
 from .exceptions import SpecificationError
-from .kernels import evaluate_lambda_batch
 from .planner import EvalResult
 
 __all__ = [
@@ -51,17 +51,17 @@ class ExecutionBackend:
 
     def _run_population(self, batch, ctx):
         t0 = time.perf_counter()
-        scored = evaluate_lambda_batch(
-            ctx.fitter, ctx.val_constraints, ctx.X_val, ctx.y_val,
-            ctx.orient(batch.lambdas), evaluator=ctx.compiled_scorer(),
+        models = ctx.fitter.fit_batch(ctx.orient(batch.lambdas))
+        disparities, accuracies = ctx.compiled_scorer().score_models_batch(
+            models, ctx.X_val
         )
-        disparities = ctx.orient(scored.disparities)
-        share = (time.perf_counter() - t0) / max(len(scored), 1)
+        disparities = ctx.orient(disparities)
+        share = (time.perf_counter() - t0) / max(len(models), 1)
         results = []
-        for b in range(len(scored)):
+        for b in range(len(models)):
             res = EvalResult(
-                batch.lambdas[b], scored.models[b],
-                disparities[b], float(scored.accuracies[b]),
+                batch.lambdas[b], models[b],
+                disparities[b], float(accuracies[b]),
                 index=b, batch_id=ctx.next_batch_id, wall_time_s=share,
             )
             if batch.record:
@@ -272,7 +272,9 @@ def submit_job(fn, *args, name=None, timeout_s=None, on_done=None, **kwargs):
     Parameters
     ----------
     timeout_s : float or None
-        Wall-clock budget.  When it elapses first the handle publishes
+        Wall-clock budget: seconds in ``(0, threading.TIMEOUT_MAX]``,
+        the longest wait its timer thread can arm.  When it elapses
+        first the handle publishes
         ``status == "timeout"`` and the function's eventual outcome is
         discarded (the thread itself is not preempted).
     on_done : callable or None
@@ -282,9 +284,10 @@ def submit_job(fn, *args, name=None, timeout_s=None, on_done=None, **kwargs):
     """
     handle = JobHandle(next(_JOB_COUNTER), name=name, on_done=on_done)
     if timeout_s is not None:
-        if float(timeout_s) <= 0:
+        if not 0.0 < float(timeout_s) <= threading.TIMEOUT_MAX:
             raise SpecificationError(
-                f"timeout_s must be > 0 or None, got {timeout_s}"
+                f"timeout_s must be in (0, {threading.TIMEOUT_MAX:g}] "
+                f"or None, got {timeout_s}"
             )
         handle._arm_timeout(timeout_s)
     worker = threading.Thread(

@@ -40,7 +40,15 @@ __all__ = [
 
 
 def validate_grouping(groups, n_rows):
-    """Check a grouping-function result: ≥2 groups, valid index arrays."""
+    """Check a grouping-function result: ≥2 groups, valid index arrays.
+
+    Every group is a non-empty 1-D array of in-range row indices that
+    lists no row twice: the weight and rate formulas count a row once
+    per listed index, scoring once per group.  A strictly increasing
+    group (what the built-in groupings yield) is checked by one
+    comparison pass and its two ends; any other is range-checked by
+    its extremes and scattered into a bool mask to find a repeat.
+    """
     if not isinstance(groups, dict) or len(groups) < 2:
         raise SpecificationError(
             "a grouping function must return a dict with at least two groups"
@@ -52,10 +60,19 @@ def validate_grouping(groups, n_rows):
             raise SpecificationError(f"group {name!r}: indices must be 1-D")
         if len(idx) == 0:
             raise SpecificationError(f"group {name!r} is empty")
-        if idx.min() < 0 or idx.max() >= n_rows:
+        increasing = (idx[1:] > idx[:-1]).all()
+        low, high = (idx[0], idx[-1]) if increasing else (idx.min(), idx.max())
+        if low < 0 or high >= n_rows:
             raise SpecificationError(
                 f"group {name!r}: indices out of range [0, {n_rows})"
             )
+        if not increasing:
+            member = np.zeros(n_rows, dtype=bool)
+            member[idx] = True
+            if np.count_nonzero(member) != len(idx):
+                raise SpecificationError(
+                    f"group {name!r} lists a row index more than once"
+                )
         out[str(name)] = idx
     return out
 

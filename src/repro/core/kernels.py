@@ -22,13 +22,13 @@ kept as the oracle in ``tests/weight_oracle.py`` and property-tested in
 ``weights_batch`` broadcasts the same product over a whole matrix of λ
 candidates in one vectorized pass.
 
-Prediction-parameterized metrics (FOR/FDR) have coefficients of the form
-``-1/m(θ)`` on a *static* row subset, where ``m(θ)`` counts the group's
-predicted-negative (FOR) or predicted-positive (FDR) rows.  The kernel
-therefore stores the static mask once and tracks only the scalar count:
-:meth:`CompiledConstraints.update_predictions` re-tallies ``m`` from the
-rows whose predictions actually changed since the previous call, instead
-of recomputing every coefficient.
+Every group side contributes one row, ``sign·N·c`` with ``c`` from the
+metric's ``coefficients`` (Definition 3), built by one helper
+(:func:`_side_row`).  A constant metric's rows are built once; a
+prediction-parameterized metric (FOR, FDR or a custom one, §5.2) has
+coefficients that depend on the current model's predictions, so
+:meth:`CompiledConstraints.update_predictions` rebuilds its rows from
+each new prediction vector, through the same helper.
 
 Scoring has one count layout (:func:`count_columns`).  A *count column*
 is one group's rows filtered by the labels its rate kind needs — all
@@ -49,11 +49,6 @@ counted there, one row block at a time.  The
 :class:`~repro.incremental.IncrementalAuditor` keeps the same counts as
 running totals under row appends and retires, and scores them through
 the same step.
-
-:func:`evaluate_lambda_batch` glues the two together: weights for a grid
-or population of λ candidates in one pass, one model fit per candidate
-(or one estimator batch-protocol call), and one scoring pass over the
-fitted models.
 """
 
 from __future__ import annotations
@@ -62,119 +57,42 @@ import numpy as np
 
 from ..ml import metrics as mlm
 from ..ml.base import check_binary_labels
-from .fairness_metrics import (
-    _aec_rate,
-    _fdr_coeff,
-    _for_coeff,
-    _mr_rate,
-    _sp_rate,
-)
+from .fairness_metrics import _aec_rate, _mr_rate, _sp_rate
 
 __all__ = [
     "CompiledConstraints",
     "CompiledEvaluator",
     "CountLayout",
-    "BatchEvalResult",
     "count_columns",
     "disparities_from_counts",
-    "evaluate_lambda_batch",
     "rate_from_counts",
 ]
 
 
-class _ConstantTerm:
-    """One precompiled dense contribution row: ``w += λ_k · row``.
+class _Term:
+    """One dense contribution row: ``w += λ_k · row``.
 
-    ``row`` holds ``±N·c`` for a constant-coefficient group side (or a
-    merged pair of disjoint sides), zeros elsewhere.
+    ``row`` holds ``sign·N·c`` on one group side's rows (or on a merged
+    pair of disjoint constant sides), zeros elsewhere.  A side whose
+    coefficients follow the model's predictions keeps
+    ``side = (sign, idx, metric, y[idx])`` to rebuild its row from; its
+    ``row`` is ``None`` until the first predictions arrive.
     """
 
-    __slots__ = ("k", "row")
+    __slots__ = ("k", "row", "side")
 
-    def __init__(self, k, row):
+    def __init__(self, k, row, side=None):
         self.k = k
         self.row = row
-
-    def contribution(self, lam, out=None):
-        return np.multiply(lam, self.row, out=out)
+        self.side = side
 
 
-class _CountScaledTerm:
-    """A FOR/FDR group side: static ``±1`` mask scaled by ``N·(-1/m(θ))``.
-
-    ``m`` is the number of group rows whose prediction equals
-    ``denom_value`` (0 for FOR, 1 for FDR); the owning kernel updates it
-    incrementally through :meth:`recount` / :meth:`apply_delta`.
-    """
-
-    __slots__ = ("k", "mask_row", "in_group", "denom_value", "n", "count")
-
-    def __init__(self, k, mask_row, in_group, denom_value, n):
-        self.k = k
-        self.mask_row = mask_row          # dense, ±1.0 on coefficient rows
-        self.in_group = in_group          # dense bool, group membership
-        self.denom_value = denom_value    # prediction value counted in m
-        self.n = n
-        self.count = None
-
-    def recount(self, predictions):
-        self.count = int(np.sum(self.in_group & (predictions == self.denom_value)))
-
-    def apply_delta(self, changed, new_pred, old_pred):
-        member = self.in_group[changed]
-        if not member.any():
-            return
-        gained = int(np.sum(member & (new_pred[changed] == self.denom_value)))
-        lost = int(np.sum(member & (old_pred[changed] == self.denom_value)))
-        self.count += gained - lost
-
-    def scale(self):
-        # same operation order as the oracle loop: c = -1.0/m, then N*c
-        if not self.count:
-            return 0.0
-        return self.n * (-1.0 / self.count)
-
-    def contribution(self, lam, out=None):
-        return np.multiply(lam * self.scale(), self.mask_row, out=out)
-
-
-class _GenericParamTerm:
-    """Fallback for custom model-parameterized metrics.
-
-    Coefficients are recomputed through ``metric.coefficients`` whenever
-    any group row's prediction changed (no structural assumptions), so
-    arbitrary user metrics still go through the kernel layer.
-    """
-
-    __slots__ = ("k", "sign", "idx", "metric", "y_group", "n", "in_group",
-                 "_row", "_dirty")
-
-    def __init__(self, k, sign, idx, metric, y_group, n, in_group):
-        self.k = k
-        self.sign = sign
-        self.idx = idx
-        self.metric = metric
-        self.y_group = y_group
-        self.n = n
-        self.in_group = in_group
-        self._row = None
-        self._dirty = True
-
-    def mark_if_touched(self, changed):
-        if self._dirty or self.in_group[changed].any():
-            self._dirty = True
-
-    def refresh(self, predictions):
-        if not self._dirty and self._row is not None:
-            return
-        c, _c0 = self.metric.coefficients(self.y_group, predictions[self.idx])
-        row = np.zeros(self.n, dtype=np.float64)
-        row[self.idx] = self.sign * (self.n * c)
-        self._row = row
-        self._dirty = False
-
-    def contribution(self, lam, out=None):
-        return np.multiply(lam, self._row, out=out)
+def _side_row(n, sign, idx, metric, y_group, pred_group=None):
+    """The dense row ``sign·N·c`` of one group side (Eq. 12)."""
+    c, _c0 = metric.coefficients(y_group, pred_group)
+    row = np.zeros(n, dtype=np.float64)
+    row[idx] = sign * (n * c)
+    return row
 
 
 def _sides_overlap(g1_idx, g2_idx, n):
@@ -212,7 +130,7 @@ class CompiledConstraints:
         self.constraints = list(constraints)
         self.k = len(self.constraints)
         self._terms = []          # ordered: constraint 0 g1, g2, constraint 1 ...
-        self._param_terms = []    # subset needing prediction state
+        self._param_terms = []    # subset rebuilt from each prediction vector
         self._predictions = None
         self._compile()
 
@@ -223,53 +141,24 @@ class CompiledConstraints:
         for k, constraint in enumerate(self.constraints):
             metric = constraint.metric
             sides = ((+1.0, constraint.g1_idx), (-1.0, constraint.g2_idx))
-            if not metric.parameterized_by_model:
-                rows = []
+            if metric.parameterized_by_model:
                 for sign, idx in sides:
-                    c, _c0 = metric.coefficients(self.y[idx], None)
-                    row = np.zeros(n, dtype=np.float64)
-                    row[idx] = sign * (n * c)
-                    rows.append((idx, row))
-                (g1_idx, row1), (g2_idx, row2) = rows
-                if _sides_overlap(g1_idx, g2_idx, n):
-                    # keep sides separate: the reference loop performs two
-                    # adds at overlapping rows, and float addition is not
-                    # associative
-                    self._terms.append(_ConstantTerm(k, row1))
-                    self._terms.append(_ConstantTerm(k, row2))
-                else:
-                    self._terms.append(_ConstantTerm(k, row1 + row2))
+                    term = _Term(k, None,
+                                 side=(sign, idx, metric, self.y[idx]))
+                    self._terms.append(term)
+                    self._param_terms.append(term)
                 continue
-            for sign, idx in sides:
-                in_group = np.zeros(n, dtype=bool)
-                in_group[idx] = True
-                structured = self._structured_param_side(
-                    k, sign, idx, metric, in_group
-                )
-                if structured is not None:
-                    term = structured
-                else:
-                    term = _GenericParamTerm(
-                        k, sign, idx, metric, self.y[idx], n, in_group
-                    )
-                self._terms.append(term)
-                self._param_terms.append(term)
+            row1, row2 = (_side_row(n, sign, idx, metric, self.y[idx])
+                          for sign, idx in sides)
+            if _sides_overlap(constraint.g1_idx, constraint.g2_idx, n):
+                # keep sides separate: the reference loop performs two
+                # adds at overlapping rows, and float addition is not
+                # associative
+                self._terms += [_Term(k, row1), _Term(k, row2)]
+            else:
+                self._terms.append(_Term(k, row1 + row2))
 
-    def _structured_param_side(self, k, sign, idx, metric, in_group):
-        """Compile a FOR/FDR side into a count-scaled static mask."""
-        coeff_fn = metric._coefficients
-        if coeff_fn is _for_coeff:
-            cond_label, denom_value = 0, 0
-        elif coeff_fn is _fdr_coeff:
-            cond_label, denom_value = 1, 1
-        else:
-            return None
-        mask_row = np.zeros(self.n, dtype=np.float64)
-        rows = idx[self.y[idx] == cond_label]
-        mask_row[rows] = sign
-        return _CountScaledTerm(k, mask_row, in_group, denom_value, self.n)
-
-    # -- prediction state (FOR/FDR incremental path) -------------------------
+    # -- prediction state (FOR/FDR and custom parameterized metrics) ---------
 
     @property
     def parameterized(self):
@@ -277,13 +166,10 @@ class CompiledConstraints:
         return bool(self._param_terms)
 
     def update_predictions(self, predictions):
-        """Refresh prediction-dependent state, touching only changed rows.
+        """Rebuild every prediction-parameterized row from ``predictions``.
 
-        The first call tallies every parameterized side's denominator
-        count in full; subsequent calls re-tally only over the rows whose
-        predictions differ from the previous call — the incremental path
-        for FOR/FDR, whose coefficient *rows* are static and only the
-        per-group scalar ``1/m`` moves.
+        A vector equal to the previous one is a true no-op: nothing is
+        copied and no coefficient is recomputed.
         """
         predictions = np.asarray(predictions, dtype=np.int64)
         if predictions.shape != (self.n,):
@@ -291,31 +177,14 @@ class CompiledConstraints:
                 f"predictions has shape {predictions.shape}, "
                 f"expected ({self.n},)"
             )
-        if self._predictions is None:
-            for term in self._param_terms:
-                if isinstance(term, _CountScaledTerm):
-                    term.recount(predictions)
-                else:
-                    term._dirty = True
-        else:
-            changed = np.nonzero(predictions != self._predictions)[0]
-            if changed.size == 0:
-                # true no-op: zero rows changed, so every term is
-                # already consistent — skip the copy and the per-term
-                # refresh walk entirely (regression-tested: a repeated
-                # identical update must not touch clean terms)
-                return
-            for term in self._param_terms:
-                if isinstance(term, _CountScaledTerm):
-                    term.apply_delta(
-                        changed, predictions, self._predictions
-                    )
-                else:
-                    term.mark_if_touched(changed)
+        if (self._predictions is not None
+                and np.array_equal(predictions, self._predictions)):
+            return
         self._predictions = predictions.copy()
         for term in self._param_terms:
-            if isinstance(term, _GenericParamTerm):
-                term.refresh(self._predictions)
+            sign, idx, metric, y_group = term.side
+            term.row = _side_row(self.n, sign, idx, metric, y_group,
+                                 self._predictions[idx])
 
     # -- weight kernels ------------------------------------------------------
 
@@ -345,7 +214,7 @@ class CompiledConstraints:
             lam = lambdas[term.k]
             if lam == 0.0:
                 continue
-            w += term.contribution(lam)
+            w += np.multiply(lam, term.row)
         return w
 
     def weights_batch(self, lambdas_matrix, predictions=None):
@@ -367,7 +236,7 @@ class CompiledConstraints:
             lams = L[:, term.k]
             if not lams.any():
                 continue
-            W += term.contribution(lams[:, None], out=buf)
+            W += np.multiply(lams[:, None], term.row, out=buf)
         return W
 
 
@@ -681,74 +550,3 @@ class CompiledEvaluator:
         return self._scores(
             *self._counts(lambda rows: predict(X[rows]), len(models))
         )
-
-
-# -- batched candidate evaluation --------------------------------------------
-
-
-class BatchEvalResult:
-    """Scored λ batch: fitted models plus vectorized validation metrics.
-
-    Attributes
-    ----------
-    lambdas : ndarray (B, k)
-    models : list of fitted estimators, one per candidate
-    disparities : ndarray (B, k)
-        Validation disparity of every constraint under every candidate.
-    accuracies : ndarray (B,)
-        Validation accuracy per candidate.
-    """
-
-    __slots__ = ("lambdas", "models", "disparities", "accuracies")
-
-    def __init__(self, lambdas, models, disparities, accuracies):
-        self.lambdas = lambdas
-        self.models = models
-        self.disparities = disparities
-        self.accuracies = accuracies
-
-    def __len__(self):
-        return len(self.models)
-
-
-def evaluate_lambda_batch(
-    fitter, val_constraints, X_val, y_val, lambdas, evaluator=None,
-):
-    """Fit and score a whole grid/population of λ candidates in one pass.
-
-    Parameters
-    ----------
-    fitter : WeightedFitter
-        Candidate weights come from one ``weights_batch`` call and the
-        fits from one :meth:`~repro.core.fitter.WeightedFitter.fit_batch`.
-    val_constraints, X_val, y_val
-        Validation binding for scoring (same order as the fitter's
-        training constraints).
-    lambdas : array-like (B, k)
-        Candidate multiplier vectors.
-    evaluator : CompiledEvaluator, optional
-        Reuse a prebuilt validation evaluator across calls (CMA-ES calls
-        once per generation).  Its ``chunk_size`` is the row-block size
-        of the scoring pass; when omitted, one is built with the
-        fitter's ``eval_chunk_size``.
-
-    Returns
-    -------
-    BatchEvalResult
-    """
-    lambdas = np.atleast_2d(np.asarray(lambdas, dtype=np.float64))
-    if lambdas.shape[0] == 0:
-        raise ValueError("evaluate_lambda_batch needs at least one candidate")
-    models = fitter.fit_batch(lambdas)
-    if evaluator is None:
-        evaluator = CompiledEvaluator(
-            val_constraints, y_val,
-            chunk_size=getattr(fitter, "eval_chunk_size", None),
-        )
-    disparities, accuracies = evaluator.score_models_batch(models, X_val)
-    return BatchEvalResult(
-        lambdas=lambdas,
-        models=models,
-        disparities=disparities,
-        accuracies=accuracies,
-    )

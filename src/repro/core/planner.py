@@ -27,10 +27,12 @@ A batch is one of two kinds:
     band).
 
 ``kind="population"``
-    The whole batch is fitted and scored in one vectorized pass through
-    :func:`~repro.core.kernels.evaluate_lambda_batch` (grid and CMA-ES
-    generations with constant-coefficient metrics).  All candidates are
-    always evaluated and reported in order.
+    The whole batch is fitted by one :meth:`WeightedFitter.fit_batch`
+    call and scored by one
+    :meth:`~repro.core.kernels.CompiledEvaluator.score_models_batch`
+    pass (grid and CMA-ES generations with constant-coefficient
+    metrics).  All candidates are always evaluated and reported in
+    order.
 
 Strategies record their search history through
 :meth:`PlanContext.record` / the executor (``record=True`` batches);

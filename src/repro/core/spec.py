@@ -16,7 +16,7 @@ import numpy as np
 
 from .exceptions import SpecificationError
 from .fairness_metrics import METRIC_FACTORIES, FairnessMetric
-from .grouping import by_sensitive_attribute
+from .grouping import by_sensitive_attribute, validate_grouping
 
 __all__ = [
     "FairnessSpec",
@@ -150,9 +150,10 @@ class FairnessSpec:
         """Induce the pairwise constraints of this spec on ``dataset``.
 
         Returns one :class:`Constraint` per unordered group pair, in the
-        order the grouping function yields groups.
+        order the grouping function yields groups.  Every grouping's
+        result is checked by :func:`~repro.core.grouping.validate_grouping`.
         """
-        groups = self.grouping(dataset)
+        groups = validate_grouping(self.grouping(dataset), len(dataset))
         names = list(groups)
         constraints = []
         for g1, g2 in itertools.combinations(names, 2):

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..ml.base import check_binary_labels
+
 __all__ = ["Dataset"]
 
 
@@ -65,7 +67,10 @@ class Dataset:
 
     def __post_init__(self):
         self.X = self._coerce(self.X, np.float64)
-        self.y = self._coerce(self.y, np.int64)
+        y = self.y if isinstance(self.y, np.ndarray) else np.asarray(self.y)
+        # a float label other than 0.0/1.0 is refused, not truncated
+        self.y = (check_binary_labels(y) if y.dtype.kind == "f"
+                  else self._coerce(y, np.int64))
         self.sensitive = self._coerce(self.sensitive, np.int64)
         n = len(self.X)
         if len(self.y) != n or len(self.sensitive) != n:

@@ -4,9 +4,11 @@ The registry is the serving layer's source of truth: request handlers
 resolve model names through it, retune jobs register their results in
 it, and — the semantic-caching move — retune requests whose spec is
 *canonically equivalent* to an already-registered model's spec **on the
-same dataset** hit the registry instead of re-solving.  The dedup key is
-``(SpecSet.canonical(), Dataset.fingerprint())``: order- and
-format-normalized spec string times exact dataset content hash.
+same dataset, by the same solver** hit the registry instead of
+re-solving.  The dedup key is ``(SpecSet.canonical(),
+Dataset.fingerprint(), solver)``: order- and format-normalized spec
+string times exact dataset content hash times the :func:`solver_key` a
+retune stamps into the model's ``metadata``.
 
 Lifecycle is load/save/evict over the existing persistence envelope
 (:mod:`repro.ml.persistence` via :meth:`FairModel.save` /
@@ -18,6 +20,8 @@ event loop.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import pathlib
 import threading
 import time
@@ -28,19 +32,41 @@ from dataclasses import dataclass, field
 from ..api import FairModel
 from ..core.dsl import parse_spec
 from ..core.exceptions import SpecificationError
+from ..ml.base import estimator_fingerprint
 
-__all__ = ["ModelRegistry", "RegistryEntry", "canonical_key"]
+__all__ = ["ModelRegistry", "RegistryEntry", "canonical_key", "solver_key"]
+
+#: the ``FairModel.metadata`` entry that holds a model's solver key
+SOLVER_METADATA = "solver_key"
 
 
-def canonical_key(spec, dataset_fingerprint):
-    """The registry dedup key: canonical spec string × dataset hash.
+def canonical_key(spec, dataset_fingerprint, solver=None):
+    """The registry dedup key: canonical spec × dataset hash × solver.
 
     ``spec`` accepts anything :func:`~repro.core.dsl.parse_spec` does (a
     DSL string, a spec, a list/SpecSet); two specs that parse to the
     same normalized clause set — reordered conjunctions, reformatted
-    epsilons, composite aliases — produce the same key.
+    epsilons, composite aliases — produce the same key.  ``solver`` is
+    a :func:`solver_key`, or ``None`` for a model registered without
+    one.
     """
-    return parse_spec(spec).canonical(), dataset_fingerprint
+    return parse_spec(spec).canonical(), dataset_fingerprint, solver
+
+
+def solver_key(estimator, strategy, options):
+    """The solver part of a retune's dedup key, or ``None``.
+
+    A SHA1 over the estimator's
+    :func:`~repro.ml.base.estimator_fingerprint`, the requested strategy
+    name and its options (JSON, keys sorted), so a retune reuses a model
+    only when all three match.  ``None`` when the estimator has no
+    fingerprint: such a retune never dedups.
+    """
+    fingerprint = estimator_fingerprint(estimator)
+    if fingerprint is None:
+        return None
+    payload = json.dumps([fingerprint, strategy, options], sort_keys=True)
+    return hashlib.sha1(payload.encode()).hexdigest()
 
 
 @dataclass
@@ -51,6 +77,7 @@ class RegistryEntry:
     estimator: str
     spec_canonical: str | None
     dataset_fingerprint: str | None
+    solver: str | None = None
     source: str = "register"
     registered_at: float = field(default_factory=time.time)
     path: str | None = None      # spool file once evicted (or saved)
@@ -99,7 +126,7 @@ class ModelRegistry:
         self._lock = threading.RLock()
         self._models = OrderedDict()   # name -> FairModel (LRU order)
         self._entries = {}             # name -> RegistryEntry
-        self._by_key = {}              # (canonical, fingerprint) -> name
+        self._by_key = {}              # (spec, fingerprint, solver) -> name
         self._stats = {
             "registered": 0,
             "gets": 0,
@@ -121,9 +148,10 @@ class ModelRegistry:
         """Install ``model`` under ``name``; returns its entry.
 
         When the model's specs render canonically *and* a dataset
-        fingerprint is given, the pair is indexed for
-        :meth:`lookup` dedup.  Re-registering a name replaces the old
-        model (and drops its dedup key).
+        fingerprint is given, the pair is indexed for :meth:`lookup`
+        dedup, together with the solver key in the model's
+        ``metadata`` (``None`` when it has none).  Re-registering a
+        name replaces the old model (and drops its dedup key).
         """
         if not isinstance(model, FairModel):
             raise SpecificationError(
@@ -132,12 +160,12 @@ class ModelRegistry:
             )
         if not name or not isinstance(name, str):
             raise SpecificationError("model name must be a non-empty string")
-        canonical = model.spec_canonical()
         entry = RegistryEntry(
             name=name,
             estimator=type(model.model).__name__,
-            spec_canonical=canonical,
+            spec_canonical=model.spec_canonical(),
             dataset_fingerprint=dataset_fingerprint,
+            solver=model.metadata.get(SOLVER_METADATA),
             source=source,
         )
         with self._lock:
@@ -145,8 +173,7 @@ class ModelRegistry:
             self._models[name] = model
             self._models.move_to_end(name)
             self._entries[name] = entry
-            if canonical is not None and dataset_fingerprint is not None:
-                self._by_key[(canonical, dataset_fingerprint)] = name
+            self._index(entry)
             self._stats["registered"] += 1
             self._enforce_bound(keep=name)
         return entry
@@ -213,16 +240,18 @@ class ModelRegistry:
 
     # -- semantic dedup ------------------------------------------------------
 
-    def lookup(self, spec, dataset_fingerprint):
+    def lookup(self, spec, dataset_fingerprint, solver=None):
         """Name of a registered model equivalent to ``spec`` on this data.
 
         Equivalence is canonical (:func:`canonical_key`), so reordered /
-        reformatted / composite-alias specs all hit.  Returns None on
-        miss; hit/lookup counts surface in :meth:`stats` (the serving
-        layer's ``/stats`` payload).
+        reformatted / composite-alias specs all hit, and the model's
+        solver key must equal ``solver`` (the default matches only
+        models registered without one).  Returns None on miss;
+        hit/lookup counts surface in :meth:`stats` (the serving layer's
+        ``/stats`` payload).
         """
         try:
-            key = canonical_key(spec, dataset_fingerprint)
+            key = canonical_key(spec, dataset_fingerprint, solver)
         except SpecificationError:
             return None
         with self._lock:
@@ -270,11 +299,20 @@ class ModelRegistry:
         self.store_dir.mkdir(parents=True, exist_ok=True)
         return self.store_dir / f"{name}.fairmodel.pkl"
 
+    @staticmethod
+    def _key(entry):
+        return entry.spec_canonical, entry.dataset_fingerprint, entry.solver
+
+    def _index(self, entry):
+        if (entry.spec_canonical is not None
+                and entry.dataset_fingerprint is not None):
+            self._by_key[self._key(entry)] = entry.name
+
     def _drop_key(self, name):
         entry = self._entries.get(name)
         if entry is None:
             return
-        key = (entry.spec_canonical, entry.dataset_fingerprint)
+        key = self._key(entry)
         if self._by_key.get(key) == name:
             del self._by_key[key]
 
@@ -333,11 +371,11 @@ class ModelRegistry:
         """Re-register spool files left by a previous process.
 
         Entries come back *non-resident* — the model is unpickled once
-        to recover its canonical spec and estimator name for the dedup
-        index, then dropped until first use, so a restart with many
-        spools does not balloon memory.  An unreadable spool warns and
-        is skipped: a stale cache file must never stop the server from
-        booting.
+        to recover its canonical spec, estimator name and solver key
+        for the dedup index, then dropped until first use, so a restart
+        with many spools does not balloon memory.  An unreadable spool
+        warns and is skipped: a stale cache file must never stop the
+        server from booting.
         """
         for path in sorted(self.store_dir.glob("*.fairmodel.pkl")):
             name = path.name[: -len(".fairmodel.pkl")]
@@ -352,20 +390,19 @@ class ModelRegistry:
                     stacklevel=2,
                 )
                 continue
-            canonical = extra.get("spec_canonical") or model.spec_canonical()
-            fingerprint = extra.get("dataset_fingerprint")
             entry = RegistryEntry(
                 name=name,
                 estimator=type(model.model).__name__,
-                spec_canonical=canonical,
-                dataset_fingerprint=fingerprint,
+                spec_canonical=(extra.get("spec_canonical")
+                                or model.spec_canonical()),
+                dataset_fingerprint=extra.get("dataset_fingerprint"),
+                solver=model.metadata.get(SOLVER_METADATA),
                 source="restore",
                 path=str(path),
                 resident=False,
             )
             self._entries[name] = entry
-            if canonical is not None and fingerprint is not None:
-                self._by_key[(canonical, fingerprint)] = name
+            self._index(entry)
             self._stats["restored"] += 1
 
     def _enforce_bound(self, keep=None):

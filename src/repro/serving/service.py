@@ -24,7 +24,8 @@ Endpoints
     "strategy": .., "options": {..}}`` → ``{"job_id": ..}``.  The solve
     runs **off the request path** on a worker thread
     (:func:`~repro.core.executor.submit_job`); canonically-equivalent
-    requests on the same data hit the registry instead of re-solving.
+    requests on the same data, with the same estimator, strategy and
+    options, hit the registry instead of re-solving.
     ``options`` carries strategy knobs only (``tau``, ``grid_steps``,
     ...); any other key answers 400 before an engine is built.
 ``POST /update``
@@ -91,7 +92,7 @@ from ..ml.base import check_binary_labels
 from ..resilience.faults import current_plan, inject
 from ..resilience.policy import BreakerBoard, Deadline, DeadlineExceeded
 from .batcher import MicroBatcher
-from .registry import ModelRegistry
+from .registry import SOLVER_METADATA, ModelRegistry, solver_key
 
 __all__ = ["FairnessService", "ServerHandle", "serve_in_thread"]
 
@@ -117,6 +118,9 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 
 #: header lines one request may carry
 MAX_HEADER_LINES = 100
+
+#: the longest ``timeout_ms`` a job's timer thread can wait
+MAX_TIMEOUT_MS = threading.TIMEOUT_MAX * 1e3
 
 
 def _jsonable(obj):
@@ -194,6 +198,20 @@ def _is_finite_number(value):
         return math.isfinite(value)
     except OverflowError:  # an integer beyond the float range
         return False
+
+
+def _timeout_ms(body):
+    """A request's ``timeout_ms``: ``None``, or a number in
+    ``(0, MAX_TIMEOUT_MS]`` (a bool is not one)."""
+    timeout_ms = body.get("timeout_ms")
+    if timeout_ms is not None and not (
+        _is_finite_number(timeout_ms) and 0 < timeout_ms <= MAX_TIMEOUT_MS
+    ):
+        raise _BadRequest(
+            f"timeout_ms must be a number in (0, {MAX_TIMEOUT_MS:g}], "
+            f"got {timeout_ms!r}"
+        )
+    return timeout_ms
 
 
 def _require(body, key, kind=None):
@@ -583,15 +601,10 @@ class FairnessService:
         rows = _require(body, "rows", list)
         if not rows:
             raise _BadRequest("rows must be a non-empty list of rows")
-        deadline = None
-        timeout_ms = body.get("timeout_ms")
-        if timeout_ms is not None:
-            if not isinstance(timeout_ms, (int, float)) or timeout_ms <= 0:
-                raise _BadRequest(
-                    f"timeout_ms must be a positive number, got "
-                    f"{timeout_ms!r}"
-                )
-            deadline = Deadline.after_ms(timeout_ms)
+        timeout_ms = _timeout_ms(body)
+        deadline = None if timeout_ms is None else Deadline.after_ms(
+            timeout_ms
+        )
         if self._inflight >= self.max_inflight:
             # shed instead of queueing work the client will give up on;
             # Retry-After scales with how deep the backlog runs
@@ -675,7 +688,7 @@ class FairnessService:
         Problem(spec)  # fail fast (400) on an unparseable spec
         estimator = body.get("estimator", "NB")
         try:
-            resolve_model(estimator)  # fail fast on unknown estimators
+            resolved = resolve_model(estimator)  # fail fast if unknown
         except (KeyError, ImportError) as exc:
             raise _BadRequest(
                 str(exc.args[0] if exc.args else exc)
@@ -692,16 +705,11 @@ class FairnessService:
         # the client's options reach Engine(**options): only strategy
         # knobs may pass, never constructor parameters like store_dir
         check_option_names(options)
-        timeout_ms = body.get("timeout_ms")
-        if timeout_ms is not None and (
-            not isinstance(timeout_ms, (int, float)) or timeout_ms <= 0
-        ):
-            raise _BadRequest(
-                f"timeout_ms must be a positive number, got {timeout_ms!r}"
-            )
+        timeout_ms = _timeout_ms(body)
         # construct the Engine eagerly so bad strategies / options come
         # back as a 400 now, not a failed job later
         engine = Engine(strategy, store=self.store, **options)
+        solver = solver_key(resolved, strategy, options)
         name = body.get("name") or f"retune-{next(self._job_ids)}"
         active = sum(
             1 for handle, _meta in self._jobs.values()
@@ -730,7 +738,7 @@ class FairnessService:
 
         handle = submit_job(
             self._run_retune, name, spec, estimator, dataset_args,
-            engine, name=f"retune-{name}",
+            engine, solver, name=f"retune-{name}",
             timeout_s=None if timeout_ms is None else timeout_ms / 1e3,
             on_done=_feed_breaker,
         )
@@ -738,15 +746,22 @@ class FairnessService:
         return {"job_id": str(handle.id), "status": handle.status,
                 "model": name}
 
-    def _run_retune(self, name, spec, estimator, dataset_args, engine):
-        """Worker-thread body: dedup through the registry, else solve."""
+    def _run_retune(self, name, spec, estimator, dataset_args, engine,
+                    solver):
+        """Worker-thread body: dedup through the registry, else solve.
+
+        A hit needs a model the same ``solver`` (:func:`solver_key`)
+        tuned; a solver without a key never dedups.
+        """
         n = dataset_args["n"]
         data = load(
             dataset_args["dataset"], n=None if n is None else int(n),
             seed=dataset_args["seed"],
         )
         fingerprint = data.fingerprint()
-        hit = self.registry.lookup(spec, fingerprint)
+        hit = None if solver is None else self.registry.lookup(
+            spec, fingerprint, solver,
+        )
         if hit is not None:
             self._count("retune_registry_hits")
             return {
@@ -759,6 +774,8 @@ class FairnessService:
             Problem(spec), resolve_model(estimator), data,
             seed=dataset_args["seed"],
         )
+        if solver is not None:
+            fair.metadata[SOLVER_METADATA] = solver
         self.registry.register(
             name, fair, dataset_fingerprint=fingerprint, source="retune",
         )

@@ -41,6 +41,12 @@ WORKLOADS = {
         "binary_search", "SP <= 0.05", "label_noise", {}),
     "binary_search-fdr-label_noise": (
         "binary_search", "FDR <= 0.05", "label_noise", {}),
+    # FOR, on the full kernel and with the subsample kernel's
+    # parameterized path (``subsample`` goes to the engine)
+    "binary_search-for-label_noise": (
+        "binary_search", "FOR <= 0.05", "label_noise", {}),
+    "binary_search-for-label_noise-subsample": (
+        "binary_search", "FOR <= 0.04", "label_noise", dict(subsample=0.5)),
     "hill_climb-sp-label_noise": (
         "hill_climb", "SP <= 0.05", "label_noise", {}),
     "hill_climb-fdr-label_noise": (

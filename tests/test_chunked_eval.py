@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from repro.api import Engine, Problem
 from repro.core.fairness_metrics import METRIC_FACTORIES
-from repro.core.kernels import CompiledEvaluator, evaluate_lambda_batch
+from repro.core.kernels import CompiledEvaluator
 from repro.core.fitter import WeightedFitter
+from repro.core.planner import PlanContext
 from repro.core.spec import Constraint, bind_specs
 from repro.datasets import available_scenarios, load_scenario
 from repro.ml import GaussianNaiveBayes
@@ -241,25 +242,33 @@ class TestBatchEvalPlumbing:
         with pytest.raises(ValueError, match="eval_chunk_size"):
             self._fitter(chunk_size=0)
 
-    def test_evaluate_lambda_batch_inherits_fitter_chunk_size(self):
+    @staticmethod
+    def _fit_and_score(fitter, evaluator, X, L):
+        return evaluator.score_models_batch(fitter.fit_batch(L), X)
+
+    def test_compiled_scorer_inherits_fitter_chunk_size(self):
         L = np.linspace(-0.5, 0.5, 7)[:, None]
-        ref_fitter, c, X, y = self._fitter(None)
-        ref = evaluate_lambda_batch(ref_fitter, [c], X, y, L)
-        chunk_fitter, c2, X2, y2 = self._fitter(chunk_size=50)
-        got = evaluate_lambda_batch(chunk_fitter, [c2], X2, y2, L)
-        assert np.array_equal(ref.disparities, got.disparities)
-        assert np.array_equal(ref.accuracies, got.accuracies)
+        scores = []
+        for chunk_size in (None, 50):
+            fitter, c, X, y = self._fitter(chunk_size)
+            evaluator = PlanContext(fitter, [c], X, y).compiled_scorer()
+            assert evaluator.chunk_size == chunk_size
+            scores.append(self._fit_and_score(fitter, evaluator, X, L))
+        (ref_d, ref_a), (got_d, got_a) = scores
+        assert np.array_equal(ref_d, got_d)
+        assert np.array_equal(ref_a, got_a)
 
     def test_explicit_chunk_size_overrides(self):
         L = np.array([[0.0], [0.25]])
         fitter, c, X, y = self._fitter(None)
-        ref = evaluate_lambda_batch(fitter, [c], X, y, L)
-        got = evaluate_lambda_batch(
-            fitter, [c], X, y, L,
-            evaluator=CompiledEvaluator([c], y, chunk_size=9),
+        ref_d, ref_a = self._fit_and_score(
+            fitter, CompiledEvaluator([c], y), X, L
         )
-        assert np.array_equal(ref.disparities, got.disparities)
-        assert np.array_equal(ref.accuracies, got.accuracies)
+        got_d, got_a = self._fit_and_score(
+            fitter, CompiledEvaluator([c], y, chunk_size=9), X, L
+        )
+        assert np.array_equal(ref_d, got_d)
+        assert np.array_equal(ref_a, got_a)
 
 
 def _splits(data, seed=0):

@@ -98,6 +98,15 @@ class TestDatasetContainer:
                 group_names=("a", "b"),
             )
 
+    def test_float_labels_are_not_truncated(self):
+        # an int64 cast would hold [0, 1, 0]
+        with pytest.raises(ValueError, match="0.2 0.9"):
+            Dataset("x", np.zeros((3, 1)), [0.9, 1.0, 0.2], np.zeros(3))
+        with pytest.raises(ValueError, match="nan"):
+            Dataset("x", np.zeros((2, 1)), [np.nan, 1.0], np.zeros(2))
+        exact = Dataset("x", np.zeros((2, 1)), [1.0, 0.0], np.zeros(2))
+        assert exact.y.dtype == np.int64 and list(exact.y) == [1, 0]
+
 
 def _extras_dataset(n=6, **extras):
     rng = np.random.default_rng(0)

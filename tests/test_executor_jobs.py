@@ -150,6 +150,13 @@ class TestTimeout:
         with pytest.raises(SpecificationError, match="timeout_s"):
             submit_job(lambda: 1, timeout_s=0)
 
+    # 1e297 s is finite but past threading.TIMEOUT_MAX: the timer thread
+    # would die with an OverflowError instead of waiting
+    @pytest.mark.parametrize("timeout_s", [float("nan"), float("inf"), 1e297])
+    def test_unarmable_timeout_rejected(self, timeout_s):
+        with pytest.raises(SpecificationError, match="timeout_s"):
+            submit_job(lambda: 1, timeout_s=timeout_s)
+
 
 class TestOnDone:
     def test_callback_fires_once_with_terminal_handle(self):

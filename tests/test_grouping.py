@@ -11,6 +11,7 @@ from repro.core.grouping import (
     intersectional,
     validate_grouping,
 )
+from repro.core.spec import FairnessSpec
 from repro.datasets import make_biased_dataset
 
 
@@ -111,6 +112,10 @@ class TestValidateGrouping:
         with pytest.raises(SpecificationError, match="at least two"):
             validate_grouping({"a": [0]}, 5)
 
+    def test_repeated_row_rejected(self):
+        with pytest.raises(SpecificationError, match="more than once"):
+            validate_grouping({"a": [3, 0, 3], "b": [1]}, 5)
+
     def test_2d_indices_rejected(self):
         with pytest.raises(SpecificationError, match="1-D"):
             validate_grouping({"a": [[0]], "b": [1]}, 5)
@@ -118,3 +123,26 @@ class TestValidateGrouping:
     def test_names_stringified(self):
         groups = validate_grouping({0: [0], 1: [1]}, 2)
         assert set(groups) == {"0", "1"}
+
+
+class TestBindValidatesCustomGroupings:
+    """``FairnessSpec.bind`` checks a user-written grouping's result."""
+
+    @pytest.mark.parametrize("groups, match", [
+        ({"a": [0, 0, 1, 2, 3], "b": list(range(10, 20))},
+         "more than once"),
+        ({"a": [0, 999], "b": [1, 2]}, "out of range"),
+        ({"a": [], "b": [1, 2]}, "empty"),
+        ({"a": [0, 1, 2]}, "at least two"),
+    ], ids=["repeated-row", "out-of-range", "empty", "single-group"])
+    def test_bad_grouping_refused_at_bind(self, data, groups, match):
+        spec = FairnessSpec("SP", 0.1, grouping=lambda dataset: groups)
+        with pytest.raises(SpecificationError, match=match):
+            spec.bind(data)
+
+    def test_unsorted_distinct_rows_bind(self, data):
+        spec = FairnessSpec(
+            "SP", 0.1, grouping=lambda dataset: {"a": [5, 1, 3], "b": [0]},
+        )
+        (constraint,) = spec.bind(data)
+        assert list(constraint.g1_idx) == [5, 1, 3]

@@ -7,9 +7,11 @@ The contract under test:
   vectors (including negative-weight regimes), overlapping groups, and
   FOR/FDR predictions, and their group-side overlap test matches the
   oracle's set intersection;
-* the batched APIs (``weights_batch`` / ``fit_batch`` /
-  ``evaluate_lambda_batch``) agree with their sequential counterparts;
-* the incremental FOR/FDR prediction update equals a fresh recount;
+* the batched APIs (``weights_batch``, and ``fit_batch`` scored by
+  ``score_models_batch``) agree with their sequential counterparts;
+* a sequence of prediction updates (FOR/FDR and a custom parameterized
+  metric) keeps every weight equal to the oracle's, and an identical
+  re-send recomputes nothing;
 * :class:`CompiledEvaluator` matches ``Constraint.disparity`` and
   ``accuracy_score`` exactly;
 * with disjoint group sides, swapping a pair is a sign: the swapped
@@ -35,7 +37,6 @@ from repro.core.kernels import (
     CompiledConstraints,
     CompiledEvaluator,
     _sides_overlap,
-    evaluate_lambda_batch,
     rate_from_counts,
 )
 from repro.core.spec import Constraint
@@ -135,22 +136,41 @@ def weight_problems(draw, disjoint=False, metric=None):
     return y, constraints, lambdas, predictions
 
 
+def _prediction_sequence(data, predictions):
+    """1–6 prediction vectors, each a few flips of the one before; when
+    there are two or more, one is an identical re-send (a new array)."""
+    n = len(predictions)
+    length = data.draw(st.integers(1, 6), label="length")
+    resend = (data.draw(st.integers(1, length - 1), label="resend")
+              if length > 1 else None)
+    sequence = [predictions]
+    for step in range(1, length):
+        pred = sequence[-1].copy()
+        if step != resend:
+            flips = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                       max_size=3, unique=True),
+                              label="flips")
+            pred[flips] = 1 - pred[flips]
+        sequence.append(pred)
+    return sequence
+
+
 class TestWeightEquivalenceProperty:
     @settings(max_examples=60, deadline=None)
-    @given(weight_problems())
-    def test_compiled_matches_naive_bit_for_bit(self, problem):
+    @given(weight_problems(), st.data())
+    def test_compiled_matches_naive_bit_for_bit(self, problem, data):
         y, constraints, lambdas, predictions = problem
         n = len(y)
-        naive = compute_weights(
-            n, constraints, lambdas, y, predictions=predictions
-        )
+        L = np.stack([lambdas, np.zeros_like(lambdas), -0.5 * lambdas])
         kernel = CompiledConstraints(constraints, y)
-        compiled = kernel.weights(lambdas, predictions=predictions)
-        assert np.array_equal(naive, compiled)
-        batch = CompiledConstraints(constraints, y).weights_batch(
-            lambdas[None, :], predictions=predictions
-        )
-        assert np.array_equal(naive, batch[0])
+        for pred in _prediction_sequence(data, predictions):
+            kernel.update_predictions(pred)
+            W = kernel.weights_batch(L)
+            for b, lams in enumerate(L):
+                naive = compute_weights(n, constraints, lams, y,
+                                        predictions=pred)
+                assert np.array_equal(naive, kernel.weights(lams))
+                assert np.array_equal(naive, W[b])
 
     @settings(max_examples=30, deadline=None)
     @given(weight_problems())
@@ -253,28 +273,6 @@ class TestIncrementalPredictionUpdates:
                 )
             )
         return constraints
-
-    def test_incremental_equals_fresh_recount(self):
-        rng = np.random.default_rng(7)
-        y = rng.integers(0, 2, size=120)
-        constraints = self._constraints(y, rng)
-        lambdas = np.array([0.8, -1.6, 2.5])
-        incremental = CompiledConstraints(constraints, y)
-        pred = rng.integers(0, 2, size=120)
-        for step in range(8):
-            # flip a few rows at a time — the incremental path only
-            # re-tallies those
-            flips = rng.choice(120, size=rng.integers(0, 9), replace=False)
-            pred = pred.copy()
-            pred[flips] = 1 - pred[flips]
-            incremental.update_predictions(pred)
-            fresh = CompiledConstraints(constraints, y)
-            fresh.update_predictions(pred)
-            naive = compute_weights(
-                120, constraints, lambdas, y, predictions=pred
-            )
-            assert np.array_equal(incremental.weights(lambdas), naive)
-            assert np.array_equal(fresh.weights(lambdas), naive)
 
     def test_nonzero_lambda_requires_predictions(self):
         rng = np.random.default_rng(3)
@@ -497,7 +495,7 @@ class TestEstimatorBatchHooks:
             assert np.array_equal(batch[b], model.predict(X))
 
 
-class TestEvaluateLambdaBatch:
+class TestBatchFitAndScore:
     def test_matches_sequential_fit_and_score(self):
         X, y, constraints = _toy_training_setup(seed=6)
         X_val, y_val = X[:150], y[:150]
@@ -513,9 +511,9 @@ class TestEvaluateLambdaBatch:
         L = np.array([[0.0, 0.0], [0.5, -0.5], [-1.0, 1.0]])
         est = LogisticRegression(max_iter=30)
         batch_fitter = WeightedFitter(est.clone(), X, y, constraints)
-        result = evaluate_lambda_batch(
-            batch_fitter, val_constraints, X_val, y_val, L
-        )
+        disparities, accuracies = CompiledEvaluator(
+            val_constraints, y_val,
+        ).score_models_batch(batch_fitter.fit_batch(L), X_val)
         serial_fitter = WeightedFitter(est.clone(), X, y, constraints)
         for b in range(len(L)):
             model = serial_fitter.fit(L[b])
@@ -523,5 +521,5 @@ class TestEvaluateLambdaBatch:
             want = np.array(
                 [c.disparity(y_val, pred) for c in val_constraints]
             )
-            assert np.array_equal(result.disparities[b], want)
-            assert result.accuracies[b] == accuracy_score(y_val, pred)
+            assert np.array_equal(disparities[b], want)
+            assert accuracies[b] == accuracy_score(y_val, pred)

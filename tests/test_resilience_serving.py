@@ -299,6 +299,32 @@ class TestServiceDegradation:
             client.predict("gs", dataset.X[:2], timeout_ms=-5)
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), True, 1e300],
+        ids=["nan", "inf", "true", "past-timer-max"],
+    )
+    @pytest.mark.parametrize("route", ["/predict", "/retune"])
+    def test_unusable_timeout_ms_is_400(self, client, dataset, route, value):
+        if route == "/predict":
+            body = {"model": "gs", "rows": dataset.X[:2].tolist()}
+        else:
+            body = {"spec": "SP <= 0.2", "dataset": "scenario:group_sweep",
+                    "n": 200, "name": "gs"}
+
+        def state():
+            # every request, this one included, counts as admitted
+            stats = client.stats()
+            counters = {key: count for key, count in stats["admission"].items()
+                        if key not in ("admitted", "completed", "errors")}
+            return counters, stats["resilience"]["breakers"], stats["jobs"]
+
+        before = state()
+        with pytest.raises(ServingError) as excinfo:
+            client._request("POST", route, dict(body, timeout_ms=value))
+        assert excinfo.value.status == 400
+        assert "timeout_ms" in excinfo.value.payload["error"]
+        assert state() == before
+
     def test_predict_overload_sheds_429(self, server, client, dataset):
         service = server.service
         service._inflight = service.max_inflight  # saturate admission

@@ -18,6 +18,7 @@ from repro.core.exceptions import SpecificationError
 from repro.datasets import load_scenario
 from repro.ml import DecisionTree, GaussianNaiveBayes, LogisticRegression
 from repro.serving import MicroBatcher, ModelRegistry, canonical_key
+from repro.serving.registry import solver_key
 
 
 def make_fair_model(seed=0, estimator=None, spec="SP <= 0.1"):
@@ -114,6 +115,35 @@ class TestModelRegistry:
         assert np.array_equal(reloaded.predict(X), before)
         # the canonical key survives the evict/reload round-trip
         assert registry.lookup("SP <= 0.1", "fp") == "m"
+
+    def test_solver_key_is_part_of_the_dedup_key(self):
+        registry = ModelRegistry()
+        fair = make_fair_model()
+        fair.metadata["solver_key"] = "nb-auto"
+        registry.register("m", fair, dataset_fingerprint="fp")
+        assert registry.lookup("SP <= 0.1", "fp", "nb-auto") == "m"
+        assert registry.lookup("SP <= 0.1", "fp", "lr-auto") is None
+        # a model with a solver key never answers a keyless lookup
+        assert registry.lookup("SP <= 0.1", "fp") is None
+
+    def test_spooled_model_keeps_its_solver_key(self, tmp_path):
+        registry = ModelRegistry(store_dir=tmp_path)
+        fair = make_fair_model()
+        fair.metadata["solver_key"] = "nb-auto"
+        registry.register("m", fair, dataset_fingerprint="fp")
+        registry.evict("m")
+        assert registry.get("m").metadata["solver_key"] == "nb-auto"
+        assert registry.lookup("SP <= 0.1", "fp", "nb-auto") == "m"
+        restarted = ModelRegistry(store_dir=tmp_path)
+        assert restarted.lookup("SP <= 0.1", "fp", "nb-auto") == "m"
+        assert restarted.lookup("SP <= 0.1", "fp") is None
+
+    def test_solver_key_covers_estimator_strategy_and_options(self):
+        base = solver_key(GaussianNaiveBayes(), "auto", {})
+        assert solver_key(GaussianNaiveBayes(), "auto", {}) == base
+        assert solver_key(LogisticRegression(), "auto", {}) != base
+        assert solver_key(GaussianNaiveBayes(), "grid", {}) != base
+        assert solver_key(GaussianNaiveBayes(), "auto", {"tau": 0.1}) != base
 
     def test_save_and_load_explicit_paths(self, tmp_path):
         registry = ModelRegistry()

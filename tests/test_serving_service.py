@@ -313,6 +313,24 @@ class TestRetune:
         preds = client.predict("tuned", probe.X[:9])
         assert preds.shape == (9,)
 
+    @pytest.mark.parametrize("change", [
+        {"estimator": "LR"},
+        {"strategy": "grid", "options": {"grid_steps": 9, "grid_max": 0.5}},
+        {"options": {"tau": 1e-3}},
+    ], ids=["estimator", "strategy", "options"])
+    def test_retune_by_another_solver_does_not_dedup(self, client, change):
+        request = dict(spec="SP <= 0.1", dataset="adult", n=1500, seed=0,
+                       estimator="NB")
+        job = client.retune(**request, name="nb")
+        first = client.wait_job(job["job_id"])["result"]
+        assert first["registry_hit"] is False
+        # same spec and data, another estimator / strategy / options
+        job2 = client.retune(**dict(request, **change), name="other")
+        result = client.wait_job(job2["job_id"])["result"]
+        assert result["registry_hit"] is False and result["solves"] == 1
+        assert result["model"] == "other"
+        assert client.stats()["admission"]["solves"] == 2
+
     def test_retune_on_different_data_does_not_dedup(self, client):
         job = client.retune(
             "SP <= 0.07", "scenario:group_sweep", name="a", n=700, seed=1,
