@@ -11,8 +11,11 @@ runs one identical λ grid search twice through the compiled engine:
 * **batched** — the fast path: batched IRLS for logistic
   regression (one vectorized damped-Newton pass over all candidates,
   batched Hessian solves), shared-:class:`~repro.ml.tree.PresortedDataset`
-  index-partition builds for trees, stacked ``predict_batch`` scoring,
-  and the fit memoization cache.
+  index-partition builds for trees, and stacked ``predict_batch`` scoring.
+
+Both sides go through the fit memoization cache, which has no switch.
+It only skips fits whose resolved weights repeat an earlier fit, so on
+the serial side it can only shorten the time the batched side must beat.
 
 Both sides must select the **identical λ** (trees are bit-for-bit
 identical; IRLS coefficients agree to reduction-order round-off, see
@@ -154,13 +157,9 @@ def _splits(dataset):
 
 
 def _solve(mode, workload, train, val):
-    # the serial side is the seed-state fit path: no batch protocol, no
-    # fit memoization — only the batched side gets the fit cache
-    engine = Engine(
-        workload["strategy"],
-        fit_cache=(mode == "batched"),
-        **workload["options"],
-    )
+    # the serial side hides the batch protocol (see its estimators);
+    # both sides memoize repeated fits
+    engine = Engine(workload["strategy"], **workload["options"])
     problem = Problem(workload["spec"])
     estimator = workload["estimator"](mode)
     t0 = time.perf_counter()

@@ -299,11 +299,6 @@ class Engine:
     negative_weights, warm_start, subsample
         Weighted-training knobs, passed to
         :class:`~repro.core.fitter.WeightedFitter`.
-    fit_cache : bool
-        Memoize model fits on the hash of their resolved weight/label
-        vectors (default True; automatically off under ``warm_start``).
-        Hit counts surface as ``FitReport.fit_cache_hits`` /
-        ``fit_cache_lookups``.
     chunk_size : int or None
         Row-block size of validation scoring and of the final audit:
         prediction and disparity/accuracy counts stream over row blocks,
@@ -346,7 +341,6 @@ class Engine:
         negative_weights="flip",
         warm_start=False,
         subsample=None,
-        fit_cache=True,
         chunk_size=None,
         store_dir=None,
         store=None,
@@ -364,7 +358,6 @@ class Engine:
         self.negative_weights = negative_weights
         self.warm_start = warm_start
         self.subsample = subsample
-        self.fit_cache = fit_cache
         self.chunk_size = None if chunk_size is None else int(chunk_size)
         if store is not None:
             self.store = store
@@ -471,7 +464,6 @@ class Engine:
             negative_weights=self.negative_weights,
             warm_start=self.warm_start,
             subsample=self.subsample,
-            fit_cache=self.fit_cache,
             eval_chunk_size=self.chunk_size,
             store=self.store,
         )
@@ -497,8 +489,8 @@ class Engine:
             swapped=result.swapped,
             fit_cache_hits=fitter.fit_cache_hits,
             fit_cache_lookups=fitter.fit_cache_lookups,
-            store_hits=fitter.store_stats["hits"],
-            store_lookups=fitter.store_stats["lookups"],
+            store_hits=fitter.store_hits,
+            store_lookups=fitter.store_lookups,
             fit_paths=dict(fitter.fit_paths),
             train_constraints=list(fitter.constraints),
             val_constraints=list(val_constraints),

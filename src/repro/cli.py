@@ -175,9 +175,6 @@ def build_parser():
                             "pair (COMPAS: African-American vs Caucasian)")
     train.add_argument("--subsample", type=float, default=None,
                        help="bounding-stage subsample fraction (§8 pruning)")
-    train.add_argument("--no-fit-cache", action="store_true",
-                       help="disable memoization of model fits on their "
-                            "resolved weight vectors")
     train.add_argument("--chunk-size", type=int, default=None,
                        metavar="ROWS",
                        help="stream validation scoring over row blocks "
@@ -365,7 +362,6 @@ def _cmd_train(args, out):
         estimator = resolve_model(args.model)
         engine = Engine(
             args.search, subsample=args.subsample,
-            fit_cache=not args.no_fit_cache,
             chunk_size=args.chunk_size,
             store_dir=(None if args.no_store else args.store_dir),
             **options,

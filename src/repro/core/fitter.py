@@ -14,22 +14,19 @@ prediction state is updated incrementally.  Every fit runs in-process,
 one candidate after another (or through the estimator's own batch
 protocol, :meth:`WeightedFitter.fit_batch`).
 
-A **fit memoization cache** sits in front of every model fit: the
-resolved ``(weights, labels)`` pair — plus the estimator's
-:func:`~repro.ml.base.estimator_fingerprint` and which training split is
-in play — is hashed, and a candidate whose resolved vectors collide
-with an earlier fit reuses the fitted model instead of retraining.  Collisions
-are common in practice: ``resolve_negative_weights`` can map distinct λ
-to the same resolved vectors, λ-searches revisit Λ = 0, and hill
-climbing re-lands on coordinates it has already tried.  Hit counts are
-exposed as :attr:`WeightedFitter.fit_cache_hits` and surfaced through
-:class:`~repro.core.report.FitReport`.  ``n_fits`` counts *logical*
-fits — cache hits included — so search-budget accounting (and
-``n_fits == len(history)`` invariants) is unchanged by memoization;
-the work actually avoided is ``fit_cache_hits``.  The cache holds at
-most :data:`FIT_CACHE_MAX` models (LRU eviction) and is disabled
-under ``warm_start`` (a warm-started fit depends on the mutable shared
-estimator state, not just the weights).
+Both :meth:`WeightedFitter.fit` and :meth:`WeightedFitter.fit_batch`
+end in one fit pass over the resolved rows.  A **fit memoization
+cache** comes first: the resolved ``(weights, labels)`` pair — plus the
+estimator's :func:`~repro.ml.base.estimator_fingerprint` and which
+training split is in play — is hashed, and a row whose resolved vectors
+collide with an earlier fit, or with another row of the same call,
+reuses the fitted model instead of retraining.  Collisions are common
+in practice: ``resolve_negative_weights`` can map distinct λ to the
+same resolved vectors, λ-searches revisit Λ = 0, and hill climbing
+re-lands on coordinates it has already tried.  The cache holds at most
+:data:`FIT_CACHE_MAX` models (LRU eviction) and is off under
+``warm_start`` (a warm-started fit depends on the mutable shared
+estimator state, not just the weights); it has no other switch.
 
 A persistent :class:`~repro.store.CacheStore` can sit *under* the
 in-memory cache (``store=`` constructor argument, usually injected by
@@ -39,9 +36,15 @@ wider than the in-memory one — it adds a digest of the training split
 itself, because the in-memory key's ``(weights, labels)`` hash is only
 unambiguous within one fitter's ``X``.  An estimator without a
 fingerprint (a param with no canonical encoding) stays out of the store;
-the in-memory cache still serves it.  Store traffic is tracked in
-:attr:`store_stats`, and a store hit still counts as a logical fit
-(like a cache hit).
+the in-memory cache still serves it.
+
+Every logical fit lands in exactly one :attr:`WeightedFitter.fit_paths`
+entry — ``"cached"``, ``"store"`` or the path that trained it — and the
+fit counters are read off it: ``n_fits`` counts *logical* fits, hits
+included, so search-budget accounting (and ``n_fits == len(history)``
+invariants) is unchanged by memoization; ``fit_cache_hits`` and
+``store_hits`` are the work avoided.  All of them surface through
+:class:`~repro.core.report.FitReport`.
 """
 
 from __future__ import annotations
@@ -89,10 +92,6 @@ class WeightedFitter:
         cheap fits before refining on the full training set (§8).
     subsample_seed : int
         Seed for the subsample draw.
-    fit_cache : bool
-        Memoize fitted models on the hash of their resolved
-        ``(weights, labels)`` vectors (default True; forced off under
-        ``warm_start``).  See the module docstring.
     eval_chunk_size : int or None
         Row-block size of validation scoring.  Every
         :class:`~repro.core.kernels.CompiledEvaluator` the search builds
@@ -102,29 +101,25 @@ class WeightedFitter:
     store : repro.store.CacheStore or None
         Persistent blob store consulted under the in-memory fit cache
         and published to after every fresh fit (see module docstring).
-        Ignored when the fit cache is off (including under
-        ``warm_start`` — a warm-started model depends on process-local
-        estimator state no other process can reproduce).
+        Ignored under ``warm_start``, like the memory cache: a
+        warm-started model depends on process-local estimator state no
+        other process can reproduce.
 
     Attributes
     ----------
-    n_fits : int
-        Logical model fits requested (cache hits included, so the
-        ``n_fits == len(history)`` bookkeeping of the searches is
-        unaffected by memoization); ``n_fits - fit_cache_hits`` is the
-        number of actual training runs.
-    fit_cache_hits, fit_cache_lookups : int
-        Fit-memoization traffic; ``hits`` short-circuited a fit.
-    store_stats : dict
-        ``{"hits": int, "lookups": int}`` persistent-store traffic for
-        model fits.  A store hit also short-circuited a fit (the model
-        was trained by an earlier process or solve).
     fit_paths : dict
-        How batch candidates were fitted, by path:
-        ``"batch_protocol"`` (estimator's ``fit_weighted_batch``),
-        ``"serial"`` (in-process loop),
-        ``"cached"`` (fit cache hit), plus ``"single"`` for plain
-        :meth:`fit` calls.
+        Logical fits by where their model came from:
+        ``"cached"`` (memory hit, or a repeat of a row trained in the
+        same call), ``"store"`` (persistent-store hit),
+        ``"batch_protocol"`` (the estimator's ``fit_weighted_batch``),
+        ``"serial"`` (a :meth:`fit_batch` row trained in-process), and
+        ``"single"`` or ``"warm"`` (a :meth:`fit` call, without or with
+        ``warm_start``).  A fit that raises is recorded nowhere.
+    store_lookups : int
+        Persistent-store lookups for model fits.
+    n_fits, fit_cache_hits, fit_cache_lookups, store_hits : int
+        Read-only counters over :attr:`fit_paths` (see their
+        docstrings).
     """
 
     def __init__(
@@ -137,7 +132,6 @@ class WeightedFitter:
         warm_start=False,
         subsample=None,
         subsample_seed=0,
-        fit_cache=True,
         eval_chunk_size=None,
         store=None,
     ):
@@ -154,18 +148,12 @@ class WeightedFitter:
         self.eval_chunk_size = (
             None if eval_chunk_size is None else int(eval_chunk_size)
         )
-        self.n_fits = 0
-        # a warm-started fit depends on the shared estimator's mutable
-        # state, so identical weights do NOT imply identical models
-        self.fit_cache = bool(fit_cache) and not warm_start
-        self.fit_cache_hits = 0
-        self.fit_cache_lookups = 0
         self._fit_cache = {}
         # persistent layer under the memory cache; its soundness rests
         # on the same invariant (resolved vectors determine the model),
-        # so it shares the cache gate
-        self.store = store if self.fit_cache else None
-        self.store_stats = {"hits": 0, "lookups": 0}
+        # so it is off under warm_start too
+        self.store = None if warm_start else store
+        self.store_lookups = 0
         self._split_digests = {}
         self.fit_paths = {}
         self._warned_warm_bypass = False
@@ -224,6 +212,30 @@ class WeightedFitter:
                 )
             )
         self._sub_constraints = subbed
+
+    # -- fit counters --------------------------------------------------------
+
+    @property
+    def n_fits(self):
+        """Logical fits requested, memoized ones included;
+        ``n_fits - fit_cache_hits - store_hits`` models were trained."""
+        return sum(self.fit_paths.values())
+
+    @property
+    def fit_cache_hits(self):
+        """Fits served from memory, or by a repeat of the same call."""
+        return self.fit_paths.get("cached", 0)
+
+    @property
+    def fit_cache_lookups(self):
+        """Every logical fit looks the cache up, except under
+        ``warm_start``, where the cache is off."""
+        return 0 if self.warm_start else self.n_fits
+
+    @property
+    def store_hits(self):
+        """Fits served from the persistent store."""
+        return self.fit_paths.get("store", 0)
 
     # -- compiled kernels ----------------------------------------------------
 
@@ -310,31 +322,9 @@ class WeightedFitter:
         text = f"{params}:{self._split_digest(split)}:"
         return hashlib.sha1(text.encode() + digest).hexdigest()
 
-    def _store_get(self, key, store_key):
-        """Consult the persistent store after a memory miss.
-
-        ``store_key`` is the candidate's :meth:`_store_key`, computed
-        once and reused by :meth:`_store_put` after a miss.  On a hit
-        the model enters the in-memory cache under ``key`` so in-batch
-        duplicates and later revisits resolve locally.
-        """
-        self.store_stats["lookups"] += 1
-        model = self.store.get("fit", store_key)
-        if model is None:
-            return None
-        self.store_stats["hits"] += 1
-        self._cache_store(key, model)
-        return model
-
-    def _store_put(self, store_key, model):
-        """Publish a freshly trained model to the persistent store."""
-        self.store.put(
-            "fit", store_key, model,
-            extra={"estimator": type(self.estimator).__name__},
-        )
-
-    def _record_path(self, path, count=1):
-        self.fit_paths[path] = self.fit_paths.get(path, 0) + count
+    def _record_path(self, path, count):
+        if count:
+            self.fit_paths[path] = self.fit_paths.get(path, 0) + count
 
     def _cache_store(self, key, model):
         """Insert with LRU eviction at :data:`FIT_CACHE_MAX` entries."""
@@ -375,42 +365,7 @@ class WeightedFitter:
         w, y_fit = resolve_negative_weights(
             w, y, strategy=self.negative_weights
         )
-        return self._fit_resolved(X, y_fit, w, use_subsample)
-
-    def _fit_resolved(self, X, y_fit, w, use_subsample=False):
-        store_key = None
-        if self.fit_cache:
-            params = estimator_fingerprint(self.estimator)
-            key = self._cache_key(params, w, y_fit, use_subsample)
-            self.fit_cache_lookups += 1
-            cached = self._cache_get(key)
-            if cached is not None:
-                self.fit_cache_hits += 1
-                self.n_fits += 1   # logical fit; the work was memoized
-                self._record_path("cached")
-                return cached
-            store_key = self._store_key(key)
-            if store_key is not None:
-                stored = self._store_get(key, store_key)
-                if stored is not None:
-                    self.n_fits += 1   # logical fit; trained by a past run
-                    self._record_path("store")
-                    return stored
-        self._record_path("warm" if self.warm_start else "single")
-        if self.warm_start:
-            self._shared.fit(X, y_fit, sample_weight=w)
-            # snapshot so callers can keep models for different λ values
-            # while the shared instance keeps warm-starting in place
-            model = copy.deepcopy(self._shared)
-        else:
-            model = self.estimator.clone()
-            model.fit(X, y_fit, sample_weight=w)
-        self.n_fits += 1
-        if self.fit_cache:
-            self._cache_store(key, model)
-            if store_key is not None:
-                self._store_put(store_key, model)
-        return model
+        return self._fit_rows(X, y_fit[None], w[None], use_subsample)[0]
 
     def fit_batch(self, lambdas_matrix):
         """Fit one model per row of a ``(B, k)`` Λ matrix (full training set).
@@ -434,94 +389,83 @@ class WeightedFitter:
                 "constraints (FOR/FDR); their weights chain through each "
                 "candidate's own predictions"
             )
-        X, y = self.X_train, self.y_train
         W_res, Y_res = resolve_negative_weights(
-            self.kernel.weights_batch(L), y, strategy=self.negative_weights
+            self.kernel.weights_batch(L), self.y_train,
+            strategy=self.negative_weights,
         )
-        B = len(L)
+        return self._fit_rows(self.X_train, Y_res, W_res, False, batch=True)
 
-        # fit-cache pass: collect the candidates that still need a fit,
-        # deduping identical resolved vectors inside the batch as well
-        models = [None] * B
-        keys = None
-        if self.fit_cache:
-            params = estimator_fingerprint(self.estimator)
-            keys = [
-                self._cache_key(params, W_res[b], Y_res[b], False)
-                for b in range(B)
-            ]
-            self.fit_cache_lookups += B
-            todo = []
-            fresh = set()
-            store_keys = {}
-            hits = 0
-            store_hits = 0
-            for b, key in enumerate(keys):
-                cached = self._cache_get(key)
-                if cached is not None:
-                    models[b] = cached
-                    hits += 1
-                    continue
-                if key in fresh:
-                    hits += 1      # in-batch duplicate, filled below
-                    continue
-                store_keys[b] = self._store_key(key)
-                if store_keys[b] is not None:
-                    stored = self._store_get(key, store_keys[b])
-                    if stored is not None:
-                        # _store_get seeded the memory cache, so an
-                        # in-batch duplicate of this key hits "cached"
-                        # on its own iteration
-                        models[b] = stored
-                        store_hits += 1
-                        continue
-                fresh.add(key)
-                todo.append(b)
-            self.fit_cache_hits += hits
-            if hits:
-                self._record_path("cached", hits)
-            if store_hits:
-                self._record_path("store", store_hits)
-        else:
-            todo = list(range(B))
+    def _fit_rows(self, X, Y, W, split, batch=False):
+        """One model per row of the resolved ``(B, n)`` labels/weights.
 
-        if todo:
-            if len(todo) == B:   # all-miss: no need to copy the batch
-                Y_todo, W_todo = Y_res, W_res
+        Each row is looked up in memory, then in the store; the distinct
+        misses train in one :meth:`_train` call and are published to
+        both layers, and a row that repeats a miss of this call takes
+        that miss's model.  Every row lands in one :attr:`fit_paths`
+        entry, recorded once the call has succeeded.
+        """
+        if self.warm_start:   # the cache is off: see the module docstring
+            return self._train(X, Y, W, batch)
+        params = estimator_fingerprint(self.estimator)
+        keys = [self._cache_key(params, W[b], Y[b], split)
+                for b in range(len(Y))]
+        models = [None] * len(Y)
+        misses = {}   # key -> (row, store key), in first-seen order
+        stored = 0
+        for b, key in enumerate(keys):
+            models[b] = self._cache_get(key)
+            if models[b] is not None or key in misses:
+                continue
+            store_key = self._store_key(key)
+            if store_key is not None:
+                self.store_lookups += 1
+                models[b] = self.store.get("fit", store_key)
+                if models[b] is not None:
+                    # seeds memory, so a later row of this key hits it
+                    self._cache_store(key, models[b])
+                    stored += 1
+                    continue
+            misses[key] = (b, store_key)
+        if misses:
+            rows = [b for b, _ in misses.values()]
+            if len(rows) == len(Y):   # all-miss: no need to copy the batch
+                fitted = self._train(X, Y, W, batch)
             else:
-                Y_todo, W_todo = Y_res[todo], W_res[todo]
-            fitted = self._fit_batch_resolved(X, Y_todo, W_todo)
-            for b, model in zip(todo, fitted):
+                fitted = self._train(X, Y[rows], W[rows], batch)
+            for (key, (b, store_key)), model in zip(misses.items(), fitted):
                 models[b] = model
-            if self.fit_cache:
-                by_key = {keys[b]: models[b] for b in todo}
-                for b in todo:
-                    self._cache_store(keys[b], models[b])
-                    if store_keys[b] is not None:
-                        self._store_put(store_keys[b], models[b])
-                for b in range(B):
-                    if models[b] is None:  # in-batch duplicate key
-                        models[b] = by_key[keys[b]]
-        self.n_fits += B
+                self._cache_store(key, model)
+                if store_key is not None:
+                    self.store.put(
+                        "fit", store_key, model,
+                        extra={"estimator": type(self.estimator).__name__},
+                    )
+            for b, key in enumerate(keys):
+                if models[b] is None:   # repeats a miss of this call
+                    models[b] = models[misses[key][0]]
+        self._record_path("store", stored)
+        self._record_path("cached", len(Y) - stored - len(misses))
         return models
 
-    def _fit_batch_resolved(self, X, Y_res, W_res):
-        """Fit resolved candidates: batch protocol, else one by one."""
-        B = len(Y_res)
-        # closed-form / vectorized batch fit when the estimator opts in
-        # (see the optional batch protocol note in repro.ml.base)
-        batch_fit = getattr(self.estimator, "fit_weighted_batch", None)
-        if batch_fit is not None and not getattr(
-            self.estimator, "supports_batch_fit", True
-        ):
-            batch_fit = None
+    def _train(self, X, Y, W, batch):
+        """Train one fresh model per row, then record the training path.
+
+        A :meth:`fit_batch` call without ``warm_start`` goes through the
+        estimator's batch protocol when it has one; every other call
+        fits row by row, on the shared estimator (snapshotted) under
+        ``warm_start`` and on a fresh clone otherwise.
+        """
+        batch_fit = None
+        if batch and getattr(self.estimator, "supports_batch_fit", True):
+            # see the optional batch protocol note in repro.ml.base
+            batch_fit = getattr(self.estimator, "fit_weighted_batch", None)
         if batch_fit is not None:
             if not self.warm_start:
-                self._record_path("batch_protocol", B)
-                return batch_fit(X, Y_res, W_res)
-            # satellite fix: this used to fall through silently — warm
-            # starting chains state through the shared estimator, which
-            # the stateless batch hook cannot reproduce
+                models = batch_fit(X, Y, W)
+                self._record_path("batch_protocol", len(Y))
+                return models
+            # warm starting chains state through the shared estimator,
+            # which the stateless batch hook cannot reproduce
             if not self._warned_warm_bypass:
                 self._warned_warm_bypass = True
                 warnings.warn(
@@ -530,16 +474,22 @@ class WeightedFitter:
                     "through the shared estimator; candidates fit "
                     "serially (warned once per fitter)",
                     RuntimeWarning,
-                    stacklevel=3,
+                    stacklevel=4,
                 )
-        self._record_path("serial", B)
         models = []
-        for b in range(B):
+        for y_b, w_b in zip(Y, W):
             if self.warm_start:
-                self._shared.fit(X, Y_res[b], sample_weight=W_res[b])
+                self._shared.fit(X, y_b, sample_weight=w_b)
+                # snapshot so callers can keep models for different λ
+                # values while the shared instance keeps warm-starting
                 models.append(copy.deepcopy(self._shared))
             else:
                 model = self.estimator.clone()
-                model.fit(X, Y_res[b], sample_weight=W_res[b])
+                model.fit(X, y_b, sample_weight=w_b)
                 models.append(model)
+        if batch:
+            path = "serial"
+        else:
+            path = "warm" if self.warm_start else "single"
+        self._record_path(path, len(Y))
         return models

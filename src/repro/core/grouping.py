@@ -19,6 +19,10 @@ The built-in groupings are small callable classes rather than closures so
 that fitted models holding them remain picklable
 (:mod:`repro.ml.persistence`); user-supplied predicates/attribute
 extractors are only picklable if the user passes module-level callables.
+
+Every grouping, built-in or not, returns its dict as built:
+:meth:`~repro.core.spec.FairnessSpec.bind`, the one place that calls a
+grouping, checks the result once with :func:`validate_grouping`.
 """
 
 from __future__ import annotations
@@ -110,7 +114,7 @@ class _BySensitiveAttribute:
             idx = np.nonzero(dataset.sensitive == code)[0]
             if len(idx):
                 groups[name] = idx
-        return validate_grouping(groups, len(dataset))
+        return groups
 
 
 class _ByAttributes:
@@ -160,7 +164,7 @@ class _ByAttributes:
             return "&".join(parts)
 
         groups = _enumerate_value_groups(len(dataset), values, label)
-        return validate_grouping(groups, len(dataset))
+        return groups
 
 
 class _ByGroups:
@@ -179,7 +183,7 @@ class _ByGroups:
                     f"{dataset.group_names}"
                 ) from None
             groups[name] = np.nonzero(dataset.sensitive == code)[0]
-        return validate_grouping(groups, len(dataset))
+        return groups
 
 
 class _Intersectional:
@@ -197,7 +201,7 @@ class _Intersectional:
                 f"{a}={v}" for a, v in zip(names, combo)
             ),
         )
-        return validate_grouping(groups, len(dataset))
+        return groups
 
 
 class _ByPredicate:
@@ -216,7 +220,7 @@ class _ByPredicate:
                     f"length {len(dataset)}"
                 )
             groups[name] = np.nonzero(mask)[0]
-        return validate_grouping(groups, len(dataset))
+        return groups
 
 
 def by_sensitive_attribute():

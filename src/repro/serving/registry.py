@@ -27,7 +27,7 @@ import threading
 import time
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from ..api import FairModel
 from ..core.dsl import parse_spec
@@ -53,19 +53,24 @@ def canonical_key(spec, dataset_fingerprint, solver=None):
     return parse_spec(spec).canonical(), dataset_fingerprint, solver
 
 
-def solver_key(estimator, strategy, options):
+def solver_key(estimator, strategy, config):
     """The solver part of a retune's dedup key, or ``None``.
 
     A SHA1 over the estimator's
-    :func:`~repro.ml.base.estimator_fingerprint`, the requested strategy
-    name and its options (JSON, keys sorted), so a retune reuses a model
-    only when all three match.  ``None`` when the estimator has no
-    fingerprint: such a retune never dedups.
+    :func:`~repro.ml.base.estimator_fingerprint`, the strategy name as
+    it will run (``"auto"`` already resolved) and every field of its
+    validated config (JSON, keys sorted), so a retune reuses a model
+    only when the same solver would run: ``"auto"`` and the strategy it
+    resolves to share a key, as do options left out and options set to
+    their defaults.  ``None`` when the estimator has no fingerprint:
+    such a retune never dedups.
     """
     fingerprint = estimator_fingerprint(estimator)
     if fingerprint is None:
         return None
-    payload = json.dumps([fingerprint, strategy, options], sort_keys=True)
+    payload = json.dumps(
+        [fingerprint, strategy, asdict(config)], sort_keys=True,
+    )
     return hashlib.sha1(payload.encode()).hexdigest()
 
 

@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import functools
 import itertools
 import json
 import math
@@ -83,7 +84,7 @@ from ..core.exceptions import (
     SpecificationError,
 )
 from ..core.executor import JOB_TERMINAL, submit_job
-from ..core.strategies import check_option_names
+from ..core.strategies import check_option_names, get_strategy, resolve_strategy_name
 from ..datasets import load
 from ..datasets.schema import Dataset
 from ..incremental import DriftPolicy, IncrementalAuditor, warm_retune
@@ -709,7 +710,6 @@ class FairnessService:
         # construct the Engine eagerly so bad strategies / options come
         # back as a 400 now, not a failed job later
         engine = Engine(strategy, store=self.store, **options)
-        solver = solver_key(resolved, strategy, options)
         name = body.get("name") or f"retune-{next(self._job_ids)}"
         active = sum(
             1 for handle, _meta in self._jobs.values()
@@ -728,35 +728,53 @@ class FairnessService:
             self._count("breaker_rejected")
             raise _BreakerOpen(name, breaker.retry_after_s())
 
-        def _feed_breaker(handle, _breaker=breaker):
-            if handle.status == "done":
-                _breaker.record_success()
-            elif handle.status in ("error", "timeout"):
-                _breaker.record_failure()
-                self._count("retune_failures")
-            # cancelled says nothing about the model's health
-
         handle = submit_job(
-            self._run_retune, name, spec, estimator, dataset_args,
-            engine, solver, name=f"retune-{name}",
+            self._run_retune, name, spec, resolved, dataset_args, engine,
+            name=f"retune-{name}",
             timeout_s=None if timeout_ms is None else timeout_ms / 1e3,
-            on_done=_feed_breaker,
+            on_done=functools.partial(self._feed_breaker, breaker),
         )
         self._jobs[str(handle.id)] = (handle, {"model": name, "spec": spec})
         return {"job_id": str(handle.id), "status": handle.status,
                 "model": name}
 
-    def _run_retune(self, name, spec, estimator, dataset_args, engine,
-                    solver):
+    def _feed_breaker(self, breaker, handle):
+        """``on_done`` of both retune paths: a finished job feeds the
+        breaker of the model it retuned.
+
+        An infeasible spec ran the solver to completion: the spec
+        failed, not the model, so it counts as a success, like
+        ``done``.  Any other error and a timeout are failures; a
+        cancel says nothing about the model's health.
+        """
+        if handle.status == "done" or isinstance(
+            handle.error, InfeasibleConstraintError
+        ):
+            breaker.record_success()
+        elif handle.status in ("error", "timeout"):
+            breaker.record_failure()
+            self._count("retune_failures")
+
+    def _run_retune(self, name, spec, estimator, dataset_args, engine):
         """Worker-thread body: dedup through the registry, else solve.
 
-        A hit needs a model the same ``solver`` (:func:`solver_key`)
-        tuned; a solver without a key never dedups.
+        A hit needs a model the same solver tuned: the
+        :func:`solver_key` of the strategy as it will run (``"auto"``
+        resolved on the bound constraint count) and its validated
+        config.  A solver without a key never dedups.
         """
         n = dataset_args["n"]
         data = load(
             dataset_args["dataset"], n=None if n is None else int(n),
             seed=dataset_args["seed"],
+        )
+        problem = Problem(spec)
+        strategy = resolve_strategy_name(
+            engine.strategy, len(problem.bind(data)),
+        )
+        solver = solver_key(
+            estimator, strategy,
+            get_strategy(strategy).make_config(engine.options),
         )
         fingerprint = data.fingerprint()
         hit = None if solver is None else self.registry.lookup(
@@ -768,11 +786,10 @@ class FairnessService:
                 "registry_hit": True,
                 "model": hit,
                 "solves": 0,
-                "spec_canonical": Problem(spec).canonical(),
+                "spec_canonical": problem.canonical(),
             }
         fair = engine.solve(
-            Problem(spec), resolve_model(estimator), data,
-            seed=dataset_args["seed"],
+            problem, estimator, data, seed=dataset_args["seed"],
         )
         if solver is not None:
             fair.metadata[SOLVER_METADATA] = solver
@@ -941,16 +958,10 @@ class FairnessService:
                 "retry_after_s": breaker.retry_after_s(),
             }
 
-        def _feed_breaker(handle, _breaker=breaker):
-            if handle.status == "done":
-                _breaker.record_success()
-            elif handle.status in ("error", "timeout"):
-                _breaker.record_failure()
-                self._count("retune_failures")
-
         handle = submit_job(
             self._run_drift_retune, name, entry, estimator,
-            name=f"drift-retune-{name}", on_done=_feed_breaker,
+            name=f"drift-retune-{name}",
+            on_done=functools.partial(self._feed_breaker, breaker),
         )
         self._jobs[str(handle.id)] = (
             handle, {"model": name, "spec": "drift-retune"},

@@ -9,7 +9,9 @@ the exact same trajectories::
 
 The stored record per workload is the selected λ vector plus the full
 ordered λ-sequence of the search history — the two things pinned across
-the planner refactor and every later change to the execution path.
+the planner refactor and every later change to the execution path —
+and the fitter's counters (logical fits, cache hits and lookups, fits by
+path), pinned across the fit-layer refactors.
 ``tests/test_planner_equivalence.py`` consumes the same file.
 """
 
@@ -117,6 +119,10 @@ def run_workload(name, splits_cache):
         "scenario": scenario,
         "lambdas": [float(v) for v in report.lambdas],
         "history_lambdas": lam_seq(report.history),
+        "n_fits": report.n_fits,
+        "fit_cache_hits": report.fit_cache_hits,
+        "fit_cache_lookups": report.fit_cache_lookups,
+        "fit_paths": dict(report.fit_paths),
     }
 
 

@@ -1,20 +1,27 @@
 """Fit memoization cache and batch-path bookkeeping.
 
 Covers the :class:`~repro.core.fitter.WeightedFitter` fit cache (keyed
-on resolved weight/label vectors), the one-time warm-start batch-bypass
-warning, and the FitReport/CLI plumbing of the hit counters.
+on resolved weight/label vectors), the one fit pass that ``fit`` and
+``fit_batch`` share (with the counters read off ``fit_paths``, checked
+as a hypothesis property over mixed call sequences through a store),
+the one-time warm-start batch-bypass warning, and the FitReport/CLI
+plumbing of the hit counters.
 """
 
 from __future__ import annotations
 
 import io
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import Engine, Problem
 from repro.cli import main
+from repro.core.exceptions import SpecificationError
 from repro.core.fairness_metrics import METRIC_FACTORIES
 from repro.core.fitter import WeightedFitter
 from repro.core.spec import Constraint
@@ -22,6 +29,7 @@ from repro.datasets.synthetic import make_biased_dataset
 from repro.ml.logistic import LogisticRegression
 from repro.ml.model_selection import train_val_test_split
 from repro.ml.naive_bayes import GaussianNaiveBayes
+from repro.store import CacheStore
 
 
 def _setup(seed=0, n=240):
@@ -66,14 +74,12 @@ class TestFitCache:
         again = fitter.fit_batch(L)
         assert fitter.fit_cache_hits == 6
         assert again[1] is models[1]
-        # cached batch results equal fresh uncached fits
-        fresh = WeightedFitter(
-            GaussianNaiveBayes(), X, y, constraints, fit_cache=False
-        )
-        for b, model in enumerate(fresh.fit_batch(L)):
+        # cached batch results equal fresh fits, one fitter per row
+        for b in range(len(L)):
+            fresh = WeightedFitter(GaussianNaiveBayes(), X, y, constraints)
+            (model,) = fresh.fit_batch(L[b:b + 1])
+            assert fresh.fit_cache_hits == 0
             assert np.array_equal(models[b].predict(X), model.predict(X))
-        assert fresh.fit_cache_hits == 0
-        assert fresh.fit_cache_lookups == 0
 
     def test_serial_and_batch_paths_share_the_cache(self):
         X, y, constraints = _setup()
@@ -103,12 +109,12 @@ class TestFitCache:
             LogisticRegression(max_iter=25), X, y, constraints,
             warm_start=True,
         )
-        assert not fitter.fit_cache
         lam = np.array([0.4, 0.0])
         a = fitter.fit(lam)
         b = fitter.fit(lam)
         assert a is not b
         assert fitter.fit_cache_lookups == 0
+        assert fitter.fit_paths == {"warm": 2}
 
     def test_cache_is_bounded_with_lru_eviction(self, monkeypatch):
         import repro.core.fitter as fitter_mod
@@ -199,15 +205,74 @@ class TestReportAndCli:
         assert code == 0, text
         assert "caches: fit " in text
 
-    def test_cli_no_fit_cache_flag(self):
-        out = io.StringIO()
-        code = main(
-            [
-                "train", "--dataset", "compas", "--two-group",
-                "--spec", "SP <= 0.1", "--rows", "1200", "--no-fit-cache",
-            ],
-            out=out,
-        )
-        text = out.getvalue()
-        assert code == 0, text
-        assert "caches: fit 0/0 hits" in text
+    def test_cli_refuses_the_removed_no_fit_cache_flag(self, capsys):
+        # removed in 10.0.0: the cache only skips bit-identical refits
+        with pytest.raises(SystemExit) as excinfo:
+            main(["train", "--dataset", "compas", "--no-fit-cache"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_fit_cache_option_is_gone(self):
+        with pytest.raises(SpecificationError, match="unknown option"):
+            Engine("grid", fit_cache=False)
+
+
+#: λ rows of the fit-pass property: four distinct vectors plus Λ = 0
+POOL = np.array([
+    [0.0, 0.0], [0.3, 0.0], [0.0, 0.2], [-0.4, 0.1], [0.5, -0.3],
+])
+
+CALLS = st.lists(
+    st.one_of(
+        st.tuples(st.just("fit"),
+                  st.lists(st.integers(0, len(POOL) - 1),
+                           min_size=1, max_size=1)),
+        st.tuples(st.just("fit_batch"),
+                  st.lists(st.integers(0, len(POOL) - 1),
+                           min_size=1, max_size=6)),
+    ),
+    min_size=1, max_size=8,
+)
+
+
+def _call(fitter, kind, rows):
+    if kind == "fit":
+        return [fitter.fit(POOL[rows[0]])]
+    return fitter.fit_batch(POOL[rows])
+
+
+class TestOneFitPass:
+    @settings(max_examples=30, deadline=None)
+    @given(calls=CALLS)
+    def test_counters_are_read_off_fit_paths(self, calls):
+        X, y, constraints = _setup()
+        with tempfile.TemporaryDirectory() as root:
+            store = CacheStore(root)
+            fitter = WeightedFitter(
+                GaussianNaiveBayes(), X, y, constraints, store=store,
+            )
+            seen, requested = {}, 0
+            for kind, rows in calls:
+                models = _call(fitter, kind, rows)
+                requested += len(rows)
+                for row, model in zip(rows, models):
+                    assert seen.setdefault(row, model) is model
+                paths = fitter.fit_paths
+                assert sum(paths.values()) == fitter.n_fits == requested
+                assert fitter.fit_cache_lookups == requested
+                assert fitter.fit_cache_hits == requested - len(seen)
+                assert fitter.store_lookups == len(seen)
+                assert fitter.store_hits == 0
+
+            # a second fitter on the same store trains nothing
+            replay = WeightedFitter(
+                GaussianNaiveBayes(), X, y, constraints, store=store,
+            )
+            for kind, rows in calls:
+                for row, model in zip(rows, _call(replay, kind, rows)):
+                    assert np.array_equal(
+                        model.predict(X), seen[row].predict(X)
+                    )
+            assert set(replay.fit_paths) <= {"store", "cached"}
+            assert replay.store_hits == len(seen)
+            assert replay.n_fits == requested

@@ -68,11 +68,12 @@ class TestIntersectional:
         grouping = intersectional({"flag": lambda d: flags})
         with pytest.raises(SpecificationError):
             # one attribute with a single value would yield <2 groups only
-            # if flags were constant; here it yields exactly 2 -> no raise
+            # if flags were constant; here it yields exactly 2 -> no raise.
+            # Binding is where a grouping's result is checked
             grouping_constant = intersectional(
                 {"c": lambda d: np.zeros(len(d))}
             )
-            grouping_constant(data)
+            FairnessSpec("SP", 0.1, grouping=grouping_constant).bind(data)
         groups = grouping(data)
         assert np.array_equal(groups["flag=0"], np.nonzero(flags == 0)[0])
 

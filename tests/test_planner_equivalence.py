@@ -11,8 +11,13 @@ that ran its components on sibling fitters, before race became a plan
 on one shared fitter; :data:`RACE_TOTALS` pins that driver's fit and
 cache-hit totals as well.
 
+Every record also carries the fitter's counters (``n_fits``,
+``fit_cache_hits``, ``fit_cache_lookups`` and ``fit_paths``), frozen
+from the fitter that still had separate ``fit`` and ``fit_batch``
+cache paths, before they became one fit pass.
+
 These tests assert that every workload, run through the planner and
-the executor, reproduces both bit-for-bit.
+the executor, reproduces its λs bit-for-bit and its counters exactly.
 
 Regenerate after an *intentional* trajectory change with::
 
@@ -68,6 +73,10 @@ def test_trajectory_identical(name, golden, splits_cache):
     )
     assert got["history_lambdas"] == want["history_lambdas"], (
         f"{name}: history λ-sequence drifted from the pre-planner loop"
+    )
+    counters = ("n_fits", "fit_cache_hits", "fit_cache_lookups", "fit_paths")
+    assert {f: got[f] for f in counters} == {f: want[f] for f in counters}, (
+        f"{name}: fit counters drifted from the frozen records"
     )
 
 

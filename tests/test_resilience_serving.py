@@ -393,6 +393,32 @@ class TestServiceDegradation:
         assert stats["admission"]["breaker_rejected"] == 1
         assert stats["admission"]["retune_failures"] == 1
 
+    def test_infeasible_retunes_leave_the_breaker_closed(
+        self, dataset, fair_model,
+    ):
+        # an infeasible spec ran the solver to completion: the request
+        # failed, not the model, so the breaker reads it as a success
+        service = _make_service(dataset, fair_model, breaker_threshold=2)
+        request = dict(spec="SP <= 0.1", dataset="adult", n=1500, seed=0,
+                       name="m")
+        with serve_in_thread(service) as handle:
+            with ServingClient(handle.host, handle.port) as client:
+                for _ in range(2):
+                    job = client.retune(
+                        **request, strategy="grid",
+                        options={"grid_steps": 3},
+                    )
+                    with pytest.raises(JobFailedError) as excinfo:
+                        client.wait_job(job["job_id"])
+                    assert excinfo.value.job_status == "error"
+                    assert client.job(job["job_id"])["infeasible"] is True
+                job = client.retune(**request)
+                done = client.wait_job(job["job_id"])
+                assert done["result"]["solves"] == 1
+                stats = client.stats()
+        assert stats["resilience"]["breakers"]["m"]["state"] == "closed"
+        assert stats["admission"]["retune_failures"] == 0
+
     def test_wait_job_surfaces_terminal_error(self, client):
         job = client.retune("SP <= 0.2", "no-such-dataset", name="doomed")
         with pytest.raises(JobFailedError) as excinfo:

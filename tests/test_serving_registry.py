@@ -15,6 +15,7 @@ import pytest
 
 from repro.api import FairModel
 from repro.core.exceptions import SpecificationError
+from repro.core.strategies import get_strategy
 from repro.datasets import load_scenario
 from repro.ml import DecisionTree, GaussianNaiveBayes, LogisticRegression
 from repro.serving import MicroBatcher, ModelRegistry, canonical_key
@@ -139,11 +140,18 @@ class TestModelRegistry:
         assert restarted.lookup("SP <= 0.1", "fp") is None
 
     def test_solver_key_covers_estimator_strategy_and_options(self):
-        base = solver_key(GaussianNaiveBayes(), "auto", {})
-        assert solver_key(GaussianNaiveBayes(), "auto", {}) == base
-        assert solver_key(LogisticRegression(), "auto", {}) != base
-        assert solver_key(GaussianNaiveBayes(), "grid", {}) != base
-        assert solver_key(GaussianNaiveBayes(), "auto", {"tau": 0.1}) != base
+        def key(estimator, strategy, **options):
+            config = get_strategy(strategy).make_config(options)
+            return solver_key(estimator, strategy, config)
+
+        base = key(GaussianNaiveBayes(), "binary_search")
+        assert key(GaussianNaiveBayes(), "binary_search") == base
+        assert key(LogisticRegression(), "binary_search") != base
+        assert key(GaussianNaiveBayes(), "grid") != base
+        assert key(GaussianNaiveBayes(), "binary_search", tau=0.1) != base
+        # the validated config, not the request: defaults spelled out
+        # name the same solver
+        assert key(GaussianNaiveBayes(), "binary_search", tau=1e-3) == base
 
     def test_save_and_load_explicit_paths(self, tmp_path):
         registry = ModelRegistry()

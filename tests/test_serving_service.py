@@ -316,7 +316,7 @@ class TestRetune:
     @pytest.mark.parametrize("change", [
         {"estimator": "LR"},
         {"strategy": "grid", "options": {"grid_steps": 9, "grid_max": 0.5}},
-        {"options": {"tau": 1e-3}},
+        {"options": {"tau": 1e-2}},
     ], ids=["estimator", "strategy", "options"])
     def test_retune_by_another_solver_does_not_dedup(self, client, change):
         request = dict(spec="SP <= 0.1", dataset="adult", n=1500, seed=0,
@@ -330,6 +330,23 @@ class TestRetune:
         assert result["registry_hit"] is False and result["solves"] == 1
         assert result["model"] == "other"
         assert client.stats()["admission"]["solves"] == 2
+
+    @pytest.mark.parametrize("first, second", [
+        ({"strategy": "auto"}, {"strategy": "binary_search"}),
+        ({}, {"options": {"tau": 1e-3}}),
+    ], ids=["auto-then-resolved", "default-options-spelled-out"])
+    def test_retune_by_the_same_solver_dedups(self, client, first, second):
+        # the key is the solver as it runs: "auto" resolves to
+        # binary_search for one constraint, and tau=1e-3 is its default
+        request = dict(spec="SP <= 0.1", dataset="adult", n=1500, seed=0,
+                       estimator="NB")
+        job = client.retune(**request, **first, name="nb")
+        assert client.wait_job(job["job_id"])["result"]["solves"] == 1
+        job2 = client.retune(**request, **second, name="same")
+        result = client.wait_job(job2["job_id"])["result"]
+        assert result["registry_hit"] is True and result["solves"] == 0
+        assert result["model"] == "nb"
+        assert client.stats()["admission"]["solves"] == 1
 
     def test_retune_on_different_data_does_not_dedup(self, client):
         job = client.retune(
