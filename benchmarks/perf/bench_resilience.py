@@ -154,7 +154,7 @@ def _service(dataset, model, **kwargs):
     registry.register(
         MODEL_NAME, model, dataset_fingerprint=dataset.fingerprint(),
     )
-    return FairnessService(registry=registry, batching=True, **kwargs)
+    return FairnessService(registry=registry, **kwargs)
 
 
 def arm_breaker_cycle(*, dataset, model, probe_rows, seed):

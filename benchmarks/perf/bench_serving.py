@@ -75,11 +75,8 @@ class ServerProcess:
         cmd = [
             sys.executable, "-m", "repro", "serve",
             "--host", "127.0.0.1", "--port", "0",
+            "--max-batch-size", str(MAX_BATCH_SIZE if batching else 1),
         ]
-        if batching:
-            cmd += ["--max-batch-size", str(MAX_BATCH_SIZE)]
-        else:
-            cmd += ["--no-batching"]
         env = dict(os.environ)
         env["PYTHONPATH"] = (
             str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")

@@ -214,12 +214,10 @@ def build_parser():
                             "solution cache rooted here")
     serve.add_argument("--max-models", type=int, default=None,
                        help="resident-model bound (LRU eviction beyond it)")
-    serve.add_argument("--no-batching", action="store_true",
-                       help="disable request coalescing (every /predict "
-                            "runs its own pass; the benchmark's off arm)")
     serve.add_argument("--max-batch-size", type=int, default=32,
                        help="requests coalesced per predict pass "
-                            "(default 32)")
+                            "(default 32; 1 runs every /predict on its "
+                            "own pass, the benchmark's off arm)")
     serve.add_argument("--n-workers", type=int, default=1,
                        help="per-model batch workers (default 1)")
     serve.add_argument("--max-inflight", type=int, default=256,
@@ -435,7 +433,6 @@ def _cmd_serve(args, out):
             registry.load(name.strip(), path.strip())
         service = FairnessService(
             registry=registry,
-            batching=not args.no_batching,
             max_batch_size=args.max_batch_size,
             n_workers=args.n_workers,
             store_dir=args.store_dir,
@@ -448,7 +445,7 @@ def _cmd_serve(args, out):
 
     async def run():
         port = await service.start(args.host, args.port)
-        batching = "off" if args.no_batching else "on"
+        batching = "on" if service.max_batch_size > 1 else "off"
         out.write(
             f"serving on {service.host}:{port} "
             f"({len(registry)} model(s), batching {batching})\n"

@@ -9,7 +9,11 @@ memoization caches, and the chunked scoring pass
 (:meth:`~repro.core.kernels.CompiledEvaluator.score_models_batch`) —
 uniformly for every strategy.  It runs in-process and in order: one
 fit per candidate of a ``"fit"`` batch; one ``fit_batch`` call and one
-scoring pass per ``"population"`` batch.  The
+scoring pass per ``"population"`` batch.  It alone decides how a
+population is fitted: when the fitter's weights need a model's
+predictions (FOR/FDR), each candidate's weights chain through the
+previous candidate's model (§5.2), so the population runs as a
+``"fit"`` batch, from ``prev_model`` and as ``chain`` says.  The
 search, not the executor, keeps the fit count small (Algorithms 1 and
 2 use the monotonicity of FP in λ).  Each candidate is fitted at
 ``ctx.orient(λ)`` and reports ``ctx.orient`` of its disparities, so a
@@ -45,7 +49,7 @@ class ExecutionBackend:
     def run(self, batch, ctx):
         """Fit and score ``batch``; one result per reported candidate."""
         ctx.next_batch_id += 1
-        if batch.kind == "population":
+        if batch.kind == "population" and not ctx.fitter.parameterized:
             return self._run_population(batch, ctx)
         return self._run_fit(batch, ctx)
 

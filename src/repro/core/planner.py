@@ -27,12 +27,15 @@ A batch is one of two kinds:
     band).
 
 ``kind="population"``
-    The whole batch is fitted by one :meth:`WeightedFitter.fit_batch`
-    call and scored by one
+    All candidates are always evaluated and reported in order (a grid,
+    a CMA-ES generation).  With constant-coefficient metrics the whole
+    batch is fitted by one :meth:`WeightedFitter.fit_batch` call and
+    scored by one
     :meth:`~repro.core.kernels.CompiledEvaluator.score_models_batch`
-    pass (grid and CMA-ES generations with constant-coefficient
-    metrics).  All candidates are always evaluated and reported in
-    order.
+    pass, and ``prev_model``/``chain`` are unused.  When the weights
+    need a model's predictions (FOR/FDR), the executor runs the batch
+    as a ``"fit"`` batch instead, so ``prev_model`` and ``chain``
+    apply; a plan asks for a population the same way either way.
 
 Strategies record their search history through
 :meth:`PlanContext.record` / the executor (``record=True`` batches);
@@ -106,7 +109,7 @@ class CandidateBatch:
     prev_model : fitted estimator, optional
         ``prev_model`` for the first (``chain=True``) or every
         (``chain=False``) candidate's fit — the predictions source for
-        θ-parameterized weights.
+        θ-parameterized weights (a population uses it only then).
     chain : bool
         Update ``prev_model`` to each candidate's fitted model before
         fitting the next (a sequential recurrence).

@@ -58,10 +58,15 @@ class FitReport:
         artifact was produced by an earlier process or solve.  Both 0
         when no store is configured.
     fit_paths : dict
-        How fits were dispatched, by path name (``"batch_protocol"``,
-        ``"serial"``, ``"single"``, ``"warm"``,
-        ``"cached"``) — records, e.g., that ``warm_start`` bypassed an
-        estimator's batch hook.
+        Logical fits by where their model came from (see
+        :attr:`~repro.core.fitter.WeightedFitter.fit_paths`):
+        ``"cached"`` (memory hit), ``"store"`` (persistent fit-store
+        hit), or the path that trained it (``"batch_protocol"``,
+        ``"serial"``, ``"single"``, ``"warm"``); the entries sum to
+        ``n_fits``.  A solve served whole by the solution cache
+        (``Engine(store_dir=...)``) spent no fits and reads
+        ``{"solution": 1}``.  Records, e.g., that ``warm_start``
+        bypassed an estimator's batch hook.
     train_constraints, val_constraints : list of Constraint
         The bound constraints, both in the declared orientation
         (``swapped`` says whether the search reversed it); kept for
@@ -96,9 +101,10 @@ class FitReport:
     def fits_trained(self):
         """Models actually trained: logical fits minus every cache layer.
 
-        ``n_fits`` counts logical fits so search budgets are comparable
-        across cache configurations; this subtracts memory-cache hits
-        and persistent fit-store hits to give the training runs that
+        ``n_fits`` counts logical fits, so a search's budget reads the
+        same whatever the caches served (the cache is off only under
+        ``warm_start``); this subtracts memory-cache hits and
+        persistent fit-store hits to give the training runs that
         really executed in this process.
         """
         return self.n_fits - self.fit_cache_hits - self.fit_store_hits

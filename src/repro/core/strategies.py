@@ -69,7 +69,6 @@ import numpy as np
 
 from ..optim.cmaes import cmaes_generations
 from .exceptions import InfeasibleConstraintError, SpecificationError
-from .history import HistoryPoint
 from .planner import CandidateBatch, TuneResult, run_plan
 
 __all__ = [
@@ -184,7 +183,10 @@ class HillClimbConfig(StrategyConfig):
     starting Λ instead of the zero vector, so a solve on slightly
     drifted data starts next to the previous optimum and typically
     converges in a round or two.  The default (``None``) leaves the
-    trajectory byte-identical to the cold climb.
+    trajectory byte-identical to the cold climb.  Both warm entries
+    are ignored when the weights need predictions (FOR/FDR): a fit at
+    a nonzero Λ chains through a model, and the first fit has none, so
+    such a search runs cold.
     """
 
     max_rounds: int = None
@@ -387,6 +389,17 @@ def resolve_strategy_name(name, n_constraints):
 # -- plan generators (the ported solver loops) --------------------------------
 
 
+def _doubling(t, lambda_max):
+    """Algorithm 1's exponential rungs above ``t``: t·2, t·4, … while
+    they stay within ``lambda_max``, each the previous one doubled."""
+    rungs = []
+    while True:
+        t = t * 2.0
+        if t > lambda_max:
+            return rungs
+        rungs.append(t)
+
+
 def _plan_single_lambda(ctx, delta=0.01, tau=1e-3, lambda_max=1e5,
                         max_linear_steps=2000, warm_lambda=None,
                         warm_swapped=False):
@@ -429,6 +442,35 @@ def _plan_single_lambda(ctx, delta=0.01, tau=1e-3, lambda_max=1e5,
     def crossed_band(res):
         return res.fp >= -epsilon
 
+    exceeded = (
+        f"exponential search exceeded lambda_max={lambda_max} "
+        f"without satisfying {label}"
+    )
+
+    def climb(rungs, message, fallback=None):
+        """Climb the bracket up ``rungs`` (stage 2's ladder): one chained
+        batch from the upper bracket's model that stops at the first
+        rung past the band, each reported rung becoming the new upper
+        bracket and the one below it the lower.  A ladder that ends
+        below the band raises ``message`` with ``fallback`` (the last
+        rung's model when ``None``)."""
+        nonlocal t_l, model_l, t_u, fp_u, acc_u, model_u
+        if rungs:
+            reported = yield CandidateBatch(
+                direction * np.asarray(rungs)[:, None], purpose="bracket",
+                prev_model=model_u, chain=True, use_subsample=prune,
+                stop=crossed_band,
+            )
+            for i, r in enumerate(reported):
+                t_l, model_l = t_u, model_u
+                t_u, fp_u, acc_u, model_u = (
+                    rungs[i], r.fp, r.accuracy, r.model,
+                )
+        if fp_u < -epsilon:
+            raise InfeasibleConstraintError(
+                message, best_model=model_u if fallback is None else fallback,
+            )
+
     # warm-start eligibility: the previous λ is only a sound bracket
     # seed when nothing that shaped it differs — same orientation, no
     # continuation chaining (parameterized), no subsample pruning, and
@@ -455,34 +497,7 @@ def _plan_single_lambda(ctx, delta=0.01, tau=1e-3, lambda_max=1e5,
         if fp_u < -epsilon:
             # the tightened band sits above the previous λ: resume the
             # doubling ladder from t_w instead of from the unit probe
-            rungs = []
-            t = t_u
-            while True:
-                t = t * 2.0
-                if t > lambda_max:
-                    break
-                rungs.append(t)
-            if not rungs:
-                raise InfeasibleConstraintError(
-                    f"exponential search exceeded lambda_max={lambda_max} "
-                    f"without satisfying {label}",
-                    best_model=model0,
-                )
-            reported = yield CandidateBatch(
-                direction * np.asarray(rungs)[:, None], purpose="bracket",
-                prev_model=model_u, chain=True, stop=crossed_band,
-            )
-            for i, r in enumerate(reported):
-                t_l, model_l = t_u, model_u
-                t_u, fp_u, acc_u, model_u = (
-                    rungs[i], r.fp, r.accuracy, r.model,
-                )
-            if fp_u < -epsilon:
-                raise InfeasibleConstraintError(
-                    f"exponential search exceeded lambda_max={lambda_max} "
-                    f"without satisfying {label}",
-                    best_model=model0,
-                )
+            yield from climb(_doubling(t_u, lambda_max), exceeded, model0)
         else:
             # the previous λ already clears the tightened band: halve
             # down toward it, tightening the upper bound each rung and
@@ -544,80 +559,32 @@ def _plan_single_lambda(ctx, delta=0.01, tau=1e-3, lambda_max=1e5,
         )
         t_l, model_l = 0.0, model0
 
-        if not parameterized:
+        if fp_u < -epsilon and not parameterized:
             # exponential ladder (lines 21-27): rungs t·2^j up to
-            # lambda_max, asked as one batch that stops at the first
-            # rung past the band
-            if fp_u < -epsilon:
-                rungs = []
-                t = t_u
-                while True:
-                    t = t * 2.0
-                    if t > lambda_max:
-                        break
-                    rungs.append(t)
-                if not rungs:
-                    raise InfeasibleConstraintError(
-                        f"exponential search exceeded lambda_max="
-                        f"{lambda_max} without satisfying {label}",
-                        best_model=model0,
-                    )
-                reported = yield CandidateBatch(
-                    direction * np.asarray(rungs)[:, None],
-                    purpose="bracket", prev_model=model_u, chain=True,
-                    use_subsample=prune, stop=crossed_band,
-                )
-                for i, r in enumerate(reported):
-                    t_l, model_l = t_u, model_u
-                    t_u, fp_u, acc_u, model_u = (
-                        rungs[i], r.fp, r.accuracy, r.model,
-                    )
-                if fp_u < -epsilon:
-                    raise InfeasibleConstraintError(
-                        f"exponential search exceeded lambda_max="
-                        f"{lambda_max} without satisfying {label}",
-                        best_model=model0,
-                    )
-        else:
+            # lambda_max
+            yield from climb(_doubling(t_u, lambda_max), exceeded, model0)
+        elif fp_u < -epsilon:
             # linear ladder (lines 29-37): the continuation
             # approximation needs adjacent λ so each rung chains the
             # previous rung's model
             step = max(delta, probe_step)
-            if fp_u < -epsilon:
-                rungs = []
-                t = t_u
-                for _ in range(max_linear_steps):
-                    t = t + step
-                    rungs.append(t)
-                reported = yield CandidateBatch(
-                    direction * np.asarray(rungs)[:, None],
-                    purpose="bracket", prev_model=model_u, chain=True,
-                    use_subsample=prune, stop=crossed_band,
-                )
-                for i, r in enumerate(reported):
-                    t_l, model_l = t_u, model_u
-                    t_u, fp_u, acc_u, model_u = (
-                        rungs[i], r.fp, r.accuracy, r.model,
-                    )
-                if fp_u < -epsilon:
-                    raise InfeasibleConstraintError(
-                        f"linear search exhausted {max_linear_steps} "
-                        f"steps without satisfying {label}",
-                        best_model=model_u,
-                    )
+            rungs = []
+            t = t_u
+            for _ in range(max_linear_steps):
+                t = t + step
+                rungs.append(t)
+            yield from climb(
+                rungs,
+                f"linear search exhausted {max_linear_steps} steps "
+                f"without satisfying {label}",
+            )
 
     if prune:
         # the subsample bracket is a hint: re-verify the upper bound with
         # full-data fits (and keep doubling if the subsample undershot),
         # and reset the lower bound to 0, always on the −ε side
         t_l, model_l = 0.0, model0
-        rungs = [t_u]
-        t = t_u
-        while True:
-            t = t * 2.0
-            if t > lambda_max:
-                break
-            rungs.append(t)
+        rungs = [t_u] + _doubling(t_u, lambda_max)
         reported = yield CandidateBatch(
             direction * np.asarray(rungs)[:, None], purpose="verify",
             prev_model=model0, chain=True, stop=crossed_band,
@@ -673,7 +640,7 @@ def _plan_tune_dimension(ctx, lambdas, j, model, disparities,
     pre-planner ``_tune_dimension`` loop body, so the fitted λ sequence
     is identical.
 
-    Returns ``(lambdas, model, disparities, acc, result)`` for the new
+    Returns ``(lambdas, model, disparities, result)`` for the new
     setting, where ``result`` is the chosen :class:`EvalResult`.
     """
     eps_j = ctx.val_constraints[j].epsilon
@@ -693,7 +660,7 @@ def _plan_tune_dimension(ctx, lambdas, j, model, disparities,
         return float(ctx.violations(res.disparities).max()) <= 1e-12
 
     def chosen(res):
-        return res.lam.copy(), res.model, res.disparities, res.accuracy, res
+        return res.lam.copy(), res.model, res.disparities, res
 
     def row(lam_j):
         lams = lambdas.copy()
@@ -809,20 +776,17 @@ def _plan_hill_climb(ctx, max_rounds=None, initial_step=0.1, tau=1e-3,
         max_rounds = 5 * k
 
     lambdas = np.zeros(k)
-    if warm_lambdas is not None:
+    # a FOR/FDR fit at a nonzero Λ chains through a model's predictions,
+    # and the first fit has none to chain from: such a climb starts
+    # cold, as Algorithm 1's warm start does
+    if warm_lambdas is not None and not ctx.fitter.parameterized:
         warm = np.asarray(warm_lambdas, dtype=np.float64).reshape(-1)
         # a malformed or non-finite seed silently falls back to cold:
         # warmth is an optimization, never a correctness dependency
         if warm.shape == (k,) and np.all(np.isfinite(warm)):
             lambdas = warm.copy()
-    (r0,) = yield CandidateBatch(
-        [lambdas.copy()], purpose="init", record=False,
-    )
-    model, disparities, acc = r0.model, r0.disparities, r0.accuracy
-    ctx.record(HistoryPoint(
-        lambdas.copy(), disparities.copy(), acc,
-        wall_time_s=r0.wall_time_s, batch_id=r0.batch_id,
-    ))
+    (r0,) = yield CandidateBatch([lambdas.copy()], purpose="init")
+    model, disparities = r0.model, r0.disparities
 
     best_model, best_lams, best_viol = model, lambdas.copy(), np.inf
     for round_idx in range(max_rounds):
@@ -840,16 +804,13 @@ def _plan_hill_climb(ctx, max_rounds=None, initial_step=0.1, tau=1e-3,
             j = int(violated[round_idx % len(violated)])
         else:
             j = int(np.argmax(violations))  # most violated first (line 4)
-        lambdas, model, disparities, acc, res = yield from (
+        lambdas, model, disparities, res = yield from (
             _plan_tune_dimension(
                 ctx, lambdas, j, model, disparities,
                 initial_step=initial_step, tau=tau,
             )
         )
-        ctx.record(HistoryPoint(
-            lambdas.copy(), disparities.copy(), acc,
-            wall_time_s=res.wall_time_s, batch_id=res.batch_id,
-        ))
+        ctx.record(res)
 
     violations = ctx.violations(disparities)
     if float(violations.max()) <= 1e-12:
@@ -868,8 +829,7 @@ def _plan_hill_climb(ctx, max_rounds=None, initial_step=0.1, tau=1e-3,
 def _plan_grid_single(ctx, grid):
     """Single-λ grid sweep over the sorted ``grid`` values."""
     ctx.record_style = "scalar"
-    fitter = ctx.fitter
-    if len(fitter.constraints) != 1:
+    if ctx.k != 1:
         raise ValueError("a single-λ grid expects exactly one constraint")
     epsilon = ctx.val_constraints[0].epsilon
     label = ctx.val_constraints[0].label
@@ -878,16 +838,10 @@ def _plan_grid_single(ctx, grid):
     model0 = r0.model
     best = (None, np.nan, -np.inf)
 
-    if not fitter.parameterized:
-        reported = yield CandidateBatch(
-            np.asarray(grid)[:, None], kind="population",
-            purpose="population",
-        )
-    else:
-        reported = yield CandidateBatch(
-            np.asarray(grid)[:, None], purpose="sweep",
-            prev_model=model0, chain=True,
-        )
+    reported = yield CandidateBatch(
+        np.asarray(grid)[:, None], kind="population", purpose="population",
+        prev_model=model0, chain=True,
+    )
     for res in reported:
         if abs(res.fp) <= epsilon and res.accuracy > best[2]:
             best = (res.model, float(res.lam[0]), res.accuracy)
@@ -903,32 +857,22 @@ def _plan_grid_single(ctx, grid):
 def _plan_grid_multi(ctx, grid_max=1.0, grid_steps=5):
     """Λ-grid sweep over ``[-grid_max, grid_max]^k``."""
     ctx.record_style = "vector"
-    fitter = ctx.fitter
-    k = len(fitter.constraints)
+    k = ctx.k
     axis = np.linspace(-grid_max, grid_max, grid_steps)
-    eps = ctx.epsilons
     best = (None, None, -np.inf)
-    # the Λ=0 fit seeds the sequential branch's continuation and serves
-    # as the best-effort model on infeasible grids
+    # the Λ=0 fit seeds a FOR/FDR population's chain and serves as the
+    # best-effort model on infeasible grids
     (r0,) = yield CandidateBatch([np.zeros(k)], purpose="init", record=False)
     model0 = r0.model
     combos = np.array(list(itertools.product(axis, repeat=k)))
-    if not fitter.parameterized:
-        reported = yield CandidateBatch(
-            combos, kind="population", purpose="population",
-        )
-        for res in reported:
-            feasible = bool(np.all(np.abs(res.disparities) - eps <= 1e-12))
-            if feasible and res.accuracy > best[2]:
-                best = (res.model, res.lam, res.accuracy)
-    else:
-        reported = yield CandidateBatch(
-            combos, purpose="sweep", prev_model=model0, chain=True,
-        )
-        for res in reported:
-            if (np.all(ctx.violations(res.disparities) <= 1e-12)
-                    and res.accuracy > best[2]):
-                best = (res.model, res.lam, res.accuracy)
+    reported = yield CandidateBatch(
+        combos, kind="population", purpose="population",
+        prev_model=model0, chain=True,
+    )
+    for res in reported:
+        if (np.all(ctx.violations(res.disparities) <= 1e-12)
+                and res.accuracy > best[2]):
+            best = (res.model, res.lam, res.accuracy)
     if best[0] is None:
         raise InfeasibleConstraintError(
             f"no grid point in [-{grid_max}, {grid_max}]^{k} "
@@ -984,22 +928,19 @@ def _plan_linear(ctx, step=0.05, max_steps=400):
 def _plan_cmaes(ctx, config):
     """Penalty-method CMA-ES: one population ask per generation."""
     ctx.record_style = "vector"
-    fitter = ctx.fitter
-    k = len(fitter.constraints)
-    eps = np.array([c.epsilon for c in ctx.val_constraints])
+    k = ctx.k
 
     (r0,) = yield CandidateBatch([np.zeros(k)], purpose="init")
-    if float((np.abs(r0.disparities) - eps).max()) <= 1e-12:
+    if float(ctx.violations(r0.disparities).max()) <= 1e-12:
         return TuneResult(
             r0.model, np.zeros(k), feasible=True, history=ctx.history,
         )
 
     prev = r0.model
     best = [None]
-    batch_native = not fitter.parameterized
 
     def fitness(res):
-        viol = float((np.abs(res.disparities) - eps).max())
+        viol = float(ctx.violations(res.disparities).max())
         if viol <= 1e-12:
             if best[0] is None or res.accuracy > best[0][0]:
                 best[0] = (res.accuracy, res.lam.copy(), res.model)
@@ -1015,22 +956,20 @@ def _plan_cmaes(ctx, config):
             xs = gen.send(fs) if fs is not None else next(gen)
         except StopIteration:
             break
-        if batch_native:
-            reported = yield CandidateBatch(
-                xs, kind="population", purpose="population",
-            )
-        else:
-            reported = yield CandidateBatch(
-                xs, purpose="population", prev_model=prev, chain=True,
-            )
-            prev = reported[-1].model
+        # FOR/FDR weights chain each generation from the last one's
+        # final model
+        reported = yield CandidateBatch(
+            xs, kind="population", purpose="population",
+            prev_model=prev, chain=True,
+        )
+        prev = reported[-1].model
         fs = np.array([fitness(res) for res in reported])
 
     if best[0] is None:
         raise InfeasibleConstraintError(
             f"CMA-ES found no feasible Lambda in {config.max_evals} "
             f"evaluations",
-            best_model=prev,
+            best_model=r0.model,
         )
     acc, lams, model = best[0]
     return TuneResult(
@@ -1142,11 +1081,13 @@ class CMAESStrategy(SearchStrategy):
     Minimizes ``penalty · max(0, max_violation) + (1 − accuracy)`` on the
     validation split.  Derivative-free and assumption-free: it does not
     rely on Lemma 2/4 monotonicity, at the cost of ``max_evals`` model
-    fits.  Each CMA-ES generation is one ask — a population batch with
-    constant-coefficient metrics (fitted and scored in one vectorized
-    pass), a chained sequential batch otherwise
-    (each fit's weights use the previous candidate's predictions, the
-    same continuation approximation Algorithm 1's linear search uses).
+    fits.  Each CMA-ES generation is one population ask: the executor
+    fits and scores it in one vectorized pass with constant-coefficient
+    metrics, and as a chain otherwise (each fit's weights use the
+    previous candidate's predictions, the same continuation
+    approximation Algorithm 1's linear search uses).  An infeasible
+    run reports the Λ = 0 model as its best effort, as ``grid`` and
+    ``linear`` do.
     """
 
     name = "cmaes"

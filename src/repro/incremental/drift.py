@@ -73,7 +73,9 @@ def warm_options(model):
     λ-vector becomes ``warm_lambdas`` (hill climb starts its rounds at
     the previous optimum).  Models without a report (or without fitted
     λs) warm nothing — the returned dict is empty and the search runs
-    cold.
+    cold.  The planners themselves ignore both entries on FOR/FDR
+    constraints, whose first fit at a nonzero λ would need a model's
+    predictions to chain from.
     """
     report = getattr(model, "report", None)
     lambdas = None if report is None else getattr(report, "lambdas", None)
@@ -98,7 +100,9 @@ def warm_retune(auditor, estimator=None, *, strategy="auto", store=None,
     whose options include :func:`warm_options` of the currently audited
     model, and solves the auditor's own spec set.  Only the warm fields
     that the resolved strategy's config declares are added (``grid``,
-    for one, has none and runs cold).  On success the
+    for one, has none and runs cold), and a FOR/FDR spec set searches
+    cold under every strategy (see
+    :class:`~repro.core.strategies.HillClimbConfig`).  On success the
     auditor is rebased onto the new model (predictions re-scored,
     accumulators recounted — inherently O(live rows), since every
     prediction may change).

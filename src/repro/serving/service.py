@@ -234,12 +234,11 @@ class FairnessService:
     ----------
     registry : ModelRegistry or None
         Model ownership; a fresh in-memory registry by default.
-    batching : bool
-        Coalesce concurrent predicts through the micro-batcher.  False
-        pins every batcher to ``max_batch_size=1`` — the identical
-        pipeline without coalescing (the benchmark's off arm).
     max_batch_size, n_workers
-        Micro-batcher knobs, applied per model.
+        Micro-batcher knobs, applied per model.  ``max_batch_size=1``
+        runs every predict on its own pass through the identical
+        pipeline, without coalescing (the benchmark's off arm), and
+        ``/healthz`` and ``/stats`` then report batching off.
     store_dir : path-like or None
         Root of the persistent cross-run cache
         (:class:`~repro.store.CacheStore`).  Every retune Engine shares
@@ -259,7 +258,7 @@ class FairnessService:
         (503 until ``breaker_cooldown_s`` admits a half-open probe).
     """
 
-    def __init__(self, registry=None, *, batching=True, max_batch_size=32,
+    def __init__(self, registry=None, *, max_batch_size=32,
                  n_workers=1, store_dir=None, max_inflight=256, max_jobs=32,
                  breaker_threshold=5, breaker_cooldown_s=30.0):
         if int(max_inflight) < 1:
@@ -276,8 +275,7 @@ class FairnessService:
             from ..store import CacheStore
 
             self.store = CacheStore(store_dir)
-        self.batching = bool(batching)
-        self.max_batch_size = int(max_batch_size) if self.batching else 1
+        self.max_batch_size = int(max_batch_size)
         self.n_workers = int(n_workers)
         self.max_inflight = int(max_inflight)
         self.max_jobs = int(max_jobs)
@@ -533,7 +531,7 @@ class FairnessService:
             "ok": True,
             "models": len(self.registry),
             "uptime_s": round(time.time() - self._started_at, 3),
-            "batching": self.batching,
+            "batching": self.max_batch_size > 1,
         }
 
     def _stats(self):
@@ -551,7 +549,7 @@ class FairnessService:
             "routes": dict(self._routes),
             "queue_depth": sum(b.queue_depth for b in self._batchers.values()),
             "batching": {
-                "enabled": self.batching,
+                "enabled": self.max_batch_size > 1,
                 "max_batch_size": self.max_batch_size,
                 "per_model": batchers,
             },

@@ -80,6 +80,28 @@ WORKLOADS = {
     "race-sp-label_noise": ("race", "SP <= 0.05", "label_noise", {}),
     "race-fdr-label_noise": ("race", "FDR <= 0.05", "label_noise", {}),
     "race-sp-group_sweep": ("race", "SP <= 0.08", "group_sweep", {}),
+    # the FOR/FDR population chains: the Λ-grid and a CMA-ES generation
+    # each chained from the Λ = 0 model
+    "grid-fdr-group_sweep": (
+        "grid", "FDR <= 0.06", "group_sweep",
+        dict(grid_steps=3, grid_max=0.2)),
+    "cmaes-fdr-group_sweep": (
+        "cmaes", "FDR <= 0.03", "group_sweep", dict(max_evals=24, seed=0)),
+    # Algorithm 1's ladders: the doubling ladder on the subsample plus
+    # its full-data verify, the warm doubling ladder (0.03 → 0.06 →
+    # 0.12) and the warm halve-down ladder
+    "binary_search-sp-label_noise-subsample": (
+        "binary_search", "SP <= 0.05", "label_noise", dict(subsample=0.5)),
+    "binary_search-sp-label_noise-warm_below": (
+        "binary_search", "SP <= 0.05", "label_noise",
+        dict(warm_lambda=0.03, warm_swapped=True)),
+    "binary_search-sp-label_noise-warm_above": (
+        "binary_search", "SP <= 0.05", "label_noise",
+        dict(warm_lambda=0.5, warm_swapped=True)),
+    # a warm multi-constraint climb: its init point is the seed
+    "hill_climb-sp-group_sweep-warm": (
+        "hill_climb", "SP <= 0.08", "group_sweep",
+        dict(warm_lambdas=(0.0, -0.1, 0.0))),
 }
 
 

@@ -9,8 +9,9 @@ Two layers of checks:
   string purpose) and return a feasible :class:`TuneResult`.
 * **Executor contract** — stop predicates end a ``"fit"`` batch at the
   triggering candidate (nothing past it is reported or even fitted),
-  chained batches thread ``prev_model`` candidate to candidate, and
-  population batches report every candidate in order.
+  chained batches thread ``prev_model`` candidate to candidate,
+  population batches report every candidate in order, and a population
+  whose weights need predictions (FOR/FDR) runs as a chain.
 """
 
 import numpy as np
@@ -189,3 +190,43 @@ class TestExecutorContract:
         assert calls[0][0] is seed_model
         assert calls[1][0] is calls[0][1]
         assert calls[2][0] is calls[1][1]
+
+    def test_fdr_population_runs_as_a_chain(self, two_group_splits):
+        """FDR weights need predictions, so a population chains from
+        ``prev_model`` exactly as the same rows asked as a chained
+        ``"fit"`` batch do; no batch fit runs."""
+        rows = np.array([[0.05], [-0.1], [0.2]])
+        seed_fitter, _, val = _make_fitter(two_group_splits, "FDR <= 0.05")
+        model0 = seed_fitter.fit(np.zeros(1))
+        got = {}
+        for kind in ("population", "fit"):
+            fitter, vc, _ = _make_fitter(two_group_splits, "FDR <= 0.05")
+            ctx = PlanContext(fitter, vc, val.X, val.y)
+            got[kind] = ExecutionBackend().run(
+                CandidateBatch(rows, kind=kind, prev_model=model0,
+                               chain=True),
+                ctx,
+            )
+            assert not {"batch_protocol", "serial"} & set(fitter.fit_paths)
+            assert len(ctx.history) == len(rows)
+        for pop, fit in zip(got["population"], got["fit"]):
+            assert pop.lam.tobytes() == fit.lam.tobytes()
+            assert pop.disparities.tobytes() == fit.disparities.tobytes()
+            assert pop.accuracy == fit.accuracy
+            np.testing.assert_array_equal(
+                pop.model.predict(val.X), fit.model.predict(val.X),
+            )
+
+    def test_constant_metric_population_takes_one_batch_fit(
+        self, two_group_splits,
+    ):
+        fitter, vc, val = _make_fitter(two_group_splits)
+        ctx = PlanContext(fitter, vc, val.X, val.y)
+        model0 = fitter.fit(np.zeros(1))
+        ExecutionBackend().run(
+            CandidateBatch([[0.05], [-0.1], [0.2]], kind="population",
+                           prev_model=model0, chain=True),
+            ctx,
+        )
+        # GaussianNaiveBayes implements the batch protocol
+        assert fitter.fit_paths == {"single": 1, "batch_protocol": 3}

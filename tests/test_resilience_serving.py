@@ -259,7 +259,6 @@ def _make_service(dataset, fair_model, **kwargs):
     registry.register(
         "gs", fair_model, dataset_fingerprint=dataset.fingerprint(),
     )
-    kwargs.setdefault("batching", True)
     kwargs.setdefault("max_batch_size", 16)
     return FairnessService(registry=registry, **kwargs)
 

@@ -48,9 +48,7 @@ def server(dataset, fair_model):
     registry.register(
         "gs", fair_model, dataset_fingerprint=dataset.fingerprint(),
     )
-    service = FairnessService(
-        registry=registry, batching=True, max_batch_size=16,
-    )
+    service = FairnessService(registry=registry, max_batch_size=16)
     with serve_in_thread(service) as handle:
         yield handle
 
@@ -150,7 +148,7 @@ class TestErrorPaths:
         tree = DecisionTree(max_depth=4).fit(dataset.X, dataset.y)
         registry = ModelRegistry()
         registry.register("tree", FairModel(tree, "SP <= 0.08"))
-        service = FairnessService(registry=registry, batching=True)
+        service = FairnessService(registry=registry)
         d = dataset.X.shape[1]
         with serve_in_thread(service) as handle:
             with ServingClient(handle.host, handle.port) as c:
@@ -555,6 +553,20 @@ class TestUpdate:
         probe = load_scenario("group_sweep", n=20, seed=3)
         assert client.predict("gs", probe.X).shape == (20,)
 
+    def test_fdr_drift_retune_climbs_cold(self, client):
+        # a multi-group FDR model solved at a nonzero Λ: its warm seed
+        # would need a model to chain from, so the retune climbs cold
+        base = {"dataset": "scenario:group_sweep", "n": 1500, "seed": 0}
+        job = client.retune("FDR <= 0.08", name="m", estimator="NB", **base)
+        client.wait_job(job["job_id"])
+        out = client.update("m", base=base, tolerance=-1.0)
+        assert out["retune"]["triggered"] is True
+        status = client.wait_job(out["retune"]["job_id"])
+        assert status["status"] == "done"
+        assert status["result"]["warm"] is True
+        assert status["result"]["feasible"] is True
+        assert client.stats()["admission"]["retune_failures"] == 0
+
     def test_retune_false_reports_disabled(self, client):
         out = client.update(
             "gs", base=self.BASE, tolerance=-10.0, retune=False,
@@ -612,7 +624,7 @@ class TestBatchingDisabled:
     def test_unbatched_service_still_bit_identical(self, dataset, fair_model):
         registry = ModelRegistry()
         registry.register("gs", fair_model)
-        service = FairnessService(registry=registry, batching=False)
+        service = FairnessService(registry=registry, max_batch_size=1)
         with serve_in_thread(service) as handle:
             with ServingClient(handle.host, handle.port) as c:
                 rows = dataset.X[:11]

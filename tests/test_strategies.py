@@ -208,6 +208,22 @@ class TestSolvers:
         assert fm.report.n_fits == cold.report.n_fits
         assert np.asarray(fm.report.history[0].lam).tolist() == [0.0, 0.0, 0.0]
 
+    def test_hill_climb_ignores_warm_seed_on_for(self, three_group_splits):
+        # a FOR fit at a nonzero Λ chains through a model's predictions,
+        # and the first fit has none to chain from: the climb starts
+        # cold instead of failing (FDR is feasible at Λ = 0 here)
+        train, val, _ = three_group_splits
+        cold = Engine("hill_climb").solve(
+            "FOR <= 0.08", LogisticRegression(max_iter=150), train, val,
+        )
+        assert cold.report.lambdas.tolist() == [0.0, -0.1, 0.0]
+        fm = Engine(
+            "hill_climb", warm_lambdas=tuple(cold.report.lambdas),
+        ).solve("FOR <= 0.08", LogisticRegression(max_iter=150), train, val)
+        assert fm.report.lambdas.tolist() == cold.report.lambdas.tolist()
+        assert fm.report.n_fits == cold.report.n_fits == 3
+        assert np.asarray(fm.report.history[0].lam).tolist() == [0.0, 0.0, 0.0]
+
 
 class TestSearchWidths:
     """A zero or NaN width would hang the bisection or skip it."""
