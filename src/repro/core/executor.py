@@ -9,13 +9,17 @@ memoization caches, and the chunked scoring pass
 (:meth:`~repro.core.kernels.CompiledEvaluator.score_models_batch`) —
 uniformly for every strategy.  It runs in-process and in order: one
 fit per candidate of a ``"fit"`` batch; one ``fit_batch`` call and one
-scoring pass per ``"population"`` batch.  It alone decides how a
-population is fitted: when the fitter's weights need a model's
-predictions (FOR/FDR), each candidate's weights chain through the
-previous candidate's model (§5.2), so the population runs as a
-``"fit"`` batch, from ``prev_model`` and as ``chain`` says.  The
-search, not the executor, keeps the fit count small (Algorithms 1 and
-2 use the monotonicity of FP in λ).  Each candidate is fitted at
+scoring pass per ``"population"`` batch.  A ``"fit"`` candidate is
+scored only when its score is read — at once when the batch records it
+or its ``stop`` predicate reads it, later or never by the plan (``grid``
+reads only the model of its Λ = 0 fit) — in the orientation its fit
+had.  The executor alone decides how a population is fitted: when the
+fitter's weights need a model's predictions (FOR/FDR), each
+candidate's weights chain through the previous candidate's model
+(§5.2), so the population runs as a ``"fit"`` batch, from
+``prev_model`` and as ``chain`` says.  The search, not the executor,
+keeps the fit count small (Algorithms 1 and 2 use the monotonicity of
+FP in λ).  Each candidate is fitted at
 ``ctx.orient(λ)`` and reports ``ctx.orient`` of its disparities, so a
 plan sees Algorithm 1's swap only as a sign
 (:meth:`~repro.core.planner.PlanContext.orient`).
@@ -26,6 +30,7 @@ behind a :class:`JobHandle` state machine.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 import time
@@ -82,11 +87,13 @@ class ExecutionBackend:
                 ctx.orient(batch.lambdas[i]), prev_model=prev,
                 use_subsample=batch.use_subsample,
             )
-            disparities, accuracy = ctx.score(model)
+            # scored when first read, in the orientation of its fit: at
+            # once by the history point or the stop predicate, else by
+            # the plan, or never
             res = EvalResult(
-                batch.lambdas[i], model, disparities, accuracy,
-                index=i, batch_id=ctx.next_batch_id,
+                batch.lambdas[i], model, index=i, batch_id=ctx.next_batch_id,
                 wall_time_s=time.perf_counter() - t0,
+                score=functools.partial(ctx.score, model, ctx.signs.copy()),
             )
             if batch.record:
                 ctx.record(res)

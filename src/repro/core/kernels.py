@@ -463,7 +463,7 @@ class CompiledEvaluator:
                 pos_counts += (
                     (labels == 1).astype(np.float64) @ self._mask[rows]
                 )
-            correct += (labels == self.y[rows]).astype(np.float64).sum(axis=1)
+            correct += np.count_nonzero(labels == self.y[rows], axis=1)
         return pos_counts, correct
 
     def _scores(self, pos_counts, correct, preds=None):
@@ -514,9 +514,10 @@ class CompiledEvaluator:
     def _predictor(models):
         """``X -> (B, rows)`` int64 labels, by the one predict rule.
 
-        A lone model uses its own ``predict``; B > 1 models of one class
-        use the class's ``predict_batch`` when it has one (equal to
-        ``predict`` only up to round-off).
+        A lone model uses its own ``predict`` (LR, NB and GBT label from
+        their log-odds, the bits of ``predict_proba >= 0.5``); B > 1
+        models of one class use the class's ``predict_batch`` when it has
+        one (equal to ``predict`` only up to round-off).
         """
         cls = type(models[0])
         batch_predict = getattr(cls, "predict_batch", None)

@@ -18,13 +18,14 @@ A batch is one of two kinds:
 
 ``kind="fit"``
     Candidates are evaluated one at a time, in order: one
-    :meth:`WeightedFitter.fit` per candidate, scored
-    against the validation split.  ``chain=True`` feeds each fitted
-    model to the next candidate as ``prev_model`` (the §5.2 continuation
-    approximation for θ-parameterized weights); ``stop`` is a predicate
-    over the last :class:`EvalResult` that ends the batch early (a
-    doubling ladder stops at the first candidate past the constraint
-    band).
+    :meth:`WeightedFitter.fit` per candidate, scored against the
+    validation split when the score is first read (a recorded batch and
+    a ``stop`` predicate read it at once).  ``chain=True`` feeds each
+    fitted model to the next candidate as ``prev_model`` (the §5.2
+    continuation approximation for θ-parameterized weights); ``stop`` is
+    a predicate over the last :class:`EvalResult` that ends the batch
+    early (a doubling ladder stops at the first candidate past the
+    constraint band).
 
 ``kind="population"``
     All candidates are always evaluated and reported in order (a grid,
@@ -54,6 +55,7 @@ one fitter can serve several plans (``race``'s forked contexts).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,6 +166,11 @@ class CandidateBatch:
 class EvalResult:
     """One *tell*: a fitted, scored candidate.
 
+    Built with its score, ``(disparities, accuracy)``, or with a
+    ``score`` thunk returning them, which runs once, when ``disparities``
+    or ``accuracy`` is first read; its time is added to ``wall_time_s``.
+    An error it raises surfaces at that read.
+
     Attributes
     ----------
     lam : ndarray (k,)
@@ -183,20 +190,42 @@ class EvalResult:
         This candidate's share of the batch's fit+score wall time.
     """
 
-    __slots__ = ("lam", "model", "disparities", "accuracy", "index",
-                 "batch_id", "wall_time_s")
+    __slots__ = ("lam", "model", "index", "batch_id", "wall_time_s",
+                 "_disparities", "_accuracy", "_score")
 
-    def __init__(self, lam, model, disparities, accuracy, index=0,
-                 batch_id=None, wall_time_s=None):
+    def __init__(self, lam, model, disparities=None, accuracy=None, index=0,
+                 batch_id=None, wall_time_s=None, score=None):
         self.lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
         self.model = model
-        self.disparities = np.atleast_1d(
-            np.asarray(disparities, dtype=np.float64)
-        )
-        self.accuracy = float(accuracy)
         self.index = index
         self.batch_id = batch_id
         self.wall_time_s = wall_time_s
+        self._score = score
+        if score is None:
+            self._set_score(disparities, accuracy)
+
+    def _set_score(self, disparities, accuracy):
+        self._disparities = np.atleast_1d(
+            np.asarray(disparities, dtype=np.float64)
+        )
+        self._accuracy = float(accuracy)
+
+    def _scored(self):
+        if self._score is not None:
+            t0 = time.perf_counter()
+            self._set_score(*self._score())
+            self._score = None
+            if self.wall_time_s is not None:
+                self.wall_time_s += time.perf_counter() - t0
+        return self
+
+    @property
+    def disparities(self):
+        return self._scored()._disparities
+
+    @property
+    def accuracy(self):
+        return self._scored()._accuracy
 
     @property
     def fp(self):
@@ -205,6 +234,7 @@ class EvalResult:
 
     def history_point(self, style="vector"):
         """This result as a :class:`HistoryPoint` (scalar or vector λ)."""
+        self._scored()   # before wall_time_s is read: it adds its time
         if style == "scalar":
             return HistoryPoint(
                 float(self.lam[0]), float(self.disparities[0]),
@@ -275,12 +305,13 @@ class PlanContext:
         """Reverse constraint ``j``'s group pair for this plan."""
         self.signs[j] = -self.signs[j]
 
-    def orient(self, values):
-        """``values`` (..., k) times ``signs``: a plan's λ to the declared
-        binding's, or a declared disparity to the plan's.  Adding 0.0
-        keeps a flipped exact tie at +0.0, as ``rate(g2) − rate(g1)`` is.
+    def orient(self, values, signs=None):
+        """``values`` (..., k) times ``signs`` (default: the current
+        ones): a plan's λ to the declared binding's, or a declared
+        disparity to the plan's.  Adding 0.0 keeps a flipped exact tie
+        at +0.0, as ``rate(g2) − rate(g1)`` is.
         """
-        return values * self.signs + 0.0
+        return values * (self.signs if signs is None else signs) + 0.0
 
     # -- scoring --------------------------------------------------------------
 
@@ -293,11 +324,12 @@ class PlanContext:
             )
         return self._kernel
 
-    def score(self, model):
+    def score(self, model, signs=None):
         """``(disparities (k,), accuracy)`` of ``model`` on validation,
-        the disparities in the plan's orientation."""
+        the disparities oriented by ``signs`` (default: the current
+        ones; a deferred score passes those of its fit)."""
         d, a = self.compiled_scorer().score_models_batch([model], self.X_val)
-        return self.orient(d[0]), float(a[0])
+        return self.orient(d[0], signs), float(a[0])
 
     def violations(self, disparities):
         """``|FP| − ε`` per constraint (positive = violated)."""

@@ -33,7 +33,76 @@ __all__ = [
     "check_sample_weight",
     "clone",
     "estimator_fingerprint",
+    "labels_from_log_odds",
+    "sigmoid",
+    "sigmoid_of_log_odds",
 ]
+
+# below this log-odds sigmoid is certainly under 0.5; between it and 0,
+# exp(t) may round to 1 and sigmoid to exactly 0.5
+_LOG_ODDS_BAND = 1e-12
+
+
+def sigmoid(z):
+    """Numerically stable logistic function.
+
+    Branch-free: ``exp(-|z|)`` never overflows, and each element gets
+    the exact expression of the classic two-branch form
+    (``1/(1+e^-z)`` for ``z >= 0``, ``e^z/(1+e^z)`` otherwise), so
+    results are bitwise those of that form while the evaluation is a
+    handful of full-array ufunc passes instead of masked gather/scatter
+    — the hot path of the IRLS solver.
+    """
+    z = np.asarray(z)
+    out = np.empty(z.shape, np.result_type(z, 1.0))
+    return _sigmoid_into(z, out, np.empty_like(out))
+
+
+def _sigmoid_into(z, out, tmp):
+    """Write ``sigmoid(z)`` into ``out`` (which may be ``z``).
+
+    ``tmp`` is scratch of ``out``'s shape.  With ``e = exp(-|z|)`` in
+    ``[0, 1]``, ``max(e, [z >= 0])`` is exactly the classic numerator
+    (1 where ``z >= 0``, ``e`` elsewhere, NaN kept), so no masked select
+    is needed.
+    """
+    np.greater_equal(z, 0.0, out=tmp)
+    np.copysign(z, -1.0, out=out)
+    np.exp(out, out=out)
+    np.maximum(out, tmp, out=tmp)
+    out += 1.0
+    return np.divide(tmp, out, out=out)
+
+
+def labels_from_log_odds(t):
+    """``(sigmoid(t) >= 0.5)`` as C-ordered int64 labels, bit for bit.
+
+    For ``t >= 0`` :func:`sigmoid` is ``1/(1+e)`` with ``e`` in [0, 1],
+    never below 0.5; below 0 it is ``e/(1+e)``, under 0.5 unless
+    ``exp(t)`` rounds to 1 (``sigmoid(-1e-17)`` is exactly 0.5).  So
+    ``t >= 0`` decides every float64 log-odds but those in
+    ``(-1e-12, 0)``, which ask :func:`sigmoid` itself.  NaN gives 0 and
+    ±inf give 1 and 0, as the comparison of :func:`sigmoid` does.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    labels = np.empty(t.shape, np.int64)
+    np.greater_equal(t, 0.0, out=labels)
+    band = (t < 0.0) & (t > -_LOG_ODDS_BAND)
+    if band.any():
+        labels[band] = sigmoid(t[band]) >= 0.5
+    return labels
+
+
+def sigmoid_of_log_odds(predict_proba):
+    """Mark ``predict_proba`` as ``[1 - p, p]``, ``p = sigmoid(t)`` bit for
+    bit, with ``t = self._log_odds(X)``.
+
+    :meth:`BaseClassifier.predict` then labels from ``t``.  The mark is
+    an attribute of the function: a subclass's own ``predict_proba``
+    does not carry it, a ``functools.wraps`` wrapper does.
+    """
+    predict_proba.sigmoid_of_log_odds = True
+    return predict_proba
 
 
 def check_binary_labels(y):
@@ -180,7 +249,15 @@ class BaseClassifier:
     # -- prediction helpers -------------------------------------------------
 
     def predict(self, X):
-        """Predict hard 0/1 labels (thresholding probabilities at 0.5)."""
+        """Predict hard 0/1 labels: ``P(y=1) >= 0.5``.
+
+        A ``predict_proba`` marked :func:`sigmoid_of_log_odds` is not
+        built: the labels come from the log-odds by
+        :func:`labels_from_log_odds`, the same bits without the
+        ``(n, 2)`` matrix.
+        """
+        if getattr(type(self).predict_proba, "sigmoid_of_log_odds", False):
+            return labels_from_log_odds(self._log_odds(X))
         return (self.predict_proba(X)[:, 1] >= 0.5).astype(np.int64)
 
     def predict_proba(self, X):  # pragma: no cover - abstract
@@ -211,6 +288,16 @@ class BaseClassifier:
         :mod:`repro.ml.replication` may not.
         """
         return True
+
+    # -- optional log-odds hook ----------------------------------------------
+    #
+    # A model whose predict_proba(X)[:, 1] is sigmoid(t) bit for bit
+    # implements _log_odds(X) -> (n,) float64 t and marks that
+    # predict_proba @sigmoid_of_log_odds; predict then thresholds t
+    # (labels_from_log_odds).  A subclass that overrides predict_proba,
+    # and not _log_odds, keeps thresholding its own.  Implementers:
+    # LogisticRegression and GradientBoostedTrees (t = decision_function)
+    # and GaussianNaiveBayes (t = jll[:, 1] - jll[:, 0]).
 
     # -- optional batch protocol ---------------------------------------------
     #

@@ -22,8 +22,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BaseClassifier, check_n_features, check_Xy, check_sample_weight
-from .logistic import sigmoid
+from .base import (
+    BaseClassifier,
+    check_n_features,
+    check_sample_weight,
+    check_Xy,
+    sigmoid,
+    sigmoid_of_log_odds,
+)
 from .tree import _Builder, _descend
 
 __all__ = ["GradientBoostedTrees"]
@@ -152,6 +158,11 @@ class GradientBoostedTrees(BaseClassifier):
             raw = raw + self.learning_rate * _descend([tree], X)[0]
         return raw
 
+    def _log_odds(self, X):
+        """``decision_function`` (a method, so an override holds)."""
+        return self.decision_function(X)
+
+    @sigmoid_of_log_odds
     def predict_proba(self, X):
         p1 = sigmoid(self.decision_function(X))
         return np.column_stack([1.0 - p1, p1])

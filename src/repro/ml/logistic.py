@@ -36,9 +36,13 @@ import numpy as np
 
 from .base import (
     BaseClassifier,
+    _sigmoid_into,
     check_binary_labels,
     check_sample_weight,
     check_Xy,
+    labels_from_log_odds,
+    sigmoid,
+    sigmoid_of_log_odds,
 )
 
 __all__ = ["GRAM_BLOCKS_MAX", "LogisticRegression", "sigmoid"]
@@ -50,37 +54,6 @@ GRAM_BLOCKS_MAX = 4_000_000
 
 # cross-entropy log guard: log(p + eps) stays finite at p = 0
 _EPS = 1e-12
-
-
-def sigmoid(z):
-    """Numerically stable logistic function.
-
-    Branch-free: ``exp(-|z|)`` never overflows, and each element gets
-    the exact expression of the classic two-branch form
-    (``1/(1+e^-z)`` for ``z >= 0``, ``e^z/(1+e^z)`` otherwise), so
-    results are bitwise those of that form while the evaluation is a
-    handful of full-array ufunc passes instead of masked gather/scatter
-    — the hot path of the IRLS solver.
-    """
-    z = np.asarray(z)
-    out = np.empty(z.shape, np.result_type(z, 1.0))
-    return _sigmoid_into(z, out, np.empty_like(out))
-
-
-def _sigmoid_into(z, out, tmp):
-    """Write ``sigmoid(z)`` into ``out`` (which may be ``z``).
-
-    ``tmp`` is scratch of ``out``'s shape.  With ``e = exp(-|z|)`` in
-    ``[0, 1]``, ``max(e, [z >= 0])`` is exactly the classic numerator
-    (1 where ``z >= 0``, ``e`` elsewhere, NaN kept), so no masked select
-    is needed.
-    """
-    np.greater_equal(z, 0.0, out=tmp)
-    np.copysign(z, -1.0, out=out)
-    np.exp(out, out=out)
-    np.maximum(out, tmp, out=tmp)
-    out += 1.0
-    return np.divide(tmp, out, out=out)
 
 
 def _neg_log_likelihood(prob, yf, nf, w, out, tmp):
@@ -482,23 +455,29 @@ class LogisticRegression(BaseClassifier):
 
         All decision scores come from a single ``(n, d) @ (d, B)``
         dgemm; thresholding matches :meth:`BaseClassifier.predict`
-        elementwise (same ``sigmoid`` then ``>= 0.5``), so rows equal
-        ``models[b].predict(X)`` up to matvec-vs-matmul round-off on
-        exactly boundary scores.
+        elementwise (:func:`~repro.ml.base.labels_from_log_odds`), so
+        rows equal ``models[b].predict(X)`` up to matvec-vs-matmul
+        round-off on exactly boundary scores.
 
-        Returns an ``(B, n)`` int64 prediction matrix.
+        Returns a C-ordered ``(B, n)`` int64 prediction matrix.
         """
         X, _ = check_Xy(X)
         coefs = np.stack([m.coef_ for m in models])          # (B, d)
         intercepts = np.array([m.intercept_ for m in models])
-        scores = X @ coefs.T + intercepts[None, :]           # (n, B)
-        return (sigmoid(scores.T) >= 0.5).astype(np.int64)
+        scores = X @ coefs.T                                 # (n, B)
+        scores += intercepts
+        return labels_from_log_odds(scores.T)
 
     def decision_function(self, X):
         self._check_is_fitted()
         X, _ = check_Xy(X)
         return X @ self.coef_ + self.intercept_
 
+    def _log_odds(self, X):
+        """``decision_function`` (a method, so an override holds)."""
+        return self.decision_function(X)
+
+    @sigmoid_of_log_odds
     def predict_proba(self, X):
         p1 = sigmoid(self.decision_function(X))
         return np.column_stack([1.0 - p1, p1])

@@ -23,6 +23,7 @@ from .base import (
     check_binary_labels,
     check_sample_weight,
     check_Xy,
+    sigmoid_of_log_odds,
 )
 
 __all__ = ["GaussianNaiveBayes"]
@@ -74,15 +75,32 @@ class GaussianNaiveBayes(BaseClassifier):
     def _joint_log_likelihood(self, X):
         X, _ = check_Xy(X)
         jll = np.zeros((len(X), 2))
+        # ``(X - θ)² / v`` in one scratch of X's layout, so the row sums
+        # reduce in the order they would over the plain temporaries
+        buf = np.empty_like(X)
         for k in (0, 1):
             log_prior = np.log(max(self.class_prior_[k], 1e-300))
             log_det = -0.5 * np.sum(np.log(2.0 * np.pi * self.var_[k]))
-            quad = -0.5 * np.sum(
-                (X - self.theta_[k]) ** 2 / self.var_[k], axis=1
-            )
+            np.subtract(X, self.theta_[k], out=buf)
+            np.square(buf, out=buf)
+            np.divide(buf, self.var_[k], out=buf)
+            quad = -0.5 * np.sum(buf, axis=1)
             jll[:, k] = log_prior + log_det + quad
         return jll
 
+    def _log_odds(self, X):
+        """``t = jll[:, 1] - jll[:, 0]``, whose ``sigmoid`` is
+        ``predict_proba[:, 1]`` bit for bit.
+
+        Less the row maximum, a ``jll`` row is ``[0, t]`` or ``[-t, 0]``,
+        and ``predict_proba``'s ``exp``, sum and divide of it are then
+        ``sigmoid``'s own operations on ``t``.
+        """
+        self._check_is_fitted()
+        jll = self._joint_log_likelihood(X)
+        return jll[:, 1] - jll[:, 0]
+
+    @sigmoid_of_log_odds
     def predict_proba(self, X):
         self._check_is_fitted()
         jll = self._joint_log_likelihood(X)
@@ -195,6 +213,8 @@ class GaussianNaiveBayes(BaseClassifier):
             - 0.5 * np.sum(np.log(2.0 * np.pi * var), axis=2)
             - 0.5 * np.sum(theta_c * theta_c / var, axis=2)
         ).reshape(B * 2)
-        scores = (Xc * Xc) @ quad.T + Xc @ lin.T + const    # (n, 2B)
+        scores = (Xc * Xc) @ quad.T                          # (n, 2B)
+        scores += Xc @ lin.T
+        scores += const
         scores = scores.reshape(len(X), B, 2)
         return (scores[:, :, 1] >= scores[:, :, 0]).T.astype(np.int64)

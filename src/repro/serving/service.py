@@ -261,10 +261,11 @@ class FairnessService:
     def __init__(self, registry=None, *, max_batch_size=32,
                  n_workers=1, store_dir=None, max_inflight=256, max_jobs=32,
                  breaker_threshold=5, breaker_cooldown_s=30.0):
-        if int(max_inflight) < 1:
-            raise SpecificationError(
-                f"max_inflight must be >= 1, got {max_inflight}"
-            )
+        for knob, value in (("max_batch_size", max_batch_size),
+                            ("n_workers", n_workers),
+                            ("max_inflight", max_inflight)):
+            if int(value) < 1:
+                raise SpecificationError(f"{knob} must be >= 1, got {value}")
         if int(max_jobs) < 0:
             raise SpecificationError(
                 f"max_jobs must be >= 0, got {max_jobs}"

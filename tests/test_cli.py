@@ -259,6 +259,14 @@ class TestCommands:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--max-batch-size", "--n-workers"])
+    def test_serve_batcher_knob_below_one_exits_2_before_serving(self, flag):
+        # before 11.1.0 this served, refusing every /predict with 400
+        out = io.StringIO()
+        assert main(["serve", "--port", "0", flag, "0"], out=out) == 2
+        assert "SPEC ERROR" in out.getvalue()
+        assert "serving on" not in out.getvalue()
+
     def test_train_bad_spec_fails_cleanly(self):
         out = io.StringIO()
         code = main(

@@ -12,11 +12,15 @@ Two layers of checks:
   chained batches thread ``prev_model`` candidate to candidate,
   population batches report every candidate in order, and a population
   whose weights need predictions (FOR/FDR) runs as a chain.
+* **Lazy scoring** — a ``"fit"`` candidate is scored only when its
+  score is read (a recorded batch and a stop predicate read it at once),
+  in the orientation of its fit, and its wall time includes the score.
 """
 
 import numpy as np
 import pytest
 
+from repro.api import Engine
 from repro.core.dsl import parse_spec
 from repro.core.executor import ExecutionBackend
 from repro.core.fitter import WeightedFitter
@@ -230,3 +234,125 @@ class TestExecutorContract:
         )
         # GaussianNaiveBayes implements the batch protocol
         assert fitter.fit_paths == {"single": 1, "batch_protocol": 3}
+
+
+def _count_scoring(monkeypatch):
+    """Count ``CompiledEvaluator.score_models_batch`` calls."""
+    calls = []
+    score = CompiledEvaluator.score_models_batch
+
+    def counting(self, models, X):
+        calls.append(len(models))
+        return score(self, models, X)
+
+    monkeypatch.setattr(CompiledEvaluator, "score_models_batch", counting)
+    return calls
+
+
+class _ToyStrategy:
+    name = "toy"
+
+    def __init__(self, plan):
+        self.plan = plan
+
+
+class TestLazyScoring:
+    def _grid_solve(self, splits):
+        train, val, _ = splits
+        return Engine("grid", grid_steps=5, grid_max=0.5).solve(
+            "SP <= 0.1", GaussianNaiveBayes(), train, val,
+        ).report
+
+    def test_grid_scores_population_and_audit_only(self, two_group_splits,
+                                                   monkeypatch):
+        calls = _count_scoring(monkeypatch)
+        lazy = self._grid_solve(two_group_splits)
+        # one population pass and the final audit: the Λ = 0 init fit is
+        # read only for its model (before 11.1.0 it was scored too)
+        population = len(lazy.history)
+        assert population > 1
+        assert calls == [population, 1]
+
+        # the same solve with every candidate scored as soon as it fits
+        run = ExecutionBackend.run
+
+        def eager_run(self, batch, ctx):
+            results = run(self, batch, ctx)
+            for res in results:
+                res.accuracy
+            return results
+
+        monkeypatch.setattr(ExecutionBackend, "run", eager_run)
+        calls.clear()
+        eager = self._grid_solve(two_group_splits)
+        assert calls == [1, population, 1]
+        assert lazy.lambdas.tobytes() == eager.lambdas.tobytes()
+        assert lazy.lambdas[0] != 0.0
+        assert lazy.fit_paths == eager.fit_paths
+        assert len(eager.history) == population
+        for a, b in zip(lazy.history, eager.history):
+            assert (a.lam, a.disparity, a.accuracy, a.batch_id) == (
+                b.lam, b.disparity, b.accuracy, b.batch_id)
+
+    def test_deferred_score_keeps_the_fit_orientation(self, two_group_splits,
+                                                      monkeypatch):
+        fitter, vc, val = _make_fitter(two_group_splits)
+        calls = _count_scoring(monkeypatch)
+        seen = {}
+
+        def plan(ctx, config):
+            (res,) = yield CandidateBatch([[0.2]], record=False)
+            seen["before_read"] = len(calls)
+            ctx.swap_constraint(0)
+            seen["result"] = res
+            seen["disparities"] = res.disparities.copy()
+            return TuneResult(res.model, res.lam, feasible=True)
+
+        run_plan(_ToyStrategy(plan), fitter, vc, val.X, val.y, None)
+        res = seen["result"]
+        assert seen["before_read"] == 0
+        assert calls == [1]
+        d, a = CompiledEvaluator(vc, val.y).score_models_batch(
+            [res.model], val.X)
+        assert seen["disparities"].tobytes() == d[0].tobytes()
+        assert res.accuracy == float(a[0])
+        assert res.wall_time_s > 0
+
+    def test_scoring_error_surfaces_at_the_read(self, two_group_splits,
+                                                monkeypatch):
+        fitter, vc, val = _make_fitter(two_group_splits)
+
+        def broken(self, models, X):
+            raise ZeroDivisionError("scoring failed")
+
+        monkeypatch.setattr(CompiledEvaluator, "score_models_batch", broken)
+
+        def plan(ctx, config):
+            (res,) = yield CandidateBatch([[0.2]], record=False)
+            res.fp
+            return TuneResult(res.model, res.lam, feasible=True)
+
+        with pytest.raises(ZeroDivisionError, match="scoring failed"):
+            run_plan(_ToyStrategy(plan), fitter, vc, val.X, val.y, None)
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_recorded_and_stopped_batches_time_their_scores(
+        self, record, two_group_splits, monkeypatch,
+    ):
+        fitter, vc, val = _make_fitter(two_group_splits)
+        ctx = PlanContext(fitter, vc, val.X, val.y)
+        calls = _count_scoring(monkeypatch)
+        grid = np.linspace(0.05, 0.45, 5)[:, None]
+        ExecutionBackend().run(CandidateBatch(grid[:2]), ctx)
+        assert calls == [1, 1]
+        assert [p.wall_time_s > 0 for p in ctx.history] == [True, True]
+        results = ExecutionBackend().run(
+            CandidateBatch(grid, record=record,
+                           stop=lambda res: res.accuracy < 0 or res.index >= 2),
+            ctx,
+        )
+        # the stop predicate read every reported score inside the batch
+        assert calls == [1] * 5
+        assert all(res.wall_time_s > 0 for res in results)
+        assert len(ctx.history) == 2 + (3 if record else 0)
+        assert all(p.wall_time_s > 0 for p in ctx.history)

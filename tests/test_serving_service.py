@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.api import Engine, FairModel, Problem
+from repro.core.exceptions import SpecificationError
 from repro.datasets import load_scenario
 from repro.ml import DecisionTree, GaussianNaiveBayes
 from repro.serving import (
@@ -618,6 +619,17 @@ class TestConcurrentClients:
         assert batcher["requests"] == self.N_CLIENTS * self.REQUESTS
         sizes = {int(s) for s in batcher["histogram"]}
         assert max(sizes) <= 16
+
+
+class TestConstructorKnobs:
+    @pytest.mark.parametrize("knob", ["max_batch_size", "n_workers"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_batcher_knob_below_one_refused_at_construction(
+        self, knob, value,
+    ):
+        # before 11.1.0 the service started and refused every /predict
+        with pytest.raises(SpecificationError, match=f"{knob} must be >= 1"):
+            FairnessService(**{knob: value})
 
 
 class TestBatchingDisabled:
