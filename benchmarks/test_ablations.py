@@ -34,11 +34,7 @@ class RoundRobinHillClimb(SearchStrategy):
     config_cls = HillClimbConfig
 
     def plan(self, ctx, config):
-        return _plan_hill_climb(
-            ctx, max_rounds=config.max_rounds,
-            initial_step=config.initial_step, tau=config.tau,
-            dimension_order="round_robin",
-        )
+        return _plan_hill_climb(ctx, config, dimension_order="round_robin")
 
 
 def _run_negative_weights():

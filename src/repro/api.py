@@ -312,10 +312,10 @@ class Engine:
         ``SpecSet.canonical()`` × dataset fingerprints × estimator
         fingerprint × strategy config returns the stored
         :class:`FairModel` with zero fits, and a same-shape
-        tightened-threshold request warm-starts the single-λ search
-        from the previous solve's λ — and (b) persists/reuses
-        individual fitted models across processes.  Both are skipped
-        for an estimator without a
+        tightened-threshold request warm-starts a ``binary_search`` or
+        ``hill_climb`` search from the previous solve's λ — and (b)
+        persists/reuses individual fitted models across processes.
+        Both are skipped for an estimator without a
         :func:`~repro.ml.base.estimator_fingerprint`.  Traffic is
         reported via ``FitReport.store_hits`` / ``store_lookups``.
     store : repro.store.CacheStore or None
@@ -384,7 +384,7 @@ class Engine:
 
     def solve(
         self, problem, estimator=None, train=None, val=None, *,
-        val_fraction=0.25, seed=0,
+        val_fraction=0.25, seed=0, warm=None,
     ):
         """Solve ``problem`` for ``estimator`` on ``train``/``val``.
 
@@ -395,6 +395,14 @@ class Engine:
         :class:`~repro.core.report.FitReport`.  Raises
         :class:`InfeasibleConstraintError` when no feasible
         hyperparameter setting is found, exactly like the strategies do.
+
+        ``warm`` is an earlier solve's ``(lambdas, swapped)``, the
+        :class:`~repro.core.report.FitReport` fields, from which
+        ``binary_search`` and ``hill_climb`` start their search (the
+        other strategies run cold).  It never changes the solution
+        cache key.  When it is ``None``, a single-constraint store
+        solve under those two strategies seeds itself from the
+        solution cache's warm index (a tightened-threshold re-solve).
         """
         problem = Problem.coerce(problem)
         if estimator is None:
@@ -452,9 +460,11 @@ class Engine:
             hit = solution_cache.get(desc)
             if hit is not None:
                 return self._from_solution_cache(hit)
-            config = self._warm_config(
-                solution_cache, desc, config, len(train_constraints),
-            )
+            if (warm is None and strategy.reads_warm
+                    and len(train_constraints) == 1):
+                near = solution_cache.get_warm(desc)
+                if near is not None:
+                    warm = ([near["lambda"]], near["swapped"])
 
         fitter = WeightedFitter(
             estimator,
@@ -472,6 +482,7 @@ class Engine:
         # attribute as the planner layer
         result = strategies.run_plan(
             strategy, fitter, val_constraints, val.X, val.y, config,
+            warm=warm,
         )
 
         report = FitReport(
@@ -519,8 +530,8 @@ class Engine:
         Covers everything that determines the selected model: the
         canonical spec, both split fingerprints, the
         :func:`~repro.ml.base.estimator_fingerprint`, the strategy and
-        its config (minus the warm-start seed fields, which alter only
-        the trajectory), and the weighted-training knobs.  The
+        its config, and the weighted-training knobs (not the warm seed,
+        which alters only the trajectory).  The
         performance-only ``chunk_size`` is deliberately excluded —
         chunked evaluation is bit-identical, so it would only fragment
         the cache.  Returns ``None`` for non-canonicalizable (non-DSL)
@@ -536,9 +547,6 @@ class Engine:
         except SpecificationError:
             return None
         cfg = asdict(config)
-        cfg.pop("warm_lambda", None)
-        cfg.pop("warm_swapped", None)
-        cfg.pop("warm_lambdas", None)
         specs = problem.specs
         epsilon = float(specs[0].epsilon) if len(specs) == 1 else None
         return {
@@ -580,26 +588,6 @@ class Engine:
         return FairModel(
             stored.model, stored.specs, report=report,
             metadata=dict(stored.metadata, solution_cache_hit=True),
-        )
-
-    @staticmethod
-    def _warm_config(solution_cache, desc, config, n_constraints):
-        """Inject a warm-start bracket for a tightened re-solve.
-
-        Only single-constraint solves with warm-capable configs and no
-        caller-set seed are touched; everything else returns ``config``
-        unchanged, keeping cold trajectories byte-identical.
-        """
-        from dataclasses import replace
-
-        if (n_constraints != 1
-                or getattr(config, "warm_lambda", "absent") is not None):
-            return config
-        warm = solution_cache.get_warm(desc)
-        if warm is None:
-            return config
-        return replace(
-            config, warm_lambda=warm["lambda"], warm_swapped=warm["swapped"],
         )
 
     def __repr__(self):

@@ -105,9 +105,6 @@ class CandidateBatch:
         Candidate multiplier vectors, in evaluation order.
     kind : {"fit", "population"}
         Sequential per-candidate fits vs one vectorized batch pass.
-    purpose : str
-        Free-form tag (``"bracket"``, ``"refine"``, ``"population"``,
-        ...) used by conformance tests, tracing, and benchmarks.
     prev_model : fitted estimator, optional
         ``prev_model`` for the first (``chain=True``) or every
         (``chain=False``) candidate's fit — the predictions source for
@@ -128,12 +125,11 @@ class CandidateBatch:
         :meth:`PlanContext.fork`).
     """
 
-    __slots__ = ("lambdas", "kind", "purpose", "prev_model", "chain",
-                 "record", "use_subsample", "stop", "ctx")
+    __slots__ = ("lambdas", "kind", "prev_model", "chain", "record",
+                 "use_subsample", "stop", "ctx")
 
-    def __init__(self, lambdas, kind="fit", purpose="", prev_model=None,
-                 chain=False, record=True, use_subsample=False, stop=None,
-                 ctx=None):
+    def __init__(self, lambdas, kind="fit", prev_model=None, chain=False,
+                 record=True, use_subsample=False, stop=None, ctx=None):
         self.lambdas = np.atleast_2d(np.asarray(lambdas, dtype=np.float64))
         if self.lambdas.ndim != 2 or self.lambdas.shape[0] == 0:
             raise ValueError(
@@ -145,7 +141,6 @@ class CandidateBatch:
                 f"unknown batch kind {kind!r}; use one of {BATCH_KINDS}"
             )
         self.kind = kind
-        self.purpose = purpose
         self.prev_model = prev_model
         self.chain = bool(chain)
         self.record = bool(record)
@@ -159,7 +154,7 @@ class CandidateBatch:
     def __repr__(self):
         return (
             f"CandidateBatch(n={len(self)}, kind={self.kind!r}, "
-            f"purpose={self.purpose!r}, chain={self.chain})"
+            f"chain={self.chain})"
         )
 
 
@@ -254,6 +249,19 @@ class EvalResult:
         )
 
 
+def _warm_seed(warm, k):
+    """``warm`` as ``(float64 array (k,), bool)``, or ``None`` unless
+    it is a pair whose first item is k finite numbers."""
+    try:
+        lambdas, swapped = warm
+        lambdas = np.asarray(lambdas, dtype=np.float64).reshape(-1)
+    except (TypeError, ValueError):
+        return None
+    if lambdas.shape != (k,) or not np.all(np.isfinite(lambdas)):
+        return None
+    return lambdas, bool(swapped)
+
+
 class PlanContext:
     """Everything a strategy's ``plan`` generator can see and touch.
 
@@ -265,9 +273,16 @@ class PlanContext:
     fitter, and every disparity it reports, is multiplied by ``signs``
     (:meth:`orient`); neither constraint list is ever rewritten, so the
     fitter's kernels and the evaluator are built once.
+
+    ``warm`` is an earlier solve's ``(lambdas, swapped)`` (the
+    :class:`~repro.core.report.FitReport` fields of the same name), a
+    seed that a plan may start its search from.  It is kept as
+    ``(float64 array (k,), bool)`` only when ``lambdas`` is k finite
+    numbers; anything else reads as ``None`` (a cold start), since
+    warmth is an optimization, never a correctness dependency.
     """
 
-    def __init__(self, fitter, val_constraints, X_val, y_val):
+    def __init__(self, fitter, val_constraints, X_val, y_val, warm=None):
         self.fitter = fitter
         self.val_constraints = list(val_constraints)
         self.X_val = np.asarray(X_val, dtype=np.float64)
@@ -276,11 +291,13 @@ class PlanContext:
         self.signs = np.ones(len(fitter.constraints))
         self.history = []
         self.next_batch_id = 0
+        self.warm = _warm_seed(warm, len(self.signs))
         self._kernel = None
 
     def fork(self):
         """A context on the same fitter, validation split and evaluator,
-        with its own signs, history, record style and batch ids."""
+        with its own signs, history, record style and batch ids, and no
+        warm seed."""
         child = PlanContext(
             self.fitter, self.val_constraints, self.X_val, self.y_val,
         )
@@ -344,19 +361,21 @@ class PlanContext:
         self.history.append(point)
 
 
-def run_plan(strategy, fitter, val_constraints, X_val, y_val, config):
+def run_plan(strategy, fitter, val_constraints, X_val, y_val, config,
+             warm=None):
     """Drive a strategy's ask/tell generator through the executor.
 
     The one driver of every solve.  ``plan(ctx, config)`` yields
     :class:`CandidateBatch` objects and receives ``list[EvalResult]``
     for each; its return value, a :class:`TuneResult`, becomes this
     function's.  A batch tagged with a context (``batch.ctx``) runs on
-    that context instead of the one built here.
+    that context instead of the one built here.  ``warm`` becomes the
+    context's :attr:`PlanContext.warm` seed.
     """
     from .executor import ExecutionBackend  # runtime dep, not import-time
 
     backend = ExecutionBackend()
-    ctx = PlanContext(fitter, val_constraints, X_val, y_val)
+    ctx = PlanContext(fitter, val_constraints, X_val, y_val, warm=warm)
     gen = strategy.plan(ctx, config)
     results = None
     try:

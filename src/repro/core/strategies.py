@@ -55,7 +55,12 @@ Built-ins:
 
 Each strategy declares a config dataclass that holds its solver knobs.
 ``Config.build(options)`` constructs one from a flat dict and rejects
-unknown keys.
+unknown keys.  Every built-in plan reads its knobs from that validated
+config, so each default exists once, in the dataclass.  An earlier
+solve's warm seed is no knob: it reaches a plan as
+:attr:`~repro.core.planner.PlanContext.warm`, and only the strategies
+whose ``reads_warm`` is True (``binary_search``, ``hill_climb``) read
+it.
 """
 
 from __future__ import annotations
@@ -149,23 +154,12 @@ def _check_count(config, *names, minimum=1):
 
 @dataclass
 class BinarySearchConfig(StrategyConfig):
-    """Algorithm 1 knobs (paper defaults: δ=0.001, τ=1e-4).
-
-    ``warm_lambda`` / ``warm_swapped`` seed the search from an earlier
-    solve of the same constraint shape (typically injected by the
-    persistent :class:`~repro.store.SolutionCache` on a
-    tightened-threshold re-solve): the signed λ selected before becomes
-    a one-fit bracket probe that replaces the direction probe and most
-    of the bounding ladder.  The defaults (``None``/``False``) leave
-    the trajectory byte-identical to the cold search.
-    """
+    """Algorithm 1 knobs (paper defaults: δ=0.001, τ=1e-4)."""
 
     delta: float = 0.01
     tau: float = 1e-3
     lambda_max: float = 1e5
     max_linear_steps: int = 2000
-    warm_lambda: float = None
-    warm_swapped: bool = False
 
     def __post_init__(self):
         _check_positive(self, "delta", "tau", "lambda_max")
@@ -174,29 +168,14 @@ class BinarySearchConfig(StrategyConfig):
 
 @dataclass
 class HillClimbConfig(StrategyConfig):
-    """Algorithm 2 knobs, plus Algorithm 1 knobs for the k=1 reduction.
-
-    ``warm_lambda`` / ``warm_swapped`` only apply to the k=1 reduction
-    (see :class:`BinarySearchConfig`).  ``warm_lambdas`` is the
-    multi-constraint warm re-search entry (used by the incremental
-    engine's drift retune): a length-k vector that seeds the climb's
-    starting Λ instead of the zero vector, so a solve on slightly
-    drifted data starts next to the previous optimum and typically
-    converges in a round or two.  The default (``None``) leaves the
-    trajectory byte-identical to the cold climb.  Both warm entries
-    are ignored when the weights need predictions (FOR/FDR): a fit at
-    a nonzero Λ chains through a model, and the first fit has none, so
-    such a search runs cold.
-    """
+    """Algorithm 2 knobs, plus Algorithm 1 knobs for the k=1 reduction
+    (whose linear-ladder budget is :class:`BinarySearchConfig`'s)."""
 
     max_rounds: int = None
     initial_step: float = 0.1
     tau: float = 1e-3
     delta: float = 0.01
     lambda_max: float = 1e5
-    warm_lambda: float = None
-    warm_swapped: bool = False
-    warm_lambdas: tuple = None
 
     def __post_init__(self):
         _check_positive(self, "delta", "tau", "initial_step", "lambda_max")
@@ -280,6 +259,10 @@ class SearchStrategy:
         Registry key (also the CLI ``--search`` value).
     config_cls : type[StrategyConfig]
         The dataclass holding this solver's knobs.
+    reads_warm : bool
+        Whether :meth:`plan` reads the warm seed
+        (:attr:`~repro.core.planner.PlanContext.warm`); only then does
+        a store solve look one up in the solution cache's warm index.
 
     A strategy implements :meth:`plan` — an ask/tell generator
     yielding :class:`~repro.core.planner.CandidateBatch` objects and
@@ -290,6 +273,7 @@ class SearchStrategy:
 
     name = None
     config_cls = StrategyConfig
+    reads_warm = False
 
     def plan(self, ctx, config):
         """Ask/tell generator (see :mod:`repro.core.planner`)."""
@@ -400,23 +384,24 @@ def _doubling(t, lambda_max):
         rungs.append(t)
 
 
-def _plan_single_lambda(ctx, delta=0.01, tau=1e-3, lambda_max=1e5,
-                        max_linear_steps=2000, warm_lambda=None,
-                        warm_swapped=False):
-    """Algorithm 1 as an ask/tell generator — λ-trajectory identical to
-    the pre-planner single-λ loop (goldens in
-    ``tests/goldens/trajectories.json``) unless ``warm_lambda`` seeds
-    the bracket from a previous solve (see
-    :class:`BinarySearchConfig`)."""
+def _plan_single_lambda(ctx, config):
+    """Algorithm 1 as an ask/tell generator over a
+    :class:`BinarySearchConfig` — λ-trajectory identical to the
+    pre-planner single-λ loop (goldens in
+    ``tests/goldens/trajectories.json``) unless ``ctx.warm`` seeds the
+    bracket from an earlier solve: its signed λ becomes a one-fit
+    bracket probe that replaces the direction probe and most of the
+    bounding ladder."""
     ctx.record_style = "scalar"
     fitter = ctx.fitter
     if len(fitter.constraints) != 1:
         raise ValueError("Algorithm 1 expects exactly one constraint")
+    delta, tau, lambda_max = config.delta, config.tau, config.lambda_max
     label = ctx.val_constraints[0].label
     epsilon = fitter.constraints[0].epsilon
 
     # -- stage 1: λ = 0 ------------------------------------------------------
-    (r0,) = yield CandidateBatch([[0.0]], purpose="init")
+    (r0,) = yield CandidateBatch([[0.0]])
     model0 = r0.model
     fp0 = r0.fp
     if abs(fp0) <= epsilon:
@@ -457,7 +442,7 @@ def _plan_single_lambda(ctx, delta=0.01, tau=1e-3, lambda_max=1e5,
         nonlocal t_l, model_l, t_u, fp_u, acc_u, model_u
         if rungs:
             reported = yield CandidateBatch(
-                direction * np.asarray(rungs)[:, None], purpose="bracket",
+                direction * np.asarray(rungs)[:, None],
                 prev_model=model_u, chain=True, use_subsample=prune,
                 stop=crossed_band,
             )
@@ -475,11 +460,12 @@ def _plan_single_lambda(ctx, delta=0.01, tau=1e-3, lambda_max=1e5,
     # seed when nothing that shaped it differs — same orientation, no
     # continuation chaining (parameterized), no subsample pruning, and
     # a magnitude the search could itself have visited
+    warm_lambda = None if ctx.warm is None else float(ctx.warm[0][0])
     warm = (
         warm_lambda is not None
         and not parameterized
         and not prune
-        and bool(warm_swapped) == swapped
+        and ctx.warm[1] == swapped
         and tau < abs(warm_lambda) <= lambda_max
     )
 
@@ -489,9 +475,7 @@ def _plan_single_lambda(ctx, delta=0.01, tau=1e-3, lambda_max=1e5,
         # two-sided escalating direction probe is skipped outright
         direction = 1.0 if warm_lambda > 0 else -1.0
         t_w = abs(warm_lambda)
-        (rw,) = yield CandidateBatch(
-            [[direction * t_w]], purpose="warm", prev_model=model0,
-        )
+        (rw,) = yield CandidateBatch([[direction * t_w]], prev_model=model0)
         t_u, fp_u, acc_u, model_u = t_w, rw.fp, rw.accuracy, rw.model
         t_l, model_l = 0.0, model0
         if fp_u < -epsilon:
@@ -511,7 +495,7 @@ def _plan_single_lambda(ctx, delta=0.01, tau=1e-3, lambda_max=1e5,
             if rungs:
                 reported = yield CandidateBatch(
                     direction * np.asarray(rungs)[:, None],
-                    purpose="bracket", prev_model=model0, chain=True,
+                    prev_model=model0, chain=True,
                     stop=lambda res: res.fp < -epsilon,
                 )
                 for i, r in enumerate(reported):
@@ -535,8 +519,7 @@ def _plan_single_lambda(ctx, delta=0.01, tau=1e-3, lambda_max=1e5,
         probe = None
         for _ in range(6):
             pos, neg = yield CandidateBatch(
-                [[probe_step], [-probe_step]], purpose="probe",
-                prev_model=model0,
+                [[probe_step], [-probe_step]], prev_model=model0,
             )
             moved = max(pos.fp, neg.fp) > fp0 + 1e-12
             if moved:
@@ -570,12 +553,12 @@ def _plan_single_lambda(ctx, delta=0.01, tau=1e-3, lambda_max=1e5,
             step = max(delta, probe_step)
             rungs = []
             t = t_u
-            for _ in range(max_linear_steps):
+            for _ in range(config.max_linear_steps):
                 t = t + step
                 rungs.append(t)
             yield from climb(
                 rungs,
-                f"linear search exhausted {max_linear_steps} steps "
+                f"linear search exhausted {config.max_linear_steps} steps "
                 f"without satisfying {label}",
             )
 
@@ -586,7 +569,7 @@ def _plan_single_lambda(ctx, delta=0.01, tau=1e-3, lambda_max=1e5,
         t_l, model_l = 0.0, model0
         rungs = [t_u] + _doubling(t_u, lambda_max)
         reported = yield CandidateBatch(
-            direction * np.asarray(rungs)[:, None], purpose="verify",
+            direction * np.asarray(rungs)[:, None],
             prev_model=model0, chain=True, stop=crossed_band,
         )
         last = reported[-1]
@@ -607,9 +590,7 @@ def _plan_single_lambda(ctx, delta=0.01, tau=1e-3, lambda_max=1e5,
     while t_u - t_l >= tau:
         t_m = 0.5 * (t_l + t_u)
         prev = model_l if parameterized else model0
-        (rm,) = yield CandidateBatch(
-            [[direction * t_m]], purpose="refine", prev_model=prev,
-        )
+        (rm,) = yield CandidateBatch([[direction * t_m]], prev_model=prev)
         model_m, fp_m, acc_m = rm.model, rm.fp, rm.accuracy
         if abs(fp_m) <= epsilon and acc_m > best[2]:
             best = (model_m, direction * t_m, acc_m)
@@ -630,13 +611,18 @@ def _plan_single_lambda(ctx, delta=0.01, tau=1e-3, lambda_max=1e5,
     )
 
 
-def _plan_tune_dimension(ctx, lambdas, j, model, disparities,
-                         initial_step=0.1, tau=1e-3, max_expansions=40):
+#: Algorithm 2's per-axis bracket budget: the doubling steps an axis
+#: may take before it settles for its least-violating attempt
+MAX_EXPANSIONS = 40
+
+
+def _plan_tune_dimension(ctx, config, lambdas, j, model, disparities):
     """Algorithm 2's per-axis tuner as a sub-generator.
 
     Moves ``Λ[j]`` until constraint ``j`` holds (marginal monotonicity,
-    Lemma 4): a doubling bracket expansion asked as ladder batches with
-    a stop predicate, then a 1-D bisection.  Every decision replays the
+    Lemma 4): a doubling bracket expansion from ``config.initial_step``
+    asked as ladder batches with a stop predicate, then a 1-D bisection
+    down to ``config.tau``.  Every decision replays the
     pre-planner ``_tune_dimension`` loop body, so the fitted λ sequence
     is identical.
 
@@ -671,8 +657,8 @@ def _plan_tune_dimension(ctx, lambdas, j, model, disparities,
     t_start = lambdas[j]
     t_near = t_start  # last point still on the starting side
     t_far = t_start
-    step = initial_step
-    budget = max_expansions
+    step = config.initial_step
+    budget = MAX_EXPANSIONS
     flipped = False
     best_outside = None  # least-violating candidate seen, as fallback
     crossed = None
@@ -697,9 +683,8 @@ def _plan_tune_dimension(ctx, lambdas, j, model, disparities,
             )
 
         reported = yield CandidateBatch(
-            np.stack([row(t) for t in rungs]), purpose="bracket",
-            prev_model=prev_model, chain=True, record=False,
-            stop=expansion_stop,
+            np.stack([row(t) for t in rungs]), prev_model=prev_model,
+            chain=True, record=False, stop=expansion_stop,
         )
         do_flip = False
         for i, res in enumerate(reported):
@@ -728,7 +713,7 @@ def _plan_tune_dimension(ctx, lambdas, j, model, disparities,
         if do_flip:
             flipped = True
             direction = -direction
-            step = initial_step
+            step = config.initial_step
             t_far = t_start
     if crossed is None:
         # FP_j never crossed: the satisfactory region is unreachable
@@ -741,11 +726,10 @@ def _plan_tune_dimension(ctx, lambdas, j, model, disparities,
     # near-feasible interior point beats the crossing endpoint.
     best = crossed
     best_viol = float(ctx.violations(crossed.disparities).max())
-    while abs(t_far - t_near) >= tau:
+    while abs(t_far - t_near) >= config.tau:
         mid = 0.5 * (t_near + t_far)
         (res,) = yield CandidateBatch(
-            [row(mid)], purpose="refine", prev_model=prev_model,
-            record=False,
+            [row(mid)], prev_model=prev_model, record=False,
         )
         prev_model = res.model
         fp_mid = float(res.disparities[j])
@@ -763,29 +747,25 @@ def _plan_tune_dimension(ctx, lambdas, j, model, disparities,
     return chosen(best)
 
 
-def _plan_hill_climb(ctx, max_rounds=None, initial_step=0.1, tau=1e-3,
-                     dimension_order="most_violated", warm_lambdas=None):
-    """Algorithm 2 as an ask/tell generator (trajectory-identical to the
-    pre-planner Algorithm 2 loop unless ``warm_lambdas`` seeds the
-    starting Λ from a previous solve — the drift-retune warm entry)."""
+def _plan_hill_climb(ctx, config, dimension_order="most_violated"):
+    """Algorithm 2 over a :class:`HillClimbConfig` as an ask/tell
+    generator (trajectory-identical to the pre-planner Algorithm 2 loop
+    unless ``ctx.warm`` seeds the starting Λ from an earlier solve, so a
+    solve on slightly drifted data starts next to the previous optimum).
+    """
     ctx.record_style = "vector"
     k = ctx.k
     if len(ctx.val_constraints) != k:
         raise ValueError("train/val constraint lists differ in length")
-    if max_rounds is None:
-        max_rounds = 5 * k
+    max_rounds = 5 * k if config.max_rounds is None else config.max_rounds
 
-    lambdas = np.zeros(k)
     # a FOR/FDR fit at a nonzero Λ chains through a model's predictions,
     # and the first fit has none to chain from: such a climb starts
     # cold, as Algorithm 1's warm start does
-    if warm_lambdas is not None and not ctx.fitter.parameterized:
-        warm = np.asarray(warm_lambdas, dtype=np.float64).reshape(-1)
-        # a malformed or non-finite seed silently falls back to cold:
-        # warmth is an optimization, never a correctness dependency
-        if warm.shape == (k,) and np.all(np.isfinite(warm)):
-            lambdas = warm.copy()
-    (r0,) = yield CandidateBatch([lambdas.copy()], purpose="init")
+    lambdas = np.zeros(k)
+    if ctx.warm is not None and not ctx.fitter.parameterized:
+        lambdas = ctx.warm[0].copy()
+    (r0,) = yield CandidateBatch([lambdas.copy()])
     model, disparities = r0.model, r0.disparities
 
     best_model, best_lams, best_viol = model, lambdas.copy(), np.inf
@@ -804,11 +784,8 @@ def _plan_hill_climb(ctx, max_rounds=None, initial_step=0.1, tau=1e-3,
             j = int(violated[round_idx % len(violated)])
         else:
             j = int(np.argmax(violations))  # most violated first (line 4)
-        lambdas, model, disparities, res = yield from (
-            _plan_tune_dimension(
-                ctx, lambdas, j, model, disparities,
-                initial_step=initial_step, tau=tau,
-            )
+        lambdas, model, disparities, res = yield from _plan_tune_dimension(
+            ctx, config, lambdas, j, model, disparities,
         )
         ctx.record(res)
 
@@ -826,21 +803,23 @@ def _plan_hill_climb(ctx, max_rounds=None, initial_step=0.1, tau=1e-3,
     )
 
 
-def _plan_grid_single(ctx, grid):
-    """Single-λ grid sweep over the sorted ``grid`` values."""
+def _plan_grid_single(ctx, config):
+    """Single-λ grid sweep over ``2·grid_steps + 1`` points of
+    ``[-grid_max, grid_max]``."""
     ctx.record_style = "scalar"
     if ctx.k != 1:
         raise ValueError("a single-λ grid expects exactly one constraint")
     epsilon = ctx.val_constraints[0].epsilon
     label = ctx.val_constraints[0].label
-    grid = sorted(np.asarray(grid, dtype=np.float64))
-    (r0,) = yield CandidateBatch([[0.0]], purpose="init", record=False)
+    grid = np.linspace(
+        -config.grid_max, config.grid_max, config.grid_steps * 2 + 1,
+    )
+    (r0,) = yield CandidateBatch([[0.0]], record=False)
     model0 = r0.model
     best = (None, np.nan, -np.inf)
 
     reported = yield CandidateBatch(
-        np.asarray(grid)[:, None], kind="population", purpose="population",
-        prev_model=model0, chain=True,
+        grid[:, None], kind="population", prev_model=model0, chain=True,
     )
     for res in reported:
         if abs(res.fp) <= epsilon and res.accuracy > best[2]:
@@ -854,20 +833,21 @@ def _plan_grid_single(ctx, grid):
     return TuneResult(best[0], [best[1]], feasible=True, history=ctx.history)
 
 
-def _plan_grid_multi(ctx, grid_max=1.0, grid_steps=5):
-    """Λ-grid sweep over ``[-grid_max, grid_max]^k``."""
+def _plan_grid_multi(ctx, config):
+    """Λ-grid sweep over ``grid_steps ** k`` points of
+    ``[-grid_max, grid_max]^k``."""
     ctx.record_style = "vector"
     k = ctx.k
+    grid_max, grid_steps = config.grid_max, config.grid_steps
     axis = np.linspace(-grid_max, grid_max, grid_steps)
     best = (None, None, -np.inf)
     # the Λ=0 fit seeds a FOR/FDR population's chain and serves as the
     # best-effort model on infeasible grids
-    (r0,) = yield CandidateBatch([np.zeros(k)], purpose="init", record=False)
+    (r0,) = yield CandidateBatch([np.zeros(k)], record=False)
     model0 = r0.model
     combos = np.array(list(itertools.product(axis, repeat=k)))
     reported = yield CandidateBatch(
-        combos, kind="population", purpose="population",
-        prev_model=model0, chain=True,
+        combos, kind="population", prev_model=model0, chain=True,
     )
     for res in reported:
         if (np.all(ctx.violations(res.disparities) <= 1e-12)
@@ -885,14 +865,15 @@ def _plan_grid_multi(ctx, grid_max=1.0, grid_steps=5):
     )
 
 
-def _plan_linear(ctx, step=0.05, max_steps=400):
+def _plan_linear(ctx, config):
     """Symmetric outward δ-sweep from λ = 0; first feasible |λ| wins."""
     ctx.record_style = "scalar"
     fitter = ctx.fitter
+    step, max_steps = config.step, config.max_steps
     constraint = ctx.val_constraints[0]
     epsilon = constraint.epsilon
 
-    (r0,) = yield CandidateBatch([[0.0]], purpose="init")
+    (r0,) = yield CandidateBatch([[0.0]])
     if abs(r0.fp) <= epsilon:
         return TuneResult(r0.model, [0.0], feasible=True, history=ctx.history)
 
@@ -901,14 +882,10 @@ def _plan_linear(ctx, step=0.05, max_steps=400):
         t = i * step
         if fitter.parameterized:
             # each sign chains its own continuation models
-            (rp,) = yield CandidateBatch(
-                [[t]], purpose="sweep", prev_model=prev_pos,
-            )
-            (rn,) = yield CandidateBatch(
-                [[-t]], purpose="sweep", prev_model=prev_neg,
-            )
+            (rp,) = yield CandidateBatch([[t]], prev_model=prev_pos)
+            (rn,) = yield CandidateBatch([[-t]], prev_model=prev_neg)
         else:
-            rp, rn = yield CandidateBatch([[t], [-t]], purpose="sweep")
+            rp, rn = yield CandidateBatch([[t], [-t]])
         prev_pos, prev_neg = rp.model, rn.model
         feasible = [
             (res.accuracy, float(res.lam[0]), res.model)
@@ -930,7 +907,7 @@ def _plan_cmaes(ctx, config):
     ctx.record_style = "vector"
     k = ctx.k
 
-    (r0,) = yield CandidateBatch([np.zeros(k)], purpose="init")
+    (r0,) = yield CandidateBatch([np.zeros(k)])
     if float(ctx.violations(r0.disparities).max()) <= 1e-12:
         return TuneResult(
             r0.model, np.zeros(k), feasible=True, history=ctx.history,
@@ -959,8 +936,7 @@ def _plan_cmaes(ctx, config):
         # FOR/FDR weights chain each generation from the last one's
         # final model
         reported = yield CandidateBatch(
-            xs, kind="population", purpose="population",
-            prev_model=prev, chain=True,
+            xs, kind="population", prev_model=prev, chain=True,
         )
         prev = reported[-1].model
         fs = np.array([fitness(res) for res in reported])
@@ -987,6 +963,7 @@ class BinarySearchStrategy(SearchStrategy):
 
     name = "binary_search"
     config_cls = BinarySearchConfig
+    reads_warm = True
 
     def plan(self, ctx, config):
         if ctx.k != 1:
@@ -995,13 +972,7 @@ class BinarySearchStrategy(SearchStrategy):
                 "'hill_climb', 'grid', or 'cmaes' for multi-constraint "
                 "problems (or 'auto' to dispatch)"
             )
-        return _plan_single_lambda(
-            ctx, delta=config.delta, tau=config.tau,
-            lambda_max=config.lambda_max,
-            max_linear_steps=config.max_linear_steps,
-            warm_lambda=config.warm_lambda,
-            warm_swapped=config.warm_swapped,
-        )
+        return _plan_single_lambda(ctx, config)
 
 
 @register_strategy
@@ -1010,22 +981,17 @@ class HillClimbStrategy(SearchStrategy):
 
     name = "hill_climb"
     config_cls = HillClimbConfig
+    reads_warm = True
 
     def plan(self, ctx, config):
         if ctx.k == 1:
             # one dimension: marginal bracketing + binary search *is*
             # Algorithm 1, so run the specialized single-λ plan
-            return _plan_single_lambda(
-                ctx, delta=config.delta, tau=config.tau,
+            return _plan_single_lambda(ctx, BinarySearchConfig(
+                delta=config.delta, tau=config.tau,
                 lambda_max=config.lambda_max,
-                warm_lambda=config.warm_lambda,
-                warm_swapped=config.warm_swapped,
-            )
-        return _plan_hill_climb(
-            ctx, max_rounds=config.max_rounds,
-            initial_step=config.initial_step, tau=config.tau,
-            warm_lambdas=config.warm_lambdas,
-        )
+            ))
+        return _plan_hill_climb(ctx, config)
 
 
 @register_strategy
@@ -1041,13 +1007,8 @@ class GridStrategy(SearchStrategy):
 
     def plan(self, ctx, config):
         if ctx.k == 1:
-            grid = np.linspace(
-                -config.grid_max, config.grid_max, config.grid_steps * 2 + 1
-            )
-            return _plan_grid_single(ctx, grid)
-        return _plan_grid_multi(
-            ctx, grid_max=config.grid_max, grid_steps=config.grid_steps,
-        )
+            return _plan_grid_single(ctx, config)
+        return _plan_grid_multi(ctx, config)
 
 
 @register_strategy
@@ -1071,7 +1032,7 @@ class LinearStrategy(SearchStrategy):
                 "linear handles exactly one constraint; use 'hill_climb', "
                 "'grid', or 'cmaes' for multi-constraint problems"
             )
-        return _plan_linear(ctx, step=config.step, max_steps=config.max_steps)
+        return _plan_linear(ctx, config)
 
 
 @register_strategy

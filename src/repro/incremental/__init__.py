@@ -14,11 +14,10 @@ warm-started from the deployed model's fitted λ.  See
 """
 
 from .auditor import IncrementalAuditor
-from .drift import DriftPolicy, warm_options, warm_retune
+from .drift import DriftPolicy, warm_retune
 
 __all__ = [
     "IncrementalAuditor",
     "DriftPolicy",
-    "warm_options",
     "warm_retune",
 ]

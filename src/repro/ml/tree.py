@@ -315,27 +315,15 @@ class DecisionTree(BaseClassifier):
 
     # -- batch protocol (used by the compiled λ-search engine) ---------------
 
-    def _shared_presort(self, X):
-        """One cached :class:`PresortedDataset` per training matrix.
-
-        Keyed by array *identity* (the λ-search fitter holds one stable
-        training array across every batch), so a different matrix can
-        never silently reuse a stale presort.
-        """
-        cached = getattr(self, "_presort_cache", None)
-        if cached is None or cached.X is not X:
-            cached = PresortedDataset(X)
-            self._presort_cache = cached
-        return cached
-
     def fit_weighted_batch(self, X, y_batch, w_batch):
         """Fit one tree per ``(y, w)`` row pair off a shared presort.
 
         Parameters
         ----------
         X : ndarray (n, d)
-            Shared training features — argsorted once (and cached across
-            calls on the same array), not once per candidate.
+            Shared training features — argsorted once per call, not
+            once per candidate.  The presort lives only for the call,
+            so this estimator keeps no reference to ``X``.
         y_batch : ndarray (B, n)
             Per-candidate labels (negative-weight resolution may flip
             labels differently per candidate).
@@ -358,7 +346,7 @@ class DecisionTree(BaseClassifier):
                 f"y_batch/w_batch must both be (B, {len(X)}); got "
                 f"{Y.shape} and {W.shape}"
             )
-        presorted = self._shared_presort(X)
+        presorted = PresortedDataset(X)
         models = []
         for b in range(len(Y)):
             model = self.clone()

@@ -215,6 +215,21 @@ def _timeout_ms(body):
     return timeout_ms
 
 
+def _dataset_size_and_seed(body):
+    """A named-dataset request's ``(n, seed)``: ``n`` absent, ``null``
+    or a JSON integer >= 1, ``seed`` absent or a JSON integer >= 0 (a
+    bool is neither).  Shared by ``/audit``, ``/retune`` and
+    ``/update``'s ``base``, so a bad value is a 400 before any job,
+    auditor or breaker state exists."""
+    n = body.get("n")
+    if n is not None and not (type(n) is int and n >= 1):
+        raise _BadRequest(f"n must be a JSON integer >= 1, got {n!r}")
+    seed = body.get("seed", 0)
+    if not (type(seed) is int and seed >= 0):
+        raise _BadRequest(f"seed must be a JSON integer >= 0, got {seed!r}")
+    return n, seed
+
+
 def _require(body, key, kind=None):
     if key not in body:
         raise _BadRequest(f"request body is missing required key {key!r}")
@@ -676,10 +691,9 @@ class FairnessService:
             except ValueError as exc:
                 raise _BadRequest(f"bad inline dataset: {exc}") from exc
         name = _require(body, "dataset", str)
-        n = body.get("n")
-        seed = int(body.get("seed", 0))
+        n, seed = _dataset_size_and_seed(body)
         try:
-            return load(name, n=None if n is None else int(n), seed=seed)
+            return load(name, n=n, seed=seed)
         except KeyError as exc:
             raise _BadRequest(str(exc.args[0])) from exc
 
@@ -693,10 +707,9 @@ class FairnessService:
             raise _BadRequest(
                 str(exc.args[0] if exc.args else exc)
             ) from exc
+        n, seed = _dataset_size_and_seed(body)
         dataset_args = {
-            "dataset": _require(body, "dataset", str),
-            "n": body.get("n"),
-            "seed": int(body.get("seed", 0)),
+            "dataset": _require(body, "dataset", str), "n": n, "seed": seed,
         }
         strategy = body.get("strategy", "auto")
         options = body.get("options") or {}
@@ -741,13 +754,16 @@ class FairnessService:
         """``on_done`` of both retune paths: a finished job feeds the
         breaker of the model it retuned.
 
-        An infeasible spec ran the solver to completion: the spec
-        failed, not the model, so it counts as a success, like
-        ``done``.  Any other error and a timeout are failures; a
-        cancel says nothing about the model's health.
+        An infeasible spec ran the solver to completion, and a
+        :class:`SpecificationError` refused the request's own spec,
+        data or options (a grouping with too few rows, say): the
+        request failed, not the model, so both count as a success, like
+        ``done``.  Any other error (an unknown dataset name among them)
+        and a timeout are failures; a cancel says nothing about the
+        model's health.
         """
         if handle.status == "done" or isinstance(
-            handle.error, InfeasibleConstraintError
+            handle.error, (InfeasibleConstraintError, SpecificationError)
         ):
             breaker.record_success()
         elif handle.status in ("error", "timeout"):
@@ -762,9 +778,8 @@ class FairnessService:
         resolved on the bound constraint count) and its validated
         config.  A solver without a key never dedups.
         """
-        n = dataset_args["n"]
         data = load(
-            dataset_args["dataset"], n=None if n is None else int(n),
+            dataset_args["dataset"], n=dataset_args["n"],
             seed=dataset_args["seed"],
         )
         problem = Problem(spec)

@@ -89,19 +89,23 @@ WORKLOADS = {
         "cmaes", "FDR <= 0.03", "group_sweep", dict(max_evals=24, seed=0)),
     # Algorithm 1's ladders: the doubling ladder on the subsample plus
     # its full-data verify, the warm doubling ladder (0.03 → 0.06 →
-    # 0.12) and the warm halve-down ladder
+    # 0.12) and the warm halve-down ladder (``warm`` goes to solve())
     "binary_search-sp-label_noise-subsample": (
         "binary_search", "SP <= 0.05", "label_noise", dict(subsample=0.5)),
     "binary_search-sp-label_noise-warm_below": (
         "binary_search", "SP <= 0.05", "label_noise",
-        dict(warm_lambda=0.03, warm_swapped=True)),
+        dict(warm=([0.03], True))),
     "binary_search-sp-label_noise-warm_above": (
         "binary_search", "SP <= 0.05", "label_noise",
-        dict(warm_lambda=0.5, warm_swapped=True)),
+        dict(warm=([0.5], True))),
+    # hill climbing's one-constraint route into Algorithm 1, warm
+    "hill_climb-sp-label_noise-warm_below": (
+        "hill_climb", "SP <= 0.05", "label_noise",
+        dict(warm=([0.03], True))),
     # a warm multi-constraint climb: its init point is the seed
     "hill_climb-sp-group_sweep-warm": (
         "hill_climb", "SP <= 0.08", "group_sweep",
-        dict(warm_lambdas=(0.0, -0.1, 0.0))),
+        dict(warm=([0.0, -0.1, 0.0], False))),
 }
 
 
@@ -127,8 +131,10 @@ def solve_workload(name, splits_cache):
     if scenario not in splits_cache:
         splits_cache[scenario] = splits_for(scenario)
     train, val = splits_cache[scenario]
+    options = dict(options)
+    warm = options.pop("warm", None)
     return Engine(strategy, **options).solve(
-        Problem(spec), GaussianNaiveBayes(), train, val
+        Problem(spec), GaussianNaiveBayes(), train, val, warm=warm,
     )
 
 

@@ -126,6 +126,16 @@ class TestRemovedSolverSurface:
                 LogisticRegression(), "SP <= 0.05", train, val, strict=True,
             )
 
+    @pytest.mark.parametrize("option", [
+        {"warm_lambda": 0.5}, {"warm_swapped": True},
+        {"warm_lambdas": (0.1, 0.2)},
+    ])
+    def test_warm_seed_is_not_an_option(self, option):
+        # a warm seed is an input of one solve (Engine.solve(warm=...)),
+        # not a strategy knob: no registered strategy accepts it
+        with pytest.raises(SpecificationError, match="unknown option"):
+            Engine("auto", **option)
+
     def test_race_refuses_component_knobs(self):
         # race runs each component on its default config, so a
         # component knob is an unknown option, not a silent no-op

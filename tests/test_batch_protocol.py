@@ -305,6 +305,22 @@ class TestPresortTieBreaks:
             assert np.array_equal(want, getattr(fast, attr))
 
 
+class TestPresortLifetime:
+    def test_batch_fits_leave_the_estimator_as_built(self):
+        # the presort lives for one fit_weighted_batch call: after a
+        # grid solve (batch protocol) the caller's estimator holds no
+        # training matrix or argsort, only its constructor knobs
+        from repro.api import Engine
+        from repro.datasets import load
+
+        est = DecisionTree(max_depth=4)
+        fm = Engine("grid", grid_steps=3, grid_max=2.0).solve(
+            "SP <= 0.2", est, load("adult", n=3000, seed=0), seed=0,
+        )
+        assert fm.report.fit_paths["batch_protocol"] > 0
+        assert vars(est) == vars(DecisionTree(max_depth=4))
+
+
 class TestGating:
     def _fitter(self, estimator, **kwargs):
         rng = np.random.default_rng(0)

@@ -180,6 +180,22 @@ class TestCommands:
         assert code == 2
         assert "SPEC ERROR" in out.getvalue()
 
+    def test_train_warm_seed_option_exits_2(self):
+        # a warm seed is an argument of one solve, not a strategy knob
+        out = io.StringIO()
+        code = main(
+            [
+                "train", "--dataset", "compas", "--two-group",
+                "--rows", "600", "--spec", "SP <= 0.05", "--model", "NB",
+                "--search", "binary_search",
+                "--strategy-opt", "warm_lambda=0.5",
+            ],
+            out=out,
+        )
+        assert code == 2
+        assert "SPEC ERROR" in out.getvalue()
+        assert "warm_lambda" in out.getvalue()
+
     @pytest.mark.parametrize("search", ["binary_search", "auto"])
     @pytest.mark.parametrize("opt", ["tau=0", "tau=nan", "delta=0"])
     def test_train_bad_search_width_exits_2(self, search, opt):

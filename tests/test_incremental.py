@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Engine
+from repro.api import Engine, FairModel
 from repro.core.evaluation import max_violation as reference_max_violation
 from repro.core.exceptions import SpecificationError
 from repro.core.fairness_metrics import (
@@ -30,7 +30,6 @@ from repro.datasets.schema import Dataset
 from repro.incremental import (
     DriftPolicy,
     IncrementalAuditor,
-    warm_options,
     warm_retune,
 )
 from repro.store.delta import append_digest, chain_fingerprint, retire_digest
@@ -347,20 +346,29 @@ class TestDrift:
             {"max_violation": 0.06, "n_updates": 4},
         )
 
-    def test_warm_options_shapes(self):
-        class Report:
-            lambdas = np.array([0.25])
-            swapped = True
-
-        class Model:
-            report = Report()
-
-        assert warm_options(Model()) == {
-            "warm_lambda": 0.25, "warm_swapped": True,
-        }
-        Report.lambdas = np.array([0.1, -0.2])
-        assert warm_options(Model()) == {"warm_lambdas": (0.1, -0.2)}
-        assert warm_options(ThresholdModel()) == {}
+    def test_warm_retune_without_a_report_runs_cold(self):
+        # a model with no report has no λ to start from: the retune is
+        # the cold solve, λ for λ and fit for fit
+        dataset = load("adult", n=1500, seed=0)
+        solved = Engine("binary_search").solve(
+            "SP <= 0.05", "LR", dataset, seed=0,
+        )
+        bare = FairModel(solved.model, "SP <= 0.05")
+        assert bare.report is None
+        auditor = IncrementalAuditor(
+            "SP <= 0.05", bare, dataset.subset(np.arange(1000)),
+        )
+        auditor.append_rows(dataset.subset(np.arange(1000, 1400)))
+        cold = Engine("binary_search").solve(
+            "SP <= 0.05", "LR", auditor.live_dataset(), seed=0,
+        ).report
+        fair = warm_retune(auditor, seed=0, strategy="binary_search")
+        assert fair.report.lambdas.tolist() == cold.lambdas.tolist()
+        assert fair.report.n_fits == cold.n_fits
+        assert [h.lam for h in fair.report.history] == [
+            h.lam for h in cold.history
+        ]
+        assert auditor.model is fair
 
     def test_warm_retune_saves_fits_and_rebases(self):
         dataset = load("adult", n=1500, seed=0)
@@ -386,7 +394,7 @@ class TestDrift:
         model = Engine("binary_search").solve(
             "SP <= 0.1", "LR", dataset, seed=0,
         )
-        assert warm_options(model)
+        assert model.report.lambdas.tolist() != [0.0]
         auditor = IncrementalAuditor(
             "SP <= 0.1", model, dataset.subset(np.arange(1000)),
         )

@@ -5,8 +5,8 @@ Two layers of checks:
 * **Plan protocol** — every registered strategy (the registry refuses
   one without ``plan()``) driven by :func:`run_plan` must yield
   well-formed :class:`CandidateBatch` objects (2-D float64 λ matrix
-  with the bound constraint count as trailing dimension, valid kind,
-  string purpose) and return a feasible :class:`TuneResult`.
+  with the bound constraint count as trailing dimension, valid kind)
+  and return a feasible :class:`TuneResult`.
 * **Executor contract** — stop predicates end a ``"fit"`` batch at the
   triggering candidate (nothing past it is reported or even fitted),
   chained batches thread ``prev_model`` candidate to candidate,
@@ -59,7 +59,6 @@ def _record_batches(monkeypatch):
         assert batch.lambdas.shape[0] >= 1
         assert batch.lambdas.shape[1] == ctx.k
         assert batch.kind in ("fit", "population")
-        assert isinstance(batch.purpose, str)
         results = run(self, batch, ctx)
         assert 1 <= len(results) <= len(batch)
         for i, res in enumerate(results):
@@ -104,16 +103,46 @@ class TestPlanProtocol:
         assert result.lambdas.dtype == np.float64
         assert len(result.history) >= 1
 
+    def test_candidate_batch_takes_no_purpose_tag(self):
+        with pytest.raises(TypeError, match="purpose"):
+            CandidateBatch([[0.0]], purpose="init")
+
+    def test_only_the_searches_that_read_a_warm_seed_say_so(self):
+        readers = {n for n in PLANNED if get_strategy(n).reads_warm}
+        assert readers == {"binary_search", "hill_climb"}
+
+    @pytest.mark.parametrize("warm,kept", [
+        (([0.25], 1), ([0.25], True)),
+        ((np.array([-0.5]), False), ([-0.5], False)),
+        (None, None),
+        (([0.1, 0.2], True), None),           # k = 1 wants one number
+        (([float("inf")], True), None),
+        (([float("nan")], False), None),
+        ((["x"], True), None),
+        (0.25, None),                          # not a (lambdas, swapped) pair
+        (([0.25], True, 0), None),
+    ])
+    def test_plan_context_keeps_only_a_well_formed_seed(
+        self, two_group_splits, warm, kept,
+    ):
+        fitter, vc, val = _make_fitter(two_group_splits)
+        ctx = PlanContext(fitter, vc, val.X, val.y, warm=warm)
+        if kept is None:
+            assert ctx.warm is None
+        else:
+            lambdas, swapped = ctx.warm
+            assert lambdas.dtype == np.float64
+            assert lambdas.tolist() == kept[0]
+            assert swapped is kept[1]
+        assert ctx.fork().warm is None
+
 
 class TestExecutorContract:
     def test_stop_predicate_honored(self, two_group_splits):
         fitter, vc, val = _make_fitter(two_group_splits)
         ctx = PlanContext(fitter, vc, val.X, val.y)
         grid = np.linspace(0.05, 0.45, 5)[:, None]
-        batch = CandidateBatch(
-            grid, purpose="ladder",
-            stop=lambda res: res.index >= 2,
-        )
+        batch = CandidateBatch(grid, stop=lambda res: res.index >= 2)
         results = ExecutionBackend().run(batch, ctx)
         assert len(results) == 3
         assert [res.index for res in results] == [0, 1, 2]

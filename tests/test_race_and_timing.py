@@ -55,6 +55,33 @@ class TestRace:
             h.lam for h in solo.history
         ]
 
+    @pytest.mark.parametrize("components", [(), ("binary_search",)])
+    def test_race_runs_cold_under_a_warm_seed(self, two_group_splits,
+                                              components):
+        """Forked contexts carry no seed: a warm race is the cold race."""
+        train, val, _ = two_group_splits
+        solo = Engine("binary_search").solve(
+            "SP <= 0.1", GaussianNaiveBayes(), train, val,
+        ).report
+        warm = (solo.lambdas / 2, solo.swapped)
+        # the seed is live: binary_search alone takes the warm path
+        seeded = Engine("binary_search").solve(
+            "SP <= 0.1", GaussianNaiveBayes(), train, val, warm=warm,
+        ).report
+        assert seeded.history[1].lam != solo.history[1].lam
+        engine = Engine("race", strategies=components)
+        cold = engine.solve(
+            "SP <= 0.1", GaussianNaiveBayes(), train, val,
+        ).report
+        raced = engine.solve(
+            "SP <= 0.1", GaussianNaiveBayes(), train, val, warm=warm,
+        ).report
+        assert raced.lambdas.tolist() == cold.lambdas.tolist()
+        assert [h.lam for h in raced.history] == [
+            h.lam for h in cold.history
+        ]
+        assert raced.fit_paths == cold.fit_paths
+
     def test_race_shares_fit_cache(self, two_group_splits):
         """Components racing the same λ values hit each other's fits."""
         train, val, _ = two_group_splits

@@ -418,6 +418,28 @@ class TestServiceDegradation:
         assert stats["resilience"]["breakers"]["m"]["state"] == "closed"
         assert stats["admission"]["retune_failures"] == 0
 
+    def test_refused_specification_retunes_leave_the_breaker_closed(
+        self, dataset, fair_model,
+    ):
+        # one row cannot hold both groups: the job's SpecificationError
+        # refused the request's data, not the model
+        service = _make_service(dataset, fair_model, breaker_threshold=2)
+        request = dict(spec="SP <= 0.1", dataset="adult", seed=0, name="m")
+        with serve_in_thread(service) as handle:
+            with ServingClient(handle.host, handle.port) as client:
+                for _ in range(2):
+                    job = client.retune(**request, n=1)
+                    with pytest.raises(JobFailedError) as excinfo:
+                        client.wait_job(job["job_id"])
+                    assert excinfo.value.job_status == "error"
+                    assert "infeasible" not in client.job(job["job_id"])
+                job = client.retune(**request, n=1500)
+                done = client.wait_job(job["job_id"])
+                assert done["result"]["solves"] == 1
+                stats = client.stats()
+        assert stats["resilience"]["breakers"]["m"]["state"] == "closed"
+        assert stats["admission"]["retune_failures"] == 0
+
     def test_wait_job_surfaces_terminal_error(self, client):
         job = client.retune("SP <= 0.2", "no-such-dataset", name="doomed")
         with pytest.raises(JobFailedError) as excinfo:

@@ -236,6 +236,16 @@ class TestErrorPaths:
         assert excinfo.value.status == 400
         assert next(iter(options)) in str(excinfo.value)
 
+    def test_retune_warm_seed_option_is_400(self, client):
+        # a warm seed is no strategy option: refused before any job
+        with pytest.raises(ServingError) as excinfo:
+            client.retune(
+                "SP <= 0.1", "scenario:group_sweep",
+                options={"warm_lambdas": [0.1]},
+            )
+        assert excinfo.value.status == 400
+        assert "warm_lambdas" in str(excinfo.value)
+
     @pytest.mark.parametrize("strategy,options", [
         ("grid", b'{"grid_max": 1e999}'),
         ("grid", b'{"grid_max": NaN}'),
@@ -277,6 +287,56 @@ class TestErrorPaths:
         with pytest.raises(ServingError) as excinfo:
             client.job("999999")
         assert excinfo.value.status == 404
+
+
+#: (request fields, the field the 400 names): ``n`` is absent, null or
+#: a JSON integer >= 1, ``seed`` absent or a JSON integer >= 0
+BAD_DATASET_ARGS = [
+    ({"n": 0}, "n"), ({"n": -5}, "n"), ({"n": True}, "n"),
+    ({"n": 1.7}, "n"), ({"n": "12"}, "n"),
+    ({"seed": -3}, "seed"), ({"seed": True}, "seed"),
+    ({"seed": 1.5}, "seed"), ({"seed": "1"}, "seed"),
+    ({"seed": None}, "seed"),
+]
+
+
+class TestDatasetArguments:
+    """``/audit``, ``/retune`` and ``/update``'s ``base`` refuse a bad
+    ``n`` or ``seed`` on the request, before any job, auditor or
+    breaker state exists."""
+
+    @staticmethod
+    def _body(route, fields):
+        named = {"dataset": "scenario:group_sweep", **fields}
+        if route == "/audit":
+            return {"model": "gs", **named}
+        if route == "/retune":
+            return {"spec": "SP <= 0.1", "name": "m", **named}
+        return {"model": "gs", "base": named}
+
+    @pytest.mark.parametrize("route", ["/audit", "/retune", "/update"])
+    @pytest.mark.parametrize(
+        "fields,field", BAD_DATASET_ARGS,
+        ids=[f"{k}={v!r}" for (d, _f) in BAD_DATASET_ARGS
+             for k, v in d.items()],
+    )
+    def test_bad_value_is_400_naming_the_field(self, server, client,
+                                               route, fields, field):
+        with pytest.raises(ServingError) as excinfo:
+            client._request("POST", route, self._body(route, fields))
+        assert excinfo.value.status == 400
+        assert f"{field} must be a JSON integer" in str(excinfo.value)
+        service = server.service
+        assert service._jobs == {}
+        assert service._auditors == {}
+        assert client.stats()["resilience"]["breakers"] == {}
+
+    def test_null_n_and_a_zero_seed_pass(self, client):
+        # null n loads the dataset's default size
+        out = client._request("POST", "/audit", self._body(
+            "/audit", {"n": None, "seed": 0},
+        ))
+        assert out["n_rows"] == 20000
 
 
 class TestRetune:

@@ -16,6 +16,8 @@ Three tiers, mirroring the layering in ``repro.store``:
 """
 
 import io
+import pathlib
+import shutil
 import sys
 import threading
 import types
@@ -371,6 +373,50 @@ class TestEngineStore:
         # every store lookup is a fit blob
         assert fair.report.store_lookups > 0
         assert (tmp_path / "fit").exists()
+
+
+#: the ``solution-v2`` and ``solution_index-v2`` namespaces of a store
+#: written by repro 11.1.0 (see :class:`TestReleasedStoreFormat`)
+STORE_11_1_0 = (
+    pathlib.Path(__file__).parent / "fixtures" / "solution_store_11_1_0"
+)
+
+
+class TestReleasedStoreFormat:
+    """A store written by an earlier release still answers this one.
+
+    The fixture holds the solution namespaces (not the fit blobs) of
+    one 11.1.0 solve, ``Engine("binary_search", store_dir=...)
+    .solve("SP <= 0.08", GaussianNaiveBayes(), load_scenario("imbalance",
+    n=1500, seed=5), seed=0)``: λ 0.0625 in 13 fits.  A change to the
+    solution key, the warm-index key or the blob format fails here, so
+    it has to be made on purpose (a namespace bump and a new fixture).
+    """
+
+    @pytest.fixture()
+    def engine(self, tmp_path):
+        shutil.copytree(STORE_11_1_0, tmp_path / "store")
+        return Engine("binary_search", store_dir=tmp_path / "store")
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return load_scenario("imbalance", n=1500, seed=5)
+
+    def test_the_same_solve_is_an_exact_hit(self, engine, data):
+        fm = engine.solve("SP <= 0.08", GaussianNaiveBayes(), data, seed=0)
+        assert fm.report.fit_paths == {"solution": 1}
+        assert fm.report.lambdas.tolist() == [0.0625]
+        assert fm.metadata["solution_cache_hit"] is True
+
+    def test_a_tightened_solve_warm_starts_from_the_index(self, engine,
+                                                          data):
+        fm = engine.solve("SP <= 0.05", GaussianNaiveBayes(), data, seed=0)
+        assert fm.report.lambdas.tolist() == [0.109375]
+        # 13 fits cold; the index's λ = 0.0625 is the first probe
+        assert fm.report.n_fits == 9
+        assert [h.lam for h in fm.report.history[:3]] == [
+            0.0, 0.0625, 0.125,
+        ]
 
 
 # -- estimator fingerprints in the persistent keys ----------------------------

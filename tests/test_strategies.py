@@ -173,10 +173,9 @@ class TestSolvers:
         cold = Engine("hill_climb").solve(
             "SP <= 0.08", LogisticRegression(max_iter=150), train, val,
         )
-        warm = Engine(
-            "hill_climb", warm_lambdas=tuple(cold.report.lambdas),
-        ).solve(
+        warm = Engine("hill_climb").solve(
             "SP <= 0.08", LogisticRegression(max_iter=150), train, val,
+            warm=(cold.report.lambdas, cold.report.swapped),
         )
         # the climb starts at the previous optimum rather than zero ...
         assert np.array_equal(
@@ -188,9 +187,12 @@ class TestSolvers:
         assert warm.report.n_fits <= cold.report.n_fits
 
     @pytest.mark.parametrize("seed", [
-        (0.1, 0.2),                      # wrong shape for k=3
-        (0.1, float("nan"), 0.2),        # non-finite entry
-        ((0.1, 0.2, 0.3), (0.1, 0.2, 0.3)),  # wrong rank
+        ((0.1, 0.2), False),                   # wrong shape for k=3
+        ((0.1, float("nan"), 0.2), False),     # non-finite entry
+        (((0.1, 0.2, 0.3), (0.1, 0.2, 0.3)), False),  # wrong rank
+        (("a", "b", "c"), False),              # not numbers
+        (0.1, 0.2, 0.3),                       # not a (lambdas, swapped) pair
+        0.5,
     ])
     def test_hill_climb_malformed_warm_seed_falls_back_cold(
         self, three_group_splits, seed,
@@ -199,8 +201,9 @@ class TestSolvers:
         cold = Engine("hill_climb").solve(
             "SP <= 0.08", LogisticRegression(max_iter=150), train, val,
         )
-        fm = Engine("hill_climb", warm_lambdas=seed).solve(
+        fm = Engine("hill_climb").solve(
             "SP <= 0.08", LogisticRegression(max_iter=150), train, val,
+            warm=seed,
         )
         # warmth is an optimization, never a correctness dependency: a
         # bad seed silently reproduces the cold trajectory
@@ -217,9 +220,10 @@ class TestSolvers:
             "FOR <= 0.08", LogisticRegression(max_iter=150), train, val,
         )
         assert cold.report.lambdas.tolist() == [0.0, -0.1, 0.0]
-        fm = Engine(
-            "hill_climb", warm_lambdas=tuple(cold.report.lambdas),
-        ).solve("FOR <= 0.08", LogisticRegression(max_iter=150), train, val)
+        fm = Engine("hill_climb").solve(
+            "FOR <= 0.08", LogisticRegression(max_iter=150), train, val,
+            warm=(cold.report.lambdas, False),
+        )
         assert fm.report.lambdas.tolist() == cold.report.lambdas.tolist()
         assert fm.report.n_fits == cold.report.n_fits == 3
         assert np.asarray(fm.report.history[0].lam).tolist() == [0.0, 0.0, 0.0]
