@@ -517,7 +517,9 @@ class Engine:
         )
         if desc is not None:
             solution_cache.put(desc, fair)
-            if len(train_constraints) == 1:
+            # the index's shape key names the strategy: only a strategy
+            # that reads a warm seed would ever look this entry up
+            if strategy.reads_warm and len(train_constraints) == 1:
                 solution_cache.note_warm(
                     desc, float(result.lambdas[0]), bool(result.swapped),
                 )

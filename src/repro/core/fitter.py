@@ -361,11 +361,13 @@ class WeightedFitter:
                     "for nonzero lambda"
                 )
             predictions = prev_model.predict(X)
-        w = self._weights_for(lambdas, predictions, use_subsample)
-        w, y_fit = resolve_negative_weights(
-            w, y, strategy=self.negative_weights
-        )
-        return self._fit_rows(X, y_fit[None], w[None], use_subsample)[0]
+        return self._fit_rows(
+            X, y,
+            lambda: self._weights_for(
+                lambdas, predictions, use_subsample
+            )[None],
+            use_subsample,
+        )[0]
 
     def fit_batch(self, lambdas_matrix):
         """Fit one model per row of a ``(B, k)`` Λ matrix (full training set).
@@ -389,27 +391,35 @@ class WeightedFitter:
                 "constraints (FOR/FDR); their weights chain through each "
                 "candidate's own predictions"
             )
-        W_res, Y_res = resolve_negative_weights(
-            self.kernel.weights_batch(L), self.y_train,
-            strategy=self.negative_weights,
+        return self._fit_rows(
+            self.X_train, self.y_train, lambda: self.kernel.weights_batch(L),
+            False, batch=True,
         )
-        return self._fit_rows(self.X_train, Y_res, W_res, False, batch=True)
 
-    def _fit_rows(self, X, Y, W, split, batch=False):
-        """One model per row of the resolved ``(B, n)`` labels/weights.
+    def _fit_rows(self, X, y, raw_weights, split, batch=False):
+        """One model per row of the ``(B, n)`` weights ``raw_weights()``.
 
-        Each row is looked up in memory, then in the store; the distinct
-        misses train in one :meth:`_train` call and are published to
-        both layers, and a row that repeats a miss of this call takes
-        that miss's model.  Every row lands in one :attr:`fit_paths`
-        entry, recorded once the call has succeeded.
+        The weights are made and resolved
+        (:func:`~repro.core.weights.resolve_negative_weights`) here, so
+        this call holds the only references to the resolved batch.
+        Each row is looked up in memory, then in the store; the rows
+        that hit are dropped with the full batch before the distinct
+        misses train in one :meth:`_train` call, so one ``(B, n)`` copy
+        of the weights and labels is live while the estimator trains.
+        The misses are published to both layers, and a row that repeats
+        a miss of this call takes that miss's model.  Every row lands
+        in one :attr:`fit_paths` entry, recorded once the call has
+        succeeded.
         """
+        W, Y = resolve_negative_weights(
+            raw_weights(), y, strategy=self.negative_weights,
+        )
         if self.warm_start:   # the cache is off: see the module docstring
             return self._train(X, Y, W, batch)
+        B = len(Y)
         params = estimator_fingerprint(self.estimator)
-        keys = [self._cache_key(params, W[b], Y[b], split)
-                for b in range(len(Y))]
-        models = [None] * len(Y)
+        keys = [self._cache_key(params, W[b], Y[b], split) for b in range(B)]
+        models = [None] * B
         misses = {}   # key -> (row, store key), in first-seen order
         stored = 0
         for b, key in enumerate(keys):
@@ -428,10 +438,10 @@ class WeightedFitter:
             misses[key] = (b, store_key)
         if misses:
             rows = [b for b, _ in misses.values()]
-            if len(rows) == len(Y):   # all-miss: no need to copy the batch
-                fitted = self._train(X, Y, W, batch)
-            else:
-                fitted = self._train(X, Y[rows], W[rows], batch)
+            if len(rows) < B:   # rebinding frees the full batch
+                Y = Y[rows]
+                W = W[rows]
+            fitted = self._train(X, Y, W, batch)
             for (key, (b, store_key)), model in zip(misses.items(), fitted):
                 models[b] = model
                 self._cache_store(key, model)
@@ -444,7 +454,7 @@ class WeightedFitter:
                 if models[b] is None:   # repeats a miss of this call
                     models[b] = models[misses[key][0]]
         self._record_path("store", stored)
-        self._record_path("cached", len(Y) - stored - len(misses))
+        self._record_path("cached", B - stored - len(misses))
         return models
 
     def _train(self, X, Y, W, batch):

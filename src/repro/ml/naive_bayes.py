@@ -28,6 +28,31 @@ from .base import (
 
 __all__ = ["GaussianNaiveBayes"]
 
+#: Bytes of scratch one row tile may fill: half of a 2 MB L2 cache, so
+#: a tile's scratch and its input rows stay cached across the passes
+#: over them instead of streaming through memory once per pass
+_TILE_BYTES = 1 << 20
+
+
+def _tile_rows(row_bytes):
+    """Rows per tile when each row needs ``row_bytes`` of scratch."""
+    return max(1, _TILE_BYTES // max(row_bytes, 1))
+
+
+def _tiles(n, rows):
+    """``(lo, hi)`` bounds of row tiles of at most ``rows + 1`` rows.
+
+    A lone trailing row joins the tile before it: numpy hands a one-row
+    matrix product to gemv and reduces a one-row sum along other
+    strides, and both round differently from the same row inside a
+    larger tile, so a one-row tile only occurs when ``n`` is 1.
+    """
+    lo = 0
+    while lo < n:
+        hi = n if n - lo <= rows + 1 else lo + rows
+        yield lo, hi
+        lo = hi
+
 
 class GaussianNaiveBayes(BaseClassifier):
     """Gaussian NB with weighted class priors and feature moments.
@@ -74,18 +99,24 @@ class GaussianNaiveBayes(BaseClassifier):
 
     def _joint_log_likelihood(self, X):
         X, _ = check_Xy(X)
-        jll = np.zeros((len(X), 2))
-        # ``(X - θ)² / v`` in one scratch of X's layout, so the row sums
-        # reduce in the order they would over the plain temporaries
-        buf = np.empty_like(X)
+        jll = np.empty((len(X), 2))
+        consts = []
         for k in (0, 1):
             log_prior = np.log(max(self.class_prior_[k], 1e-300))
             log_det = -0.5 * np.sum(np.log(2.0 * np.pi * self.var_[k]))
-            np.subtract(X, self.theta_[k], out=buf)
-            np.square(buf, out=buf)
-            np.divide(buf, self.var_[k], out=buf)
-            quad = -0.5 * np.sum(buf, axis=1)
-            jll[:, k] = log_prior + log_det + quad
+            consts.append(log_prior + log_det)
+        rows = _tile_rows(X.shape[1] * 8)
+        # ``(X - θ)² / v`` one row tile at a time, in one cache-sized
+        # scratch of X's layout, so the row sums reduce in the order
+        # they would over the plain temporaries
+        buf = np.empty_like(X[:rows + 1])
+        for lo, hi in _tiles(len(X), rows):
+            tile = buf[:hi - lo]
+            for k in (0, 1):
+                np.subtract(X[lo:hi], self.theta_[k], out=tile)
+                np.square(tile, out=tile)
+                np.divide(tile, self.var_[k], out=tile)
+                jll[lo:hi, k] = consts[k] + -0.5 * np.sum(tile, axis=1)
         return jll
 
     def _log_odds(self, X):
@@ -121,7 +152,8 @@ class GaussianNaiveBayes(BaseClassifier):
             Per-candidate labels (negative-weight resolution may flip
             labels differently per candidate).
         w_batch : ndarray (B, n)
-            Per-candidate non-negative sample weights.
+            Per-candidate finite, non-negative sample weights (anything
+            else raises ``ValueError``, as serial :meth:`fit` does).
 
         Returns
         -------
@@ -141,6 +173,8 @@ class GaussianNaiveBayes(BaseClassifier):
                 f"y_batch/w_batch must both be (B, {len(X)}); got "
                 f"{Y.shape} and {W.shape}"
             )
+        if not np.all(np.isfinite(W)) or np.any(W < 0):
+            raise ValueError("w_batch must be finite and non-negative")
         B, _n = Y.shape
         # moments are taken around per-feature centers: the raw
         # E[x²]−E[x]² form cancels catastrophically for large-offset
@@ -155,8 +189,13 @@ class GaussianNaiveBayes(BaseClassifier):
         theta = np.zeros((B, 2, X.shape[1]))
         var = np.zeros((B, 2, X.shape[1]))
         prior = np.zeros((B, 2))
+        # both classes' weights go through one (B, n) buffer: for finite,
+        # non-negative W, ``W · [Y == k]`` differs from
+        # ``np.where(Y == k, W, 0.0)`` at most in the sign of a zero,
+        # which no moment below can see
+        Wk = np.empty_like(W)
         for k in (0, 1):
-            Wk = np.where(Y == k, W, 0.0)
+            np.multiply(W, Y == k, out=Wk)
             sw = Wk.sum(axis=1)                      # (B,)
             present = sw > 0
             m1 = Wk @ Xc                             # (B, d)
@@ -188,8 +227,10 @@ class GaussianNaiveBayes(BaseClassifier):
 
         Expands the per-class Gaussian quadratic form so the joint
         log-likelihoods of all ``B`` models reduce to two
-        ``(n, d) @ (d, 2B)`` products:
-        ``jll = X²·(-1/2v) + X·(θ/v) + const``.
+        ``(rows, d) @ (d, 2B)`` products per row tile:
+        ``jll = X²·(-1/2v) + X·(θ/v) + const``.  The tiles reuse two
+        cache-sized ``(rows, 2B)`` score buffers and write their
+        labels straight into the result.
 
         Returns an ``(B, n)`` int64 prediction matrix; rows equal
         ``models[b].predict(X)`` up to floating-point round-off.
@@ -199,12 +240,11 @@ class GaussianNaiveBayes(BaseClassifier):
         theta = np.stack([m.theta_ for m in models])        # (B, 2, d)
         var = np.stack([m.var_ for m in models])
         prior = np.stack([m.class_prior_ for m in models])  # (B, 2)
-        d = X.shape[1]
-        # expand (x−θ)²/v around a shared center so large feature
-        # offsets cancel before squaring (same stabilization as the
-        # batch fit)
+        n, d = X.shape
+        # expand (x−θ)²/v around the whole call's center so large
+        # feature offsets cancel before squaring (same stabilization as
+        # the batch fit)
         center = X.mean(axis=0)
-        Xc = X - center
         theta_c = theta - center
         quad = (-0.5 / var).reshape(B * 2, d)
         lin = (theta_c / var).reshape(B * 2, d)
@@ -213,8 +253,19 @@ class GaussianNaiveBayes(BaseClassifier):
             - 0.5 * np.sum(np.log(2.0 * np.pi * var), axis=2)
             - 0.5 * np.sum(theta_c * theta_c / var, axis=2)
         ).reshape(B * 2)
-        scores = (Xc * Xc) @ quad.T                          # (n, 2B)
-        scores += Xc @ lin.T
-        scores += const
-        scores = scores.reshape(len(X), B, 2)
-        return (scores[:, :, 1] >= scores[:, :, 0]).T.astype(np.int64)
+        labels = np.empty((n, B), dtype=np.int64)
+        rows = _tile_rows((2 * B + d) * 2 * 8)
+        size = min(n, rows + 1)
+        xc, xc2 = np.empty((size, d)), np.empty((size, d))
+        scores, cross = np.empty((size, 2 * B)), np.empty((size, 2 * B))
+        for lo, hi in _tiles(n, rows):
+            m = hi - lo
+            np.subtract(X[lo:hi], center, out=xc[:m])
+            np.multiply(xc[:m], xc[:m], out=xc2[:m])
+            np.matmul(xc2[:m], quad.T, out=scores[:m])
+            np.matmul(xc[:m], lin.T, out=cross[:m])
+            scores[:m] += cross[:m]
+            scores[:m] += const
+            pair = scores[:m].reshape(m, B, 2)
+            np.greater_equal(pair[:, :, 1], pair[:, :, 0], out=labels[lo:hi])
+        return labels.T

@@ -230,6 +230,13 @@ def _dataset_size_and_seed(body):
     return n, seed
 
 
+def _already_seeded(name):
+    return _BadRequest(
+        f"auditor for model {name!r} is already seeded; send "
+        f"append/retire deltas without 'base'"
+    )
+
+
 def _require(body, key, kind=None):
     if key not in body:
         raise _BadRequest(f"request body is missing required key {key!r}")
@@ -667,7 +674,7 @@ class FairnessService:
     async def _audit(self, body):
         name = _require(body, "model", str)
         model = self.registry.get(name)
-        dataset = self._resolve_dataset(body, what="audit")
+        dataset = await self._resolve_dataset(body, what="audit")
         loop = asyncio.get_running_loop()
         report = await loop.run_in_executor(None, model.audit, dataset)
         return {
@@ -678,7 +685,13 @@ class FairnessService:
         }
 
     @staticmethod
-    def _resolve_dataset(body, what):
+    async def _resolve_dataset(body, what):
+        """The request's inline ``data``, or its named ``dataset``.
+
+        The arguments are checked on the event loop, so a bad one is a
+        400 before any work; a named dataset is then generated on the
+        executor, and every other request is served while it builds.
+        """
         if "data" in body:
             data = _require(body, "data", dict)
             try:
@@ -692,8 +705,11 @@ class FairnessService:
                 raise _BadRequest(f"bad inline dataset: {exc}") from exc
         name = _require(body, "dataset", str)
         n, seed = _dataset_size_and_seed(body)
+        loop = asyncio.get_running_loop()
         try:
-            return load(name, n=n, seed=seed)
+            return await loop.run_in_executor(
+                None, functools.partial(load, name, n=n, seed=seed),
+            )
         except KeyError as exc:
             raise _BadRequest(str(exc.args[0])) from exc
 
@@ -863,10 +879,12 @@ class FairnessService:
                     f"/update must carry 'base' (a dataset spec or "
                     f"inline data) to seed it"
                 )
-            dataset = self._resolve_dataset(base, what="update-base")
+            dataset = await self._resolve_dataset(base, what="update-base")
             auditor = await loop.run_in_executor(
                 None, IncrementalAuditor, model.specs, model, dataset,
             )
+            if name in self._auditors:   # a concurrent seed came first
+                raise _already_seeded(name)
             entry = {
                 "auditor": auditor,
                 "policy": DriftPolicy(
@@ -876,10 +894,7 @@ class FairnessService:
             }
             self._auditors[name] = entry
         elif "base" in body:
-            raise _BadRequest(
-                f"auditor for model {name!r} is already seeded; send "
-                f"append/retire deltas without 'base'"
-            )
+            raise _already_seeded(name)
 
         def _apply():
             auditor = entry["auditor"]

@@ -22,11 +22,14 @@ per-node-sort oracle (``tests/tree_oracle.py``) bit for bit.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nb_oracle
 import tree_oracle
 from repro.core.fitter import WeightedFitter
 from repro.core.spec import Constraint
@@ -34,7 +37,7 @@ from repro.core.fairness_metrics import METRIC_FACTORIES
 from repro.ml.boosting import GradientBoostedTrees
 from repro.ml.forest import RandomForest
 from repro.ml.logistic import LogisticRegression
-from repro.ml.naive_bayes import GaussianNaiveBayes
+from repro.ml.naive_bayes import GaussianNaiveBayes, _tile_rows, _tiles
 from repro.ml.tree import DecisionTree
 
 NODE_ARRAYS = ("feature_", "threshold_", "left_", "right_", "value_")
@@ -160,6 +163,18 @@ class TestConformance:
         with pytest.raises(ValueError, match=r"binary.*labels \[-1\s+2\]"):
             factory().fit_weighted_batch(X, Y, np.ones(Y.shape))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("name", sorted(BATCH_ESTIMATORS))
+    def test_batch_fit_rejects_bad_weights(self, name, bad):
+        # serial fit() refuses these; NB's batch fit once read a NaN
+        # weight as an absent class (sw > 0 is False) and fitted on
+        X = np.random.default_rng(4).normal(size=(8, 2))
+        Y = np.array([[0, 1] * 4, [1, 0] * 4])
+        W = np.ones(Y.shape)
+        W[1, 3] = bad
+        with pytest.raises(ValueError, match="finite|non-negative"):
+            BATCH_ESTIMATORS[name][0]().fit_weighted_batch(X, Y, W)
+
     def test_tree_batch_is_bit_for_bit(self):
         rng = np.random.default_rng(5)
         n = 300
@@ -178,6 +193,86 @@ class TestConformance:
                 assert np.array_equal(
                     getattr(model, attr), getattr(ref, attr)
                 ), (b, attr)
+
+
+@st.composite
+def nb_problems(draw):
+    """NB batch problems for the oracle: ±0 weights, absent classes,
+    offset columns, C or Fortran order, and a scoring matrix whose row
+    count sits at 0, 1 or either side of a row-tile edge of the batch
+    predict or the lone joint log-likelihood."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    B = draw(st.integers(min_value=1, max_value=33))
+    d = draw(st.integers(min_value=1, max_value=20))
+    n_fit = draw(st.integers(min_value=1, max_value=60))
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n_fit, d)) * 10.0 ** rng.integers(-2, 3, size=d)
+    X += rng.choice([0.0, 0.0, 1e3], size=d)
+    X[rng.random(X.shape) < 0.1] = draw(st.sampled_from([0.0, -0.0]))
+    Y = rng.integers(0, 2, size=(B, n_fit))
+    Y[rng.random(B) < 0.2] = draw(st.integers(0, 1))   # one class absent
+    W = rng.choice([0.0, -0.0, 0.25, 1.0, 3.5], size=(B, n_fit))
+    W[:, 0] = rng.uniform(0.5, 2.0, size=B)   # every row sums above zero
+    rows = draw(st.sampled_from([
+        _tile_rows((2 * B + d) * 2 * 8), _tile_rows(d * 8),
+    ]))
+    tiles = draw(st.integers(min_value=1, max_value=2))
+    n = draw(st.sampled_from(
+        [0, 1, 2] + [tiles * rows + delta for delta in (-1, 0, 1, 2)]
+    ))
+    X_score = rng.normal(size=(n, d)) * 3.0 + X.mean(axis=0)
+    if draw(st.booleans()):
+        X_score = np.asfortranarray(X_score)
+    return X, Y, W, X_score
+
+
+class TestNaiveBayesOracle:
+    """NB's buffer-reusing batch fit and row-tiled scoring equal the
+    12.0.0 whole-matrix code (``nb_oracle.py``) bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=nb_problems())
+    def test_batch_moments_match_the_oracle(self, problem):
+        X, Y, W, _ = problem
+        theta, var, prior = nb_oracle.batch_moments(X, Y, W)
+        models = GaussianNaiveBayes().fit_weighted_batch(X, Y, W)
+        for b, model in enumerate(models):
+            assert model.theta_.tobytes() == theta[b].tobytes(), b
+            assert model.var_.tobytes() == var[b].tobytes(), b
+            assert model.class_prior_.tobytes() == prior[b].tobytes(), b
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=nb_problems())
+    def test_scores_match_the_oracle(self, problem):
+        X, Y, W, X_score = problem
+        models = GaussianNaiveBayes().fit_weighted_batch(X, Y, W)
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # mean of 0 rows
+            want = nb_oracle.predict_batch(models, X_score)
+            got = GaussianNaiveBayes.predict_batch(models, X_score)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        model = models[0]
+        got = model._joint_log_likelihood(X_score)
+        want = nb_oracle.joint_log_likelihood(model, X_score)
+        assert got.tobytes() == want.tobytes()
+
+    def test_a_lone_trailing_row_joins_the_tile_before_it(self):
+        # alone, the last row of this Fortran-order matrix would sum its
+        # 16 terms pairwise instead of in column order
+        d = 16
+        rows = _tile_rows(d * 8)
+        assert list(_tiles(1, rows)) == [(0, 1)]
+        assert list(_tiles(rows + 1, rows)) == [(0, rows + 1)]
+        assert list(_tiles(2 * rows + 1, rows)) == [
+            (0, rows), (rows, 2 * rows + 1),
+        ]
+        rng = np.random.default_rng(1)
+        X = np.asfortranarray(rng.normal(size=(rows + 1, d)) * 10)
+        model = GaussianNaiveBayes().fit(X, (X[:, 0] > 0).astype(int))
+        got = model._joint_log_likelihood(X)
+        want = nb_oracle.joint_log_likelihood(model, X)
+        assert got.tobytes() == want.tobytes()
 
 
 def _assert_same_nodes(got, want, context):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.core.exceptions import SpecificationError
 from repro.core.fairness_metrics import METRIC_FACTORIES
 from repro.core.fitter import WeightedFitter
 from repro.core.spec import Constraint
+from repro.datasets import load
 from repro.datasets.synthetic import make_biased_dataset
 from repro.ml.logistic import LogisticRegression
 from repro.ml.model_selection import train_val_test_split
@@ -142,6 +144,45 @@ class TestFitCache:
         sub = fitter.fit(np.zeros(2), use_subsample=True)
         assert fitter.fit_cache_hits == 0
         assert not np.array_equal(full.theta_, sub.theta_)
+
+
+class TestBatchPeakMemory:
+    """One live copy of the ``(B, n)`` batch while NB trains: the fit
+    pass drops the rows that hit with the full batch, and NB fits both
+    classes through one reused weight buffer."""
+
+    B = 17
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        data = load("scenario:million_row", n=20_000, seed=0)
+        return data, Problem("SP <= 0.05").bind(data)
+
+    @pytest.mark.parametrize("cached_zero", [False, True],
+                             ids=["all_miss", "cached_zero"])
+    def test_peak_stays_under_four_batches(self, problem, cached_zero):
+        data, constraints = problem
+        fitter = WeightedFitter(
+            GaussianNaiveBayes(), data.X, data.y, constraints,
+        )
+        # the grid's 17 candidates, two with negative weights (so the
+        # labels are a real (B, n) matrix); Λ = 0 is the middle row
+        L = np.linspace(-0.5, 0.5, self.B)[:, None]
+        assert fitter.kernel.weights_batch(L).min() < 0
+        if cached_zero:
+            fitter.fit(np.zeros(1))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            fitter.fit_batch(L)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        batches = peak / (self.B * len(data.y) * 8)
+        # 12.0.0 peaked at 4.72 (all miss) and 6.48 (Λ = 0 cached)
+        assert batches < 4.0, batches
+        assert fitter.fit_paths["batch_protocol"] == self.B - cached_zero
 
 
 class TestWarmStartBypassWarning:

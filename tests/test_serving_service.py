@@ -339,6 +339,86 @@ class TestDatasetArguments:
         assert out["n_rows"] == 20000
 
 
+class TestNamedDatasetsOffTheLoop:
+    @pytest.mark.parametrize("route", ["/audit", "/update"])
+    def test_healthz_answers_while_a_named_dataset_loads(
+        self, server, monkeypatch, route,
+    ):
+        # the loader blocks until released: were it called on the event
+        # loop, /healthz could not answer before its 5 s timeout
+        import repro.serving.service as service_mod
+
+        started, release = threading.Event(), threading.Event()
+        real_load = service_mod.load
+
+        def blocked_load(*args, **kwargs):
+            started.set()
+            release.wait(30)
+            return real_load(*args, **kwargs)
+
+        monkeypatch.setattr(service_mod, "load", blocked_load)
+        body = TestDatasetArguments._body(route, {"n": 400, "seed": 2})
+        out = {}
+
+        def send():
+            with ServingClient(server.host, server.port) as c:
+                out["reply"] = c._request("POST", route, body)
+
+        sender = threading.Thread(target=send)
+        sender.start()
+        try:
+            assert started.wait(10)
+            with ServingClient(server.host, server.port, timeout=5.0) as c:
+                assert c.healthz()["ok"] is True
+        finally:
+            release.set()
+            sender.join(30)
+        assert not sender.is_alive()
+        assert "error" not in out["reply"]
+        if route == "/audit":
+            assert out["reply"]["n_rows"] == 400
+
+    def test_concurrent_seeds_keep_one_auditor(self, server, monkeypatch):
+        # both seeds pass the "no auditor yet" check before either has
+        # loaded its base: the one that builds second is refused like
+        # any later seed, instead of replacing the first's auditor
+        import repro.serving.service as service_mod
+
+        arrived, release = threading.Semaphore(0), threading.Event()
+        real_load = service_mod.load
+
+        def blocked_load(*args, **kwargs):
+            arrived.release()
+            release.wait(30)
+            return real_load(*args, **kwargs)
+
+        monkeypatch.setattr(service_mod, "load", blocked_load)
+        body = TestDatasetArguments._body("/update", {"n": 400, "seed": 2})
+        statuses = []
+
+        def send():
+            with ServingClient(server.host, server.port) as c:
+                try:
+                    c._request("POST", "/update", body)
+                    statuses.append(200)
+                except ServingError as exc:
+                    statuses.append(exc.status)
+
+        senders = [threading.Thread(target=send) for _ in range(2)]
+        for sender in senders:
+            sender.start()
+        try:
+            assert arrived.acquire(timeout=10)
+            assert arrived.acquire(timeout=10)
+        finally:
+            release.set()
+            for sender in senders:
+                sender.join(30)
+        assert not any(sender.is_alive() for sender in senders)
+        assert sorted(statuses) == [200, 400]
+        assert list(server.service._auditors) == ["gs"]
+
+
 class TestRetune:
     def test_retune_job_then_canonical_dedup(self, client):
         job = client.retune(

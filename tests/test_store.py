@@ -106,7 +106,8 @@ class TestCacheStore:
     def test_truncated_blob_warns_and_misses(self, tmp_path):
         store = CacheStore(tmp_path)
         path = store.put("fit", KEY_A, np.arange(1000.0))
-        blob = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            blob = fh.read()
         with open(path, "wb") as fh:
             fh.write(blob[: len(blob) // 2])
         with pytest.warns(RuntimeWarning, match="corrupt"):
@@ -335,6 +336,22 @@ class TestEngineStore:
         np.testing.assert_array_equal(
             warm.report.lambdas, cold.report.lambdas
         )
+
+    @pytest.mark.parametrize("strategy, indexed", [
+        ("grid", False), ("linear", False), ("binary_search", True),
+    ])
+    def test_only_warm_reading_strategies_write_the_index(
+        self, tmp_path, strategy, indexed,
+    ):
+        # the index's shape key names the strategy, so an entry written
+        # under grid or linear could never be read
+        data = load_scenario("imbalance", n=1500, seed=5)
+        Engine(strategy, store_dir=tmp_path).solve(
+            "SP <= 0.08", GaussianNaiveBayes(), data,
+        )
+        assert (tmp_path / SolutionCache.EXACT_NS).exists()
+        index = list((tmp_path / SolutionCache.WARM_NS).rglob("*.blob"))
+        assert len(index) == int(indexed)
 
     def test_no_store_changes_nothing(self, tmp_path, sweep_data):
         plain = Engine("hill_climb").solve(
