@@ -36,7 +36,7 @@ from .core import (
 from .datasets import Dataset
 from .api import Engine, FairModel, Problem, fit_fair
 
-__version__ = "12.1.0"
+__version__ = "13.0.0"
 
 __all__ = [
     "Problem",

@@ -168,7 +168,7 @@ def run_omnifair(
     (e.g. for multi-constraint experiments) and may be a DSL string;
     test metrics are always reported for the first spec's constraint.
     ``strategy`` and ``engine_options`` (``negative_weights``,
-    ``subsample``, strategy knobs such as ``delta``, ...) build the
+    ``warm_start``, strategy knobs such as ``delta``, ...) build the
     :class:`~repro.api.Engine` every split is solved with.
     """
     report_spec = FairnessSpec(metric, epsilon)

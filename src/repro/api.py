@@ -8,8 +8,8 @@ enforce, how to search, and what gets deployed:
   (``"SP(race) <= 0.03"``), a :class:`FairnessSpec`, or a list of them.
   Canonicalizable (for caching / dedup) and estimator-agnostic.
 * **Engine** — the solver: a registered search strategy plus its config,
-  and the weighted-training knobs (negative weights, warm start,
-  subsample).  Stateless across ``solve`` calls.
+  and the weighted-training knobs (negative weights, warm start).
+  Stateless across ``solve`` calls.
 * **FairModel** — the deployable artifact: the fitted classifier bundled
   with its specs and :class:`FitReport`, exposing ``predict`` /
   ``predict_proba`` / ``audit`` / ``save`` / ``load``.
@@ -296,7 +296,7 @@ class Engine:
         import path, a name registered via
         :func:`repro.ml.register_external_model`, or an in-repo short
         name (``"LR"``, ``"RF"``, ...).
-    negative_weights, warm_start, subsample
+    negative_weights, warm_start
         Weighted-training knobs, passed to
         :class:`~repro.core.fitter.WeightedFitter`.
     chunk_size : int or None
@@ -340,7 +340,6 @@ class Engine:
         model=None,
         negative_weights="flip",
         warm_start=False,
-        subsample=None,
         chunk_size=None,
         store_dir=None,
         store=None,
@@ -357,7 +356,6 @@ class Engine:
         self.model = None if model is None else resolve_model(model)
         self.negative_weights = negative_weights
         self.warm_start = warm_start
-        self.subsample = subsample
         self.chunk_size = None if chunk_size is None else int(chunk_size)
         if store is not None:
             self.store = store
@@ -473,7 +471,6 @@ class Engine:
             train_constraints,
             negative_weights=self.negative_weights,
             warm_start=self.warm_start,
-            subsample=self.subsample,
             eval_chunk_size=self.chunk_size,
             store=self.store,
         )
@@ -536,8 +533,10 @@ class Engine:
         which alters only the trajectory).  The
         performance-only ``chunk_size`` is deliberately excluded —
         chunked evaluation is bit-identical, so it would only fragment
-        the cache.  Returns ``None`` for non-canonicalizable (non-DSL)
-        specs and for estimators without a fingerprint.
+        the cache.  The ``subsample`` entry is a constant: the knob is
+        gone, and the entry keeps the keys of earlier stores.  Returns
+        ``None`` for non-canonicalizable (non-DSL) specs and for
+        estimators without a fingerprint.
         """
         from dataclasses import asdict
 
@@ -561,7 +560,7 @@ class Engine:
             "config": repr(sorted(cfg.items())),
             "negative_weights": self.negative_weights,
             "warm_start": bool(self.warm_start),
-            "subsample": repr(self.subsample),
+            "subsample": "None",
         }
 
     @staticmethod
@@ -605,8 +604,8 @@ def fit_fair(
     """One-call convenience: build an Engine, solve, return the FairModel.
 
     ``engine_options`` are split by :class:`Engine` itself — fitting
-    knobs (``negative_weights``, ``warm_start``, ``subsample``) go to
-    the weighted fitter, the rest to the strategy config.
+    knobs (``negative_weights``, ``warm_start``) go to the weighted
+    fitter, the rest to the strategy config.
     """
     engine = Engine(strategy, **engine_options)
     return engine.solve(

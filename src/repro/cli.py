@@ -173,8 +173,6 @@ def build_parser():
     train.add_argument("--two-group", action="store_true",
                        help="restrict multi-group datasets to the classic "
                             "pair (COMPAS: African-American vs Caucasian)")
-    train.add_argument("--subsample", type=float, default=None,
-                       help="bounding-stage subsample fraction (§8 pruning)")
     train.add_argument("--chunk-size", type=int, default=None,
                        metavar="ROWS",
                        help="stream validation scoring over row blocks "
@@ -359,8 +357,7 @@ def _cmd_train(args, out):
         check_option_names(options)
         estimator = resolve_model(args.model)
         engine = Engine(
-            args.search, subsample=args.subsample,
-            chunk_size=args.chunk_size,
+            args.search, chunk_size=args.chunk_size,
             store_dir=(None if args.no_store else args.store_dir),
             **options,
         )

@@ -85,7 +85,6 @@ class ExecutionBackend:
             t0 = time.perf_counter()
             model = ctx.fitter.fit(
                 ctx.orient(batch.lambdas[i]), prev_model=prev,
-                use_subsample=batch.use_subsample,
             )
             # scored when first read, in the orientation of its fit: at
             # once by the history point or the stop predicate, else by

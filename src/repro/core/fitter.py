@@ -17,13 +17,13 @@ protocol, :meth:`WeightedFitter.fit_batch`).
 Both :meth:`WeightedFitter.fit` and :meth:`WeightedFitter.fit_batch`
 end in one fit pass over the resolved rows.  A **fit memoization
 cache** comes first: the resolved ``(weights, labels)`` pair — plus the
-estimator's :func:`~repro.ml.base.estimator_fingerprint` and which
-training split is in play — is hashed, and a row whose resolved vectors
-collide with an earlier fit, or with another row of the same call,
-reuses the fitted model instead of retraining.  Collisions are common
-in practice: ``resolve_negative_weights`` can map distinct λ to the
-same resolved vectors, λ-searches revisit Λ = 0, and hill climbing
-re-lands on coordinates it has already tried.  The cache holds at most
+estimator's :func:`~repro.ml.base.estimator_fingerprint` — is hashed,
+and a row whose resolved vectors collide with an earlier fit, or with
+another row of the same call, reuses the fitted model instead of
+retraining.  Collisions are common in practice:
+``resolve_negative_weights`` can map distinct λ to the same resolved
+vectors, λ-searches revisit Λ = 0, and hill climbing re-lands on
+coordinates it has already tried.  The cache holds at most
 :data:`FIT_CACHE_MAX` models (LRU eviction) and is off under
 ``warm_start`` (a warm-started fit depends on the mutable shared
 estimator state, not just the weights); it has no other switch.
@@ -85,13 +85,6 @@ class WeightedFitter:
     warm_start : bool
         Reuse one estimator instance across fits, enabling its own
         ``warm_start`` hyperparameter when it has one (Table 6).
-    subsample : float or None
-        When set (in ``(0, 1)``), a stratified row subset of that fraction
-        is prepared and ``fit(..., use_subsample=True)`` trains on it — the
-        paper's future-work optimization for quickly pruning λ ranges with
-        cheap fits before refining on the full training set (§8).
-    subsample_seed : int
-        Seed for the subsample draw.
     eval_chunk_size : int or None
         Row-block size of validation scoring.  Every
         :class:`~repro.core.kernels.CompiledEvaluator` the search builds
@@ -130,8 +123,6 @@ class WeightedFitter:
         constraints,
         negative_weights="flip",
         warm_start=False,
-        subsample=None,
-        subsample_seed=0,
         eval_chunk_size=None,
         store=None,
     ):
@@ -154,64 +145,15 @@ class WeightedFitter:
         # so it is off under warm_start too
         self.store = None if warm_start else store
         self.store_lookups = 0
-        self._split_digests = {}
+        self._x_digest = None
         self.fit_paths = {}
         self._warned_warm_bypass = False
         self._shared = None
         self._kernel = None
-        self._sub_kernel = None
         if warm_start:
             self._shared = estimator.clone()
             if "warm_start" in self._shared.get_params():
                 self._shared.set_params(warm_start=True)
-        self.subsample = subsample
-        self._sub_idx = None
-        self._sub_X = None
-        self._sub_y = None
-        self._sub_constraints = None
-        if subsample is not None:
-            if not 0.0 < subsample < 1.0:
-                raise ValueError(
-                    f"subsample must be in (0, 1), got {subsample}"
-                )
-            self._prepare_subsample(subsample_seed)
-
-    def _prepare_subsample(self, seed):
-        """Draw a stratified subsample and remap constraint indices."""
-        from .spec import Constraint
-
-        rng = np.random.default_rng(seed)
-        n = len(self.y_train)
-        k = max(2, int(round(n * self.subsample)))
-        # stratify on label so small-base-rate groups keep positives
-        idx = []
-        for label in (0, 1):
-            rows = np.nonzero(self.y_train == label)[0]
-            take = max(1, int(round(len(rows) * self.subsample)))
-            idx.append(rng.choice(rows, size=min(take, len(rows)),
-                                  replace=False))
-        self._sub_idx = np.sort(np.concatenate(idx))[:max(k, 2)]
-        # materialize the subsample arrays once instead of re-slicing
-        # per fit
-        self._sub_X = self.X_train[self._sub_idx]
-        self._sub_y = self.y_train[self._sub_idx]
-        positions = np.full(n, -1, dtype=np.int64)
-        positions[self._sub_idx] = np.arange(len(self._sub_idx))
-        subbed = []
-        for c in self.constraints:
-            g1 = positions[c.g1_idx]
-            g2 = positions[c.g2_idx]
-            subbed.append(
-                Constraint(
-                    metric=c.metric,
-                    epsilon=c.epsilon,
-                    group_names=c.group_names,
-                    g1_idx=g1[g1 >= 0],
-                    g2_idx=g2[g2 >= 0],
-                    label=c.label + "|subsample",
-                )
-            )
-        self._sub_constraints = subbed
 
     # -- fit counters --------------------------------------------------------
 
@@ -241,7 +183,7 @@ class WeightedFitter:
 
     @property
     def kernel(self):
-        """The :class:`CompiledConstraints` for the full training split.
+        """The :class:`CompiledConstraints` for the training split.
 
         Built once, on first use: the constraint list is never
         rewritten (Algorithm 1's swap is a sign on the λ a
@@ -251,13 +193,6 @@ class WeightedFitter:
             self._kernel = CompiledConstraints(self.constraints, self.y_train)
         return self._kernel
 
-    def _subsample_kernel(self):
-        if self._sub_kernel is None:
-            self._sub_kernel = CompiledConstraints(
-                self._sub_constraints, self.y_train[self._sub_idx]
-            )
-        return self._sub_kernel
-
     @property
     def parameterized(self):
         """True when any constraint's metric needs model predictions."""
@@ -265,27 +200,16 @@ class WeightedFitter:
 
     # -- weight computation --------------------------------------------------
 
-    def _weights_for(self, lambdas, predictions, use_subsample):
+    def _weights_for(self, lambdas, predictions):
         """Raw weights for one Λ from the compiled kernel."""
-        kernel = self._subsample_kernel() if use_subsample else self.kernel
         if predictions is not None:
-            kernel.update_predictions(predictions)
-        return kernel.weights(lambdas)
-
-    def _train_arrays(self, use_subsample):
-        if use_subsample:
-            if self._sub_idx is None:
-                raise ValueError(
-                    "use_subsample requires the subsample constructor "
-                    "argument"
-                )
-            return self._sub_X, self._sub_y
-        return self.X_train, self.y_train
+            self.kernel.update_predictions(predictions)
+        return self.kernel.weights(lambdas)
 
     # -- fit memoization -----------------------------------------------------
 
     @staticmethod
-    def _cache_key(params, w, y_fit, split):
+    def _cache_key(params, w, y_fit):
         # ``params`` is the estimator fingerprint, recomputed per fit
         # call so an external ``set_params`` between fits cannot serve
         # a stale model.  hashlib reads the arrays through the buffer
@@ -293,33 +217,32 @@ class WeightedFitter:
         digest = hashlib.sha1()
         digest.update(np.ascontiguousarray(w))
         digest.update(np.ascontiguousarray(y_fit))
-        return (split, params, digest.digest())
+        return (params, digest.digest())
 
-    def _split_digest(self, use_subsample):
+    def _split_digest(self):
         """SHA1 of the training matrix for the persistent fit key.
 
         The in-memory key can afford to omit ``X`` — one fitter binds
         one training set — but the on-disk store is shared across
         processes and datasets, so the split itself must be part of
-        the key.  Computed once per split and memoized (the matrix is
-        immutable for the fitter's lifetime).
+        the key.  Computed once and memoized (the matrix is immutable
+        for the fitter's lifetime).
         """
-        cached = self._split_digests.get(use_subsample)
-        if cached is None:
-            X, _ = self._train_arrays(use_subsample)
-            cached = hashlib.sha1(np.ascontiguousarray(X)).hexdigest()
-            self._split_digests[use_subsample] = cached
-        return cached
+        if self._x_digest is None:
+            self._x_digest = hashlib.sha1(
+                np.ascontiguousarray(self.X_train)
+            ).hexdigest()
+        return self._x_digest
 
     def _store_key(self, key):
         """Persistent key: the in-memory ``key`` plus the split digest.
 
         ``None`` when the store is off or the estimator has no fingerprint.
         """
-        split, params, digest = key
+        params, digest = key
         if self.store is None or params is None:
             return None
-        text = f"{params}:{self._split_digest(split)}:"
+        text = f"{params}:{self._split_digest()}:"
         return hashlib.sha1(text.encode() + digest).hexdigest()
 
     def _record_path(self, path, count):
@@ -343,16 +266,13 @@ class WeightedFitter:
 
     # -- fitting -------------------------------------------------------------
 
-    def fit(self, lambdas, prev_model=None, use_subsample=False):
+    def fit(self, lambdas, prev_model=None):
         """Fit the estimator with weights ``w(Λ[, h_prev])``.
 
         ``prev_model`` supplies the predictions that parameterize FOR/FDR
         weights (§5.2's continuation approximation); it is ignored for
-        constant-weight metrics.  ``use_subsample=True`` trains on the
-        prepared subsample (cheap λ-range pruning; requires the
-        ``subsample`` constructor argument).
+        constant-weight metrics.
         """
-        X, y = self._train_arrays(use_subsample)
         predictions = None
         if self.parameterized and np.any(np.asarray(lambdas) != 0):
             if prev_model is None:
@@ -360,17 +280,13 @@ class WeightedFitter:
                     "model-parameterized constraints require prev_model "
                     "for nonzero lambda"
                 )
-            predictions = prev_model.predict(X)
+            predictions = prev_model.predict(self.X_train)
         return self._fit_rows(
-            X, y,
-            lambda: self._weights_for(
-                lambdas, predictions, use_subsample
-            )[None],
-            use_subsample,
+            lambda: self._weights_for(lambdas, predictions)[None],
         )[0]
 
     def fit_batch(self, lambdas_matrix):
-        """Fit one model per row of a ``(B, k)`` Λ matrix (full training set).
+        """Fit one model per row of a ``(B, k)`` Λ matrix.
 
         Requires constant-coefficient metrics (FOR/FDR candidates each
         need their own chained predictions, an inherently sequential
@@ -392,11 +308,10 @@ class WeightedFitter:
                 "candidate's own predictions"
             )
         return self._fit_rows(
-            self.X_train, self.y_train, lambda: self.kernel.weights_batch(L),
-            False, batch=True,
+            lambda: self.kernel.weights_batch(L), batch=True,
         )
 
-    def _fit_rows(self, X, y, raw_weights, split, batch=False):
+    def _fit_rows(self, raw_weights, batch=False):
         """One model per row of the ``(B, n)`` weights ``raw_weights()``.
 
         The weights are made and resolved
@@ -412,13 +327,13 @@ class WeightedFitter:
         succeeded.
         """
         W, Y = resolve_negative_weights(
-            raw_weights(), y, strategy=self.negative_weights,
+            raw_weights(), self.y_train, strategy=self.negative_weights,
         )
         if self.warm_start:   # the cache is off: see the module docstring
-            return self._train(X, Y, W, batch)
+            return self._train(Y, W, batch)
         B = len(Y)
         params = estimator_fingerprint(self.estimator)
-        keys = [self._cache_key(params, W[b], Y[b], split) for b in range(B)]
+        keys = [self._cache_key(params, W[b], Y[b]) for b in range(B)]
         models = [None] * B
         misses = {}   # key -> (row, store key), in first-seen order
         stored = 0
@@ -441,7 +356,7 @@ class WeightedFitter:
             if len(rows) < B:   # rebinding frees the full batch
                 Y = Y[rows]
                 W = W[rows]
-            fitted = self._train(X, Y, W, batch)
+            fitted = self._train(Y, W, batch)
             for (key, (b, store_key)), model in zip(misses.items(), fitted):
                 models[b] = model
                 self._cache_store(key, model)
@@ -457,7 +372,7 @@ class WeightedFitter:
         self._record_path("cached", B - stored - len(misses))
         return models
 
-    def _train(self, X, Y, W, batch):
+    def _train(self, Y, W, batch):
         """Train one fresh model per row, then record the training path.
 
         A :meth:`fit_batch` call without ``warm_start`` goes through the
@@ -469,6 +384,7 @@ class WeightedFitter:
         if batch and getattr(self.estimator, "supports_batch_fit", True):
             # see the optional batch protocol note in repro.ml.base
             batch_fit = getattr(self.estimator, "fit_weighted_batch", None)
+        X = self.X_train
         if batch_fit is not None:
             if not self.warm_start:
                 models = batch_fit(X, Y, W)

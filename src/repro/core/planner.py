@@ -47,10 +47,9 @@ batch's ``batch_id`` and its share of the round's wall-clock time, which
 Algorithm 1's swap of the group pair (lines 4–5) only negates λ's
 effect on the weights and the sign of FP, so it is a sign in the
 :class:`PlanContext`, applied to every λ the context hands the fitter
-and every disparity it reports.  No constraint list is rewritten, and
-one fitter can serve several plans (``race``'s forked contexts).
-:func:`run_plan` is the one driver; every plan returns a
-:class:`TuneResult`.
+and every disparity it reports.  No constraint list is rewritten, so
+one fitter can serve several contexts.  :func:`run_plan` is the one
+driver; every plan returns a :class:`TuneResult`.
 """
 
 from __future__ import annotations
@@ -114,22 +113,15 @@ class CandidateBatch:
         fitting the next (a sequential recurrence).
     record : bool
         Append one history point per reported candidate.
-    use_subsample : bool
-        Fit on the fitter's prepared subsample (§8 cheap bounding fits).
     stop : callable(EvalResult) -> bool, optional
         Evaluated after each candidate of a ``"fit"`` batch; truthy ends
         the batch (the triggering candidate is still reported).
-    ctx : PlanContext, optional
-        The context that runs the batch in place of the driver's own
-        (``race`` tags each component's batches with that component's
-        :meth:`PlanContext.fork`).
     """
 
-    __slots__ = ("lambdas", "kind", "prev_model", "chain", "record",
-                 "use_subsample", "stop", "ctx")
+    __slots__ = ("lambdas", "kind", "prev_model", "chain", "record", "stop")
 
     def __init__(self, lambdas, kind="fit", prev_model=None, chain=False,
-                 record=True, use_subsample=False, stop=None, ctx=None):
+                 record=True, stop=None):
         self.lambdas = np.atleast_2d(np.asarray(lambdas, dtype=np.float64))
         if self.lambdas.ndim != 2 or self.lambdas.shape[0] == 0:
             raise ValueError(
@@ -144,9 +136,7 @@ class CandidateBatch:
         self.prev_model = prev_model
         self.chain = bool(chain)
         self.record = bool(record)
-        self.use_subsample = bool(use_subsample)
         self.stop = stop
-        self.ctx = ctx
 
     def __len__(self):
         return self.lambdas.shape[0]
@@ -294,16 +284,6 @@ class PlanContext:
         self.warm = _warm_seed(warm, len(self.signs))
         self._kernel = None
 
-    def fork(self):
-        """A context on the same fitter, validation split and evaluator,
-        with its own signs, history, record style and batch ids, and no
-        warm seed."""
-        child = PlanContext(
-            self.fitter, self.val_constraints, self.X_val, self.y_val,
-        )
-        child._kernel = self.compiled_scorer()
-        return child
-
     # -- problem shape --------------------------------------------------------
 
     @property
@@ -368,9 +348,8 @@ def run_plan(strategy, fitter, val_constraints, X_val, y_val, config,
     The one driver of every solve.  ``plan(ctx, config)`` yields
     :class:`CandidateBatch` objects and receives ``list[EvalResult]``
     for each; its return value, a :class:`TuneResult`, becomes this
-    function's.  A batch tagged with a context (``batch.ctx``) runs on
-    that context instead of the one built here.  ``warm`` becomes the
-    context's :attr:`PlanContext.warm` seed.
+    function's.  ``warm`` becomes the context's :attr:`PlanContext.warm`
+    seed.
     """
     from .executor import ExecutionBackend  # runtime dep, not import-time
 
@@ -389,6 +368,6 @@ def run_plan(strategy, fitter, val_constraints, X_val, y_val, config,
                     f"strategy {strategy.name!r} yielded "
                     f"{type(batch).__name__}, expected CandidateBatch"
                 )
-            results = backend.run(batch, batch.ctx or ctx)
+            results = backend.run(batch, ctx)
     finally:
         gen.close()

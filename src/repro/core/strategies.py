@@ -48,10 +48,6 @@ Built-ins:
     Penalty-method CMA-ES over Λ (:mod:`repro.optim.cmaes`), useful when
     marginal monotonicity is too badly violated for hill climbing.
     Each generation is one population ask.
-``race``
-    Meta-strategy: interleaves several strategies' plans on forks of its
-    context (one shared fitter, fit cache and evaluator) and returns the
-    first feasible result.
 
 Each strategy declares a config dataclass that holds its solver knobs.
 ``Config.build(options)`` constructs one from a flat dict and rejects
@@ -84,7 +80,6 @@ __all__ = [
     "GridConfig",
     "LinearConfig",
     "CMAESConfig",
-    "RaceConfig",
     "register_strategy",
     "unregister_strategy",
     "get_strategy",
@@ -223,31 +218,6 @@ class CMAESConfig(StrategyConfig):
         _check_count(self, "max_evals")
         if self.popsize is not None:
             _check_count(self, "popsize", minimum=2)
-
-
-@dataclass
-class RaceConfig(StrategyConfig):
-    """Component list and turn length for the ``race`` meta-strategy.
-
-    ``strategies`` names the racers (empty = an arity-appropriate
-    default: binary_search/grid/linear for one constraint,
-    hill_climb/cmaes/grid otherwise); ``interleave`` is how many ask
-    batches each component executes per turn.
-    """
-
-    strategies: tuple = ()
-    interleave: int = 1
-
-    def __post_init__(self):
-        _check_count(self, "interleave")
-        known = available_strategies()
-        if not isinstance(self.strategies, (list, tuple)) or not all(
-            name in known for name in self.strategies
-        ):
-            raise SpecificationError(
-                f"RaceConfig.strategies must be a list of registered "
-                f"strategy names {known}, got {self.strategies!r}"
-            )
 
 
 class SearchStrategy:
@@ -409,8 +379,8 @@ def _plan_single_lambda(ctx, config):
 
     # orientation (Algorithm 1 lines 4-5): ensure FP(θ0) < −ε so the
     # search runs over positive λ.  The swap is a sign in the context,
-    # which it applies to the λ of every fit (the subsample's too) and
-    # to every disparity it reports
+    # which it applies to the λ of every fit and to every disparity it
+    # reports
     swapped = fp0 > 0
     if swapped:
         ctx.swap_constraint(0)
@@ -418,14 +388,6 @@ def _plan_single_lambda(ctx, config):
 
     parameterized = fitter.parameterized
     best = (model0, 0.0, -np.inf)  # (model, λ, acc) among feasible
-
-    # future-work optimization (§8): when the fitter has a prepared
-    # subsample, the cheap bounding-stage fits run on it; the
-    # binary-search refinement always uses the full training set
-    prune = fitter.subsample is not None
-
-    def crossed_band(res):
-        return res.fp >= -epsilon
 
     exceeded = (
         f"exponential search exceeded lambda_max={lambda_max} "
@@ -443,8 +405,8 @@ def _plan_single_lambda(ctx, config):
         if rungs:
             reported = yield CandidateBatch(
                 direction * np.asarray(rungs)[:, None],
-                prev_model=model_u, chain=True, use_subsample=prune,
-                stop=crossed_band,
+                prev_model=model_u, chain=True,
+                stop=lambda res: res.fp >= -epsilon,
             )
             for i, r in enumerate(reported):
                 t_l, model_l = t_u, model_u
@@ -458,13 +420,12 @@ def _plan_single_lambda(ctx, config):
 
     # warm-start eligibility: the previous λ is only a sound bracket
     # seed when nothing that shaped it differs — same orientation, no
-    # continuation chaining (parameterized), no subsample pruning, and
-    # a magnitude the search could itself have visited
+    # continuation chaining (parameterized), and a magnitude the search
+    # could itself have visited
     warm_lambda = None if ctx.warm is None else float(ctx.warm[0][0])
     warm = (
         warm_lambda is not None
         and not parameterized
-        and not prune
         and ctx.warm[1] == swapped
         and tau < abs(warm_lambda) <= lambda_max
     )
@@ -512,8 +473,7 @@ def _plan_single_lambda(ctx, config):
         # in λ for exact optima of the surrogate; with approximate
         # weights the observed disparity can move the other way or sit
         # flat near λ=0, so both signs are probed with escalating steps
-        # (see the pre-planner loop's derivation note).  Always
-        # full-data fits: the search direction must be reliable.
+        # (see the pre-planner loop's derivation note).
         probe_step = delta if parameterized else min(1.0, lambda_max)
         direction = 1.0
         probe = None
@@ -560,27 +520,6 @@ def _plan_single_lambda(ctx, config):
                 rungs,
                 f"linear search exhausted {config.max_linear_steps} steps "
                 f"without satisfying {label}",
-            )
-
-    if prune:
-        # the subsample bracket is a hint: re-verify the upper bound with
-        # full-data fits (and keep doubling if the subsample undershot),
-        # and reset the lower bound to 0, always on the −ε side
-        t_l, model_l = 0.0, model0
-        rungs = [t_u] + _doubling(t_u, lambda_max)
-        reported = yield CandidateBatch(
-            direction * np.asarray(rungs)[:, None],
-            prev_model=model0, chain=True, stop=crossed_band,
-        )
-        last = reported[-1]
-        t_u, fp_u, acc_u, model_u = (
-            rungs[len(reported) - 1], last.fp, last.accuracy, last.model,
-        )
-        if fp_u < -epsilon:
-            raise InfeasibleConstraintError(
-                f"full-data verification exceeded lambda_max="
-                f"{lambda_max} for {label}",
-                best_model=model0,
             )
 
     if abs(fp_u) <= epsilon and acc_u > best[2]:
@@ -1056,62 +995,3 @@ class CMAESStrategy(SearchStrategy):
 
     def plan(self, ctx, config):
         return _plan_cmaes(ctx, config)
-
-
-@register_strategy
-class RaceStrategy(SearchStrategy):
-    """Meta-strategy: several solvers race on one shared fitter.
-
-    Components (``config.strategies``, or an arity-appropriate default)
-    run their plans on :meth:`~repro.core.planner.PlanContext.fork`
-    contexts of this plan's context, so they share the fitter (its fit
-    cache and counters) and the evaluator.  They take turns of
-    ``interleave`` batches, each batch tagged with its component's
-    context; the first feasible result wins.  A component that raises
-    :class:`InfeasibleConstraintError` drops out, and if all do, the
-    error lists their messages.
-    """
-
-    name = "race"
-    config_cls = RaceConfig
-
-    def plan(self, ctx, config):
-        names = tuple(config.strategies) or (
-            ("binary_search", "grid", "linear") if ctx.k == 1
-            else ("hill_climb", "cmaes", "grid")
-        )
-        runners = []
-        failures = []
-        try:
-            for name in names:
-                strategy = get_strategy(name)
-                child = ctx.fork()
-                runners.append({
-                    "name": name, "ctx": child, "results": None,
-                    "gen": strategy.plan(child, strategy.make_config({})),
-                })
-            active = list(runners)
-            while active:
-                for runner in list(active):
-                    for _ in range(config.interleave):
-                        try:
-                            batch = runner["gen"].send(runner["results"])
-                        except StopIteration as stop:
-                            active.remove(runner)
-                            result = stop.value
-                            if result is not None and result.feasible:
-                                return result
-                            break
-                        except InfeasibleConstraintError as exc:
-                            active.remove(runner)
-                            failures.append(f"{runner['name']}: {exc}")
-                            break
-                        batch.ctx = batch.ctx or runner["ctx"]
-                        runner["results"] = yield batch
-        finally:
-            for runner in runners:
-                runner["gen"].close()
-        raise InfeasibleConstraintError(
-            "race found no feasible result; components failed with: "
-            + ("; ".join(failures) if failures else "no failures recorded")
-        )

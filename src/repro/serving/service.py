@@ -27,7 +27,8 @@ Endpoints
     requests on the same data, with the same estimator, strategy and
     options, hit the registry instead of re-solving.
     ``options`` carries strategy knobs only (``tau``, ``grid_steps``,
-    ...); any other key answers 400 before an engine is built.
+    ...); any other key answers 400 before an engine is built, and so
+    does a ``name`` that is not a non-empty string.
 ``POST /update``
     The incremental engine's front door.  The first call for a model
     seeds an :class:`~repro.incremental.IncrementalAuditor` from a
@@ -38,7 +39,9 @@ Endpoints
     fingerprint.  When the updated max-violation breaches the drift
     ``tolerance``, a **warm** λ re-search is submitted as a background
     job (seeded from the deployed model's fitted λ) and the refit model
-    replaces the served one under the same name.
+    replaces the served one under the same name, unless ``retune`` (a
+    JSON bool) is false.  The whole body, its ``estimator`` included,
+    is checked before the first delta applies.
 ``GET /jobs/<id>``
     Poll a retune job (status / result / error / timeout / cancelled).
 ``GET /models`` / ``GET /healthz`` / ``GET /stats``
@@ -228,6 +231,14 @@ def _dataset_size_and_seed(body):
     if not (type(seed) is int and seed >= 0):
         raise _BadRequest(f"seed must be a JSON integer >= 0, got {seed!r}")
     return n, seed
+
+
+def _estimator(name):
+    """A request's ``estimator`` resolved to a model (unknown: 400)."""
+    try:
+        return resolve_model(name)
+    except (KeyError, ImportError) as exc:
+        raise _BadRequest(str(exc.args[0] if exc.args else exc)) from exc
 
 
 def _already_seeded(name):
@@ -716,13 +727,7 @@ class FairnessService:
     def _retune(self, body):
         spec = _require(body, "spec", str)
         Problem(spec)  # fail fast (400) on an unparseable spec
-        estimator = body.get("estimator", "NB")
-        try:
-            resolved = resolve_model(estimator)  # fail fast if unknown
-        except (KeyError, ImportError) as exc:
-            raise _BadRequest(
-                str(exc.args[0] if exc.args else exc)
-            ) from exc
+        resolved = _estimator(body.get("estimator", "NB"))
         n, seed = _dataset_size_and_seed(body)
         dataset_args = {
             "dataset": _require(body, "dataset", str), "n": n, "seed": seed,
@@ -738,7 +743,13 @@ class FairnessService:
         # construct the Engine eagerly so bad strategies / options come
         # back as a 400 now, not a failed job later
         engine = Engine(strategy, store=self.store, **options)
-        name = body.get("name") or f"retune-{next(self._job_ids)}"
+        name = body["name"] if "name" in body else (
+            f"retune-{next(self._job_ids)}"
+        )
+        if not (isinstance(name, str) and name):
+            raise _BadRequest(
+                f"name must be a non-empty string, got {name!r}"
+            )
         active = sum(
             1 for handle, _meta in self._jobs.values()
             if handle.status not in JOB_TERMINAL
@@ -869,6 +880,14 @@ class FairnessService:
                 raise _BadRequest(
                     f"'retire' row ids must be JSON integers, got {bad!r}"
                 )
+        allow_retune = body.get("retune", True)
+        if type(allow_retune) is not bool:
+            raise _BadRequest(
+                f"retune must be a JSON bool, got {allow_retune!r}"
+            )
+        estimator = body.get("estimator")
+        if estimator is not None:
+            estimator = _estimator(estimator)
         loop = asyncio.get_running_loop()
         entry = self._auditors.get(name)
         if entry is None:
@@ -935,8 +954,8 @@ class FairnessService:
         retune = {"triggered": False}
         policy = entry["policy"]
         if policy.should_retune(snapshot):
-            if body.get("retune", True):
-                retune = self._submit_drift_retune(name, entry, body)
+            if allow_retune:
+                retune = self._submit_drift_retune(name, entry, estimator)
                 if retune["triggered"]:
                     policy.note_retune(snapshot)
             else:
@@ -951,7 +970,7 @@ class FairnessService:
             "retune": retune,
         }
 
-    def _submit_drift_retune(self, name, entry, body):
+    def _submit_drift_retune(self, name, entry, estimator):
         """Queue a warm λ re-search; degrade to a reported reason.
 
         Unlike ``POST /retune``, the update that got us here has
@@ -959,14 +978,6 @@ class FairnessService:
         fail the request, so both come back as ``triggered: False``
         with a reason instead of a 429/503.
         """
-        estimator = body.get("estimator")
-        if estimator is not None:
-            try:
-                estimator = resolve_model(estimator)
-            except (KeyError, ImportError) as exc:
-                raise _BadRequest(
-                    str(exc.args[0] if exc.args else exc)
-                ) from exc
         active = sum(
             1 for handle, _meta in self._jobs.values()
             if handle.status not in JOB_TERMINAL
@@ -1140,7 +1151,13 @@ def serve_in_thread(service, host="127.0.0.1", port=0, ready_timeout=30):
                 return
             box["loop"] = asyncio.get_running_loop()
             ready.set()
-            await service.serve_until_stopped()
+            try:
+                await service.serve_until_stopped()
+            finally:
+                # a forced stop cancels this task before the graceful
+                # drain has closed the listening socket
+                if service._server is not None:
+                    service._server.close()
 
         try:
             asyncio.run(main())

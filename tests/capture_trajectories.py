@@ -43,12 +43,8 @@ WORKLOADS = {
         "binary_search", "SP <= 0.05", "label_noise", {}),
     "binary_search-fdr-label_noise": (
         "binary_search", "FDR <= 0.05", "label_noise", {}),
-    # FOR, on the full kernel and with the subsample kernel's
-    # parameterized path (``subsample`` goes to the engine)
     "binary_search-for-label_noise": (
         "binary_search", "FOR <= 0.05", "label_noise", {}),
-    "binary_search-for-label_noise-subsample": (
-        "binary_search", "FOR <= 0.04", "label_noise", dict(subsample=0.5)),
     "hill_climb-sp-label_noise": (
         "hill_climb", "SP <= 0.05", "label_noise", {}),
     "hill_climb-fdr-label_noise": (
@@ -76,10 +72,6 @@ WORKLOADS = {
         "cmaes", "FDR <= 0.05", "label_noise", dict(max_evals=32, seed=0)),
     "cmaes-sp-group_sweep": (
         "cmaes", "SP <= 0.10", "group_sweep", dict(max_evals=64, seed=0)),
-    # default components; the k = 1 SP winner (binary_search) swaps
-    "race-sp-label_noise": ("race", "SP <= 0.05", "label_noise", {}),
-    "race-fdr-label_noise": ("race", "FDR <= 0.05", "label_noise", {}),
-    "race-sp-group_sweep": ("race", "SP <= 0.08", "group_sweep", {}),
     # the FOR/FDR population chains: the Λ-grid and a CMA-ES generation
     # each chained from the Λ = 0 model
     "grid-fdr-group_sweep": (
@@ -87,11 +79,8 @@ WORKLOADS = {
         dict(grid_steps=3, grid_max=0.2)),
     "cmaes-fdr-group_sweep": (
         "cmaes", "FDR <= 0.03", "group_sweep", dict(max_evals=24, seed=0)),
-    # Algorithm 1's ladders: the doubling ladder on the subsample plus
-    # its full-data verify, the warm doubling ladder (0.03 → 0.06 →
-    # 0.12) and the warm halve-down ladder (``warm`` goes to solve())
-    "binary_search-sp-label_noise-subsample": (
-        "binary_search", "SP <= 0.05", "label_noise", dict(subsample=0.5)),
+    # Algorithm 1's warm ladders: the doubling ladder (0.03 → 0.06 →
+    # 0.12) and the halve-down ladder (``warm`` goes to solve())
     "binary_search-sp-label_noise-warm_below": (
         "binary_search", "SP <= 0.05", "label_noise",
         dict(warm=([0.03], True))),
@@ -125,22 +114,17 @@ def lam_seq(history):
             for h in history]
 
 
-def solve_workload(name, splits_cache):
-    """The workload's :class:`~repro.api.FairModel` on its golden split."""
+def run_workload(name, splits_cache):
+    """The workload's record, solved on its golden split."""
     strategy, spec, scenario, options = WORKLOADS[name]
     if scenario not in splits_cache:
         splits_cache[scenario] = splits_for(scenario)
     train, val = splits_cache[scenario]
     options = dict(options)
     warm = options.pop("warm", None)
-    return Engine(strategy, **options).solve(
+    report = Engine(strategy, **options).solve(
         Problem(spec), GaussianNaiveBayes(), train, val, warm=warm,
-    )
-
-
-def run_workload(name, splits_cache):
-    strategy, spec, scenario, options = WORKLOADS[name]
-    report = solve_workload(name, splits_cache).report
+    ).report
     return {
         "strategy": report.strategy,
         "spec": spec,

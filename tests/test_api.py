@@ -136,11 +136,30 @@ class TestRemovedSolverSurface:
         with pytest.raises(SpecificationError, match="unknown option"):
             Engine("auto", **option)
 
-    def test_race_refuses_component_knobs(self):
-        # race runs each component on its default config, so a
-        # component knob is an unknown option, not a silent no-op
-        with pytest.raises(SpecificationError, match="unknown option"):
-            Engine("race", strategies=("grid", "linear"), grid_steps=4)
+    def test_race_is_an_unknown_strategy(self):
+        with pytest.raises(SpecificationError,
+                           match="unknown search strategy 'race'"):
+            Engine("race")
+
+    def test_fit_fair_refuses_race_by_name(self, two_group_splits):
+        train, val, _ = two_group_splits
+        with pytest.raises(SpecificationError,
+                           match="unknown search strategy 'race'"):
+            fit_fair(
+                LogisticRegression(), "SP <= 0.05", train, val,
+                strategy="race",
+            )
+
+    @pytest.mark.parametrize("option", [
+        {"subsample": 0.5}, {"strategies": ("grid", "linear")},
+        {"interleave": 2},
+    ])
+    def test_removed_knobs_are_unknown_options(self, option):
+        # the subsample fraction and race's two knobs (13.0.0)
+        name = next(iter(option))
+        with pytest.raises(SpecificationError,
+                           match=rf"unknown option\(s\) \['{name}'\]"):
+            Engine(**option)
 
     def test_second_driver_and_result_types_are_gone(self):
         # one driver (run_plan) and one result type (TuneResult)

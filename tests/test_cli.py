@@ -234,13 +234,14 @@ class TestCommands:
         code = main(
             [
                 "train", "--dataset", "compas", "--two-group",
-                "--rows", "1200", "--strategy-opt", "subsample=0.5",
+                "--rows", "1200", "--strategy-opt", "warm_start=1",
             ],
             out=out,
         )
         assert code == 2
-        assert "SPEC ERROR" in out.getvalue()
-        assert "--subsample" not in out.getvalue().split("SPEC ERROR")[0]
+        assert out.getvalue().startswith(
+            "SPEC ERROR: unknown option(s) ['warm_start']"
+        )
 
     def test_train_store_dir_strategy_opt_is_refused(self, tmp_path):
         # --strategy-opt reaches Engine(**options): an engine parameter
@@ -267,6 +268,17 @@ class TestCommands:
             main(["train", "--dataset", "compas", *flag])
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,error", [
+        (["--search", "race"], "invalid choice: 'race'"),
+        (["--subsample", "0.5"], "unrecognized arguments"),
+    ])
+    def test_train_removed_solver_flags_exit_2(self, flags, error, capsys):
+        # race and the subsample bounding fits were removed in 13.0.0
+        with pytest.raises(SystemExit) as excinfo:
+            main(["train", "--dataset", "compas", *flags])
+        assert excinfo.value.code == 2
+        assert error in capsys.readouterr().err
 
     def test_serve_max_wait_us_flag_is_gone(self, capsys):
         # removed in 7.0.0: the batcher no longer holds batches open

@@ -133,18 +133,6 @@ class TestFitCache:
         fitter.fit_batch(L[:1])
         assert fitter.fit_cache_hits == 2  # evicted -> refit, not a hit
 
-    def test_subsample_and_full_fits_do_not_collide(self):
-        X, y, constraints = _setup()
-        fitter = WeightedFitter(
-            GaussianNaiveBayes(), X, y, constraints, subsample=0.5,
-        )
-        # Λ = 0 resolves to all-ones weights on both splits; the split
-        # tag must keep the keys apart
-        full = fitter.fit(np.zeros(2))
-        sub = fitter.fit(np.zeros(2), use_subsample=True)
-        assert fitter.fit_cache_hits == 0
-        assert not np.array_equal(full.theta_, sub.theta_)
-
 
 class TestBatchPeakMemory:
     """One live copy of the ``(B, n)`` batch while NB trains: the fit

@@ -6,11 +6,6 @@ solver loops (Algorithm 1, Algorithm 2, the grid sweeps, CMA-ES)
 strategy × SP/FDR × scenario workload it stores the selected λ vector
 and the full ordered λ-sequence of the search history.
 
-The three ``race`` workloads were frozen later, from the race driver
-that ran its components on sibling fitters, before race became a plan
-on one shared fitter; :data:`RACE_TOTALS` pins that driver's fit and
-cache-hit totals as well.
-
 Every record also carries the fitter's counters (``n_fits``,
 ``fit_cache_hits``, ``fit_cache_lookups`` and ``fit_paths``), frozen
 from the fitter that still had separate ``fit`` and ``fit_batch``
@@ -37,18 +32,8 @@ from capture_trajectories import (  # noqa: E402
     OUT as TRAJECTORY_FILE,
     WORKLOADS,
     run_workload,
-    solve_workload,
 )
 
-#: the race totals the pre-refactor race driver reported on the golden
-#: splits, before race became a plan on one shared fitter
-RACE_TOTALS = {
-    "race-sp-label_noise": dict(n_fits=48, fit_cache_hits=7, swapped=True),
-    "race-fdr-label_noise": dict(n_fits=18, fit_cache_hits=3,
-                                 swapped=False),
-    "race-sp-group_sweep": dict(n_fits=210, fit_cache_hits=23,
-                                swapped=False),
-}
 
 @pytest.fixture(scope="module")
 def golden():
@@ -85,10 +70,3 @@ def test_goldens_cover_every_registered_builtin(golden):
 
     covered = {record["strategy"] for record in golden.values()}
     assert covered >= set(available_strategies())
-
-
-@pytest.mark.parametrize("name", sorted(RACE_TOTALS))
-def test_race_totals_pinned(name, splits_cache):
-    report = solve_workload(name, splits_cache).report
-    got = {field: getattr(report, field) for field in RACE_TOTALS[name]}
-    assert got == RACE_TOTALS[name]

@@ -506,6 +506,7 @@ class TestGracefulStop:
                                                fair_model):
         service = _make_service(dataset, fair_model)
         handle = serve_in_thread(service)
+        listening = service._server.sockets[0]
 
         async def wedged_stop(drain_timeout_s=5.0):
             await asyncio.sleep(60)
@@ -517,6 +518,8 @@ class TestGracefulStop:
         assert report["forced"] is True
         handle.thread.join(5.0)
         assert not handle.thread.is_alive()
+        # the drain never ran, yet the listening socket is closed
+        assert listening.fileno() == -1
 
 
 # -- client transport retries --------------------------------------------------

@@ -249,8 +249,8 @@ class TestErrorPaths:
     @pytest.mark.parametrize("strategy,options", [
         ("grid", b'{"grid_max": 1e999}'),
         ("grid", b'{"grid_max": NaN}'),
-        ("race", b'{"interleave": 0}'),
-        ("race", b'{"strategies": "grid"}'),
+        ("cmaes", b'{"popsize": 1}'),
+        ("linear", b'{"max_steps": true}'),
     ])
     def test_retune_bad_strategy_knob_is_400(self, client, strategy,
                                              options):
@@ -282,6 +282,40 @@ class TestErrorPaths:
             client.wait_job(job["job_id"])
         assert excinfo.value.job_status == "error"
         assert "tau" in str(excinfo.value)
+
+    @pytest.mark.parametrize("fields,named", [
+        ({"strategy": "race"}, "unknown search strategy 'race'"),
+        ({"options": {"interleave": 2}}, "['interleave']"),
+        ({"options": {"strategies": ["grid"]}}, "['strategies']"),
+    ])
+    def test_retune_removed_race_surface_is_400(self, server, client,
+                                                fields, named):
+        # race and its knobs are gone (13.0.0): refused by name before
+        # any job or breaker exists
+        with pytest.raises(ServingError) as excinfo:
+            client._request("POST", "/retune", {
+                "spec": "SP <= 0.1", "dataset": "scenario:group_sweep",
+                "name": "m", **fields,
+            })
+        assert excinfo.value.status == 400
+        assert named in str(excinfo.value)
+        assert server.service._jobs == {}
+        assert client.stats()["resilience"]["breakers"] == {}
+
+    @pytest.mark.parametrize("name", [5, "", None, True, ["m"]])
+    def test_retune_bad_name_is_400_before_any_job(self, server, client,
+                                                   name):
+        # before 13.0.0 a name of 5 ran the whole solve, failed only
+        # when the model was registered, and left a breaker keyed 5
+        with pytest.raises(ServingError) as excinfo:
+            client._request("POST", "/retune", {
+                "spec": "SP <= 0.1", "dataset": "scenario:group_sweep",
+                "n": 600, "name": name,
+            })
+        assert excinfo.value.status == 400
+        assert "name must be a non-empty string" in str(excinfo.value)
+        assert server.service._jobs == {}
+        assert client.stats()["resilience"]["breakers"] == {}
 
     def test_unknown_job_is_404(self, client):
         with pytest.raises(ServingError) as excinfo:
@@ -662,6 +696,38 @@ class TestUpdate:
         assert out["ops"] == ["append", "retire"]
         assert out["audit"]["n_live"] == 404
         self._raw_update(client, retire=[405])  # out of range now
+
+    def test_unknown_estimator_is_400_before_any_delta(self, client):
+        # before 13.0.0 the retire applied (n_live 400 -> 397) and only
+        # the drift retune it triggered refused the estimator
+        client.update("gs", base=self.BASE, tolerance=10.0)
+        before = self._stats_row(client)
+        message = self._raw_update(
+            client, retire=[0, 1, 2], tolerance=-10.0,
+            estimator="NO_SUCH_MODEL",
+        )
+        assert "NO_SUCH_MODEL" in message
+        assert self._stats_row(client) == before
+        assert client.stats()["admission"]["drift_retunes"] == 0
+
+    def test_unknown_estimator_refuses_the_seed(self, server, client):
+        message = self._raw_update(
+            client, base=self.BASE, tolerance=-10.0, estimator="NOPE",
+        )
+        assert "NOPE" in message
+        assert server.service._auditors == {}
+
+    @pytest.mark.parametrize("retune", ["no", 0, 1, None])
+    def test_non_bool_retune_is_400(self, client, retune):
+        # before 13.0.0 "no" read as true and started a drift retune
+        client.update("gs", base=self.BASE, tolerance=10.0)
+        before = self._stats_row(client)
+        message = self._raw_update(
+            client, retire=[0], tolerance=-10.0, retune=retune,
+        )
+        assert "retune must be a JSON bool" in message
+        assert self._stats_row(client) == before
+        assert client.stats()["admission"]["drift_retunes"] == 0
 
     def test_nan_tolerance_is_400(self, client):
         client.update("gs", base=self.BASE, tolerance=10.0)

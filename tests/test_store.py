@@ -551,7 +551,7 @@ def _persistent_keys(estimator, train, val, store):
         estimator, train.X, train.y, problem.bind(train), store=store,
     )
     key = fitter._cache_key(
-        estimator_fingerprint(estimator), np.ones(len(train)), train.y, False,
+        estimator_fingerprint(estimator), np.ones(len(train)), train.y,
     )
     return SolutionCache.exact_key(desc), fitter._store_key(key)
 

@@ -256,9 +256,8 @@ class TestKnobChecks:
     """Every other knob is refused by name when the Engine is built.
 
     An infinite or NaN grid or step puts inf/NaN into the weights (a
-    wrong model reported feasible), a zero count raises deep inside a
-    kernel or divides by zero, and a bad race component list fails
-    only at solve time.
+    wrong model reported feasible), and a zero count raises deep inside
+    a kernel or divides by zero.
     """
 
     @pytest.mark.parametrize("strategy,field,value", [
@@ -267,6 +266,7 @@ class TestKnobChecks:
         ("grid", "grid_max", 0.0),
         ("grid", "grid_steps", 0),
         ("grid", "grid_steps", 2.5),
+        ("grid", "grid_steps", True),
         ("linear", "step", -0.05),
         ("linear", "step", float("inf")),
         ("linear", "max_steps", 0),
@@ -282,10 +282,6 @@ class TestKnobChecks:
         ("cmaes", "popsize", 4.0),
         ("cmaes", "penalty", -1.0),
         ("cmaes", "penalty", float("inf")),
-        ("race", "interleave", True),
-        ("race", "strategies", "grid"),
-        ("race", "strategies", ("grid", "nope")),
-        ("race", "strategies", [["grid"]]),
     ])
     def test_engine_refuses_bad_knob(self, strategy, field, value):
         with pytest.raises(SpecificationError, match=f"{field} must be"):
@@ -295,4 +291,3 @@ class TestKnobChecks:
         Engine("cmaes", penalty=0.0, popsize=2, max_evals=1)
         Engine("hill_climb", max_rounds=None)
         Engine("grid", grid_steps=np.int64(1), grid_max=1e-9)
-        Engine("race", strategies=["grid", "linear"], interleave=2)
